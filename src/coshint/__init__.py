@@ -77,6 +77,7 @@ from .quadrature import (
     quad_two_sided,
     quad_x_domain,
     quad_x_domain_infinite,
+    quad_x_domain_many,
 )
 from .series import (
     SeriesResult,
@@ -109,6 +110,7 @@ from .verify import (
     random_specs,
     series_value,
     verify_point,
+    verify_points,
 )
 
 __version__ = "0.1.0"

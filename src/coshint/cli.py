@@ -6,9 +6,11 @@ grid ranges use start:step:stop, inclusive of stop within half a step.
 Exit codes: 0 success or agreement, 1 verification disagreement or a
 paradox that failed to manifest, 2 usage or domain errors.
 
-Sweeps evaluate their points in a thread pool capped by --threads, but
-output rows always follow input order, so identical flags and seed give
-byte-identical output at any thread count.
+Sweeps (verify, table) evaluate the whole grid in one process, with the
+quadrature route of every finite-X spec batched into one block (see
+coshint.verify.verify_points).  Output rows follow input order and each
+equals the single-spec report, so identical flags and seed give
+byte-identical output.  --threads is still accepted but has no effect.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CoshintError
@@ -41,6 +42,7 @@ from .verify import (
     random_specs,
     series_value,
     verify_point,
+    verify_points,
 )
 
 _USAGE_ERROR = 2
@@ -204,13 +206,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _verify_reports(specs, tol: float, threads: int) -> list[EvalReport]:
-    if threads <= 1:
-        return [verify_point(s, tol) for s in specs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: verify_point(s, tol), specs))
-
-
 def cmd_verify(args) -> int:
     if args.grid is not None:
         try:
@@ -225,7 +220,7 @@ def cmd_verify(args) -> int:
         specs = random_specs(args.random, args.seed)
     else:
         return _fail("need either --grid FILE or --random N")
-    reports = _verify_reports(specs, args.tol, args.threads)
+    reports = verify_points(specs, args.tol)
     lines = [json.dumps(report_to_dict(r)) for r in reports]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
@@ -318,7 +313,7 @@ def cmd_table(args) -> int:
         specs = sweep.points()
     except (CoshintError, ValueError) as exc:
         return _fail(f"bad sweep: {exc}")
-    reports = _verify_reports(specs, sweep.tol, args.threads)
+    reports = verify_points(specs, sweep.tol)
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -404,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--out", type=str, default=None)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--threads", type=int, default=1,
+                          help="accepted for compatibility; has no effect")
     p_verify.set_defaults(func=cmd_verify)
 
     p_dec = sub.add_parser("decompose", help="partial-fraction terms of a spec")
@@ -432,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--upper", type=str, default="1")
     p_tab.add_argument("--tol", type=float, default=1e-9)
     p_tab.add_argument("--out", type=str, default=None)
-    p_tab.add_argument("--threads", type=int, default=1)
+    p_tab.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
     p_tab.add_argument("--deg", action="store_true")
     p_tab.set_defaults(func=cmd_table)
 

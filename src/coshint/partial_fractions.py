@@ -24,10 +24,8 @@ from .errors import (
     NotIntegerExponentsError,
     SingularThetaError,
 )
-from .params import IntegrandSpec, canonicalize_theta
+from .params import _THETA_PI_TOL, IntegrandSpec, canonicalize_theta
 from .trig_sums import assemble
-
-_THETA_PI_TOL = 1e-12
 
 
 def _as_int(x, name: str) -> int:

@@ -17,7 +17,9 @@ the evaluation budget (2e6 integrand evaluations per call), and running
 out of budget raises instead of returning a degraded value.
 
 Panel contributions are accumulated left to right in a fixed order, so
-results are bit-identical across runs regardless of caller threading.
+results are bit-identical across runs.  quad_x_domain_many runs the
+tanh-sinh half-line rule for many specs as one row block and returns,
+bit for bit, what quad_x_domain returns for each spec alone.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    CoshintError,
     DomainError,
     NonIntegrableError,
     PoleTooCloseError,
@@ -121,8 +124,8 @@ def _tanh_sinh_panel(f, a: float, b: float, abs_tol: float, budget: _Budget):
         u, w = _ts_nodes(level)
         budget.spend(u.size)
         samples = w * f(mid + half * u)
-        contrib = np.sum(samples)
-        mass += float(np.sum(np.abs(samples)))
+        contrib = samples.sum()
+        mass += float(np.abs(samples).sum())
         if total is None:
             total = contrib
         else:
@@ -161,8 +164,8 @@ def _gauss_fixed(f, a: float, b: float, panels: int, budget: _Budget):
     x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
     budget.spend(x.size)
     vals = f(x).reshape(panels, -1) * w0[None, :]
-    value = np.sum(np.sum(vals, axis=1) * half)
-    mass = float(np.sum(np.sum(np.abs(vals), axis=1) * half))
+    value = (vals.sum(axis=1) * half).sum()
+    mass = float((np.abs(vals).sum(axis=1) * half).sum())
     return value, mass
 
 
@@ -239,9 +242,121 @@ def integrate_half_line(f, start: float, decay: float, *,
     edges = _panel_edges(start, cutoff)
     panel_rule = _tanh_sinh_panel if rule == "tanh-sinh" else _gauss_panel
     value, err = _integrate_panels(f, edges, rel_tol, budget, panel_rule)
+    return _half_line_result(value, err, budget.used)
+
+
+def _half_line_result(value, err, evaluations: int) -> QuadResult:
     return QuadResult(value=_pyify(value),
                       abs_err_estimate=float(err) + 1e-16 * abs(value),
-                      evaluations=budget.used)
+                      evaluations=evaluations)
+
+
+# ---------------------------------------------------------------------------
+# row block: the tanh-sinh half-line driver for many _t_kernel integrands
+#
+# Row r integrates _t_kernel(b[r], cos_c[r], cos_a[r]) over its own panel
+# layout.  Every row of a block shares the nodes of each level (the node
+# sets are nested), so one kernel call per level serves all rows.  A row
+# leaves the block at the level where its panel converges and after its
+# last panel, so each row goes through exactly the arithmetic of
+# _tanh_sinh_panel and _integrate_panels: its value, error estimate,
+# evaluation count and failure are bit-identical to a per-spec call.
+
+
+def _block_level(args, rows, mid, half, level: int):
+    """Per-row sums of w*f and |w*f| over the nodes that `level` adds.
+
+    The kernel sees the rows in chunks of at most as many elements as
+    the deepest level has nodes, so no call holds more than a single
+    spec's deepest level does.
+    """
+    u, w = _ts_nodes(level)
+    step = max(1, _ts_nodes(_TS_MAX_LEVEL)[0].size // u.size)
+    contrib = np.empty(rows.size)
+    mass = np.empty(rows.size)
+    for lo in range(0, rows.size, step):
+        part = slice(lo, lo + step)
+        col = rows[part, None]
+        f = _t_kernel(args[0][col], args[1][col], args[2][col])
+        samples = w * f(mid[part, None] + half[part, None] * u)
+        contrib[part] = samples.sum(axis=1)
+        mass[part] = np.abs(samples).sum(axis=1)
+    return contrib, mass
+
+
+def _tanh_sinh_rows(args, rows, left, right, abs_tol, used, errors):
+    """_tanh_sinh_panel on [left[i], right[i]] for each row rows[i].
+
+    Returns (value, err, ok) per row.  ``used`` holds each row's
+    evaluation count; a row that overruns the budget is recorded in
+    ``errors`` and returned not ok.
+    """
+    half = 0.5 * (right - left)
+    mid = 0.5 * (left + right)
+    value = np.zeros(rows.size)
+    err = np.full(rows.size, math.inf)
+    ok = np.zeros(rows.size, dtype=bool)
+    total = np.empty(rows.size)
+    mass = np.empty(rows.size)
+    live = np.arange(rows.size)
+    for level in range(_TS_MAX_LEVEL + 1):
+        used[rows[live]] += _ts_nodes(level)[0].size
+        over = used[rows[live]] > EVAL_BUDGET
+        for r in rows[live[over]]:
+            errors[int(r)] = BudgetExceededError(
+                f"quadrature exceeded its budget of {EVAL_BUDGET} evaluations")
+        live = live[~over]
+        contrib, absum = _block_level(args, rows[live], mid[live], half[live], level)
+        total[live] = contrib if level == 0 else total[live] + contrib
+        mass[live] = absum if level == 0 else mass[live] + absum
+        h = 1.0 / (1 << level)
+        latest = total[live] * h * half[live]
+        if level > 0:
+            err[live] = np.abs(latest - value[live])
+        value[live] = latest
+        if level >= 2:
+            tol = abs_tol[live]
+            floor = 1e-13 * mass[live] * h * half[live]
+            done = err[live] <= np.where(floor > tol, floor, tol)
+            ok[live[done]] = True
+            live = live[~done]
+        if live.size == 0:
+            return value, err, ok
+    ok[live] = err[live] <= 1e-12 * mass[live] * h * half[live]
+    return value, err, ok
+
+
+def _half_line_rows(args, edges, rel_tol: float):
+    """_integrate_panels with _tanh_sinh_panel for every row, panel by panel.
+
+    ``args`` holds the kernel's (b, cos_c, cos_a) as three arrays and
+    ``edges[r]`` is row r's _panel_edges layout.  Returns the arrays
+    (total, err_sum, used) and a dict row -> error for the rows that
+    failed.
+    """
+    count = len(edges)
+    panels = np.array([len(e) - 1 for e in edges])
+    total = np.zeros(count)
+    err_sum = np.zeros(count)
+    used = np.zeros(count, dtype=np.int64)
+    errors: dict[int, CoshintError] = {}
+    live = np.arange(count)
+    k = 0
+    while live.size:
+        left = np.array([edges[r][k] for r in live])
+        right = np.array([edges[r][k + 1] for r in live])
+        scale = 1.0 + np.abs(total[live])
+        value, err, ok = _tanh_sinh_rows(args, live, left, right,
+                                         0.25 * rel_tol * scale, used, errors)
+        for r in live[~ok]:
+            errors.setdefault(int(r), BudgetExceededError(
+                "panel refinement exhausted without reaching tolerance"))
+        total[live] = total[live] + value
+        err_sum[live] = err_sum[live] + err
+        small = 1e-3 * rel_tol * scale
+        k += 1
+        live = live[ok & (k < panels[live]) & ~((np.abs(value) < small) & (err < small))]
+    return total, err_sum, used, errors
 
 
 def integrate_real_line(f, decay_pos: float, decay_neg: float, *,
@@ -267,16 +382,16 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float, *,
     grid = np.linspace(-big_u, big_u, n0 + 1)
     budget.spend(grid.size)
     vals = g(grid)
-    total = np.sum(vals) - 0.5 * (vals[0] + vals[-1])
-    mass = float(np.sum(np.abs(vals)))
+    total = vals.sum() - 0.5 * (vals[0] + vals[-1])
+    mass = float(np.abs(vals).sum())
     prev = total * h
     err = math.inf
     for _ in range(_TS_MAX_LEVEL):
         mids = np.arange(-big_u + 0.5 * h, big_u, h)
         budget.spend(mids.size)
         new = g(mids)
-        total = total + np.sum(new)
-        mass += float(np.sum(np.abs(new)))
+        total = total + new.sum()
+        mass += float(np.abs(new).sum())
         h *= 0.5
         value = total * h
         err = abs(value - prev)
@@ -289,13 +404,6 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float, *,
 
 # ---------------------------------------------------------------------------
 # kernels
-
-
-def _require_real_p(spec: IntegrandSpec) -> float:
-    p = complex(spec.p)
-    if p.imag != 0.0:
-        raise DomainError("p must be real here; imaginary p goes through quad_cos_log")
-    return p.real
 
 
 def _t_kernel(b, cos_c: float, cos_a):
@@ -319,6 +427,39 @@ def _decay_rate(b) -> float:
     return 1.0 - abs(complex(b).real)
 
 
+def _x_kernel_args(spec: IntegrandSpec, X: float | None):
+    """Check a spec for the x-domain oracles and return its kernel arguments.
+
+    ``X`` is the finite upper limit, or None for the range (0, inf).
+    Returns (b, cos_c, cos_a, s_X, decay): the _t_kernel arguments, the
+    lower end s_X = -n*log(X) of the s-range (None when X is None) and
+    the kernel's tail decay rate.
+    """
+    if X is not None and not 0.0 < X <= 1.0:
+        raise ValueError(f"X must lie in (0, 1], got {X}")
+    p = complex(spec.p)
+    if p.imag != 0.0:
+        raise DomainError("p must be real here; imaginary p goes through quad_cos_log")
+    p = p.real
+    if abs(p) >= spec.n:
+        where = "an endpoint" if X is None else "the lower endpoint"
+        raise NonIntegrableError(
+            f"|p| = {abs(p)} >= n = {spec.n}: divergent at {where}"
+        )
+    status = classify_domain(spec)
+    if status.kind not in (DomainKind.VALID, DomainKind.BOUNDARY_A):
+        raise DomainError(f"spec not integrable as given: {status.detail}")
+    b = p / spec.n
+    s_x = None if X is None else -spec.n * math.log(X)
+    return b, -math.cos(spec.zeta), -math.cos(spec.theta), s_x, _decay_rate(b)
+
+
+def _per_n(res: QuadResult, n: float) -> QuadResult:
+    """The s-domain result scaled by the substitution's factor 1/n."""
+    return QuadResult(value=res.value / n, abs_err_estimate=res.abs_err_estimate / n,
+                      evaluations=res.evaluations)
+
+
 # ---------------------------------------------------------------------------
 # public oracle operations
 
@@ -332,23 +473,42 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     s_X = -n*log(X) and integrand (cosh(b*s) - cos(zeta)) /
     (cosh(s) - cos(theta)) / n, which has no endpoint singularity.
     """
-    if not 0.0 < X <= 1.0:
-        raise ValueError(f"X must lie in (0, 1], got {X}")
-    p = _require_real_p(spec)
-    if abs(p) >= spec.n:
-        raise NonIntegrableError(
-            f"|p| = {abs(p)} >= n = {spec.n}: divergent at the lower endpoint"
-        )
-    status = classify_domain(spec)
-    if status.kind not in (DomainKind.VALID, DomainKind.BOUNDARY_A):
-        raise DomainError(f"spec not integrable as given: {status.detail}")
-    b = p / spec.n
-    kernel = _t_kernel(b, -math.cos(spec.zeta), -math.cos(spec.theta))
-    s_x = -spec.n * math.log(X)
-    res = integrate_half_line(kernel, s_x, _decay_rate(b), rel_tol=rel_tol, rule=rule)
-    return QuadResult(value=res.value / spec.n,
-                      abs_err_estimate=res.abs_err_estimate / spec.n,
-                      evaluations=res.evaluations)
+    b, cos_c, cos_a, s_x, decay = _x_kernel_args(spec, X)
+    res = integrate_half_line(_t_kernel(b, cos_c, cos_a), s_x, decay,
+                              rel_tol=rel_tol, rule=rule)
+    return _per_n(res, spec.n)
+
+
+def quad_x_domain_many(specs: list[IntegrandSpec], *,
+                       rel_tol: float = DEFAULT_REL_TOL) -> list[QuadResult | Exception]:
+    """quad_x_domain(spec, spec.upper) for every spec, as one row block.
+
+    Returns, in input order, each spec's QuadResult or the error that
+    quad_x_domain would raise for it (CoshintError or ValueError).
+    Values, error estimates and evaluation counts are bit-identical to
+    the per-spec calls, whatever the other specs in the block.
+    """
+    out: list[QuadResult | Exception | None] = [None] * len(specs)
+    rows, args, edges = [], [], []
+    for i, spec in enumerate(specs):
+        try:
+            b, cos_c, cos_a, s_x, decay = _x_kernel_args(spec, spec.upper)
+            edges.append(_panel_edges(s_x, _tail_cutoff(decay, s_x)))
+        except (CoshintError, ValueError) as exc:
+            out[i] = exc
+            continue
+        rows.append(i)
+        args.append((b, cos_c, cos_a))
+    if rows:
+        kernel_args = tuple(np.array(args, dtype=float).T)
+        total, err_sum, used, errors = _half_line_rows(kernel_args, edges, rel_tol)
+        for r, i in enumerate(rows):
+            if r in errors:
+                out[i] = errors[r]
+            else:
+                res = _half_line_result(total[r], err_sum[r], int(used[r]))
+                out[i] = _per_n(res, specs[i].n)
+    return out
 
 
 def quad_x_domain_infinite(spec: IntegrandSpec, *,
@@ -358,21 +518,9 @@ def quad_x_domain_infinite(spec: IntegrandSpec, *,
     Computed as a genuine two-sided s-integral with the sinh-map rule,
     not by doubling the (0, 1] value.
     """
-    p = _require_real_p(spec)
-    if abs(p) >= spec.n:
-        raise NonIntegrableError(
-            f"|p| = {abs(p)} >= n = {spec.n}: divergent at an endpoint"
-        )
-    status = classify_domain(spec)
-    if status.kind not in (DomainKind.VALID, DomainKind.BOUNDARY_A):
-        raise DomainError(f"spec not integrable as given: {status.detail}")
-    b = p / spec.n
-    kernel = _t_kernel(b, -math.cos(spec.zeta), -math.cos(spec.theta))
-    rate = _decay_rate(b)
-    res = integrate_real_line(kernel, rate, rate, rel_tol=rel_tol)
-    return QuadResult(value=res.value / spec.n,
-                      abs_err_estimate=res.abs_err_estimate / spec.n,
-                      evaluations=res.evaluations)
+    b, cos_c, cos_a, _, rate = _x_kernel_args(spec, None)
+    res = integrate_real_line(_t_kernel(b, cos_c, cos_a), rate, rate, rel_tol=rel_tol)
+    return _per_n(res, spec.n)
 
 
 def quad_t_domain(a, b, c: float, *, rel_tol: float = DEFAULT_REL_TOL,
@@ -443,9 +591,7 @@ def quad_cos_log(spec: IntegrandSpec, *,
         res = integrate_half_line(kernel, 0.0, 1.0, rel_tol=rel_tol)
     else:
         raise ValueError("upper must be 1 or infinity for this oracle")
-    return QuadResult(value=res.value / spec.n,
-                      abs_err_estimate=res.abs_err_estimate / spec.n,
-                      evaluations=res.evaluations)
+    return _per_n(res, spec.n)
 
 
 def quad_sec_antiderivative_check(m: float, Z: float, *,

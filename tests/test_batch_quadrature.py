@@ -1,0 +1,171 @@
+"""The row-block quadrature path against the per-spec oracle.
+
+quad_x_domain_many must reproduce quad_x_domain bit for bit (value,
+error estimate, evaluation count, and the error raised) whatever the
+block size, and verify_points must reproduce verify_point.
+"""
+
+import json
+import math
+import struct
+
+import pytest
+
+import coshint.quadrature as quadrature
+from coshint import (
+    IntegrandSpec,
+    Lcg64,
+    quad_x_domain,
+    quad_x_domain_many,
+    random_specs,
+    verify_point,
+    verify_points,
+)
+from coshint.cli import main, report_to_dict
+
+TWO_PI = 2.0 * math.pi
+
+
+def _integer_finite_x(count: int, seed: int) -> list[IntegrandSpec]:
+    """Integer n in [1, 24], integer p in [0, n), X in (0.05, 0.95)."""
+    rng = Lcg64(seed)
+    specs = []
+    for _ in range(count):
+        n = 1 + int(rng.next_float() * 24)
+        p = int(rng.next_float() * n)
+        specs.append(IntegrandSpec(n=float(n), p=float(p),
+                                   theta=rng.uniform(0.02, TWO_PI - 0.02),
+                                   zeta=rng.uniform(0.05, math.pi - 0.05),
+                                   upper=rng.uniform(0.05, 0.95)))
+    return specs
+
+
+def _near_edge(count: int, seed: int) -> list[IntegrandSpec]:
+    """|b| in [0.9, 0.99]; theta within 1e-4 to 0.3 of 0 or 2*pi."""
+    rng = Lcg64(seed)
+    specs = []
+    for _ in range(count):
+        n = rng.uniform(0.5, 4.0)
+        b = rng.uniform(0.9, 0.99) * (1.0 if rng.next_float() < 0.5 else -1.0)
+        dist = math.exp(rng.uniform(math.log(1e-4), math.log(0.3)))
+        theta = dist if rng.next_float() < 0.5 else TWO_PI - dist
+        specs.append(IntegrandSpec(n=n, p=b * n, theta=theta,
+                                   zeta=rng.uniform(0.05, math.pi - 0.05)))
+    return specs
+
+
+GRIDS = {
+    "random": random_specs(200, 42),
+    "integer_x": _integer_finite_x(150, 7),
+    "near_edge": _near_edge(120, 11),
+}
+
+
+def _single(spec):
+    try:
+        return quad_x_domain(spec, spec.upper)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _same(expected, got) -> bool:
+    if isinstance(expected, Exception):
+        return type(got) is type(expected) and str(got) == str(expected)
+    return (not isinstance(got, Exception)
+            and _bits(got.value) == _bits(expected.value)
+            and _bits(got.abs_err_estimate) == _bits(expected.abs_err_estimate)
+            and got.evaluations == expected.evaluations)
+
+
+@pytest.fixture(scope="module")
+def singles():
+    return {name: [_single(s) for s in specs] for name, specs in GRIDS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+@pytest.mark.parametrize("size", [1, 7, 125, None])
+def test_batch_bit_identical_to_single(singles, name, size):
+    specs = GRIDS[name]
+    size = size or len(specs)
+    got = []
+    for lo in range(0, len(specs), size):
+        got.extend(quad_x_domain_many(specs[lo:lo + size]))
+    assert len(got) == len(specs)
+    mismatched = [i for i, (e, g) in enumerate(zip(singles[name], got)) if not _same(e, g)]
+    assert mismatched == []
+
+
+def test_failure_sets_equal(singles):
+    for name, specs in GRIDS.items():
+        got = quad_x_domain_many(specs)
+        expected = {i for i, r in enumerate(singles[name]) if isinstance(r, Exception)}
+        assert {i for i, r in enumerate(got) if isinstance(r, Exception)} == expected
+    # the near-edge grid reaches the theta at which the oracle gives up
+    assert any(isinstance(r, Exception) for r in singles["near_edge"])
+
+
+def test_invalid_specs_raise_the_single_spec_errors():
+    specs = [
+        IntegrandSpec(1, 1.5, 1.0, 1.0),  # |p| >= n
+        IntegrandSpec(1, 0.5, 1.0, 1.0, upper=1.5),  # X outside (0, 1]
+        IntegrandSpec(1, 0.5, 1.0, 1.0, upper=math.inf),
+        IntegrandSpec(1, 0.2j, 1.0, 1.0),  # imaginary p
+        IntegrandSpec(1, 0.5, 1.0 + TWO_PI, 1.0),  # paradox-only theta
+        IntegrandSpec(1, 0.5, 1.0, 1.0),
+    ]
+    got = quad_x_domain_many(specs)
+    for spec, result in zip(specs, got):
+        assert _same(_single(spec), result)
+    assert not isinstance(got[-1], Exception)
+    assert quad_x_domain_many([]) == []
+
+
+def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
+    cap = quadrature._ts_nodes(quadrature._TS_MAX_LEVEL)[0].size
+    sizes = []
+    original = quadrature._t_kernel
+
+    def counting(b, cos_c, cos_a):
+        f = original(b, cos_c, cos_a)
+
+        def g(s):
+            sizes.append(s.size)
+            return f(s)
+
+        return g
+
+    monkeypatch.setattr(quadrature, "_t_kernel", counting)
+    specs = GRIDS["near_edge"]
+    quad_x_domain_many(specs)
+    block_calls, block_max = len(sizes), max(sizes)
+    sizes.clear()
+    for spec in specs:
+        _single(spec)
+    assert block_max <= cap
+    assert max(sizes) == cap  # failing specs reach the deepest level
+    assert block_calls * 10 < len(sizes)
+
+
+def test_verify_points_equals_verify_point():
+    specs = GRIDS["random"][:40] + GRIDS["integer_x"][:20] + GRIDS["near_edge"][:20] + [
+        IntegrandSpec(2, 1, 1.0, 2.0, upper=math.inf),
+        IntegrandSpec(1, 1j, math.pi / 2, math.pi / 2),
+        IntegrandSpec(1, 0.5, 1.0 + TWO_PI, 1.0),  # paradox-only
+        IntegrandSpec(1, 1.5, 1.0, 1.0),  # excluded
+        IntegrandSpec(1, 0.5, TWO_PI, 1.0),  # singular theta
+        IntegrandSpec(2, 1, math.pi, 1.0),  # boundary-a
+    ]
+    assert verify_points(specs, 1e-9) == [verify_point(s, 1e-9) for s in specs]
+
+
+def test_cli_verify_matches_verify_point(capsys):
+    code = main(["verify", "--random", "200", "--seed", "42"])
+    lines = capsys.readouterr().out.splitlines()
+    expected = [json.dumps(report_to_dict(verify_point(s, 1e-9)))
+                for s in random_specs(200, 42)]
+    assert code in (0, 1)
+    assert lines == expected
