@@ -20,7 +20,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import CoshintError
 from .params import (
@@ -271,27 +270,6 @@ _CSV_HEADER = ["n", "p_re", "p_im", "theta", "zeta", "upper", "domain",
                "closed", "pf", "quad", "series", "max_abs_err", "verdict"]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Cartesian sweep over parameter grids, evaluated in input order."""
-
-    n_values: list[float]
-    p_values: list[complex]
-    theta_values: list[float]
-    zeta_values: list[float]
-    upper: float
-    tol: float
-
-    def points(self) -> list[IntegrandSpec]:
-        return [
-            IntegrandSpec(n=n, p=p, theta=theta, zeta=zeta, upper=self.upper)
-            for n in self.n_values
-            for p in self.p_values
-            for theta in self.theta_values
-            for zeta in self.zeta_values
-        ]
-
-
 def _csv_cell(value: float | None) -> str:
     return "" if value is None else repr(value)
 
@@ -300,20 +278,17 @@ def cmd_table(args) -> int:
     try:
         p_values = ([parse_complex_literal(args.p)] if ":" not in args.p
                     else list(parse_grid(args.p)))
-        sweep = SweepSpec(
-            n_values=parse_grid(args.n),
-            p_values=p_values,
-            theta_values=[math.radians(t) if args.deg else t
-                          for t in parse_grid(args.theta)],
-            zeta_values=[math.radians(z) if args.deg else z
-                         for z in parse_grid(args.zeta)],
-            upper=parse_upper(args.upper),
-            tol=args.tol,
-        )
-        specs = sweep.points()
+        n_values = parse_grid(args.n)
+        thetas = [math.radians(t) if args.deg else t for t in parse_grid(args.theta)]
+        zetas = [math.radians(z) if args.deg else z for z in parse_grid(args.zeta)]
+        specs = [IntegrandSpec(n=n, p=p, theta=theta, zeta=zeta, upper=args.upper)
+                 for n in n_values
+                 for p in p_values
+                 for theta in thetas
+                 for zeta in zetas]
     except (CoshintError, ValueError) as exc:
         return _fail(f"bad sweep: {exc}")
-    reports = verify_points(specs, sweep.tol)
+    reports = verify_points(specs, args.tol)
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)

@@ -138,10 +138,7 @@ def eval_sech2_transform(q: float) -> float:
 def eval_theta_pi_limit(b: complex | float) -> ClosedValue:
     """Repeated-root limit a -> 0 of the cosh ratio: pi*b/sin(pi*b)."""
     b = complex(b)
-    if abs(b.real) >= 1.0:
-        raise DomainError(f"|Re b| = {abs(b.real)} must be < 1")
-    if abs(cmath.sin(math.pi * b)) < EPS_POLE and abs(b) >= EPS_LIMIT:
-        raise NearPoleError(f"b = {b} is too close to the poles at b = +-1")
+    _check_strip(0j, b)
     flag = LimitApplied.B_ZERO if abs(b) < EPS_LIMIT else LimitApplied.NONE
     return ClosedValue(value=1.0 / _sinc(math.pi * b), limit_applied=flag)
 

@@ -25,6 +25,7 @@ from .errors import (
     SingularThetaError,
 )
 from .params import _THETA_PI_TOL, IntegrandSpec, canonicalize_theta
+from .quadrature import integrate_half_line
 from .trig_sums import assemble
 
 
@@ -71,12 +72,18 @@ class Decomposition:
     terms: tuple[PartialTerm, ...]
 
 
-def _check_decompose_spec(spec: IntegrandSpec) -> tuple[int, int, float]:
+def _integer_parts(spec: IntegrandSpec) -> tuple[int, int, float]:
+    """Integer n and p with 0 <= p < n, and the canonical theta."""
     n = _as_int(spec.n, "n")
     p = _as_int(spec.p, "p")
     if not 0 <= p < n:
         raise ExcludedError(f"need 0 <= p < n, got p={p}, n={n}")
     theta_c, _ = canonicalize_theta(spec.theta)
+    return n, p, theta_c
+
+
+def _check_decompose_spec(spec: IntegrandSpec) -> tuple[int, int, float]:
+    n, p, theta_c = _integer_parts(spec)
     if abs(theta_c - math.pi) <= _THETA_PI_TOL:
         raise DomainError(
             "theta = pi gives repeated roots; use the repeated-root limit instead"
@@ -152,11 +159,7 @@ def integral_closed(spec: IntegrandSpec) -> float:
     upper limit 1 and twice that for an infinite upper limit.  theta =
     pi is served by the repeated-root limit value.
     """
-    n = _as_int(spec.n, "n")
-    p = _as_int(spec.p, "p")
-    if not 0 <= p < n:
-        raise ExcludedError(f"need 0 <= p < n, got p={p}, n={n}")
-    theta_c, _ = canonicalize_theta(spec.theta)
+    n, p, theta_c = _integer_parts(spec)
     if spec.upper == math.inf:
         factor = 2.0
     elif spec.upper == 1.0:
@@ -197,8 +200,6 @@ def squared_denominator_identity(n: float, p: float, X: float) -> tuple[float, f
     each side computed by its own quadrature.  Both integrands are
     mapped off the x -> 0 endpoint with x**n = exp(-s).
     """
-    from .quadrature import integrate_half_line  # deferred: avoid import cycle
-
     if not (n > 0 and 0.0 < p < n):
         raise ValueError("need n > 0 and 0 < p < n")
     if not 0.0 < X <= 1.0:

@@ -36,10 +36,20 @@ from .errors import (
     NonIntegrableError,
     PoleTooCloseError,
 )
-from .params import DomainKind, IntegrandSpec, _theta_mod, classify_domain
+from .params import DomainKind, IntegrandSpec, classify_domain
 
-DEFAULT_REL_TOL = 1e-13
+REL_TOL = 1e-13
 EVAL_BUDGET = 2_000_000
+
+# Refinement thresholds shared by the scalar and the row-block drivers.
+# Summation roundoff of a peaked or oscillatory panel plateaus near
+# _ROUNDOFF_FLOOR times the integrand's absolute mass; a panel whose
+# levels run out is still accepted within _PLATEAU_ACCEPT of that mass;
+# a half-line stops once a panel adds less than _TAIL_BREAK of its
+# tolerance, because the geometric envelope makes the rest smaller still.
+_ROUNDOFF_FLOOR = 1e-13
+_PLATEAU_ACCEPT = 1e-12
+_TAIL_BREAK = 1e-3
 
 _TS_TMAX = 6.11  # |t| beyond this the tanh-sinh weight underflows
 _TS_MAX_LEVEL = 12
@@ -109,9 +119,9 @@ def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 def _tanh_sinh_panel(f, a: float, b: float, abs_tol: float, budget: _Budget):
     """Integrate f over [a, b]; returns (value, err, converged_flag).
 
-    Convergence is judged against abs_tol with a floor of 1e-13 times
-    the integrand's absolute mass: summation roundoff for a peaked or
-    oscillatory panel plateaus at that scale, so demanding more would
+    Convergence is judged against abs_tol with a floor of _ROUNDOFF_FLOOR
+    times the integrand's absolute mass: summation roundoff for a peaked
+    or oscillatory panel plateaus at that scale, so demanding more would
     spin through every level and fail on inputs that are in fact done.
     """
     half = 0.5 * (b - a)
@@ -134,12 +144,12 @@ def _tanh_sinh_panel(f, a: float, b: float, abs_tol: float, budget: _Budget):
         value = total * h * half
         if prev is not None:
             err = abs(value - prev)
-            if level >= 2 and err <= max(abs_tol, 1e-13 * mass * h * half):
+            if level >= 2 and err <= max(abs_tol, _ROUNDOFF_FLOOR * mass * h * half):
                 return value, err, True
         prev = value
     # refinement exhausted: a severely peaked panel may sit on its roundoff
-    # plateau; accept it only while the error stays within 1e-12 of the mass
-    ok = err <= 1e-12 * mass * h * half
+    # plateau; accept it only while the error stays that close to the mass
+    ok = err <= _PLATEAU_ACCEPT * mass * h * half
     return prev, err, ok
 
 
@@ -177,7 +187,7 @@ def _gauss_panel(f, a: float, b: float, abs_tol: float, budget: _Budget):
         value, mass = _gauss_fixed(f, a, b, panels, budget)
         if prev is not None:
             err = abs(value - prev)
-            if err <= max(abs_tol, 1e-13 * mass):
+            if err <= max(abs_tol, _ROUNDOFF_FLOOR * mass):
                 return value, err, True
         prev = value
         panels *= 2
@@ -204,29 +214,29 @@ def _panel_edges(start: float, cutoff: float, first: float = 4.0) -> list[float]
     return edges
 
 
-def _integrate_panels(f, edges, rel_tol, budget, panel_rule):
+def _integrate_panels(f, edges, budget, panel_rule):
     total = 0.0
     err_sum = 0.0
     for left, right in zip(edges[:-1], edges[1:]):
         scale = 1.0 + abs(total)
-        value, err, ok = panel_rule(f, left, right, 0.25 * rel_tol * scale, budget)
+        value, err, ok = panel_rule(f, left, right, 0.25 * REL_TOL * scale, budget)
         if not ok:
             raise BudgetExceededError(
                 "panel refinement exhausted without reaching tolerance"
             )
         total = total + value
         err_sum += err
-        if abs(value) < 1e-3 * rel_tol * scale and err < 1e-3 * rel_tol * scale:
+        small = _TAIL_BREAK * REL_TOL * scale
+        if abs(value) < small and err < small:
             break  # geometric envelope: the remaining panels are smaller still
     return total, err_sum
 
 
-def integrate_finite(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
-                     rule: str = "tanh-sinh", budget: _Budget | None = None) -> QuadResult:
+def integrate_finite(f, a: float, b: float, *, rule: str = "tanh-sinh") -> QuadResult:
     """Integrate a smooth integrand over the finite interval [a, b]."""
-    budget = budget or _Budget()
+    budget = _Budget()
     panel_rule = _tanh_sinh_panel if rule == "tanh-sinh" else _gauss_panel
-    value, err, ok = panel_rule(f, a, b, rel_tol, budget)
+    value, err, ok = panel_rule(f, a, b, REL_TOL, budget)
     if not ok:
         raise BudgetExceededError("refinement exhausted without convergence")
     return QuadResult(value=_pyify(value), abs_err_estimate=float(err),
@@ -234,14 +244,13 @@ def integrate_finite(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
 
 
 def integrate_half_line(f, start: float, decay: float, *,
-                        rel_tol: float = DEFAULT_REL_TOL, rule: str = "tanh-sinh",
-                        budget: _Budget | None = None) -> QuadResult:
+                        rule: str = "tanh-sinh") -> QuadResult:
     """Integrate f over [start, inf) given an e^(-decay*s) tail envelope."""
-    budget = budget or _Budget()
+    budget = _Budget()
     cutoff = _tail_cutoff(decay, start)
     edges = _panel_edges(start, cutoff)
     panel_rule = _tanh_sinh_panel if rule == "tanh-sinh" else _gauss_panel
-    value, err = _integrate_panels(f, edges, rel_tol, budget, panel_rule)
+    value, err = _integrate_panels(f, edges, budget, panel_rule)
     return _half_line_result(value, err, budget.used)
 
 
@@ -316,17 +325,17 @@ def _tanh_sinh_rows(args, rows, left, right, abs_tol, used, errors):
         value[live] = latest
         if level >= 2:
             tol = abs_tol[live]
-            floor = 1e-13 * mass[live] * h * half[live]
+            floor = _ROUNDOFF_FLOOR * mass[live] * h * half[live]
             done = err[live] <= np.where(floor > tol, floor, tol)
             ok[live[done]] = True
             live = live[~done]
         if live.size == 0:
             return value, err, ok
-    ok[live] = err[live] <= 1e-12 * mass[live] * h * half[live]
+    ok[live] = err[live] <= _PLATEAU_ACCEPT * mass[live] * h * half[live]
     return value, err, ok
 
 
-def _half_line_rows(args, edges, rel_tol: float):
+def _half_line_rows(args, edges):
     """_integrate_panels with _tanh_sinh_panel for every row, panel by panel.
 
     ``args`` holds the kernel's (b, cos_c, cos_a) as three arrays and
@@ -347,21 +356,19 @@ def _half_line_rows(args, edges, rel_tol: float):
         right = np.array([edges[r][k + 1] for r in live])
         scale = 1.0 + np.abs(total[live])
         value, err, ok = _tanh_sinh_rows(args, live, left, right,
-                                         0.25 * rel_tol * scale, used, errors)
+                                         0.25 * REL_TOL * scale, used, errors)
         for r in live[~ok]:
             errors.setdefault(int(r), BudgetExceededError(
                 "panel refinement exhausted without reaching tolerance"))
         total[live] = total[live] + value
         err_sum[live] = err_sum[live] + err
-        small = 1e-3 * rel_tol * scale
+        small = _TAIL_BREAK * REL_TOL * scale
         k += 1
         live = live[ok & (k < panels[live]) & ~((np.abs(value) < small) & (err < small))]
     return total, err_sum, used, errors
 
 
-def integrate_real_line(f, decay_pos: float, decay_neg: float, *,
-                        rel_tol: float = DEFAULT_REL_TOL,
-                        budget: _Budget | None = None) -> QuadResult:
+def integrate_real_line(f, decay_pos: float, decay_neg: float) -> QuadResult:
     """Integrate f over (-inf, inf) with a sinh-map trapezoid rule.
 
     The map s = sinh(u) makes the transformed integrand decay doubly
@@ -369,7 +376,7 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float, *,
     This is a deliberately different construction from the panel rules,
     used where an independently computed two-sided value is wanted.
     """
-    budget = budget or _Budget()
+    budget = _Budget()
     cut = max(_tail_cutoff(decay_pos), _tail_cutoff(decay_neg))
     big_u = math.asinh(cut) + 0.5
 
@@ -395,7 +402,7 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float, *,
         h *= 0.5
         value = total * h
         err = abs(value - prev)
-        if err <= max(rel_tol * (1.0 + abs(value)), 1e-13 * mass * h):
+        if err <= max(REL_TOL * (1.0 + abs(value)), _ROUNDOFF_FLOOR * mass * h):
             return QuadResult(value=_pyify(value), abs_err_estimate=float(err),
                               evaluations=budget.used)
         prev = value
@@ -427,6 +434,13 @@ def _decay_rate(b) -> float:
     return 1.0 - abs(complex(b).real)
 
 
+def _require_integrable(spec: IntegrandSpec) -> None:
+    """Refuse a spec whose domain class is not Valid or Boundary-a."""
+    status = classify_domain(spec)
+    if status.kind not in (DomainKind.VALID, DomainKind.BOUNDARY_A):
+        raise DomainError(f"spec not integrable as given: {status.detail}")
+
+
 def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     """Check a spec for the x-domain oracles and return its kernel arguments.
 
@@ -446,9 +460,7 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
         raise NonIntegrableError(
             f"|p| = {abs(p)} >= n = {spec.n}: divergent at {where}"
         )
-    status = classify_domain(spec)
-    if status.kind not in (DomainKind.VALID, DomainKind.BOUNDARY_A):
-        raise DomainError(f"spec not integrable as given: {status.detail}")
+    _require_integrable(spec)
     b = p / spec.n
     s_x = None if X is None else -spec.n * math.log(X)
     return b, -math.cos(spec.zeta), -math.cos(spec.theta), s_x, _decay_rate(b)
@@ -465,7 +477,6 @@ def _per_n(res: QuadResult, n: float) -> QuadResult:
 
 
 def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
-                  rel_tol: float = DEFAULT_REL_TOL,
                   rule: str = "tanh-sinh") -> QuadResult:
     """Oracle for the x-domain integral from 0 to X (0 < X <= 1).
 
@@ -474,13 +485,11 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     (cosh(s) - cos(theta)) / n, which has no endpoint singularity.
     """
     b, cos_c, cos_a, s_x, decay = _x_kernel_args(spec, X)
-    res = integrate_half_line(_t_kernel(b, cos_c, cos_a), s_x, decay,
-                              rel_tol=rel_tol, rule=rule)
+    res = integrate_half_line(_t_kernel(b, cos_c, cos_a), s_x, decay, rule=rule)
     return _per_n(res, spec.n)
 
 
-def quad_x_domain_many(specs: list[IntegrandSpec], *,
-                       rel_tol: float = DEFAULT_REL_TOL) -> list[QuadResult | Exception]:
+def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
     """quad_x_domain(spec, spec.upper) for every spec, as one row block.
 
     Returns, in input order, each spec's QuadResult or the error that
@@ -501,7 +510,7 @@ def quad_x_domain_many(specs: list[IntegrandSpec], *,
         args.append((b, cos_c, cos_a))
     if rows:
         kernel_args = tuple(np.array(args, dtype=float).T)
-        total, err_sum, used, errors = _half_line_rows(kernel_args, edges, rel_tol)
+        total, err_sum, used, errors = _half_line_rows(kernel_args, edges)
         for r, i in enumerate(rows):
             if r in errors:
                 out[i] = errors[r]
@@ -511,20 +520,18 @@ def quad_x_domain_many(specs: list[IntegrandSpec], *,
     return out
 
 
-def quad_x_domain_infinite(spec: IntegrandSpec, *,
-                           rel_tol: float = DEFAULT_REL_TOL) -> QuadResult:
+def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
     """Oracle for the x-domain integral over (0, inf).
 
     Computed as a genuine two-sided s-integral with the sinh-map rule,
     not by doubling the (0, 1] value.
     """
     b, cos_c, cos_a, _, rate = _x_kernel_args(spec, None)
-    res = integrate_real_line(_t_kernel(b, cos_c, cos_a), rate, rate, rel_tol=rel_tol)
+    res = integrate_real_line(_t_kernel(b, cos_c, cos_a), rate, rate)
     return _per_n(res, spec.n)
 
 
-def quad_t_domain(a, b, c: float, *, rel_tol: float = DEFAULT_REL_TOL,
-                  rule: str = "tanh-sinh") -> QuadResult:
+def quad_t_domain(a, b, c: float) -> QuadResult:
     """Oracle for integral of (cosh(b*t) + cos(c)) / (cosh(t) + cos(a)) on [0, inf).
 
     ``a`` and ``b`` may be complex (|Re a| < pi, |Re b| < 1); the kernel
@@ -541,11 +548,10 @@ def quad_t_domain(a, b, c: float, *, rel_tol: float = DEFAULT_REL_TOL,
     if b.imag == 0.0:
         b = b.real
     kernel = _t_kernel(b, math.cos(c), np.cos(a))
-    return integrate_half_line(kernel, 0.0, _decay_rate(b), rel_tol=rel_tol, rule=rule)
+    return integrate_half_line(kernel, 0.0, _decay_rate(b))
 
 
-def quad_two_sided(a: float, b: float, *,
-                   rel_tol: float = DEFAULT_REL_TOL) -> QuadResult:
+def quad_two_sided(a: float, b: float) -> QuadResult:
     """Oracle for integral of e^(b*t) / (cosh(t) + cos(a)) over the real line."""
     if abs(a) >= math.pi or a == 0.0:
         raise DomainError(f"a must satisfy 0 < |a| < pi, got {a}")
@@ -558,11 +564,10 @@ def quad_two_sided(a: float, b: float, *,
         em = np.exp(-ta)
         return 2.0 * np.exp(b * t - ta) / (1.0 + em * em + 2.0 * cos_a * em)
 
-    return integrate_real_line(kernel, 1.0 - b, 1.0 + b, rel_tol=rel_tol)
+    return integrate_real_line(kernel, 1.0 - b, 1.0 + b)
 
 
-def quad_cos_log(spec: IntegrandSpec, *,
-                 rel_tol: float = DEFAULT_REL_TOL) -> QuadResult:
+def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
     """Oracle for the cos(q*log x) numerator (p = i*q), honoring spec.upper.
 
     In the s-domain the integrand becomes cos(q*s/n) / (2*(cosh s -
@@ -572,13 +577,9 @@ def quad_cos_log(spec: IntegrandSpec, *,
     p = complex(spec.p)
     if p.real != 0.0:
         raise DomainError("quad_cos_log needs a purely imaginary p = i*q")
+    _require_integrable(spec)
     q_over_n = p.imag / spec.n
-    theta_c, shifted = _theta_mod(spec.theta)
-    if shifted:
-        raise DomainError("canonicalize theta before calling the oracle")
-    if theta_c == 0.0:
-        raise DomainError("theta congruent to 0 mod 2*pi: divergent")
-    cos_t = math.cos(theta_c)
+    cos_t = math.cos(spec.theta)
 
     def kernel(s: np.ndarray) -> np.ndarray:
         sa = np.abs(s)
@@ -586,16 +587,15 @@ def quad_cos_log(spec: IntegrandSpec, *,
         return np.cos(q_over_n * s) * em / (1.0 + em * em - 2.0 * cos_t * em)
 
     if spec.upper == math.inf:
-        res = integrate_real_line(kernel, 1.0, 1.0, rel_tol=rel_tol)
+        res = integrate_real_line(kernel, 1.0, 1.0)
     elif spec.upper == 1.0:
-        res = integrate_half_line(kernel, 0.0, 1.0, rel_tol=rel_tol)
+        res = integrate_half_line(kernel, 0.0, 1.0)
     else:
         raise ValueError("upper must be 1 or infinity for this oracle")
     return _per_n(res, spec.n)
 
 
-def quad_sec_antiderivative_check(m: float, Z: float, *,
-                                  rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:
+def quad_sec_antiderivative_check(m: float, Z: float) -> tuple[float, float]:
     """Quadrature of m/cos(m*z) on [0, Z] vs its log-tangent antiderivative.
 
     Returns (quadrature value, -log(tan(pi/4 - m*Z/2))).  Both sides are
@@ -616,6 +616,6 @@ def quad_sec_antiderivative_check(m: float, Z: float, *,
 
     if Z == 0.0:
         return 0.0, 0.0
-    res = integrate_finite(kernel, 0.0, Z, rel_tol=rel_tol)
+    res = integrate_finite(kernel, 0.0, Z)
     closed = -math.log(math.tan(0.25 * math.pi - 0.5 * m * Z))
     return float(res.value), closed

@@ -17,7 +17,7 @@ term-by-term summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .closed_form import _sinc
 from .errors import DegenerateBetaError
@@ -60,17 +60,12 @@ def _checked_sin_beta(beta: float) -> float:
 
 def cosine_sum(spec: TrigSumSpec) -> float:
     """Sum of cos(alpha + 2*j*beta) for j = 1..count."""
-    s = _checked_sin_beta(spec.beta)
-    a, b, n = spec.alpha, spec.beta, spec.count
-    return (math.sin(a + (2 * n + 1) * b) - math.sin(a + b)) / (2.0 * s)
+    return arithmetic_cosine_sum(replace(spec, coeff_a=1.0, coeff_b=0.0))
 
 
 def weighted_cosine_sum(spec: TrigSumSpec) -> float:
     """Sum of j*cos(alpha + 2*j*beta) for j = 1..count."""
-    s = _checked_sin_beta(spec.beta)
-    a, b, n = spec.alpha, spec.beta, spec.count
-    return (n * math.sin(a + (2 * n + 1) * b) / (2.0 * s)
-            - (math.cos(a) - math.cos(a + 2 * n * b)) / (4.0 * s * s))
+    return arithmetic_cosine_sum(replace(spec, coeff_a=0.0, coeff_b=1.0))
 
 
 def sine_sum(spec: TrigSumSpec) -> float:

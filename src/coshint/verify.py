@@ -41,7 +41,7 @@ from .quadrature import (
     quad_x_domain_infinite,
     quad_x_domain_many,
 )
-from .series import series_contracted
+from .series import TOL_FLOOR, series_contracted
 
 
 class Verdict(Enum):
@@ -132,7 +132,7 @@ def series_value(spec: IntegrandSpec, tol: float = 1e-9) -> float:
         # pi - theta underflows against sin(theta): the anchor term degrades
         raise CoshintError("series route unusable within 1e-6 of theta = pi")
     contracted = series_contracted(spec.n, abs(p.real), spec.theta,
-                                   max(0.25 * tol, 1e-10))
+                                   max(0.25 * tol, TOL_FLOOR))
     zeta_part = 2.0 * math.cos(spec.zeta) * middle_term_integral(spec.n, spec.theta)
     return factor * (contracted.value - zeta_part)
 
@@ -314,20 +314,14 @@ class Lcg64:
         return lo + (hi - lo) * self.next_float()
 
 
-def random_specs(count: int, seed: int, *,
-                 n_range: tuple[float, float] = (0.5, 4.0),
-                 b_range: tuple[float, float] = (-0.95, 0.95),
-                 theta_range: tuple[float, float] = (0.05, 2.0 * math.pi - 0.05),
-                 zeta_range: tuple[float, float] = (0.05, math.pi - 0.05),
-                 upper: float = 1.0) -> list[IntegrandSpec]:
-    """Deterministic spec grid; draw order is n, b, theta, zeta per spec."""
+def random_specs(count: int, seed: int) -> list[IntegrandSpec]:
+    """Deterministic spec grid with upper limit 1; draws n, b, theta, zeta per spec."""
     rng = Lcg64(seed)
     specs = []
     for _ in range(count):
-        n = rng.uniform(*n_range)
-        b = rng.uniform(*b_range)
-        theta = rng.uniform(*theta_range)
-        zeta = rng.uniform(*zeta_range)
-        specs.append(IntegrandSpec(n=n, p=b * n, theta=theta, zeta=zeta,
-                                   upper=upper))
+        n = rng.uniform(0.5, 4.0)
+        b = rng.uniform(-0.95, 0.95)
+        theta = rng.uniform(0.05, 2.0 * math.pi - 0.05)
+        zeta = rng.uniform(0.05, math.pi - 0.05)
+        specs.append(IntegrandSpec(n=n, p=b * n, theta=theta, zeta=zeta))
     return specs

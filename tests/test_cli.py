@@ -248,3 +248,18 @@ def test_paradox_imaginary_cli(capsys):
         "--theta", HALF_PI])
     assert code == 0
     assert "pole_location" in out
+
+
+def test_table_upper_inf(capsys):
+    code, out = run_cli(capsys, [
+        "table", "--n", "1.5", "--p", "0.2:0.3:0.8", "--theta", "2.0",
+        "--zeta", "1.0", "--upper", "inf"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert row["upper"] == "inf"
+        assert all(row[name] for name in ("closed", "quad", "series"))
+        assert row["verdict"] == "Agree"
