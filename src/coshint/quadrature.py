@@ -232,10 +232,22 @@ def _integrate_panels(f, edges, budget, panel_rule):
     return total, err_sum
 
 
+_PANEL_RULES = {"tanh-sinh": _tanh_sinh_panel, "gauss": _gauss_panel}
+
+
+def _panel_rule(rule: str):
+    try:
+        return _PANEL_RULES[rule]
+    except KeyError:
+        raise ValueError(
+            f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'"
+        ) from None
+
+
 def integrate_finite(f, a: float, b: float, *, rule: str = "tanh-sinh") -> QuadResult:
     """Integrate a smooth integrand over the finite interval [a, b]."""
+    panel_rule = _panel_rule(rule)
     budget = _Budget()
-    panel_rule = _tanh_sinh_panel if rule == "tanh-sinh" else _gauss_panel
     value, err, ok = panel_rule(f, a, b, REL_TOL, budget)
     if not ok:
         raise BudgetExceededError("refinement exhausted without convergence")
@@ -246,17 +258,17 @@ def integrate_finite(f, a: float, b: float, *, rule: str = "tanh-sinh") -> QuadR
 def integrate_half_line(f, start: float, decay: float, *,
                         rule: str = "tanh-sinh") -> QuadResult:
     """Integrate f over [start, inf) given an e^(-decay*s) tail envelope."""
+    panel_rule = _panel_rule(rule)
     budget = _Budget()
     cutoff = _tail_cutoff(decay, start)
     edges = _panel_edges(start, cutoff)
-    panel_rule = _tanh_sinh_panel if rule == "tanh-sinh" else _gauss_panel
     value, err = _integrate_panels(f, edges, budget, panel_rule)
     return _half_line_result(value, err, budget.used)
 
 
 def _half_line_result(value, err, evaluations: int) -> QuadResult:
     return QuadResult(value=_pyify(value),
-                      abs_err_estimate=float(err) + 1e-16 * abs(value),
+                      abs_err_estimate=float(err + 1e-16 * abs(value)),
                       evaluations=evaluations)
 
 

@@ -11,10 +11,14 @@ subtracting the exactly summable comparison series
 
     sum_k sin(k*theta)/k = (pi - theta)/2,      0 < theta < 2*pi,
 
-whose difference has monotonically decreasing coefficients; the
-remainder is summed directly and its truncation error is bounded with
-the Dirichlet bound c_(K+1)/|sin(theta/2)|.  Tolerances below 1e-10 are
-refused: the conditional part of the sum cannot honestly beat that.
+whose difference has monotonically decreasing coefficients c_k; the
+remainder is summed directly and its truncation error after K - 1 terms
+is bounded with the Dirichlet bound c_K/|sin(theta/2)|.  K is read off
+that bound before any term is summed, and the terms are summed in
+chunks of at most 8192 so memory stays flat however large K is.
+Tolerances below 1e-10 are refused: the conditional part of the sum
+cannot honestly beat that, and a tolerance the bound cannot meet within
+MAX_TERMS terms is refused without summing.
 """
 
 from __future__ import annotations
@@ -70,29 +74,38 @@ def _accelerated_sum(theta: float, prefactor: float, coef: float,
     """value = prefactor * ((pi - theta)/2 + coef * sum_k sin(k*theta)*c_k).
 
     c_of_k must be positive and monotonically decreasing in k; the
-    Dirichlet tail bound then applies.  Summation stops a factor 10
-    below tol so the returned value is comfortably inside it.
+    Dirichlet tail bound then applies.  The target is a factor 10 below
+    tol so the returned value is comfortably inside it.  K, the first
+    term left out, is the smallest k <= MAX_TERMS + 1 whose bound meets
+    the target, found by bisection on the bound alone; terms 1..K-1 are
+    then summed in chunks of at most _BLOCK.
     """
-    anchor = 0.5 * (math.pi - theta)
     sin_half = abs(math.sin(0.5 * theta))
     target = 0.1 * tol
     bound_scale = abs(prefactor * coef) / sin_half
+
+    def tail(k: int) -> float:
+        return bound_scale * c_of_k(float(k))
+
+    last = tail(MAX_TERMS + 1)
+    if not last <= target:
+        raise ToleranceUnreachableError(
+            f"tail bound {last} still above {target} after {MAX_TERMS} terms"
+        )
+    lo, hi = 1, MAX_TERMS + 1  # the bound meets the target at hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail(mid) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
     residual = 0.0
-    k_next = 1
-    while True:
-        tail = bound_scale * c_of_k(float(k_next))
-        if tail <= target:
-            value = prefactor * (anchor + coef * residual)
-            return SeriesResult(value=value, terms_used=k_next - 1,
-                                tail_estimate=tail, accelerated=True)
-        if k_next > MAX_TERMS:
-            raise ToleranceUnreachableError(
-                f"tail bound {tail} still above {target} after {MAX_TERMS} terms"
-            )
-        hi = min(k_next + _BLOCK, MAX_TERMS + 1)
-        k = np.arange(k_next, hi, dtype=float)
+    for start in range(1, hi, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, hi), dtype=float)
         residual += float(np.sum(np.sin(k * theta) * c_of_k(k)))
-        k_next = hi
+    value = prefactor * (0.5 * (math.pi - theta) + coef * residual)
+    return SeriesResult(value=value, terms_used=hi - 1,
+                        tail_estimate=tail(hi), accelerated=True)
 
 
 def series_one_sided(n: float, p: float, theta: float, tol: float) -> SeriesResult:

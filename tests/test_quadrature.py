@@ -18,6 +18,7 @@ from coshint import (
     quad_two_sided,
     quad_x_domain,
     quad_x_domain_infinite,
+    quad_x_domain_many,
     rescale,
 )
 from coshint.quadrature import _Budget, _tanh_sinh_panel, integrate_finite
@@ -198,3 +199,20 @@ def test_finite_rule_smooth_integrand():
     assert abs(r.value - 2.0) < 1e-13
     r = integrate_finite(np.sin, 0.0, PI, rule="gauss")
     assert abs(r.value - 2.0) < 1e-13
+
+
+def test_unknown_rule_refused():
+    spec = IntegrandSpec(1, 0.5, PI / 2, PI / 2)
+    with pytest.raises(ValueError, match="'tanh-sinh' or 'gauss'"):
+        quad_x_domain(spec, 1.0, rule="tanh_sinh")
+    with pytest.raises(ValueError, match="'tanh-sinh' or 'gauss'"):
+        integrate_finite(np.sin, 0.0, PI, rule="legendre")
+
+
+def test_results_are_builtin_floats():
+    spec = IntegrandSpec(1.5, 0.6, 2.0, 1.0)
+    results = [quad_x_domain(spec, 1.0), quad_x_domain(spec, 0.5, rule="gauss"),
+               quad_x_domain_infinite(spec), *quad_x_domain_many([spec, spec])]
+    for r in results:
+        assert type(r.value) is float
+        assert type(r.abs_err_estimate) is float

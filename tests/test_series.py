@@ -128,3 +128,49 @@ def test_tail_estimate_is_honest():
     res = series_contracted(1.0, 0.7, 2.0, 1e-8)
     want = eval_cosh_ratio(PI - 2.0, 0.7).value.real
     assert abs(res.value - want) <= res.tail_estimate + 1e-12
+
+
+def _bound(variant, n, p, theta, k):
+    """The Dirichlet bound after k - 1 residual terms, written out per variant."""
+    b = p / n
+    scale = 1.0 / (n * abs(math.sin(theta)) * abs(math.sin(0.5 * theta)))
+    if variant is series_one_sided:
+        return scale * abs(b) / (k * (k + b))
+    if variant is series_contracted:
+        return 2.0 * scale * b * b / (k * (k * k - b * b))
+    return 2.0 * scale * b * b / (k * (k * k + b * b))
+
+
+@pytest.mark.parametrize("variant", [series_one_sided, series_contracted,
+                                     series_imaginary])
+def test_terms_used_is_minimal(variant):
+    rng = np.random.RandomState(53)
+    tol = 1e-7
+    for _ in range(30):
+        n = float(rng.uniform(0.5, 3.0))
+        p = float(rng.uniform(-0.95, 0.95)) * n
+        theta = float(rng.uniform(0.5, 2 * PI - 0.5))
+        res = variant(n, p, theta, tol)
+        k = res.terms_used
+        assert _bound(variant, n, p, theta, k + 1) <= 0.1 * tol * (1 + 1e-12)
+        assert math.isclose(res.tail_estimate, _bound(variant, n, p, theta, k + 1),
+                            rel_tol=1e-12)
+        if k > 0:
+            assert _bound(variant, n, p, theta, k) > 0.1 * tol * (1 - 1e-12)
+
+
+def test_sum_beyond_one_chunk_matches_closed_sum():
+    n, b, theta = 1.0, 0.9, 0.02
+    res = series_contracted(n, b * n, theta, 1e-8)
+    assert res.terms_used > 8192
+    want = eval_cosh_ratio(PI - theta, b).value.real / n
+    assert abs(res.value - want) <= res.tail_estimate + 1e-12
+
+
+def test_unreachable_refused_before_summing(monkeypatch):
+    def no_sin(*args, **kwargs):
+        raise AssertionError("a term was summed")
+
+    monkeypatch.setattr("coshint.series.np.sin", no_sin)
+    with pytest.raises(ToleranceUnreachableError):
+        series_contracted(1.0, 0.9, 1.5e-3, 1e-10)
