@@ -185,7 +185,12 @@ def middle_term_integral(n: float, theta: float) -> float:
     if not 0.0 < theta < 2.0 * math.pi:
         raise SingularThetaError(f"theta must lie in (0, 2*pi), got {theta}")
     a = math.pi - theta
-    return 1.0 / (2.0 * n * _sinc(a))
+    if abs(a) < 1.0:
+        # pi - theta is exact here, and 1/sinc(a) keeps the theta = pi limit
+        return 1.0 / (2.0 * n * _sinc(a))
+    # sin(a) would lose the digits that rounding pi - theta drops as theta
+    # nears 0 or 2*pi (a relative error of about 3e-16/theta)
+    return a / (2.0 * n * math.sin(theta))
 
 
 def squared_denominator_identity(n: float, p: float, X: float) -> tuple[float, float]:

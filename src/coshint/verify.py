@@ -128,9 +128,6 @@ def series_value(spec: IntegrandSpec, tol: float = 1e-9) -> float:
     p = complex(spec.p)
     if p.imag != 0.0:
         raise CoshintError("series path needs a real p")
-    if abs(spec.theta - math.pi) < 1e-6:
-        # pi - theta underflows against sin(theta): the anchor term degrades
-        raise CoshintError("series route unusable within 1e-6 of theta = pi")
     contracted = series_contracted(spec.n, abs(p.real), spec.theta,
                                    max(0.25 * tol, TOL_FLOOR))
     zeta_part = 2.0 * math.cos(spec.zeta) * middle_term_integral(spec.n, spec.theta)

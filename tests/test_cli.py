@@ -135,6 +135,14 @@ def test_series_command(capsys):
     assert abs(value - math.pi / math.sqrt(2)) < 1e-8
 
 
+def test_series_nan_tol_refused(capsys):
+    code = main(["series", "--variant", "contracted", "--n", "1", "--p", "0.5",
+                 "--theta", "1", "--tol", "nan"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "series error: tol = nan is not >= the supported floor" in err
+
+
 def test_verify_random_deterministic(capsys):
     argv = ["verify", "--random", "8", "--seed", "42", "--tol", "1e-9"]
     code1, out1 = run_cli(capsys, argv + ["--threads", "1"])

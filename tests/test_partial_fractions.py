@@ -242,6 +242,17 @@ def test_middle_term_integral_values():
         assert abs(middle_term_integral(n, theta) - quad) < 1e-11
 
 
+@pytest.mark.parametrize("theta", [1e-6, 1.001e-3, 0.05, 2.0, PI - 1e-7, PI + 1e-3,
+                                   4.0, 2 * PI - 1.001e-3, 2 * PI - 1e-6])
+def test_middle_term_integral_full_precision(theta):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        t = mp.mpf(theta)
+        want = (mp.pi - t) / (2 * mp.mpf(1.5) * mp.sin(t))
+        # the value grows like 1/theta near the edges; its digits must not drop
+        assert abs(middle_term_integral(1.5, theta) - want) <= 4e-16 * abs(want)
+
+
 def test_squared_denominator_identity():
     lhs, rhs = squared_denominator_identity(2, 1, 1e-8)
     assert abs(lhs) < 1e-8 and abs(rhs) < 1e-8

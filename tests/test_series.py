@@ -13,6 +13,8 @@ from coshint import (
     series_one_sided,
     sine_series_partial,
 )
+from coshint import series
+from coshint.series import anchor_sums
 
 PI = math.pi
 
@@ -119,15 +121,52 @@ def test_tol_floor_refused():
         series_contracted(1.0, 0.5, 1.0, 1e-12)
 
 
+@pytest.mark.parametrize("variant", [series_one_sided, series_contracted,
+                                     series_imaginary])
+def test_nan_tol_refused(variant):
+    with pytest.raises(ValueError, match="tol = nan"):
+        variant(1.0, 0.5, 1.0, math.nan)
+
+
 def test_tolerance_unreachable():
+    # the one-sided sum keeps the single anchor: its bound needs ~2.8e8 terms
     with pytest.raises(ToleranceUnreachableError):
-        series_contracted(1.0, 0.9, 1.5e-3, 1e-10)
+        series_one_sided(1.0, 0.9, 1.5e-3, 1e-10)
+
+
+def _mp_contracted(n, p, theta):
+    """The closed sum of series_contracted at the exact float inputs, 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        n, p, t = mp.mpf(n), mp.mpf(p), mp.mpf(theta)
+        b = p / n
+        if b == 0:
+            return (mp.pi - t) / (n * mp.sin(t))
+        return mp.pi * mp.sin(b * (mp.pi - t)) / (n * mp.sin(t) * mp.sin(b * mp.pi))
+
+
+def test_contracted_served_where_one_anchor_was_unreachable():
+    res = series_contracted(1.0, 0.9, 1.5e-3, 1e-10)
+    assert res.terms_used < 100
+    assert abs(res.value - _mp_contracted(1.0, 0.9, 1.5e-3)) <= res.tail_estimate
+    assert res.tail_estimate <= 1e-11
 
 
 def test_tail_estimate_is_honest():
     res = series_contracted(1.0, 0.7, 2.0, 1e-8)
     want = eval_cosh_ratio(PI - 2.0, 0.7).value.real
     assert abs(res.value - want) <= res.tail_estimate + 1e-12
+
+
+def _contracted_rounding(n, p, theta):
+    """series_contracted's rounding bound, written out."""
+    b = p / n
+    _, sizes = anchor_sums(theta)
+    size = sum(b ** (2 * j) * s for j, s in enumerate(sizes))
+    remainder_size = abs(math.sin(theta)) / (1.0 - b * b) + series._COEF_SUM
+    return 2.0 / (n * abs(math.sin(theta))) * 2.0 ** -53 * (
+        series._ROUNDING_ULPS * (size + b ** 8 * remainder_size)
+        + b ** 8 * theta * series._ARG_SUM)
 
 
 def _bound(variant, n, p, theta, k):
@@ -137,7 +176,9 @@ def _bound(variant, n, p, theta, k):
     if variant is series_one_sided:
         return scale * abs(b) / (k * (k + b))
     if variant is series_contracted:
-        return 2.0 * scale * b * b / (k * (k * k - b * b))
+        # the remainder left by the anchors S_1..S_7, plus their rounding
+        return (2.0 * scale * b ** 8 / (k ** 7 * (k * k - b * b))
+                + _contracted_rounding(n, p, theta))
     return 2.0 * scale * b * b / (k * (k * k + b * b))
 
 
@@ -160,11 +201,14 @@ def test_terms_used_is_minimal(variant):
 
 
 def test_sum_beyond_one_chunk_matches_closed_sum():
-    n, b, theta = 1.0, 0.9, 0.02
-    res = series_contracted(n, b * n, theta, 1e-8)
-    assert res.terms_used > 8192
+    # one-sided sums still run past one chunk; their pair is the contracted sum
+    n, b, theta = 1.0, 0.9, 0.2
+    plus = series_one_sided(n, b * n, theta, 1e-7)
+    minus = series_one_sided(n, -b * n, theta, 1e-7)
+    assert min(plus.terms_used, minus.terms_used) > 8192
     want = eval_cosh_ratio(PI - theta, b).value.real / n
-    assert abs(res.value - want) <= res.tail_estimate + 1e-12
+    assert (abs(plus.value + minus.value - want)
+            <= plus.tail_estimate + minus.tail_estimate + 1e-12)
 
 
 def test_unreachable_refused_before_summing(monkeypatch):
@@ -173,4 +217,61 @@ def test_unreachable_refused_before_summing(monkeypatch):
 
     monkeypatch.setattr("coshint.series.np.sin", no_sin)
     with pytest.raises(ToleranceUnreachableError):
-        series_contracted(1.0, 0.9, 1.5e-3, 1e-10)
+        series_one_sided(1.0, 0.9, 1.5e-3, 1e-10)
+
+
+def test_contracted_refused_at_pi_before_summing(monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a term was summed")
+
+    monkeypatch.setattr("coshint.series._sine_sum", no_sum)
+    with pytest.raises(ToleranceUnreachableError):
+        # at theta = math.pi the rounding of k*theta, amplified by
+        # 1/sin(theta), is above the target by itself
+        series_contracted(1.0, 0.5, PI, 1e-10)
+
+
+ANCHOR_THETAS = [1.001e-3, 0.3, 1.0, PI / 2, 2.0, PI - 1e-5, PI, PI + 1e-5,
+                 4.5, 3 * PI / 2, 6.0, 2 * PI - 1.001e-3]
+
+
+@pytest.mark.parametrize("theta", ANCHOR_THETAS)
+def test_anchors_match_polylog(theta):
+    mp = pytest.importorskip("mpmath")
+    sums, sizes = anchor_sums(theta)
+    assert len(sums) == series.EXTRA_ANCHORS + 1
+    with mp.workdps(30):
+        for j, (got, size) in enumerate(zip(sums, sizes)):
+            want = mp.polylog(2 * j + 1, mp.expj(mp.mpf(theta))).imag
+            # S_{2j+1}(theta) = Im Li_{2j+1}(e^{i*theta}), to a few roundings
+            # of the polynomial's terms, which shrink with the sum (at most
+            # 5x it over a 4001-point grid of theta)
+            assert abs(got - want) <= 4 * 2.0 ** -53 * size
+            assert size <= 6 * abs(want)
+
+
+def test_bernoulli_table_is_exact():
+    mp = pytest.importorskip("mpmath")
+    for j, (num, den) in enumerate(series._BERNOULLI):
+        assert num * mp.bernfrac(2 * j)[1] == mp.bernfrac(2 * j)[0] * den
+
+
+HONESTY_THETAS = [1.001e-3, 0.01, 0.5, PI - 2e-6, PI + 2e-6, PI - 1e-4,
+                  PI + 1e-4, 3.0, 2 * PI - 1.001e-3]
+HONESTY_BS = [0.0, 1e-3, -1e-3, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99]
+
+
+@pytest.mark.parametrize("theta", HONESTY_THETAS)
+def test_contracted_value_within_its_estimate(theta):
+    pytest.importorskip("mpmath")
+    served = 0
+    for b in HONESTY_BS:
+        for n in (0.5, 1.0, 3.7):
+            try:
+                res = series_contracted(n, b * n, theta, 2.5e-10)
+            except ToleranceUnreachableError:
+                continue
+            served += 1
+            assert abs(res.value - _mp_contracted(n, b * n, theta)) <= res.tail_estimate
+            assert res.tail_estimate <= 2.5e-11
+    assert served > 0
