@@ -1,9 +1,10 @@
 """The independent oracle: double-exponential quadrature on every kernel.
 
 Nothing here touches the closed forms' algebra: integrands are evaluated
-after the x**n = exp(-s) substitution and summed by a tanh-sinh rule on
-geometric panels (or, for cross-checking, a doubling-panel Gauss rule
-and a sinh-map trapezoid rule on the whole line).
+after the x**n = exp(-s) substitution and summed by the trapezoid rule
+under one double-exponential map of the half-line (or, for
+cross-checking, a doubling-panel Gauss rule and a sinh-map trapezoid
+rule on the whole line).
 """
 
 import math

@@ -87,17 +87,33 @@ def _check_strip(a: complex, b: complex) -> None:
         raise NearPoleError(f"b = {b} is too close to the poles at b = +-1")
 
 
-def _master_raw(a: complex, b: complex, c: float) -> complex:
-    """The master formula with no domain checks (paradox demonstrations)."""
-    return (_sinc(a * b) / _sinc(math.pi * b) + math.cos(c)) / _sinc(a)
+def _master_raw(a: complex, b: complex, c: float, theta: float | None = None) -> complex:
+    """The master formula with no domain checks (paradox demonstrations).
+
+    ``theta``, when given, is the angle with a = pi - theta.  Away from
+    theta = pi the formula then divides by sin(theta) instead of sin(a):
+    sin(a) would lose the digits that rounding pi - theta drops as theta
+    nears 0 or 2*pi (a relative error of about 3e-16/theta).
+    """
+    top = _sinc(a * b) / _sinc(math.pi * b) + math.cos(c)
+    if theta is not None and abs(a) >= 1.0:
+        return top * a / math.sin(theta)
+    # |a| < 1: a is exact, and 1/sinc(a) keeps the a = 0 limit
+    return top / _sinc(a)
 
 
-def eval_master(a: complex | float, b: complex | float, c: float) -> ClosedValue:
-    """Master closed form for (cosh(b*t) + cos c)/(cosh t + cos a) on [0, inf)."""
+def eval_master(a: complex | float, b: complex | float, c: float, *,
+                theta: float | None = None) -> ClosedValue:
+    """Master closed form for (cosh(b*t) + cos c)/(cosh t + cos a) on [0, inf).
+
+    Pass ``theta`` (real, a = pi - theta) where the caller still has it,
+    to keep full precision as theta nears 0 or 2*pi.
+    """
     a = complex(a)
     b = complex(b)
     _check_strip(a, b)
-    return ClosedValue(value=_master_raw(a, b, c), limit_applied=_limit_flag(a, b))
+    return ClosedValue(value=_master_raw(a, b, c, theta),
+                       limit_applied=_limit_flag(a, b))
 
 
 def eval_cosh_ratio(a: complex | float, b: complex | float) -> ClosedValue:

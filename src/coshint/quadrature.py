@@ -3,23 +3,24 @@
 Two unrelated rule families are provided so the oracle can be checked
 against itself:
 
-* a double-exponential (tanh-sinh) rule applied to finite panels, with
-  half-infinite ranges covered by geometrically growing panels and an
-  explicit exponential tail cutoff, plus a sinh-map trapezoid rule for
-  integrals over the whole real line;
+* double-exponential rules: one DE map per half-line for the x-domain
+  kernel, s = s_X + exp(t - e^(-t))/lam with lam its tail decay rate,
+  summed by the trapezoid rule on nested halvings of h; tanh-sinh on
+  geometrically growing panels with an explicit exponential tail cutoff
+  for arbitrary half-line integrands; a sinh-map trapezoid rule over the
+  whole real line;
 * a doubling-panel Gauss-Legendre rule over the same panel layout.
 
 All x-domain integrals are transformed with x**n = exp(-s) before any
 rule sees them, so the x -> 0 endpoint behaviour x**(n-|p|-1) never
-reaches a quadrature node; every transformed integrand is analytic on
-the integration path.  Refinement stops at 1e-13 relative accuracy or at
-the evaluation budget (2e6 integrand evaluations per call), and running
-out of budget raises instead of returning a degraded value.
+reaches a node, and the kernel's denominator is written so that it does
+not cancel near theta = 0 or 2*pi.  Refinement stops at 1e-13 relative
+accuracy; running out of DE levels or of the panel budget (2e6
+evaluations per call) raises instead of returning a degraded value.
 
-Panel contributions are accumulated left to right in a fixed order, so
-results are bit-identical across runs.  quad_x_domain_many runs the
-tanh-sinh half-line rule for many specs as one row block and returns,
-bit for bit, what quad_x_domain returns for each spec alone.
+Sums run in a fixed order, so results are bit-identical across runs.
+quad_x_domain_many runs the DE map for many specs as one (specs x nodes)
+block and returns, bit for bit, what quad_x_domain returns for each.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ from .params import DomainKind, IntegrandSpec, classify_domain
 REL_TOL = 1e-13
 EVAL_BUDGET = 2_000_000
 
-# Refinement thresholds shared by the scalar and the row-block drivers.
-# Summation roundoff of a peaked or oscillatory panel plateaus near
-# _ROUNDOFF_FLOOR times the integrand's absolute mass; a panel whose
-# levels run out is still accepted within _PLATEAU_ACCEPT of that mass;
-# a half-line stops once a panel adds less than _TAIL_BREAK of its
-# tolerance, because the geometric envelope makes the rest smaller still.
+# Refinement thresholds.  Summation roundoff of a peaked or oscillatory
+# integrand plateaus near _ROUNDOFF_FLOOR times its absolute mass; a
+# tanh-sinh panel whose levels run out is still accepted within
+# _PLATEAU_ACCEPT of that mass; a panel half-line stops once a panel adds
+# less than _TAIL_BREAK of its tolerance (the envelope shrinks the rest).
 _ROUNDOFF_FLOOR = 1e-13
 _PLATEAU_ACCEPT = 1e-12
 _TAIL_BREAK = 1e-3
@@ -62,13 +62,6 @@ class QuadResult:
     value: complex | float
     abs_err_estimate: float
     evaluations: int
-
-
-def _pyify(value):
-    """Convert numpy scalars to builtin float/complex for clean reporting."""
-    if isinstance(value, complex) and value.imag != 0.0:
-        return complex(value)
-    return float(np.real(value))
 
 
 class _Budget:
@@ -251,7 +244,7 @@ def integrate_finite(f, a: float, b: float, *, rule: str = "tanh-sinh") -> QuadR
     value, err, ok = panel_rule(f, a, b, REL_TOL, budget)
     if not ok:
         raise BudgetExceededError("refinement exhausted without convergence")
-    return QuadResult(value=_pyify(value), abs_err_estimate=float(err),
+    return QuadResult(value=float(value), abs_err_estimate=float(err),
                       evaluations=budget.used)
 
 
@@ -263,121 +256,121 @@ def integrate_half_line(f, start: float, decay: float, *,
     cutoff = _tail_cutoff(decay, start)
     edges = _panel_edges(start, cutoff)
     value, err = _integrate_panels(f, edges, budget, panel_rule)
-    return _half_line_result(value, err, budget.used)
+    return _half_line_result(float(value), err, budget.used)
 
 
 def _half_line_result(value, err, evaluations: int) -> QuadResult:
-    return QuadResult(value=_pyify(value),
-                      abs_err_estimate=float(err + 1e-16 * abs(value)),
+    return QuadResult(value=value, abs_err_estimate=float(err + 1e-16 * abs(value)),
                       evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------
-# row block: the tanh-sinh half-line driver for many _t_kernel integrands
+# double-exponential half-line rule for _t_kernel integrands
 #
-# Row r integrates _t_kernel(b[r], cos_c[r], cos_a[r]) over its own panel
-# layout.  Every row of a block shares the nodes of each level (the node
-# sets are nested), so one kernel call per level serves all rows.  A row
-# leaves the block at the level where its panel converges and after its
-# last panel, so each row goes through exactly the arithmetic of
-# _tanh_sinh_panel and _integrate_panels: its value, error estimate,
-# evaluation count and failure are bit-identical to a per-spec call.
+# s = s_X + exp(t - e^(-t))/lam maps the t-line onto (s_X, inf): an
+# integrand decaying like e^(-lam*s) then decays double exponentially in t
+# at both ends, and the nodes cluster double exponentially at s_X, where
+# a near-edge kernel peaks (Takahasi & Mori 1974; Mori & Sugihara 2001).
+# The trapezoid rule runs over a fixed t window on nested halvings of h.
+# Every row of a block shares the t nodes, so one kernel call per level
+# serves all rows, and no row's arithmetic depends on the other rows.
+
+_DE_TMIN = -6.0  # s - s_X is about 1e-178/lam here
+_DE_TMAX = 4.5  # the e^(-lam*(s - s_X)) envelope is below 1e-38 here
+_DE_H0 = 0.5
+_DE_MIN_LEVEL = 2
+_DE_MAX_LEVEL = 10
+
+_de_cache: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
 
-def _block_level(args, rows, mid, half, level: int):
-    """Per-row sums of w*f and |w*f| over the nodes that `level` adds.
+def _de_stage(level: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Offsets lam*(s - s_X), weights lam*ds/dt and split of the nodes `level` adds.
 
-    The kernel sees the rows in chunks of at most as many elements as
-    the deepest level has nodes, so no call holds more than a single
-    spec's deepest level does.
+    The levels before _DE_MIN_LEVEL, which every row runs, come with it:
+    they are its first ``split`` nodes.
     """
-    u, w = _ts_nodes(level)
-    step = max(1, _ts_nodes(_TS_MAX_LEVEL)[0].size // u.size)
-    contrib = np.empty(rows.size)
-    mass = np.empty(rows.size)
-    for lo in range(0, rows.size, step):
-        part = slice(lo, lo + step)
-        col = rows[part, None]
-        f = _t_kernel(args[0][col], args[1][col], args[2][col])
-        samples = w * f(mid[part, None] + half[part, None] * u)
-        contrib[part] = samples.sum(axis=1)
-        mass[part] = np.abs(samples).sum(axis=1)
-    return contrib, mass
+    cached = _de_cache.get(level)
+    if cached is None:
+        parts = []
+        for lev in range(level + 1) if level == _DE_MIN_LEVEL else [level]:
+            h = _DE_H0 / (1 << lev)
+            k = np.arange(round((_DE_TMAX - _DE_TMIN) / h) + 1)
+            parts.append(_DE_TMIN + h * (k if lev == 0 else k[1::2]))
+        t = np.concatenate(parts)
+        em = np.exp(-t)
+        u = np.exp(t - em)
+        cached = _de_cache[level] = (u, (1.0 + em) * u, t.size - parts[-1].size)
+    return cached
 
 
-def _tanh_sinh_rows(args, rows, left, right, abs_tol, used, errors):
-    """_tanh_sinh_panel on [left[i], right[i]] for each row rows[i].
+def _de_sums(cols, u, w, split: int):
+    """Per-row sums of w*f over the nodes before and after split, and of |w*f|.
 
-    Returns (value, err, ok) per row.  ``used`` holds each row's
-    evaluation count; a row that overruns the budget is recorded in
-    ``errors`` and returned not ok.
+    The kernel sees the rows in chunks: no call holds more elements than
+    one row's deepest level.
     """
-    half = 0.5 * (right - left)
-    mid = 0.5 * (left + right)
-    value = np.zeros(rows.size)
-    err = np.full(rows.size, math.inf)
-    ok = np.zeros(rows.size, dtype=bool)
-    total = np.empty(rows.size)
-    mass = np.empty(rows.size)
-    live = np.arange(rows.size)
-    for level in range(_TS_MAX_LEVEL + 1):
-        used[rows[live]] += _ts_nodes(level)[0].size
-        over = used[rows[live]] > EVAL_BUDGET
-        for r in rows[live[over]]:
-            errors[int(r)] = BudgetExceededError(
-                f"quadrature exceeded its budget of {EVAL_BUDGET} evaluations")
-        live = live[~over]
-        contrib, absum = _block_level(args, rows[live], mid[live], half[live], level)
-        total[live] = contrib if level == 0 else total[live] + contrib
-        mass[live] = absum if level == 0 else mass[live] + absum
-        h = 1.0 / (1 << level)
-        latest = total[live] * h * half[live]
-        if level > 0:
-            err[live] = np.abs(latest - value[live])
-        value[live] = latest
-        if level >= 2:
-            tol = abs_tol[live]
-            floor = _ROUNDOFF_FLOOR * mass[live] * h * half[live]
-            done = err[live] <= np.where(floor > tol, floor, tol)
-            ok[live[done]] = True
-            live = live[~done]
-        if live.size == 0:
-            return value, err, ok
-    ok[live] = err[live] <= _PLATEAU_ACCEPT * mass[live] * h * half[live]
-    return value, err, ok
+    b, cos_c, sin2_half, s_x, lam = cols
+    step = max(1, _de_stage(_DE_MAX_LEVEL)[0].size // u.size)
+    parts = []
+    for lo in range(0, len(b), step):
+        rows = slice(lo, lo + step)
+        f = _t_kernel(b[rows], cos_c[rows], sin2_half[rows])
+        samples = w * f(s_x[rows] + u / lam[rows])
+        parts.append((samples[:, :split].sum(axis=1), samples[:, split:].sum(axis=1),
+                      np.abs(samples).sum(axis=1)))
+    return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
 
 
-def _half_line_rows(args, edges):
-    """_integrate_panels with _tanh_sinh_panel for every row, panel by panel.
+def _de_half_lines(b, cos_c, sin2_half, s_x, lam) -> list[QuadResult | BudgetExceededError]:
+    """The DE rule for _t_kernel(b[r], cos_c[r], sin2_half[r]) on [s_x[r], inf).
 
-    ``args`` holds the kernel's (b, cos_c, cos_a) as three arrays and
-    ``edges[r]`` is row r's _panel_edges layout.  Returns the arrays
-    (total, err_sum, used) and a dict row -> error for the rows that
-    failed.
+    Row r stops at the first level from _DE_MIN_LEVEL on where |S_h - S_2h|
+    <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*mass), and gets its
+    s-domain QuadResult; a row whose levels run out gets a
+    BudgetExceededError.  A block returns bit for bit what each row does alone.
     """
-    count = len(edges)
-    panels = np.array([len(e) - 1 for e in edges])
-    total = np.zeros(count)
-    err_sum = np.zeros(count)
-    used = np.zeros(count, dtype=np.int64)
-    errors: dict[int, CoshintError] = {}
-    live = np.arange(count)
-    k = 0
-    while live.size:
-        left = np.array([edges[r][k] for r in live])
-        right = np.array([edges[r][k + 1] for r in live])
-        scale = 1.0 + np.abs(total[live])
-        value, err, ok = _tanh_sinh_rows(args, live, left, right,
-                                         0.25 * REL_TOL * scale, used, errors)
-        for r in live[~ok]:
-            errors.setdefault(int(r), BudgetExceededError(
-                "panel refinement exhausted without reaching tolerance"))
-        total[live] = total[live] + value
-        err_sum[live] = err_sum[live] + err
-        small = _TAIL_BREAK * REL_TOL * scale
-        k += 1
-        live = live[ok & (k < panels[live]) & ~((np.abs(value) < small) & (err < small))]
-    return total, err_sum, used, errors
+    out: list[QuadResult | BudgetExceededError | None] = [None] * len(b)
+    left = np.arange(len(b))
+    cols = [np.asarray(v)[:, None] for v in (b, cos_c, sin2_half, s_x, lam)]
+    used = 0
+    # a kernel too large or too peaked to sample gives inf or NaN sums,
+    # which never pass the stopping test
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for level in range(_DE_MIN_LEVEL, _DE_MAX_LEVEL + 1):
+            u, w, split = _de_stage(level)
+            used += u.size
+            head, body, absum = _de_sums(cols, u, w, split)
+            inv_lam = 1.0 / cols[4][:, 0]
+            if level == _DE_MIN_LEVEL:
+                total, mass = head, 0.0
+            # S_h - S_2h = h*(body - total)/lam: the new nodes against the old
+            scale = (_DE_H0 / (1 << level)) * inv_lam
+            err = np.abs(body - total) * scale
+            total = total + body
+            mass = mass + absum
+            value = total * scale
+            keep = ~(err <= np.maximum(0.25 * REL_TOL * (1.0 + np.abs(value)),
+                                       _ROUNDOFF_FLOOR * mass * scale))
+            for i in np.flatnonzero(~keep):
+                out[left[i]] = _half_line_result(value[i].item(), err[i], used)
+            if not keep.all():
+                left, total, mass = left[keep], total[keep], mass[keep]
+                cols = [c[keep] for c in cols]
+            if not left.size:
+                return out
+    for r in left:
+        out[r] = BudgetExceededError(f"double-exponential levels exhausted after "
+                                     f"{used} evaluations without reaching tolerance")
+    return out
+
+
+def _de_half_line(b, cos_c, sin2_half, s_x: float, lam: float) -> QuadResult:
+    """_de_half_lines for one row: its result, or its error raised."""
+    (res,) = _de_half_lines(*(np.array([v]) for v in (b, cos_c, sin2_half, s_x, lam)))
+    if isinstance(res, BudgetExceededError):
+        raise res
+    return res
 
 
 def integrate_real_line(f, decay_pos: float, decay_neg: float) -> QuadResult:
@@ -415,7 +408,7 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float) -> QuadResult:
         value = total * h
         err = abs(value - prev)
         if err <= max(REL_TOL * (1.0 + abs(value)), _ROUNDOFF_FLOOR * mass * h):
-            return QuadResult(value=_pyify(value), abs_err_estimate=float(err),
+            return QuadResult(value=float(value), abs_err_estimate=float(err),
                               evaluations=budget.used)
         prev = value
     raise BudgetExceededError("real-line refinement exhausted without converging")
@@ -425,18 +418,25 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float) -> QuadResult:
 # kernels
 
 
-def _t_kernel(b, cos_c: float, cos_a):
-    """(cosh(b*s) + cos_c) / (cosh(s) + cos_a) as a vectorized callable.
+def _t_kernel(b, cos_c: float, sin2_half):
+    """(cosh(b*s) + cos_c) / (cosh(s) - cos(theta)) as a vectorized callable.
 
-    Both sides are divided by e^|s| so the hyperbolic cosines never
-    overflow; the kernel is even in s, so |s| may replace s throughout.
+    ``sin2_half`` is sin(theta/2)**2.  Both sides are divided by e^|s| so
+    the hyperbolic cosines never overflow, and the denominator is written
+    exactly as expm1(-|s|)**2 + 4*sin(theta/2)**2*e^(-|s|): the form
+    1 + e^(-2s) - 2*cos(theta)*e^(-s) cancels when s and theta (or
+    2*pi - theta) are both small.  e^(-|s|) keeps its own exp: as
+    1 + expm1(-|s|) it would be exact only to an ulp of 1, which swamps
+    a kernel of size e^(-s_X) when the range starts far out (X**n tiny).
+    The kernel is even in s, so -|s| may replace -s throughout.
     """
 
     def f(s: np.ndarray):
-        sa = np.abs(s)
-        em = np.exp(-sa)
-        num = np.exp((b - 1.0) * sa) + np.exp(-(b + 1.0) * sa) + 2.0 * cos_c * em
-        den = 1.0 + em * em + 2.0 * cos_a * em
+        ns = -np.abs(s)
+        x = np.expm1(ns)
+        em = np.exp(ns)
+        num = np.exp((1.0 - b) * ns) + np.exp((b + 1.0) * ns) + 2.0 * cos_c * em
+        den = x * x + 4.0 * sin2_half * em
         return num / den
 
     return f
@@ -457,7 +457,7 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     """Check a spec for the x-domain oracles and return its kernel arguments.
 
     ``X`` is the finite upper limit, or None for the range (0, inf).
-    Returns (b, cos_c, cos_a, s_X, decay): the _t_kernel arguments, the
+    Returns (b, cos_c, sin2_half, s_X, decay): the _t_kernel arguments, the
     lower end s_X = -n*log(X) of the s-range (None when X is None) and
     the kernel's tail decay rate.
     """
@@ -475,7 +475,7 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     _require_integrable(spec)
     b = p / spec.n
     s_x = None if X is None else -spec.n * math.log(X)
-    return b, -math.cos(spec.zeta), -math.cos(spec.theta), s_x, _decay_rate(b)
+    return b, -math.cos(spec.zeta), math.sin(0.5 * spec.theta) ** 2, s_x, _decay_rate(b)
 
 
 def _per_n(res: QuadResult, n: float) -> QuadResult:
@@ -495,14 +495,19 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     Substituting x**n = exp(-s) maps the range to [s_X, inf) with
     s_X = -n*log(X) and integrand (cosh(b*s) - cos(zeta)) /
     (cosh(s) - cos(theta)) / n, which has no endpoint singularity.
+    ``rule="tanh-sinh"`` integrates it with the double-exponential
+    half-line map, ``rule="gauss"`` with Gauss-Legendre panels.
     """
-    b, cos_c, cos_a, s_x, decay = _x_kernel_args(spec, X)
-    res = integrate_half_line(_t_kernel(b, cos_c, cos_a), s_x, decay, rule=rule)
+    b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, X)
+    if rule == "tanh-sinh":
+        res = _de_half_line(b, cos_c, sin2_half, s_x, decay)
+    else:
+        res = integrate_half_line(_t_kernel(b, cos_c, sin2_half), s_x, decay, rule=rule)
     return _per_n(res, spec.n)
 
 
 def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
-    """quad_x_domain(spec, spec.upper) for every spec, as one row block.
+    """quad_x_domain(spec, spec.upper) for every spec, as one DE block.
 
     Returns, in input order, each spec's QuadResult or the error that
     quad_x_domain would raise for it (CoshintError or ValueError).
@@ -510,25 +515,17 @@ def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exceptio
     the per-spec calls, whatever the other specs in the block.
     """
     out: list[QuadResult | Exception | None] = [None] * len(specs)
-    rows, args, edges = [], [], []
+    rows, args = [], []
     for i, spec in enumerate(specs):
         try:
-            b, cos_c, cos_a, s_x, decay = _x_kernel_args(spec, spec.upper)
-            edges.append(_panel_edges(s_x, _tail_cutoff(decay, s_x)))
+            args.append(_x_kernel_args(spec, spec.upper))
+            rows.append(i)
         except (CoshintError, ValueError) as exc:
             out[i] = exc
-            continue
-        rows.append(i)
-        args.append((b, cos_c, cos_a))
     if rows:
-        kernel_args = tuple(np.array(args, dtype=float).T)
-        total, err_sum, used, errors = _half_line_rows(kernel_args, edges)
-        for r, i in enumerate(rows):
-            if r in errors:
-                out[i] = errors[r]
-            else:
-                res = _half_line_result(total[r], err_sum[r], int(used[r]))
-                out[i] = _per_n(res, specs[i].n)
+        results = _de_half_lines(*np.array(args, dtype=float).T)
+        for i, res in zip(rows, results):
+            out[i] = res if isinstance(res, Exception) else _per_n(res, specs[i].n)
     return out
 
 
@@ -538,8 +535,8 @@ def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
     Computed as a genuine two-sided s-integral with the sinh-map rule,
     not by doubling the (0, 1] value.
     """
-    b, cos_c, cos_a, _, rate = _x_kernel_args(spec, None)
-    res = integrate_real_line(_t_kernel(b, cos_c, cos_a), rate, rate)
+    b, cos_c, sin2_half, _, rate = _x_kernel_args(spec, None)
+    res = integrate_real_line(_t_kernel(b, cos_c, sin2_half), rate, rate)
     return _per_n(res, spec.n)
 
 
@@ -559,8 +556,8 @@ def quad_t_domain(a, b, c: float) -> QuadResult:
         a = a.real
     if b.imag == 0.0:
         b = b.real
-    kernel = _t_kernel(b, math.cos(c), np.cos(a))
-    return integrate_half_line(kernel, 0.0, _decay_rate(b))
+    # theta = pi - a, so sin(theta/2)**2 = cos(a/2)**2
+    return _de_half_line(b, math.cos(c), np.cos(0.5 * a) ** 2, 0.0, _decay_rate(b))
 
 
 def quad_two_sided(a: float, b: float) -> QuadResult:
@@ -591,12 +588,14 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
         raise DomainError("quad_cos_log needs a purely imaginary p = i*q")
     _require_integrable(spec)
     q_over_n = p.imag / spec.n
-    cos_t = math.cos(spec.theta)
+    sin2_4 = 4.0 * math.sin(0.5 * spec.theta) ** 2
 
     def kernel(s: np.ndarray) -> np.ndarray:
+        # _t_kernel's denominator, which does not cancel near theta = 0
         sa = np.abs(s)
-        em = np.exp(-sa)
-        return np.cos(q_over_n * s) * em / (1.0 + em * em - 2.0 * cos_t * em)
+        x = np.expm1(-sa)
+        em = 1.0 + x
+        return np.cos(q_over_n * s) * em / (x * x + sin2_4 * em)
 
     if spec.upper == math.inf:
         res = integrate_real_line(kernel, 1.0, 1.0)

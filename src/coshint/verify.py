@@ -31,6 +31,7 @@ from .params import (
     DomainStatus,
     IntegrandSpec,
     NormalizedForm,
+    _theta_mod,
     classify_domain,
     normalize,
 )
@@ -88,7 +89,8 @@ def closed_value(spec: IntegrandSpec) -> float:
     """Closed-form route: master value scaled back to the x-domain."""
     factor = _upper_factor(spec)
     nf = normalize(spec)
-    return factor * nf.scale * eval_master(nf.a, nf.b, nf.c).value.real
+    theta_c, _ = _theta_mod(spec.theta)  # nf.a = pi - theta_c, rounded
+    return factor * nf.scale * eval_master(nf.a, nf.b, nf.c, theta=theta_c).value.real
 
 
 def pf_value(spec: IntegrandSpec) -> float:

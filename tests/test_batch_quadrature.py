@@ -99,13 +99,23 @@ def test_batch_bit_identical_to_single(singles, name, size):
     assert mismatched == []
 
 
+# theta = 1e-150 puts the kernel's peak, of width theta, where even the
+# finest DE level cannot resolve it: the oracle runs out of levels
+EXHAUSTING = IntegrandSpec(1.0, 0.5, 1e-150, 1.0)
+
+
 def test_failure_sets_equal(singles):
     for name, specs in GRIDS.items():
         got = quad_x_domain_many(specs)
         expected = {i for i, r in enumerate(singles[name]) if isinstance(r, Exception)}
         assert {i for i, r in enumerate(got) if isinstance(r, Exception)} == expected
-    # the near-edge grid reaches the theta at which the oracle gives up
-    assert any(isinstance(r, Exception) for r in singles["near_edge"])
+    specs = GRIDS["near_edge"][:10] + [EXHAUSTING] + GRIDS["near_edge"][10:20]
+    got = quad_x_domain_many(specs)
+    expected = [_single(s) for s in specs]
+    failed = {i for i, r in enumerate(expected) if isinstance(r, Exception)}
+    assert failed == {10}
+    assert {i for i, r in enumerate(got) if isinstance(r, Exception)} == failed
+    assert _same(expected[10], got[10])
 
 
 def test_invalid_specs_raise_the_single_spec_errors():
@@ -125,12 +135,12 @@ def test_invalid_specs_raise_the_single_spec_errors():
 
 
 def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
-    cap = quadrature._ts_nodes(quadrature._TS_MAX_LEVEL)[0].size
+    cap = quadrature._de_stage(quadrature._DE_MAX_LEVEL)[0].size
     sizes = []
     original = quadrature._t_kernel
 
-    def counting(b, cos_c, cos_a):
-        f = original(b, cos_c, cos_a)
+    def counting(b, cos_c, sin2_half):
+        f = original(b, cos_c, sin2_half)
 
         def g(s):
             sizes.append(s.size)
@@ -139,7 +149,7 @@ def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
         return g
 
     monkeypatch.setattr(quadrature, "_t_kernel", counting)
-    specs = GRIDS["near_edge"]
+    specs = GRIDS["near_edge"] + [EXHAUSTING]
     quad_x_domain_many(specs)
     block_calls, block_max = len(sizes), max(sizes)
     sizes.clear()

@@ -6,8 +6,10 @@ import pytest
 
 from coshint import (
     DomainError,
+    IntegrandSpec,
     LimitApplied,
     NearPoleError,
+    closed_value,
     eval_cosh_ratio,
     eval_master,
     eval_sec_case,
@@ -212,3 +214,30 @@ def test_split_cos_form_values():
     assert abs(eval_split_cos_form(2.0, 1.0) - ORACLE_SPLIT_COS_2_1) < 1e-13
     with pytest.raises(DomainError):
         eval_split_cos_form(0.0, 1.0)
+
+
+def test_closed_value_keeps_digits_near_the_edges():
+    # 1/sinc(pi - theta) loses about 3e-16/theta relative as theta nears 0
+    # or 2*pi, 1e-9 at theta = 1e-7; sin(theta) keeps every digit
+    mp = pytest.importorskip("mpmath")
+    for dist in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+        for theta in (dist, 2 * PI - dist):
+            for b in (0.0, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99):
+                for n in (0.5, 1.0, 3.7):
+                    spec = IntegrandSpec(n, b * n, theta, 1.0)
+                    with mp.workdps(30):
+                        a = mp.pi - mp.mpf(theta)
+                        bb = mp.mpf(spec.p) / n
+                        ratio = a / mp.pi if bb == 0 else mp.sin(a * bb) / mp.sin(mp.pi * bb)
+                        want = (mp.pi * ratio - a * mp.cos(1.0)) / (mp.sin(a) * n)
+                    got = closed_value(spec)
+                    assert abs(got - want) <= 1e-13 * abs(want), (spec, got)
+
+
+def test_master_theta_path_leaves_the_middle_untouched():
+    # within 1 of theta = pi the master value keeps dividing by sinc(a)
+    for theta in (PI - 0.999, 2.5, PI, 3.9, PI + 0.999):
+        a = PI - theta
+        for b in (0.0, 0.3, -0.95):
+            assert (eval_master(a, b, 2.0, theta=theta).value
+                    == eval_master(a, b, 2.0).value)

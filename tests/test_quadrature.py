@@ -21,7 +21,13 @@ from coshint import (
     quad_x_domain_many,
     rescale,
 )
-from coshint.quadrature import _Budget, _tanh_sinh_panel, integrate_finite
+from coshint.quadrature import (
+    _Budget,
+    _t_kernel,
+    _tanh_sinh_panel,
+    _x_kernel_args,
+    integrate_finite,
+)
 
 PI = math.pi
 
@@ -216,3 +222,64 @@ def test_results_are_builtin_floats():
     for r in results:
         assert type(r.value) is float
         assert type(r.abs_err_estimate) is float
+
+
+def _master_mp(mp, spec):
+    """30-digit value of the x-domain integral from 0 to 1 (b -> 0 limit built in)."""
+    with mp.workdps(30):
+        a = mp.pi - mp.mpf(spec.theta)
+        b = mp.mpf(spec.p) / mp.mpf(spec.n)
+        ratio = a / mp.pi if b == 0 else mp.sin(a * b) / mp.sin(mp.pi * b)
+        return (mp.pi * ratio - a * mp.cos(mp.mpf(spec.zeta))) / (mp.sin(a) * spec.n)
+
+
+def test_near_edge_oracle_against_mpmath():
+    # theta within 1e-6 of 0 or 2*pi puts a Lorentzian of width theta at
+    # s = 0; the double-exponential map clusters its nodes there
+    mp = pytest.importorskip("mpmath")
+    specs = [IntegrandSpec(n, b * n, theta, 1.0)
+             for dist in (1e-3, 1e-4, 1e-5, 1e-6)
+             for theta in (dist, 2 * PI - dist)
+             for b in (0.0, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99)
+             for n in (0.5, 1.0, 3.7)]
+    # seed 9001 of the near_edge benchmark workload: 1.0e-9 off on the
+    # geometric tanh-sinh panels
+    specs.append(IntegrandSpec(2.4613984747662725, 2.3050451637470295,
+                               6.2812756701572905, 0.8740869025314117))
+    block = quad_x_domain_many(specs)
+    for spec, many in zip(specs, block):
+        want = _master_mp(mp, spec)
+        for got in (quad_x_domain(spec, 1.0).value, many.value):
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (spec, got)
+
+
+def test_kernel_keeps_digits_where_s_and_theta_are_small():
+    # 1 + e^(-2s) - 2*cos(theta)*e^(-s) is off by about 1e-6 relative here
+    mp = pytest.importorskip("mpmath")
+    s = np.array([0.5e-5, 1e-5, 2e-5])
+    for theta in (1e-5, 2 * PI - 1e-5):
+        for b in (0.0, 0.5, -0.9):
+            spec = IntegrandSpec(1.0, b, theta, 1.0)
+            kb, cos_c, sin2_half, _, _ = _x_kernel_args(spec, 1.0)
+            got = _t_kernel(kb, cos_c, sin2_half)(s)
+            with mp.workdps(30):
+                for si, g in zip(s, got):
+                    si = mp.mpf(si)
+                    want = ((mp.cosh(b * si) - mp.cos(1.0))
+                            / (mp.cosh(si) - mp.cos(mp.mpf(theta))))
+                    assert abs(g - want) <= 1e-15 * abs(want), (spec, si)
+
+
+def test_range_far_out_keeps_relative_digits():
+    # X**n near 1e-19 starts the s-range at s_X = 42, where the whole
+    # kernel is of size e^(-s): e^(-s) must carry its own relative digits
+    mp = pytest.importorskip("mpmath")
+    for n, theta, zeta, X in ((19.0, 2.0950749287993684, 0.20897831022960084,
+                               0.10798416775026774),
+                              (8.0, 0.7, 1.3, 0.01)):
+        got = quad_x_domain(IntegrandSpec(n, 0.0, theta, zeta), X).value
+        with mp.workdps(30):
+            cos_t, cos_z = mp.cos(mp.mpf(theta)), mp.cos(mp.mpf(zeta))
+            want = mp.quad(lambda x: (2 - 2 * cos_z) * x ** (n - 1)
+                           / (x ** (2 * n) - 2 * x ** n * cos_t + 1), [0, mp.mpf(X)])
+        assert abs(got - want) <= 1e-12 * abs(want), (n, got, want)
