@@ -77,6 +77,7 @@ from .quadrature import (
     quad_two_sided,
     quad_x_domain,
     quad_x_domain_infinite,
+    quad_x_domain_infinite_many,
     quad_x_domain_many,
 )
 from .series import (

@@ -7,10 +7,11 @@ Exit codes: 0 success or agreement, 1 verification disagreement or a
 paradox that failed to manifest, 2 usage or domain errors.
 
 Sweeps (verify, table) evaluate the whole grid in one process, with the
-quadrature route of every finite-X spec batched into one block (see
-coshint.verify.verify_points).  Output rows follow input order and each
-equals the single-spec report, so identical flags and seed give
-byte-identical output.  --threads is still accepted but has no effect.
+quadrature route of every real-p spec batched into one block per kind of
+upper limit (see coshint.verify.verify_points).  Output rows follow
+input order and each equals the single-spec report, so identical flags
+and seed give byte-identical output.  --threads is still accepted but
+has no effect.
 """
 
 from __future__ import annotations

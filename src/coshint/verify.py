@@ -3,7 +3,8 @@
 verify_point evaluates one spec by every admissible route (closed form,
 partial fractions, quadrature, accelerated series) and reports the
 worst pairwise disagreement; verify_points does the same for a grid,
-with the quadrature of its finite-X specs run as one block.
+with the quadrature of its real-p specs run as one block per kind of
+upper limit.
 Disagreements never raise: callers and the test suite decide what
 counts as failure.
 
@@ -40,6 +41,7 @@ from .quadrature import (
     quad_cos_log,
     quad_x_domain,
     quad_x_domain_infinite,
+    quad_x_domain_infinite_many,
     quad_x_domain_many,
 )
 from .series import TOL_FLOOR, series_contracted
@@ -175,15 +177,18 @@ def verify_point(spec: IntegrandSpec, tol: float = 1e-9) -> EvalReport:
 def verify_points(specs: list[IntegrandSpec], tol: float = 1e-9) -> list[EvalReport]:
     """verify_point for every spec, in input order, with batched quadrature.
 
-    The quadrature route of every real-p spec with a finite upper limit
-    is computed for the whole grid at once by quad_x_domain_many, whose
-    results are bit-identical to quad_x_domain; all other routes and
-    specs go through verify_point's own code, so each report equals
-    verify_point(spec, tol).
+    The quadrature route of every real-p spec is computed for the whole
+    grid at once: quad_x_domain_many for finite upper limits and
+    quad_x_domain_infinite_many for an infinite one, whose results are
+    bit-identical to quad_x_domain and quad_x_domain_infinite.  All other
+    routes and specs go through verify_point's own code, so each report
+    equals verify_point(spec, tol).
     """
-    batch = [i for i, s in enumerate(specs)
-             if complex(s.p).imag == 0.0 and s.upper != math.inf]
-    quads = dict(zip(batch, quad_x_domain_many([specs[i] for i in batch])))
+    real = [i for i, s in enumerate(specs) if complex(s.p).imag == 0.0]
+    finite = [i for i in real if specs[i].upper != math.inf]
+    infinite = [i for i in real if specs[i].upper == math.inf]
+    quads = dict(zip(finite, quad_x_domain_many([specs[i] for i in finite])))
+    quads.update(zip(infinite, quad_x_domain_infinite_many([specs[i] for i in infinite])))
     return [_report(s, tol, partial(_quad_result_value, quads[i]) if i in quads
                     else partial(quad_value, s))
             for i, s in enumerate(specs)]

@@ -1,6 +1,7 @@
 """The row-block quadrature path against the per-spec oracle.
 
-quad_x_domain_many must reproduce quad_x_domain bit for bit (value,
+quad_x_domain_many must reproduce quad_x_domain, and
+quad_x_domain_infinite_many quad_x_domain_infinite, bit for bit (value,
 error estimate, evaluation count, and the error raised) whatever the
 block size, and verify_points must reproduce verify_point.
 """
@@ -8,14 +9,18 @@ block size, and verify_points must reproduce verify_point.
 import json
 import math
 import struct
+from dataclasses import replace
 
 import pytest
 
 import coshint.quadrature as quadrature
 from coshint import (
+    BudgetExceededError,
     IntegrandSpec,
     Lcg64,
     quad_x_domain,
+    quad_x_domain_infinite,
+    quad_x_domain_infinite_many,
     quad_x_domain_many,
     random_specs,
     verify_point,
@@ -179,3 +184,126 @@ def test_cli_verify_matches_verify_point(capsys):
                 for s in random_specs(200, 42)]
     assert code in (0, 1)
     assert lines == expected
+
+
+# ---------------------------------------------------------------------------
+# X = inf: quad_x_domain_infinite_many against quad_x_domain_infinite
+
+
+def _slow_tails_infinite(count: int, seed: int) -> list[IntegrandSpec]:
+    """|b| in [0.9, 0.99], so the tails decay slowly; upper limit infinity."""
+    rng = Lcg64(seed)
+    specs = []
+    for _ in range(count):
+        n = rng.uniform(0.5, 4.0)
+        b = rng.uniform(0.9, 0.99) * (1.0 if rng.next_float() < 0.5 else -1.0)
+        specs.append(IntegrandSpec(n=n, p=b * n,
+                                   theta=rng.uniform(0.05, TWO_PI - 0.05),
+                                   zeta=rng.uniform(0.05, math.pi - 0.05),
+                                   upper=math.inf))
+    return specs
+
+
+INFINITE_GRIDS = {
+    "integer_inf": [replace(s, upper=math.inf) for s in _integer_finite_x(150, 5)],
+    "slow_tails_inf": _slow_tails_infinite(100, 13),
+}
+
+# theta = 1e-8 puts a peak of width theta at s = 0, which the finest
+# sinh-map level cannot resolve: the oracle runs out of refinements
+EXHAUSTING_INF = IntegrandSpec(1.0, 0.5, 1e-8, 1.0, upper=math.inf)
+
+
+def _single_infinite(spec):
+    try:
+        return quad_x_domain_infinite(spec)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+@pytest.fixture(scope="module")
+def infinite_singles():
+    return {name: [_single_infinite(s) for s in specs]
+            for name, specs in INFINITE_GRIDS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_GRIDS))
+@pytest.mark.parametrize("size", [1, 7, 125, None])
+def test_infinite_batch_bit_identical_to_single(infinite_singles, name, size):
+    specs = INFINITE_GRIDS[name]
+    size = size or len(specs)
+    got = []
+    for lo in range(0, len(specs), size):
+        got.extend(quad_x_domain_infinite_many(specs[lo:lo + size]))
+    assert len(got) == len(specs)
+    expected = infinite_singles[name]
+    assert not any(isinstance(e, Exception) for e in expected)
+    mismatched = [i for i, (e, g) in enumerate(zip(expected, got)) if not _same(e, g)]
+    assert mismatched == []
+
+
+def test_infinite_failure_sets_equal():
+    grid = INFINITE_GRIDS["slow_tails_inf"]
+    specs = grid[:10] + [EXHAUSTING_INF] + grid[10:20]
+    got = quad_x_domain_infinite_many(specs)
+    expected = [_single_infinite(s) for s in specs]
+    assert isinstance(expected[10], BudgetExceededError)
+    assert {i for i, r in enumerate(expected) if isinstance(r, Exception)} == {10}
+    assert {i for i, r in enumerate(got) if isinstance(r, Exception)} == {10}
+    assert all(_same(e, g) for e, g in zip(expected, got))
+
+
+def test_infinite_invalid_specs_raise_the_single_spec_errors():
+    specs = [
+        IntegrandSpec(1, 1.5, 1.0, 1.0, upper=math.inf),  # |p| >= n
+        IntegrandSpec(1, 0.2j, 1.0, 1.0, upper=math.inf),  # imaginary p
+        IntegrandSpec(1, 0.5, 1.0 + TWO_PI, 1.0, upper=math.inf),  # paradox-only theta
+        IntegrandSpec(1, 0.5, 1.0, 1.0, upper=math.inf),
+    ]
+    got = quad_x_domain_infinite_many(specs)
+    for spec, result in zip(specs, got):
+        assert _same(_single_infinite(spec), result)
+    assert all(isinstance(r, Exception) for r in got[:-1])
+    assert not isinstance(got[-1], Exception)
+    assert quad_x_domain_infinite_many([]) == []
+
+
+def test_infinite_kernel_calls_stay_within_the_deepest_level(monkeypatch):
+    cap = quadrature._sinh_stage(quadrature._SINH_LEVELS)[0].size
+    sizes = []
+    original = quadrature._t_kernel
+
+    def counting(b, cos_c, sin2_half):
+        f = original(b, cos_c, sin2_half)
+
+        def g(s):
+            sizes.append(s.size)
+            return f(s)
+
+        return g
+
+    monkeypatch.setattr(quadrature, "_t_kernel", counting)
+    # enough rows that the first stage alone would exceed the cap unchunked
+    specs = 3 * (INFINITE_GRIDS["integer_inf"] + INFINITE_GRIDS["slow_tails_inf"])
+    specs.append(EXHAUSTING_INF)
+    quad_x_domain_infinite_many(specs)
+    block_calls, block_max = len(sizes), max(sizes)
+    sizes.clear()
+    for spec in specs:
+        _single_infinite(spec)
+    assert block_max <= cap
+    assert max(sizes) == cap  # the failing spec reaches the deepest level
+    assert block_calls * 10 < len(sizes)
+
+
+def test_verify_points_equals_verify_point_at_infinity():
+    specs = (INFINITE_GRIDS["integer_inf"][:20] + INFINITE_GRIDS["slow_tails_inf"][:10]
+             + GRIDS["random"][:10] + [
+                 EXHAUSTING_INF,
+                 IntegrandSpec(1, 1j, math.pi / 2, math.pi / 2, upper=math.inf),
+                 IntegrandSpec(1, 0.5, 1.0 + TWO_PI, 1.0, upper=math.inf),  # paradox-only
+                 IntegrandSpec(1, 1.5, 1.0, 1.0, upper=math.inf),  # excluded
+                 IntegrandSpec(2, 1, math.pi, 1.0, upper=math.inf),  # boundary-a
+             ])
+    assert sum(s.upper == math.inf for s in specs) >= 20
+    assert verify_points(specs, 1e-9) == [verify_point(s, 1e-9) for s in specs]

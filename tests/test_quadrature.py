@@ -121,6 +121,16 @@ def test_two_sided_values():
         quad_two_sided(1.0, 1.0)
 
 
+def test_two_sided_keeps_digits_near_a_equal_pi():
+    # 1 + e^(-2|t|) + 2*cos(a)*e^(-|t|) cancels where |t| and pi - a are
+    # both small; the exact value is 2*pi*sin(a*b) / (sin(a)*sin(pi*b))
+    a = PI - 1e-2
+    for b in (0.3, -0.7):
+        want = 2.0 * PI * math.sin(a * b) / (math.sin(a) * math.sin(PI * b))
+        got = quad_two_sided(a, b).value
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_cos_log_reduces_to_middle_term_at_q_zero():
     spec = IntegrandSpec(2, 0.0, 1.1, PI / 2)
     got = quad_cos_log(spec).value
