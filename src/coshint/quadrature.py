@@ -3,22 +3,25 @@
 Two unrelated rule families are provided so the oracle can be checked
 against itself:
 
-* double-exponential rules: one DE map per half-line for the x-domain
-  kernel, s = s_X + exp(t - e^(-t))/lam with lam its tail decay rate,
-  summed by the trapezoid rule on nested halvings of h; tanh-sinh on
-  geometrically growing panels with an explicit exponential tail cutoff
-  for arbitrary half-line integrands; a sinh-map trapezoid rule for
-  every integral over the whole real line (quad_x_domain_infinite,
-  quad_two_sided, and quad_cos_log at an infinite upper limit);
-* a doubling-panel Gauss-Legendre rule over the same panel layout.
+* double-exponential rules for the family's own kernel (_t_kernel): one
+  DE map per half-line, s = s_X + exp(t - e^(-t))/lam with lam the
+  kernel's tail decay rate, summed by the trapezoid rule on nested
+  halvings of h; a sinh-map trapezoid rule for every integral over the
+  whole real line (quad_x_domain_infinite, quad_two_sided, and
+  quad_cos_log at an infinite upper limit);
+* a doubling-panel Gauss-Legendre rule on geometrically growing panels
+  for every other integrand (integrate_finite, integrate_half_line) and
+  as the independent check of the DE map (quad_x_domain's rule="gauss").
+  Its nodes never touch a panel end, so a kernel that is 0/0 at the
+  start of its range is safe.
 
 All x-domain integrals are transformed with x**n = exp(-s) before any
 rule sees them, so the x -> 0 endpoint behaviour x**(n-|p|-1) never
 reaches a node, and the kernels' denominators are written so that they
 do not cancel near theta = 0 or 2*pi (a = pi for quad_two_sided).
 Refinement stops at 1e-13 relative accuracy; running out of DE levels,
-of sinh-map refinements or of the panel budget (2e6 evaluations per
-call) raises instead of returning a degraded value.
+of sinh-map refinements, of panel doublings or of the panel budget (2e6
+evaluations per call) raises instead of returning a degraded value.
 
 Sums run in a fixed order, so results are bit-identical across runs.
 The DE map and the sinh map each have one driver over a (rows x nodes)
@@ -30,7 +33,7 @@ quad_x_domain_infinite, their one-row calls, return for each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,16 +50,13 @@ REL_TOL = 1e-13
 EVAL_BUDGET = 2_000_000
 
 # Refinement thresholds.  Summation roundoff of a peaked or oscillatory
-# integrand plateaus near _ROUNDOFF_FLOOR times its absolute mass; a
-# tanh-sinh panel whose levels run out is still accepted within
-# _PLATEAU_ACCEPT of that mass; a panel half-line stops once a panel adds
-# less than _TAIL_BREAK of its tolerance (the envelope shrinks the rest).
+# integrand plateaus near _ROUNDOFF_FLOOR times its absolute mass, so every
+# rule also stops once its level difference is that small; a panel
+# half-line stops once a panel adds less than _TAIL_BREAK of its tolerance
+# (the envelope shrinks the rest).
 _ROUNDOFF_FLOOR = 1e-13
-_PLATEAU_ACCEPT = 1e-12
 _TAIL_BREAK = 1e-3
 
-_TS_TMAX = 6.11  # |t| beyond this the tanh-sinh weight underflows
-_TS_MAX_LEVEL = 12
 _GL_ORDER = 32
 _GL_MAX_DOUBLINGS = 14
 
@@ -69,7 +69,7 @@ class QuadResult:
 
 
 class _Budget:
-    """Mutable evaluation counter shared across the panels of one call."""
+    """Evaluation counter shared by the Gauss-Legendre panels of one call."""
 
     __slots__ = ("used", "limit")
 
@@ -86,71 +86,6 @@ class _Budget:
 
 
 # ---------------------------------------------------------------------------
-# tanh-sinh rule on [-1, 1], nodes cached per refinement level
-
-
-_ts_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissas/weights introduced at `level` (level 0 = full coarse grid)."""
-    cached = _ts_cache.get(level)
-    if cached is not None:
-        return cached
-    h = 1.0 / (1 << level)
-    if level == 0:
-        t = np.arange(-int(_TS_TMAX), int(_TS_TMAX) + 1, dtype=float)
-    else:
-        m = np.arange(1, int(_TS_TMAX / h) + 1, 2, dtype=float)
-        t = np.concatenate([-m[::-1], m]) * h
-    with np.errstate(over="ignore"):
-        g = 0.5 * math.pi * np.sinh(t)
-        u = np.tanh(g)
-        w = 0.5 * math.pi * np.cosh(t) / np.cosh(g) ** 2
-    keep = np.isfinite(w) & (w > 1e-300) & (np.abs(u) < 1.0)
-    u, w = u[keep], w[keep]
-    _ts_cache[level] = (u, w)
-    return u, w
-
-
-def _tanh_sinh_panel(f, a: float, b: float, abs_tol: float, budget: _Budget):
-    """Integrate f over [a, b]; returns (value, err, converged_flag).
-
-    Convergence is judged against abs_tol with a floor of _ROUNDOFF_FLOOR
-    times the integrand's absolute mass: summation roundoff for a peaked
-    or oscillatory panel plateaus at that scale, so demanding more would
-    spin through every level and fail on inputs that are in fact done.
-    """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    total = None
-    mass = 0.0
-    prev = None
-    err = math.inf
-    for level in range(_TS_MAX_LEVEL + 1):
-        u, w = _ts_nodes(level)
-        budget.spend(u.size)
-        samples = w * f(mid + half * u)
-        contrib = samples.sum()
-        mass += float(np.abs(samples).sum())
-        if total is None:
-            total = contrib
-        else:
-            total = total + contrib
-        h = 1.0 / (1 << level)
-        value = total * h * half
-        if prev is not None:
-            err = abs(value - prev)
-            if level >= 2 and err <= max(abs_tol, _ROUNDOFF_FLOOR * mass * h * half):
-                return value, err, True
-        prev = value
-    # refinement exhausted: a severely peaked panel may sit on its roundoff
-    # plateau; accept it only while the error stays that close to the mass
-    ok = err <= _PLATEAU_ACCEPT * mass * h * half
-    return prev, err, ok
-
-
-# ---------------------------------------------------------------------------
 # Gauss-Legendre doubling-panel rule
 
 _gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -162,6 +97,7 @@ def _gl_rule(order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
         cached = np.polynomial.legendre.leggauss(order)
         _gl_cache[order] = cached
     return cached
+
 
 def _gauss_fixed(f, a: float, b: float, panels: int, budget: _Budget):
     x0, w0 = _gl_rule()
@@ -177,18 +113,23 @@ def _gauss_fixed(f, a: float, b: float, panels: int, budget: _Budget):
 
 
 def _gauss_panel(f, a: float, b: float, abs_tol: float, budget: _Budget):
+    """Integrate f over [a, b] on 1, 2, 4, ... equal Gauss-Legendre panels.
+
+    Returns (value, err) at the first doubling where the change err is
+    within abs_tol or _ROUNDOFF_FLOOR times the absolute mass; raises
+    BudgetExceededError when the doublings or the budget run out.
+    """
     prev = None
-    err = math.inf
     panels = 1
     for _ in range(_GL_MAX_DOUBLINGS + 1):
         value, mass = _gauss_fixed(f, a, b, panels, budget)
         if prev is not None:
             err = abs(value - prev)
             if err <= max(abs_tol, _ROUNDOFF_FLOOR * mass):
-                return value, err, True
+                return value, err
         prev = value
         panels *= 2
-    return prev, err, False
+    raise BudgetExceededError("panel refinement exhausted without reaching tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +152,12 @@ def _panel_edges(start: float, cutoff: float, first: float = 4.0) -> list[float]
     return edges
 
 
-def _integrate_panels(f, edges, budget, panel_rule):
+def _integrate_panels(f, edges, budget):
     total = 0.0
     err_sum = 0.0
     for left, right in zip(edges[:-1], edges[1:]):
         scale = 1.0 + abs(total)
-        value, err, ok = panel_rule(f, left, right, 0.25 * REL_TOL * scale, budget)
-        if not ok:
-            raise BudgetExceededError(
-                "panel refinement exhausted without reaching tolerance"
-            )
+        value, err = _gauss_panel(f, left, right, 0.25 * REL_TOL * scale, budget)
         total = total + value
         err_sum += err
         small = _TAIL_BREAK * REL_TOL * scale
@@ -229,43 +166,34 @@ def _integrate_panels(f, edges, budget, panel_rule):
     return total, err_sum
 
 
-_PANEL_RULES = {"tanh-sinh": _tanh_sinh_panel, "gauss": _gauss_panel}
-
-
-def _panel_rule(rule: str):
-    try:
-        return _PANEL_RULES[rule]
-    except KeyError:
-        raise ValueError(
-            f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'"
-        ) from None
-
-
-def integrate_finite(f, a: float, b: float, *, rule: str = "tanh-sinh") -> QuadResult:
+def integrate_finite(f, a: float, b: float) -> QuadResult:
     """Integrate a smooth integrand over the finite interval [a, b]."""
-    panel_rule = _panel_rule(rule)
     budget = _Budget()
-    value, err, ok = panel_rule(f, a, b, REL_TOL, budget)
-    if not ok:
-        raise BudgetExceededError("refinement exhausted without convergence")
+    value, err = _gauss_panel(f, a, b, REL_TOL, budget)
     return QuadResult(value=float(value), abs_err_estimate=float(err),
                       evaluations=budget.used)
 
 
-def integrate_half_line(f, start: float, decay: float, *,
-                        rule: str = "tanh-sinh") -> QuadResult:
+def integrate_half_line(f, start: float, decay: float) -> QuadResult:
     """Integrate f over [start, inf) given an e^(-decay*s) tail envelope."""
-    panel_rule = _panel_rule(rule)
     budget = _Budget()
     cutoff = _tail_cutoff(decay, start)
     edges = _panel_edges(start, cutoff)
-    value, err = _integrate_panels(f, edges, budget, panel_rule)
+    value, err = _integrate_panels(f, edges, budget)
     return _half_line_result(float(value), err, budget.used)
 
 
 def _half_line_result(value, err, evaluations: int) -> QuadResult:
     return QuadResult(value=value, abs_err_estimate=float(err + 1e-16 * abs(value)),
                       evaluations=evaluations)
+
+
+def _one_row(results: list[QuadResult | BudgetExceededError]) -> QuadResult:
+    """The result of a block driver's one row, or its error raised."""
+    (res,) = results
+    if isinstance(res, BudgetExceededError):
+        raise res
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +299,8 @@ def _de_half_lines(b, cos_c, sin2_half, s_x, lam) -> list[QuadResult | BudgetExc
 
 def _de_half_line(b, cos_c, sin2_half, s_x: float, lam: float) -> QuadResult:
     """_de_half_lines for one row: its result, or its error raised."""
-    (res,) = _de_half_lines(*(np.array([v]) for v in (b, cos_c, sin2_half, s_x, lam)))
-    if isinstance(res, BudgetExceededError):
-        raise res
-    return res
+    cols = (np.array([v]) for v in (b, cos_c, sin2_half, s_x, lam))
+    return _one_row(_de_half_lines(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +441,7 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float) -> QuadResult:
     deliberately different construction from the half-line rules, used
     where an independently computed two-sided value is wanted.
     """
-    (res,) = _sinh_lines(lambda: f, [], [_sinh_span(decay_pos, decay_neg)])
-    if isinstance(res, BudgetExceededError):
-        raise res
-    return res
+    return _one_row(_sinh_lines(lambda: f, [], [_sinh_span(decay_pos, decay_neg)]))
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +531,34 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "tanh-sinh":
         res = _de_half_line(b, cos_c, sin2_half, s_x, decay)
+    elif rule == "gauss":
+        res = integrate_half_line(_t_kernel(b, cos_c, sin2_half), s_x, decay)
     else:
-        res = integrate_half_line(_t_kernel(b, cos_c, sin2_half), s_x, decay, rule=rule)
+        raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
     return _per_n(res, spec.n)
+
+
+def _x_domain_block(specs: list[IntegrandSpec], infinite: bool,
+                    run) -> list[QuadResult | Exception]:
+    """Run the block driver ``run`` on the kernel arguments of every spec
+    that _x_kernel_args accepts, with X = spec.upper or, if ``infinite``,
+    the range (0, inf).
+
+    Returns, in input order, each spec's result scaled by 1/n, or the
+    error that _x_kernel_args or the driver gave for it.
+    """
+    out: list[QuadResult | Exception | None] = [None] * len(specs)
+    rows, args = [], []
+    for i, spec in enumerate(specs):
+        try:
+            args.append(_x_kernel_args(spec, None if infinite else spec.upper))
+            rows.append(i)
+        except (CoshintError, ValueError) as exc:
+            out[i] = exc
+    if rows:
+        for i, res in zip(rows, run(args)):
+            out[i] = res if isinstance(res, Exception) else _per_n(res, specs[i].n)
+    return out
 
 
 def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
@@ -621,19 +569,8 @@ def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exceptio
     Values, error estimates and evaluation counts are bit-identical to
     the per-spec calls, whatever the other specs in the block.
     """
-    out: list[QuadResult | Exception | None] = [None] * len(specs)
-    rows, args = [], []
-    for i, spec in enumerate(specs):
-        try:
-            args.append(_x_kernel_args(spec, spec.upper))
-            rows.append(i)
-        except (CoshintError, ValueError) as exc:
-            out[i] = exc
-    if rows:
-        results = _de_half_lines(*np.array(args, dtype=float).T)
-        for i, res in zip(rows, results):
-            out[i] = res if isinstance(res, Exception) else _per_n(res, specs[i].n)
-    return out
+    return _x_domain_block(specs, False,
+                           lambda args: _de_half_lines(*np.array(args, dtype=float).T))
 
 
 def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
@@ -646,9 +583,7 @@ def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
     b, cos_c, sin2_half, _, rate = _x_kernel_args(spec, None)
     # a lone row's parameters go in as Python floats, which round as its
     # columns would and spare the kernel the broadcasting
-    (res,) = _sinh_lines(_t_kernel, [b, cos_c, sin2_half], [_sinh_span(rate, rate)])
-    if isinstance(res, BudgetExceededError):
-        raise res
+    res = _one_row(_sinh_lines(_t_kernel, [b, cos_c, sin2_half], [_sinh_span(rate, rate)]))
     return _per_n(res, spec.n)
 
 
@@ -661,21 +596,13 @@ def quad_x_domain_infinite_many(specs: list[IntegrandSpec]) -> list[QuadResult |
     bit-identical to the per-spec calls, whatever the other specs in the
     block.
     """
-    out: list[QuadResult | Exception | None] = [None] * len(specs)
-    rows, args = [], []
-    for i, spec in enumerate(specs):
-        try:
-            args.append(_x_kernel_args(spec, None))
-            rows.append(i)
-        except (CoshintError, ValueError) as exc:
-            out[i] = exc
-    if rows:
+
+    def run(args):
         table = np.array([a[:3] for a in args])
-        results = _sinh_lines(_t_kernel, [table[:, k:k + 1] for k in range(3)],
-                              [_sinh_span(a[4], a[4]) for a in args])
-        for i, res in zip(rows, results):
-            out[i] = res if isinstance(res, Exception) else _per_n(res, specs[i].n)
-    return out
+        return _sinh_lines(_t_kernel, [table[:, k:k + 1] for k in range(3)],
+                           [_sinh_span(a[4], a[4]) for a in args])
+
+    return _x_domain_block(specs, True, run)
 
 
 def quad_t_domain(a, b, c: float) -> QuadResult:
@@ -720,30 +647,25 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
     """Oracle for the cos(q*log x) numerator (p = i*q), honoring spec.upper.
 
     In the s-domain the integrand becomes cos(q*s/n) / (2*(cosh s -
-    cos theta)) / n over [0, inf) for upper 1, and over the whole line
-    for upper infinity (computed two-sided, not by doubling).
+    cos theta)) / n, and cos(q*s/n) = cosh(b*s) for b = i*q/n: it is
+    _t_kernel(b, 0, sin(theta/2)**2) / (2*n), on the DE map over [0, inf)
+    for upper 1, and on the sinh map over the whole line for upper
+    infinity (computed two-sided, not by doubling).
     """
     p = complex(spec.p)
     if p.real != 0.0:
         raise DomainError("quad_cos_log needs a purely imaginary p = i*q")
     _require_integrable(spec)
-    q_over_n = p.imag / spec.n
-    sin2_4 = 4.0 * math.sin(0.5 * spec.theta) ** 2
-
-    def kernel(s: np.ndarray) -> np.ndarray:
-        # _t_kernel's denominator, which does not cancel near theta = 0
-        sa = np.abs(s)
-        x = np.expm1(-sa)
-        em = 1.0 + x
-        return np.cos(q_over_n * s) * em / (x * x + sin2_4 * em)
-
+    b = 1j * p.imag / spec.n
+    sin2_half = math.sin(0.5 * spec.theta) ** 2
     if spec.upper == math.inf:
-        res = integrate_real_line(kernel, 1.0, 1.0)
+        res = _one_row(_sinh_lines(_t_kernel, [b, 0.0, sin2_half], [_sinh_span(1.0, 1.0)]))
     elif spec.upper == 1.0:
-        res = integrate_half_line(kernel, 0.0, 1.0)
+        res = _de_half_line(b, 0.0, sin2_half, 0.0, 1.0)
     else:
         raise ValueError("upper must be 1 or infinity for this oracle")
-    return _per_n(res, spec.n)
+    # the kernel's imaginary parts cancel exactly: e^((1 -+ b)*s) are conjugates
+    return _per_n(replace(res, value=res.value.real), 2.0 * spec.n)
 
 
 def quad_sec_antiderivative_check(m: float, Z: float) -> tuple[float, float]:
