@@ -79,9 +79,9 @@ def _limit_flag(a: complex, b: complex) -> LimitApplied:
 
 
 def _check_strip(a: complex, b: complex) -> None:
-    if abs(a.real) >= math.pi:
+    if not abs(a.real) < math.pi:
         raise DomainError(f"|Re a| = {abs(a.real)} outside the strip |Re a| < pi")
-    if abs(b.real) >= 1.0:
+    if not abs(b.real) < 1.0:
         raise DomainError(f"|Re b| = {abs(b.real)} outside the strip |Re b| < 1")
     if abs(cmath.sin(math.pi * b)) < EPS_POLE and abs(b) >= EPS_LIMIT:
         raise NearPoleError(f"b = {b} is too close to the poles at b = +-1")
@@ -112,6 +112,8 @@ def eval_master(a: complex | float, b: complex | float, c: float, *,
     a = complex(a)
     b = complex(b)
     _check_strip(a, b)
+    if math.isnan(c):
+        raise DomainError("c must be a number, got nan")
     return ClosedValue(value=_master_raw(a, b, c, theta),
                        limit_applied=_limit_flag(a, b))
 

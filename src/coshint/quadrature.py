@@ -3,12 +3,13 @@
 Two unrelated rule families are provided so the oracle can be checked
 against itself:
 
-* double-exponential rules for the family's own kernel (_t_kernel): one
-  DE map per half-line, s = s_X + exp(t - e^(-t))/lam with lam the
-  kernel's tail decay rate, summed by the trapezoid rule on nested
-  halvings of h; a sinh-map trapezoid rule for every integral over the
-  whole real line (quad_x_domain_infinite, quad_two_sided, and
-  quad_cos_log at an infinite upper limit);
+* the trapezoid rule on nested halvings of h for the family's own
+  kernels, on two maps that make them decay double exponentially: the
+  DE half-line map s = s_X + exp(t - e^(-t))/lam, with lam the kernel's
+  tail decay rate, for every integral over [s_X, inf), and the sinh map
+  s = sinh(U*tau) for every integral over the whole real line
+  (quad_x_domain_infinite, quad_two_sided, and quad_cos_log at an
+  infinite upper limit);
 * a doubling-panel Gauss-Legendre rule on geometrically growing panels
   for every other integrand (integrate_finite, integrate_half_line) and
   as the independent check of the DE map (quad_x_domain's rule="gauss").
@@ -19,12 +20,13 @@ All x-domain integrals are transformed with x**n = exp(-s) before any
 rule sees them, so the x -> 0 endpoint behaviour x**(n-|p|-1) never
 reaches a node, and the kernels' denominators are written so that they
 do not cancel near theta = 0 or 2*pi (a = pi for quad_two_sided).
-Refinement stops at 1e-13 relative accuracy; running out of DE levels,
-of sinh-map refinements, of panel doublings or of the panel budget (2e6
-evaluations per call) raises instead of returning a degraded value.
+Refinement stops at 1e-13 relative accuracy; running out of trapezoid
+levels, of panel doublings or of the panel budget (2e6 evaluations per
+call) raises instead of returning a degraded value, and so does a
+trapezoid sum that is inf or NaN.
 
 Sums run in a fixed order, so results are bit-identical across runs.
-The DE map and the sinh map each have one driver over a (rows x nodes)
+One driver runs the trapezoid rule on either map over a (rows x nodes)
 block: quad_x_domain_many and quad_x_domain_infinite_many run many specs
 as one block and return, bit for bit, what quad_x_domain and
 quad_x_domain_infinite, their one-row calls, return for each.
@@ -32,6 +34,8 @@ quad_x_domain_infinite, their one-row calls, return for each.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -180,10 +184,10 @@ def integrate_half_line(f, start: float, decay: float) -> QuadResult:
     cutoff = _tail_cutoff(decay, start)
     edges = _panel_edges(start, cutoff)
     value, err = _integrate_panels(f, edges, budget)
-    return _half_line_result(float(value), err, budget.used)
+    return _result(float(value), err, budget.used)
 
 
-def _half_line_result(value, err, evaluations: int) -> QuadResult:
+def _result(value, err, evaluations: int) -> QuadResult:
     return QuadResult(value=value, abs_err_estimate=float(err + 1e-16 * abs(value)),
                       evaluations=evaluations)
 
@@ -197,236 +201,168 @@ def _one_row(results: list[QuadResult | BudgetExceededError]) -> QuadResult:
 
 
 # ---------------------------------------------------------------------------
-# double-exponential half-line rule for _t_kernel integrands
+# nested trapezoid rule over a (rows x nodes) block
 #
-# s = s_X + exp(t - e^(-t))/lam maps the t-line onto (s_X, inf): an
-# integrand decaying like e^(-lam*s) then decays double exponentially in t
-# at both ends, and the nodes cluster double exponentially at s_X, where
-# a near-edge kernel peaks (Takahasi & Mori 1974; Mori & Sugihara 2001).
-# The trapezoid rule runs over a fixed t window on nested halvings of h.
-# Every row of a block shares the t nodes, so one kernel call per level
-# serves all rows, and no row's arithmetic depends on the other rows.
+# Both maps below make an integrand with exponential tails decay double
+# exponentially in the node variable t, so the trapezoid rule over a fixed
+# t window converges geometrically as h halves (Takahasi & Mori 1974;
+# Mori & Sugihara 2001); the integrand is negligible at the window's ends,
+# so every node weighs h.  Every row of a block shares one cached table of
+# t nodes per level and only its map's parameters differ, so one kernel
+# call per level serves a chunk of rows, and no row's arithmetic depends
+# on the other rows.
 
-_DE_TMIN = -6.0  # s - s_X is about 1e-178/lam here
-_DE_TMAX = 4.5  # the e^(-lam*(s - s_X)) envelope is below 1e-38 here
-_DE_H0 = 0.5
-_DE_MIN_LEVEL = 2
-_DE_MAX_LEVEL = 10
-
-_de_cache: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-
-
-def _de_stage(level: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Offsets lam*(s - s_X), weights lam*ds/dt and split of the nodes `level` adds.
-
-    The levels before _DE_MIN_LEVEL, which every row runs, come with it:
-    they are its first ``split`` nodes.
-    """
-    cached = _de_cache.get(level)
-    if cached is None:
-        parts = []
-        for lev in range(level + 1) if level == _DE_MIN_LEVEL else [level]:
-            h = _DE_H0 / (1 << lev)
-            k = np.arange(round((_DE_TMAX - _DE_TMIN) / h) + 1)
-            parts.append(_DE_TMIN + h * (k if lev == 0 else k[1::2]))
-        t = np.concatenate(parts)
-        em = np.exp(-t)
-        u = np.exp(t - em)
-        cached = _de_cache[level] = (u, (1.0 + em) * u, t.size - parts[-1].size)
-    return cached
-
-
-def _de_sums(cols, u, w, split: int):
-    """Per-row sums of w*f over the nodes before and after split, and of |w*f|.
-
-    The kernel sees the rows in chunks: no call holds more elements than
-    one row's deepest level.
-    """
-    b, cos_c, sin2_half, s_x, lam = cols
-    step = max(1, _de_stage(_DE_MAX_LEVEL)[0].size // u.size)
-    parts = []
-    for lo in range(0, len(b), step):
-        rows = slice(lo, lo + step)
-        f = _t_kernel(b[rows], cos_c[rows], sin2_half[rows])
-        samples = w * f(s_x[rows] + u / lam[rows])
-        parts.append((samples[:, :split].sum(axis=1), samples[:, split:].sum(axis=1),
-                      np.abs(samples).sum(axis=1)))
-    return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
-
-
-def _de_half_lines(b, cos_c, sin2_half, s_x, lam) -> list[QuadResult | BudgetExceededError]:
-    """The DE rule for _t_kernel(b[r], cos_c[r], sin2_half[r]) on [s_x[r], inf).
-
-    Row r stops at the first level from _DE_MIN_LEVEL on where |S_h - S_2h|
-    <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*mass), and gets its
-    s-domain QuadResult; a row whose levels run out gets a
-    BudgetExceededError.  A block returns bit for bit what each row does alone.
-    """
-    out: list[QuadResult | BudgetExceededError | None] = [None] * len(b)
-    left = np.arange(len(b))
-    cols = [np.asarray(v)[:, None] for v in (b, cos_c, sin2_half, s_x, lam)]
-    used = 0
-    # a kernel too large or too peaked to sample gives inf or NaN sums,
-    # which never pass the stopping test
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for level in range(_DE_MIN_LEVEL, _DE_MAX_LEVEL + 1):
-            u, w, split = _de_stage(level)
-            used += u.size
-            head, body, absum = _de_sums(cols, u, w, split)
-            inv_lam = 1.0 / cols[4][:, 0]
-            if level == _DE_MIN_LEVEL:
-                total, mass = head, 0.0
-            # S_h - S_2h = h*(body - total)/lam: the new nodes against the old
-            scale = (_DE_H0 / (1 << level)) * inv_lam
-            err = np.abs(body - total) * scale
-            total = total + body
-            mass = mass + absum
-            value = total * scale
-            keep = ~(err <= np.maximum(0.25 * REL_TOL * (1.0 + np.abs(value)),
-                                       _ROUNDOFF_FLOOR * mass * scale))
-            for i in np.flatnonzero(~keep):
-                out[left[i]] = _half_line_result(value[i].item(), err[i], used)
-            if not keep.all():
-                left, total, mass = left[keep], total[keep], mass[keep]
-                cols = [c[keep] for c in cols]
-            if not left.size:
-                return out
-    for r in left:
-        out[r] = BudgetExceededError(f"double-exponential levels exhausted after "
-                                     f"{used} evaluations without reaching tolerance")
-    return out
-
-
-def _de_half_line(b, cos_c, sin2_half, s_x: float, lam: float) -> QuadResult:
-    """_de_half_lines for one row: its result, or its error raised."""
-    cols = (np.array([v]) for v in (b, cos_c, sin2_half, s_x, lam))
-    return _one_row(_de_half_lines(*cols))
-
-
-# ---------------------------------------------------------------------------
-# sinh-map trapezoid rule over the real line
-#
-# s = sinh(u) makes an integrand with exponential tails decay double
-# exponentially in u, so the plain trapezoid rule on u in [-U, U]
-# converges geometrically.  Level 0 is 17 equally spaced nodes, and each
-# refinement adds the midpoints.  Row r's nodes are U_r times one cached
-# table of unit offsets, so one kernel call per level serves a chunk of
-# rows, and no row's arithmetic depends on the other rows.
-
-_SINH_N0 = 16  # intervals of level 0
-_SINH_LEVELS = 12  # refinements: 65 537 evaluations at most
-_SINH_FIRST = 2  # refinements sampled together with level 0
+_MIN_LEVEL = 2  # the first level tested; its stage holds the levels before it too
 # Elements per kernel call of a block.  Rows split into chunks of this
 # size keep every temporary at 64 KiB: at 16 384 elements the kernel took
 # 14 ns per node instead of 5.4 (one core, numpy 2.4).  A row's level is
 # never split, so one call holds at most a row's deepest level.
-_SINH_CHUNK = 8192
-
-_sinh_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_CHUNK = 8192
 
 
-def _sinh_stage(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit offsets tau in [-1, 1] of the nodes refinement `level` adds,
-    and the index where each of its segments starts.
+def _grid_stage(lo: float, hi: float, h0: float, level: int) -> tuple[np.ndarray, tuple]:
+    """The nodes the grid of step h0/2**level on [lo, hi] adds to the grid
+    of twice that step, and the index where each segment of them starts.
 
-    The levels before _SINH_FIRST, which every row runs, come with it as
-    its leading segments, level 0 as two: its end nodes -1 and 1, then
-    its 15 inner nodes.
+    At _MIN_LEVEL the coarser grids come first, as one more segment, so
+    the stage holds the whole grid.
     """
-    cached = _sinh_cache.get(level)
-    if cached is None:
-        parts = []
-        for lev in range(level + 1) if level == _SINH_FIRST else [level]:
-            if lev == 0:
-                grid = np.linspace(-1.0, 1.0, _SINH_N0 + 1)
-                parts += [grid[[0, -1]], grid[1:-1]]
-            else:
-                m = _SINH_N0 << (lev - 1)
-                parts.append((2.0 * np.arange(m) + 1.0) / m - 1.0)
-        starts = np.cumsum([0] + [p.size for p in parts[:-1]])
-        cached = _sinh_cache[level] = (np.concatenate(parts), starts)
-    return cached
+    parts = []
+    for lev in range(level + 1) if level == _MIN_LEVEL else [level]:
+        h = h0 / (1 << lev)
+        k = np.arange(round((hi - lo) / h) + 1)
+        parts.append(lo + h * (k if lev == 0 else k[1::2]))
+    nodes = np.concatenate(parts)
+    return nodes, (0, nodes.size - parts[-1].size) if level == _MIN_LEVEL else (0,)
 
 
-def _sinh_sums(kernel, cols, span, tau, starts) -> list[tuple[list[float], list[float]]]:
-    """Per row, the sums of g = f(sinh(u))*cosh(u) at u = span*tau over
-    each segment, and the same sums of |g|.
+def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
+                    last_level: int) -> list[QuadResult | BudgetExceededError]:
+    """The trapezoid rule on nested halvings of h for each row of a block.
 
-    ``f = kernel(*cols)`` for the rows' parameter columns, called on the
-    rows in chunks of _SINH_CHUNK elements, or on one row at a time where
-    a level holds more nodes.
-    """
-    step = max(1, _SINH_CHUNK // tau.size)
-    if len(span) <= step:
-        chunks = [(span, cols)]
-    else:
-        chunks = [(span[lo:lo + step], [c[lo:lo + step] for c in cols])
-                  for lo in range(0, len(span), step)]
-    out = []
-    for part, params in chunks:
-        u = part * tau
-        g = kernel(*params)(np.sinh(u)) * np.cosh(u)
-        out += zip(np.add.reduceat(g, starts, axis=1).tolist(),
-                   np.add.reduceat(np.abs(g), starts, axis=1).tolist())
-    return out
+    Row r integrates kernel(*params_r) over its map's s-range.  At each
+    level, ``stage(level)`` is the cached table of the nodes the level
+    adds with their segment starts last, ``place(*geometry_r, *table)``
+    gives the abscissae s and the weights ds/dt there, and the t step is
+    h0/2**level.  ``params`` and ``geometry`` are per-row columns of
+    shape (rows, 1), or for a lone row the values themselves, which round
+    as its columns would and spare its kernel the broadcasting: it gets
+    1-D arrays.
 
-
-def _sinh_lines(kernel, cols, big_u) -> list[QuadResult | BudgetExceededError]:
-    """The sinh-map rule for each row of kernel(*cols) over the real line.
-
-    ``cols`` are per-row parameter columns of shape (rows, 1), or for a
-    single row the parameters themselves, and row r samples u in
-    [-big_u[r], big_u[r]].  Row r stops at the first refinement where
-    |S_h - S_2h| <= max(REL_TOL*(1 + |S_h|), _ROUNDOFF_FLOOR*mass*h) and
-    gets a QuadResult whose evaluations count the nodes of the levels the
-    rule needed (the first kernel call samples levels 0.._SINH_FIRST for
-    every row); a row whose refinements run out gets a
+    Row r stops at the first level from _MIN_LEVEL on where |S_h - S_2h|
+    <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*mass*h) and both are
+    finite, and gets a QuadResult whose evaluations count the nodes of
+    every level up to that one; a row still open after last_level gets a
     BudgetExceededError.  The test runs on Python floats, which round as
     float64 does, and a block returns bit for bit what each row does alone.
     """
-    out: list[QuadResult | BudgetExceededError | None] = [None] * len(big_u)
-    left = list(range(len(big_u)))
-    span = np.asarray(big_u, dtype=float)[:, None]
-    widths = span[:, 0].tolist()
-    state = []  # per row left: trapezoid sum, absolute mass, step h, last value
-    for level in range(_SINH_FIRST, _SINH_LEVELS + 1):
-        tau, starts = _sinh_stage(level)
-        keep, kept = [], []
-        for i, (sums, abs_sums) in enumerate(_sinh_sums(kernel, cols, span, tau, starts)):
-            if level == _SINH_FIRST:  # level 0 weighs its two end nodes by 1/2
-                ends, inner, *sums = sums
-                abs_ends, abs_inner, *abs_sums = abs_sums
-                total, mass = inner + 0.5 * ends, abs_ends + abs_inner
-                h = 2.0 * widths[i] / _SINH_N0
-                prev = total * h
-            else:
-                total, mass, h, prev = state[i]
-            lev = level - len(sums)
-            for s, a in zip(sums, abs_sums):
-                lev += 1
-                total = total + s
-                mass = mass + a
-                h *= 0.5
+    rows = len(geometry[0]) if isinstance(geometry[0], np.ndarray) else 1
+    out: list[QuadResult | BudgetExceededError | None] = [None] * rows
+    left = list(range(rows))
+    state = []  # per row left: the sum of its samples so far, and of their magnitudes
+    used = 0
+    # a kernel too large or too peaked to sample gives inf or NaN sums:
+    # numpy stays quiet, and the stopping test refuses them
+    with np.errstate(all="ignore"):
+        for level in range(_MIN_LEVEL, last_level + 1):
+            *table, starts = stage(level)
+            used += table[0].size
+            h = h0 / (1 << level)
+            step = max(1, _CHUNK // table[0].size)
+            chunks = [(params, geometry)] if len(left) <= step else [
+                ([c[lo:lo + step] for c in params], [c[lo:lo + step] for c in geometry])
+                for lo in range(0, len(left), step)]
+            sums = []
+            for chunk_params, chunk_geometry in chunks:
+                s, ds = place(*chunk_geometry, *table)
+                g = (ds * kernel(*chunk_params)(s)).reshape(-1, table[0].size)
+                sums += zip(np.add.reduceat(g, starts, axis=1).tolist(),
+                            np.abs(g).sum(axis=1).tolist())
+            keep, kept = [], []
+            floor = _ROUNDOFF_FLOOR * h
+            for i, ((*head, body), absum) in enumerate(sums):
+                total, mass = (head[0], 0.0) if head else state[i]
+                err = abs(body - total) * h  # S_h - S_2h: the new nodes against the old
+                total += body
+                mass += absum
                 value = total * h
-                err = abs(value - prev)
-                if err <= max(REL_TOL * (1.0 + abs(value)), _ROUNDOFF_FLOOR * mass * h):
-                    out[left[i]] = QuadResult(value=value, abs_err_estimate=err,
-                                              evaluations=1 + (_SINH_N0 << lev))
-                    break
-                prev = value
-            else:
-                keep.append(i)
-                kept.append((total, mass, h, prev))
-        if not keep:
-            return out
-        if len(keep) < len(left):
-            left = [left[i] for i in keep]
-            span = span[keep]
-            cols = [c[keep] for c in cols]
-        state = kept
+                if ((err <= 0.25 * REL_TOL * (1.0 + abs(value)) or err <= floor * mass)
+                        and math.isfinite(err) and cmath.isfinite(value)):
+                    out[left[i]] = _result(value, err, used)
+                else:
+                    keep.append(i)
+                    kept.append((total, mass))
+            if not keep:
+                return out
+            if len(keep) < len(left):
+                left = [left[i] for i in keep]
+                params = [c[keep] for c in params]
+                geometry = [c[keep] for c in geometry]
+            state = kept
     for r in left:
-        out[r] = BudgetExceededError("real-line refinement exhausted without converging")
+        out[r] = BudgetExceededError(f"trapezoid levels exhausted after {used} "
+                                     f"evaluations without reaching tolerance")
     return out
+
+
+# ---------------------------------------------------------------------------
+# double-exponential half-line map for _t_kernel integrands
+#
+# s = s_X + exp(t - e^(-t))/lam maps the t-line onto (s_X, inf) and
+# clusters the nodes double exponentially at s_X, where a near-edge kernel
+# peaks.
+
+_DE_TMIN = -6.0  # s - s_X is about 1e-178/lam here
+_DE_TMAX = 4.5  # the e^(-lam*(s - s_X)) envelope is below 1e-38 here
+_DE_H0 = 0.5
+_DE_MAX_LEVEL = 10
+
+
+@functools.cache
+def _de_stage(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Offsets lam*(s - s_X) and weights lam*ds/dt of the nodes `level`
+    adds on t in [_DE_TMIN, _DE_TMAX], and their segment starts."""
+    t, starts = _grid_stage(_DE_TMIN, _DE_TMAX, _DE_H0, level)
+    em = np.exp(-t)
+    u = np.exp(t - em)
+    return u, (1.0 + em) * u, starts
+
+
+def _de_place(s_x, lam, u, w):
+    return s_x + u / lam, w / lam
+
+
+def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
+    """The DE map's rule for _t_kernel(*params) on [s_x, inf), per row."""
+    return _trapezoid_rows(_t_kernel, params, _de_place, [s_x, lam], _de_stage,
+                           _DE_H0, _DE_MAX_LEVEL)
+
+
+# ---------------------------------------------------------------------------
+# sinh map over the real line
+#
+# s = sinh(U*tau) for tau in [-1, 1], with U putting the window's ends
+# where the tails are below 1e-17 (_sinh_span); level 0 has 16 intervals.
+
+_SINH_H0 = 0.125
+_SINH_LEVELS = 12  # 65 537 evaluations at most
+
+
+@functools.cache
+def _sinh_stage(level: int) -> tuple[np.ndarray, tuple]:
+    """Unit offsets tau of the nodes `level` adds, and their segment starts."""
+    return _grid_stage(-1.0, 1.0, _SINH_H0, level)
+
+
+def _sinh_place(span, tau):
+    u = span * tau
+    return np.sinh(u), span * np.cosh(u)
+
+
+def _sinh_lines(kernel, params, span) -> list[QuadResult | BudgetExceededError]:
+    """The sinh map's rule for kernel(*params) over the real line, per row."""
+    return _trapezoid_rows(kernel, params, _sinh_place, [span], _sinh_stage,
+                           _SINH_H0, _SINH_LEVELS)
 
 
 def _sinh_span(decay_pos: float, decay_neg: float) -> float:
@@ -437,11 +373,11 @@ def _sinh_span(decay_pos: float, decay_neg: float) -> float:
 def integrate_real_line(f, decay_pos: float, decay_neg: float) -> QuadResult:
     """Integrate f over (-inf, inf) with the sinh-map trapezoid rule.
 
-    f is elementwise: it gets the nodes as a (1, nodes) array.  This is a
+    f is elementwise: it gets the nodes as a 1-D array.  This is a
     deliberately different construction from the half-line rules, used
     where an independently computed two-sided value is wanted.
     """
-    return _one_row(_sinh_lines(lambda: f, [], [_sinh_span(decay_pos, decay_neg)]))
+    return _one_row(_sinh_lines(lambda: f, [], _sinh_span(decay_pos, decay_neg)))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +466,7 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     """
     b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "tanh-sinh":
-        res = _de_half_line(b, cos_c, sin2_half, s_x, decay)
+        res = _one_row(_de_half_lines([b, cos_c, sin2_half], s_x, decay))
     elif rule == "gauss":
         res = integrate_half_line(_t_kernel(b, cos_c, sin2_half), s_x, decay)
     else:
@@ -569,8 +505,12 @@ def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exceptio
     Values, error estimates and evaluation counts are bit-identical to
     the per-spec calls, whatever the other specs in the block.
     """
-    return _x_domain_block(specs, False,
-                           lambda args: _de_half_lines(*np.array(args, dtype=float).T))
+
+    def run(args):
+        cols = np.array(args, dtype=float).T[:, :, None]
+        return _de_half_lines(cols[:3], cols[3], cols[4])
+
+    return _x_domain_block(specs, False, run)
 
 
 def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
@@ -581,9 +521,7 @@ def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
     quad_x_domain_infinite_many's block.
     """
     b, cos_c, sin2_half, _, rate = _x_kernel_args(spec, None)
-    # a lone row's parameters go in as Python floats, which round as its
-    # columns would and spare the kernel the broadcasting
-    res = _one_row(_sinh_lines(_t_kernel, [b, cos_c, sin2_half], [_sinh_span(rate, rate)]))
+    res = _one_row(_sinh_lines(_t_kernel, [b, cos_c, sin2_half], _sinh_span(rate, rate)))
     return _per_n(res, spec.n)
 
 
@@ -598,9 +536,9 @@ def quad_x_domain_infinite_many(specs: list[IntegrandSpec]) -> list[QuadResult |
     """
 
     def run(args):
-        table = np.array([a[:3] for a in args])
-        return _sinh_lines(_t_kernel, [table[:, k:k + 1] for k in range(3)],
-                           [_sinh_span(a[4], a[4]) for a in args])
+        cols = np.array([a[:3] for a in args]).T[:, :, None]
+        return _sinh_lines(_t_kernel, cols,
+                           np.array([_sinh_span(a[4], a[4]) for a in args])[:, None])
 
     return _x_domain_block(specs, True, run)
 
@@ -613,23 +551,26 @@ def quad_t_domain(a, b, c: float) -> QuadResult:
     """
     a = complex(a)
     b = complex(b)
-    if abs(a.real) >= math.pi:
+    if not abs(a.real) < math.pi:
         raise DomainError(f"|Re a| = {abs(a.real)} must be < pi")
-    if abs(b.real) >= 1.0:
+    if not abs(b.real) < 1.0:
         raise DomainError(f"|Re b| = {abs(b.real)} must be < 1")
+    if math.isnan(c):
+        raise DomainError("c must be a number, got nan")
     if a.imag == 0.0:
         a = a.real
     if b.imag == 0.0:
         b = b.real
     # theta = pi - a, so sin(theta/2)**2 = cos(a/2)**2
-    return _de_half_line(b, math.cos(c), np.cos(0.5 * a) ** 2, 0.0, _decay_rate(b))
+    return _one_row(_de_half_lines([b, math.cos(c), np.cos(0.5 * a) ** 2], 0.0,
+                                   _decay_rate(b)))
 
 
 def quad_two_sided(a: float, b: float) -> QuadResult:
     """Oracle for integral of e^(b*t) / (cosh(t) + cos(a)) over the real line."""
-    if abs(a) >= math.pi or a == 0.0:
+    if not 0.0 < abs(a) < math.pi:
         raise DomainError(f"a must satisfy 0 < |a| < pi, got {a}")
-    if abs(b) >= 1.0:
+    if not abs(b) < 1.0:
         raise DomainError(f"|b| = {abs(b)} must be < 1")
     cos2_half_4 = 4.0 * math.cos(0.5 * a) ** 2
 
@@ -659,9 +600,9 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
     b = 1j * p.imag / spec.n
     sin2_half = math.sin(0.5 * spec.theta) ** 2
     if spec.upper == math.inf:
-        res = _one_row(_sinh_lines(_t_kernel, [b, 0.0, sin2_half], [_sinh_span(1.0, 1.0)]))
+        res = _one_row(_sinh_lines(_t_kernel, [b, 0.0, sin2_half], _sinh_span(1.0, 1.0)))
     elif spec.upper == 1.0:
-        res = _de_half_line(b, 0.0, sin2_half, 0.0, 1.0)
+        res = _one_row(_de_half_lines([b, 0.0, sin2_half], 0.0, 1.0))
     else:
         raise ValueError("upper must be 1 or infinity for this oracle")
     # the kernel's imaginary parts cancel exactly: e^((1 -+ b)*s) are conjugates

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +20,11 @@ from coshint import (
     quad_two_sided,
     quad_x_domain,
     quad_x_domain_infinite,
+    quad_x_domain_infinite_many,
     quad_x_domain_many,
     rescale,
 )
+import coshint.quadrature as quadrature
 from coshint.quadrature import (
     _Budget,
     _gauss_panel,
@@ -311,3 +314,82 @@ def test_cos_log_near_edges_against_mpmath():
     one = quad_cos_log(spec).value
     two = quad_cos_log(replace(spec, upper=math.inf)).value
     assert abs(two - 2.0 * one) <= 1e-12 * abs(two)
+
+
+@pytest.mark.parametrize("theta", [1e-170, 1e-200, 5e-324])
+def test_unresolvable_theta_raises_without_warnings(theta):
+    # sin(theta/2)**2 underflows to 0, so the kernel is inf at s = 0 and
+    # its sums are inf or NaN: no level may pass, and numpy may not warn
+    real = IntegrandSpec(1.0, 0.5, theta, 1.0)
+    imag = IntegrandSpec(1.0, 0.5j, theta, 1.0)
+    real_inf, imag_inf = replace(real, upper=math.inf), replace(imag, upper=math.inf)
+    calls = [lambda: quad_x_domain(real, 1.0), lambda: quad_cos_log(imag),
+             lambda: quad_x_domain_infinite(real_inf), lambda: quad_cos_log(imag_inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(BudgetExceededError):
+                call()
+        for res in quad_x_domain_many([real]) + quad_x_domain_infinite_many([real_inf]):
+            assert isinstance(res, BudgetExceededError)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (quad_two_sided, (math.nan, 0.3)),
+    (quad_two_sided, (1.0, math.nan)),
+    (quad_t_domain, (math.nan, 0.3, 1.0)),
+    (quad_t_domain, (1.0, math.nan, 1.0)),
+    (quad_t_domain, (1.0, 0.3, math.nan)),
+    (eval_master, (math.nan, 0.3, 1.0)),
+    (eval_master, (1.0, math.nan, 1.0)),
+    (eval_master, (1.0, 0.3, math.nan)),
+], ids=lambda v: v.__name__ if callable(v) else "-".join(map(str, v)))
+def test_nan_parameters_refused(fn, args):
+    # abs(nan) >= bound is False: each check must be written as not < bound
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+def _map(name):
+    """Stage table, t window, first step, last level and node-table map t -> table."""
+    q = quadrature
+    if name == "de":
+        return (q._de_stage, q._DE_TMIN, q._DE_TMAX, q._DE_H0, q._DE_MAX_LEVEL,
+                lambda t: np.exp(t - np.exp(-t)))
+    return q._sinh_stage, -1.0, 1.0, q._SINH_H0, q._SINH_LEVELS, lambda t: t
+
+
+def _grid(lo, hi, h):
+    return lo + h * np.arange(round((hi - lo) / h) + 1)
+
+
+@pytest.mark.parametrize("name", ["de", "sinh"])
+def test_stage_tables_nest_into_uniform_grids(name):
+    # the nodes levels 2..L add are the grid of step h0/2**L, each once;
+    # level 2's stage holds the coarser grid first, as its own segment
+    stage, lo, hi, h0, last, to_table = _map(name)
+    first, starts = stage(2)[0], stage(2)[-1]
+    assert starts == (0, _grid(lo, hi, h0 / 2).size)
+    np.testing.assert_allclose(np.sort(first[:starts[1]]), to_table(_grid(lo, hi, h0 / 2)),
+                               rtol=4e-16, atol=0)
+    nodes = []
+    for level in range(2, last + 1):
+        nodes.append(stage(level)[0])
+        got = np.sort(np.concatenate(nodes))
+        want = to_table(_grid(lo, hi, h0 / 2 ** level))
+        assert got.size == want.size and np.all(np.diff(got) > 0), level
+        np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
+
+
+def test_evaluations_count_the_grid_of_the_last_level():
+    counts = {}
+    for name in ("de", "sinh"):
+        _, lo, hi, h0, last, _ = _map(name)
+        counts[name] = [_grid(lo, hi, h0 / 2 ** level).size for level in range(2, last + 1)]
+    de = [quad_x_domain(IntegrandSpec(1.0, 0.5, theta, 1.0), 1.0)
+          for theta in (2.0, 0.2, 1e-3, 1e-6)]
+    sinh = [quad_x_domain_infinite(IntegrandSpec(1.0, 0.5, theta, 1.0, upper=math.inf))
+            for theta in (2.0, 0.2, 2e-2)] + [quad_two_sided(1.0, 0.3)]
+    for name, results in (("de", de), ("sinh", sinh)):
+        levels = [counts[name].index(r.evaluations) for r in results]
+        assert len(set(levels)) > 1, (name, levels)  # more than one level reached
