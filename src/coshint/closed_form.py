@@ -79,6 +79,8 @@ def _limit_flag(a: complex, b: complex) -> LimitApplied:
 
 
 def _check_strip(a: complex, b: complex) -> None:
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise DomainError(f"a and b must be finite, got a = {a}, b = {b}")
     if not abs(a.real) < math.pi:
         raise DomainError(f"|Re a| = {abs(a.real)} outside the strip |Re a| < pi")
     if not abs(b.real) < 1.0:
@@ -112,8 +114,8 @@ def eval_master(a: complex | float, b: complex | float, c: float, *,
     a = complex(a)
     b = complex(b)
     _check_strip(a, b)
-    if math.isnan(c):
-        raise DomainError("c must be a number, got nan")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
     return ClosedValue(value=_master_raw(a, b, c, theta),
                        limit_applied=_limit_flag(a, b))
 

@@ -208,53 +208,66 @@ def _one_row(results: list[QuadResult | BudgetExceededError]) -> QuadResult:
 # t window converges geometrically as h halves (Takahasi & Mori 1974;
 # Mori & Sugihara 2001); the integrand is negligible at the window's ends,
 # so every node weighs h.  Every row of a block shares one cached table of
-# t nodes per level and only its map's parameters differ, so one kernel
-# call per level serves a chunk of rows, and no row's arithmetic depends
-# on the other rows.
+# t nodes per kernel round and only its map's parameters differ, so one
+# kernel call per round serves a chunk of rows, and no row's arithmetic
+# depends on the other rows.
 
-_MIN_LEVEL = 2  # the first level tested; its stage holds the levels before it too
+_MIN_LEVEL = 2  # the first level tested
+# The last level of the first kernel round: it evaluates the whole grid of
+# this level at once and tests each level from _MIN_LEVEL on its segment
+# sums; every later round adds one level.  Most rows stop at level 3 (865
+# of random_specs(1000, 1)), and at these sizes a kernel call costs its
+# dispatch more than its nodes (_t_kernel took 13.7 us at 85 nodes, 16.7
+# at 169; one core, numpy 2.4).
+_FIRST_ROUND_LEVEL = 3
 # Elements per kernel call of a block.  Rows split into chunks of this
 # size keep every temporary at 64 KiB: at 16 384 elements the kernel took
-# 14 ns per node instead of 5.4 (one core, numpy 2.4).  A row's level is
+# 14 ns per node instead of 5.4 (one core, numpy 2.4).  A row's round is
 # never split, so one call holds at most a row's deepest level.
 _CHUNK = 8192
 
 
 def _grid_stage(lo: float, hi: float, h0: float, level: int) -> tuple[np.ndarray, tuple]:
-    """The nodes the grid of step h0/2**level on [lo, hi] adds to the grid
-    of twice that step, and the index where each segment of them starts.
+    """The nodes of the kernel round that ends at ``level`` on the grids
+    of step h0/2**level on [lo, hi], and the index where each segment of
+    them starts.
 
-    At _MIN_LEVEL the coarser grids come first, as one more segment, so
-    the stage holds the whole grid.
+    A later round adds the nodes of that grid not on the grid of twice
+    the step, as one segment.  The first round holds the whole grid: the
+    grids of the levels before _MIN_LEVEL as one segment, then the nodes
+    each tested level adds, one segment per level.
     """
+    first = level == _FIRST_ROUND_LEVEL
     parts = []
-    for lev in range(level + 1) if level == _MIN_LEVEL else [level]:
+    for lev in range(level + 1) if first else [level]:
         h = h0 / (1 << lev)
         k = np.arange(round((hi - lo) / h) + 1)
         parts.append(lo + h * (k if lev == 0 else k[1::2]))
     nodes = np.concatenate(parts)
-    return nodes, (0, nodes.size - parts[-1].size) if level == _MIN_LEVEL else (0,)
+    ends = np.cumsum([p.size for p in parts]).tolist()
+    return nodes, (0, *ends[_MIN_LEVEL - 1:-1]) if first else (0,)
 
 
 def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
                     last_level: int) -> list[QuadResult | BudgetExceededError]:
     """The trapezoid rule on nested halvings of h for each row of a block.
 
-    Row r integrates kernel(*params_r) over its map's s-range.  At each
-    level, ``stage(level)`` is the cached table of the nodes the level
-    adds with their segment starts last, ``place(*geometry_r, *table)``
-    gives the abscissae s and the weights ds/dt there, and the t step is
-    h0/2**level.  ``params`` and ``geometry`` are per-row columns of
-    shape (rows, 1), or for a lone row the values themselves, which round
-    as its columns would and spare its kernel the broadcasting: it gets
-    1-D arrays.
+    Row r integrates kernel(*params_r) over its map's s-range.  Each
+    kernel round ends at a level, ``stage(level)`` is the cached table
+    of the round's nodes with their segment starts last, and
+    ``place(*geometry_r, *table)`` gives the abscissae s and the weights
+    ds/dt there; the t step of level L is h0/2**L.  ``params`` and
+    ``geometry`` are per-row columns of shape (rows, 1), or for a lone row
+    the values themselves, which round as its columns would and spare its
+    kernel the broadcasting: it gets 1-D arrays.
 
     Row r stops at the first level from _MIN_LEVEL on where |S_h - S_2h|
     <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*mass*h) and both are
-    finite, and gets a QuadResult whose evaluations count the nodes of
-    every level up to that one; a row still open after last_level gets a
-    BudgetExceededError.  The test runs on Python floats, which round as
-    float64 does, and a block returns bit for bit what each row does alone.
+    finite, and gets a QuadResult whose evaluations count the nodes
+    evaluated for it, every node of its last round included; a row still
+    open after last_level gets a BudgetExceededError.  The test runs on
+    Python floats, which round as float64 does, and a block returns bit
+    for bit what each row does alone.
     """
     rows = len(geometry[0]) if isinstance(geometry[0], np.ndarray) else 1
     out: list[QuadResult | BudgetExceededError | None] = [None] * rows
@@ -264,31 +277,40 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
     # a kernel too large or too peaked to sample gives inf or NaN sums:
     # numpy stays quiet, and the stopping test refuses them
     with np.errstate(all="ignore"):
-        for level in range(_MIN_LEVEL, last_level + 1):
-            *table, starts = stage(level)
-            used += table[0].size
-            h = h0 / (1 << level)
-            step = max(1, _CHUNK // table[0].size)
+        for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
+            *table, starts = stage(last)
+            size = table[0].size
+            used += size
+            levels = range(_MIN_LEVEL if last == _FIRST_ROUND_LEVEL else last, last + 1)
+            steps = [(h, _ROUNDOFF_FLOOR * h) for h in (h0 / (1 << lev) for lev in levels)]
+            coarse = len(starts) - len(levels)  # 1 where the coarse grids lead
+            # each level's magnitudes are one sum, the first level's with
+            # the coarse grids' included
+            bounds = (0, *starts[coarse + 1:], size)
+            step = max(1, _CHUNK // size)
             chunks = [(params, geometry)] if len(left) <= step else [
                 ([c[lo:lo + step] for c in params], [c[lo:lo + step] for c in geometry])
                 for lo in range(0, len(left), step)]
             sums = []
             for chunk_params, chunk_geometry in chunks:
                 s, ds = place(*chunk_geometry, *table)
-                g = (ds * kernel(*chunk_params)(s)).reshape(-1, table[0].size)
+                g = (ds * kernel(*chunk_params)(s)).reshape(-1, size)
+                mag = np.abs(g)
                 sums += zip(np.add.reduceat(g, starts, axis=1).tolist(),
-                            np.abs(g).sum(axis=1).tolist())
+                            zip(*[mag[:, a:b].sum(axis=1).tolist()
+                                  for a, b in zip(bounds, bounds[1:])]))
             keep, kept = [], []
-            floor = _ROUNDOFF_FLOOR * h
-            for i, ((*head, body), absum) in enumerate(sums):
-                total, mass = (head[0], 0.0) if head else state[i]
-                err = abs(body - total) * h  # S_h - S_2h: the new nodes against the old
-                total += body
-                mass += absum
-                value = total * h
-                if ((err <= 0.25 * REL_TOL * (1.0 + abs(value)) or err <= floor * mass)
-                        and math.isfinite(err) and cmath.isfinite(value)):
-                    out[left[i]] = _result(value, err, used)
+            for i, (parts, absums) in enumerate(sums):
+                total, mass = (parts[0], 0.0) if coarse else state[i]
+                for (h, floor), new, absum in zip(steps, parts[coarse:], absums):
+                    err = abs(new - total) * h  # S_h - S_2h: the new nodes against the old
+                    total += new
+                    mass += absum
+                    value = total * h
+                    if ((err <= 0.25 * REL_TOL * (1.0 + abs(value)) or err <= floor * mass)
+                            and math.isfinite(err) and cmath.isfinite(value)):
+                        out[left[i]] = _result(value, err, used)
+                        break
                 else:
                     keep.append(i)
                     kept.append((total, mass))
@@ -320,8 +342,9 @@ _DE_MAX_LEVEL = 10
 
 @functools.cache
 def _de_stage(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Offsets lam*(s - s_X) and weights lam*ds/dt of the nodes `level`
-    adds on t in [_DE_TMIN, _DE_TMAX], and their segment starts."""
+    """Offsets lam*(s - s_X) and weights lam*ds/dt of the nodes of the
+    kernel round ending at ``level`` on t in [_DE_TMIN, _DE_TMAX], and
+    their segment starts."""
     t, starts = _grid_stage(_DE_TMIN, _DE_TMAX, _DE_H0, level)
     em = np.exp(-t)
     u = np.exp(t - em)
@@ -350,7 +373,8 @@ _SINH_LEVELS = 12  # 65 537 evaluations at most
 
 @functools.cache
 def _sinh_stage(level: int) -> tuple[np.ndarray, tuple]:
-    """Unit offsets tau of the nodes `level` adds, and their segment starts."""
+    """Unit offsets tau of the nodes of the kernel round ending at
+    ``level``, and their segment starts."""
     return _grid_stage(-1.0, 1.0, _SINH_H0, level)
 
 
@@ -551,12 +575,14 @@ def quad_t_domain(a, b, c: float) -> QuadResult:
     """
     a = complex(a)
     b = complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise DomainError(f"a and b must be finite, got a = {a}, b = {b}")
     if not abs(a.real) < math.pi:
         raise DomainError(f"|Re a| = {abs(a.real)} must be < pi")
     if not abs(b.real) < 1.0:
         raise DomainError(f"|Re b| = {abs(b.real)} must be < 1")
-    if math.isnan(c):
-        raise DomainError("c must be a number, got nan")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
     if a.imag == 0.0:
         a = a.real
     if b.imag == 0.0:

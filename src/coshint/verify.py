@@ -100,10 +100,11 @@ def pf_value(spec: IntegrandSpec) -> float:
     p = complex(spec.p)
     if p.imag != 0.0:
         raise CoshintError("partial fractions need a real integer p")
-    spec_abs = replace(spec, p=abs(p.real))
-    if spec_abs.upper not in (1.0, math.inf):
-        return integral_at(spec_abs, spec_abs.upper)
-    return integral_closed(spec_abs)
+    if p.real < 0.0:
+        spec = replace(spec, p=-p.real)  # the integrand is even in p
+    if spec.upper not in (1.0, math.inf):
+        return integral_at(spec, spec.upper)
+    return integral_closed(spec)
 
 
 def quad_value(spec: IntegrandSpec) -> float:

@@ -343,9 +343,21 @@ def test_unresolvable_theta_raises_without_warnings(theta):
     (eval_master, (math.nan, 0.3, 1.0)),
     (eval_master, (1.0, math.nan, 1.0)),
     (eval_master, (1.0, 0.3, math.nan)),
+    (quad_t_domain, (complex(1.0, math.nan), 0.3, 1.0)),
+    (quad_t_domain, (1.0, complex(0.3, math.nan), 1.0)),
+    (eval_master, (complex(1.0, math.nan), 0.3, 1.0)),
+    (eval_master, (1.0, complex(0.3, math.nan), 1.0)),
+    (quad_t_domain, (complex(1.0, math.inf), 0.3, 1.0)),
+    (eval_master, (1.0, complex(0.3, -math.inf), 1.0)),
+    (quad_t_domain, (1.0, 0.3, math.inf)),
+    (quad_t_domain, (1.0, 0.3, -math.inf)),
+    (eval_master, (1.0, 0.3, math.inf)),
+    (eval_master, (1.0, 0.3, -math.inf)),
 ], ids=lambda v: v.__name__ if callable(v) else "-".join(map(str, v)))
 def test_nan_parameters_refused(fn, args):
-    # abs(nan) >= bound is False: each check must be written as not < bound
+    # abs(nan) >= bound is False: each check must be written as not < bound;
+    # a NaN or infinite imaginary part passes a test on the real part, and
+    # cos(inf) is a math domain error, not a DomainError
     with pytest.raises(DomainError):
         fn(*args)
 
@@ -365,20 +377,54 @@ def _grid(lo, hi, h):
 
 @pytest.mark.parametrize("name", ["de", "sinh"])
 def test_stage_tables_nest_into_uniform_grids(name):
-    # the nodes levels 2..L add are the grid of step h0/2**L, each once;
-    # level 2's stage holds the coarser grid first, as its own segment
+    # the first kernel round's table is the grid of its last level, in
+    # segments: the grids before _MIN_LEVEL, then the nodes each tested
+    # level adds; each later round adds the nodes of one level, as one
+    # segment; the segments up to level L are the grid of step h0/2**L,
+    # each node once
     stage, lo, hi, h0, last, to_table = _map(name)
-    first, starts = stage(2)[0], stage(2)[-1]
-    assert starts == (0, _grid(lo, hi, h0 / 2).size)
-    np.testing.assert_allclose(np.sort(first[:starts[1]]), to_table(_grid(lo, hi, h0 / 2)),
-                               rtol=4e-16, atol=0)
-    nodes = []
-    for level in range(2, last + 1):
-        nodes.append(stage(level)[0])
-        got = np.sort(np.concatenate(nodes))
+    first_level, min_level = quadrature._FIRST_ROUND_LEVEL, quadrature._MIN_LEVEL
+    first, starts = stage(first_level)[0], stage(first_level)[-1]
+    assert len(starts) == first_level - min_level + 2
+    segments = [first[a:b] for a, b in zip(starts, starts[1:] + (first.size,))]
+    for level in range(first_level + 1, last + 1):
+        assert stage(level)[-1] == (0,), level
+        segments.append(stage(level)[0])
+    for level, upto in zip(range(min_level - 1, last + 1), range(1, len(segments) + 1)):
+        got = np.sort(np.concatenate(segments[:upto]))
         want = to_table(_grid(lo, hi, h0 / 2 ** level))
         assert got.size == want.size and np.all(np.diff(got) > 0), level
         np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
+
+
+def test_first_round_evaluates_the_level_3_grid_in_one_kernel_call(monkeypatch):
+    # levels 2 and 3 are both tested from the sums of one kernel call, so a
+    # row that stops at either level makes one call, and evaluations count
+    # every node evaluated: 169 on the DE map, 129 on the sinh map
+    sizes = []
+    original = quadrature._t_kernel
+
+    def counting(b, cos_c, sin2_half):
+        f = original(b, cos_c, sin2_half)
+
+        def g(s):
+            sizes.append(s.size)
+            return f(s)
+
+        return g
+
+    monkeypatch.setattr(quadrature, "_t_kernel", counting)
+    cases = [(lambda s: quad_x_domain(s, s.upper), 169, [
+                 IntegrandSpec(1.5, 0.6, 2.0, 1.0),  # stops at level 3
+                 IntegrandSpec(5.0, 2.0, 2.0, 1.0, upper=0.5)]),  # stops at level 2
+             (quad_x_domain_infinite, 129, [
+                 IntegrandSpec(5.0, 2.0, 2.0, 1.0, upper=math.inf),  # level 3
+                 IntegrandSpec(1.0, 0.0, 2.0, 1.0, upper=math.inf)])]  # level 2
+    for oracle, nodes, specs in cases:
+        for spec in specs:
+            sizes.clear()
+            assert oracle(spec).evaluations == nodes, spec
+            assert sizes == [nodes], spec
 
 
 def test_evaluations_count_the_grid_of_the_last_level():
