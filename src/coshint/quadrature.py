@@ -7,9 +7,11 @@ against itself:
   kernels, on two maps that make them decay double exponentially: the
   DE half-line map s = s_X + exp(t - e^(-t))/lam, with lam the kernel's
   tail decay rate, for every integral over [s_X, inf), and the sinh map
-  s = sinh(U*tau) for every integral over the whole real line
+  s = eps*sinh(U*tau), with eps the width of the kernel's peak at s = 0
+  (capped at 1), for every integral over the whole real line
   (quad_x_domain_infinite, quad_two_sided, and quad_cos_log at an
-  infinite upper limit);
+  infinite upper limit); both maps cluster their nodes where a near-edge
+  kernel peaks, so X = 1 and X = inf are served near the edges;
 * a doubling-panel Gauss-Legendre rule on geometrically growing panels
   for every other integrand (integrate_finite, integrate_half_line) and
   as the independent check of the DE map (quad_x_domain's rule="gauss").
@@ -364,11 +366,19 @@ def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
 # ---------------------------------------------------------------------------
 # sinh map over the real line
 #
-# s = sinh(U*tau) for tau in [-1, 1], with U putting the window's ends
+# s = eps*sinh(U*tau) for tau in [-1, 1], with U putting the window's ends
 # where the tails are below 1e-17 (_sinh_span); level 0 has 16 intervals.
+# A kernel that peaks at s = 0 with width eps < 1 (theta near 0 or 2*pi)
+# gets nodes about eps*U*h apart there: the nearly-singular sinh
+# transformation of Johnston & Elliott (Int. J. Numer. Meth. Engng 62,
+# 2005).  At eps = 1 every product with eps is exact, so such a row is
+# the unscaled map's bit for bit.
 
 _SINH_H0 = 0.125
-_SINH_LEVELS = 12  # 65 537 evaluations at most
+# 16 385 evaluations at most: the deepest round's 8192 new nodes fit one
+# _CHUNK.  Served rows need at most 2049 (theta down to 1e-16 from either
+# edge, |b| up to 0.999).
+_SINH_LEVELS = 10
 
 
 @functools.cache
@@ -378,30 +388,48 @@ def _sinh_stage(level: int) -> tuple[np.ndarray, tuple]:
     return _grid_stage(-1.0, 1.0, _SINH_H0, level)
 
 
-def _sinh_place(span, tau):
+def _sinh_place(scale, span, tau):
     u = span * tau
-    return np.sinh(u), span * np.cosh(u)
+    return scale * np.sinh(u), (scale * span) * np.cosh(u)
 
 
-def _sinh_lines(kernel, params, span) -> list[QuadResult | BudgetExceededError]:
-    """The sinh map's rule for kernel(*params) over the real line, per row."""
-    return _trapezoid_rows(kernel, params, _sinh_place, [span], _sinh_stage,
+def _sinh_lines(kernel, params, geometry) -> list[QuadResult | BudgetExceededError]:
+    """The sinh map's rule for kernel(*params) over the real line, per row;
+    ``geometry`` is (scale, span)."""
+    return _trapezoid_rows(kernel, params, _sinh_place, geometry, _sinh_stage,
                            _SINH_H0, _SINH_LEVELS)
 
 
-def _sinh_span(decay_pos: float, decay_neg: float) -> float:
-    """Half-width U of the u-range for tails decaying like e^(-decay*|s|)."""
-    return math.asinh(max(_tail_cutoff(decay_pos), _tail_cutoff(decay_neg))) + 0.5
+def _sinh_span(decay_pos: float, decay_neg: float, scale: float) -> float:
+    """Half-width U of the u-range of the map s = scale*sinh(u) for tails
+    decaying like e^(-decay*|s|)."""
+    cutoff = max(_tail_cutoff(decay_pos), _tail_cutoff(decay_neg))
+    return math.asinh(cutoff / scale) + 0.5
 
 
-def integrate_real_line(f, decay_pos: float, decay_neg: float) -> QuadResult:
+def _t_sinh_geometry(theta: float, decay: float) -> tuple[float, float]:
+    """The sinh map's (scale, span) for _t_kernel at this theta and tail
+    decay rate: the scale is the width min(theta, 2*pi - theta) of the
+    kernel's peak at s = 0, capped at 1.
+
+    It is taken from theta itself: sin(theta/2)**2 underflows to 0 below
+    theta = 1e-162.
+    """
+    scale = min(1.0, theta, 2.0 * math.pi - theta)
+    return scale, _sinh_span(decay, decay, scale)
+
+
+def integrate_real_line(f, decay_pos: float, decay_neg: float, scale: float) -> QuadResult:
     """Integrate f over (-inf, inf) with the sinh-map trapezoid rule.
 
-    f is elementwise: it gets the nodes as a 1-D array.  This is a
-    deliberately different construction from the half-line rules, used
-    where an independently computed two-sided value is wanted.
+    f is elementwise: it gets the nodes as a 1-D array.  ``scale`` (at
+    most 1) is the width of a peak of f at 0, which the map resolves.
+    This is a deliberately different construction from the half-line
+    rules, used where an independently computed two-sided value is
+    wanted.
     """
-    return _one_row(_sinh_lines(lambda: f, [], _sinh_span(decay_pos, decay_neg)))
+    return _one_row(_sinh_lines(lambda: f, [],
+                                [scale, _sinh_span(decay_pos, decay_neg, scale)]))
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +528,10 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
 
 def _x_domain_block(specs: list[IntegrandSpec], infinite: bool,
                     run) -> list[QuadResult | Exception]:
-    """Run the block driver ``run`` on the kernel arguments of every spec
-    that _x_kernel_args accepts, with X = spec.upper or, if ``infinite``,
-    the range (0, inf).
+    """Run the block driver ``run(args, accepted)`` on the kernel
+    arguments of every spec that _x_kernel_args accepts, with X =
+    spec.upper or, if ``infinite``, the range (0, inf), and on those
+    specs.
 
     Returns, in input order, each spec's result scaled by 1/n, or the
     error that _x_kernel_args or the driver gave for it.
@@ -516,7 +545,7 @@ def _x_domain_block(specs: list[IntegrandSpec], infinite: bool,
         except (CoshintError, ValueError) as exc:
             out[i] = exc
     if rows:
-        for i, res in zip(rows, run(args)):
+        for i, res in zip(rows, run(args, [specs[i] for i in rows])):
             out[i] = res if isinstance(res, Exception) else _per_n(res, specs[i].n)
     return out
 
@@ -530,7 +559,7 @@ def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exceptio
     the per-spec calls, whatever the other specs in the block.
     """
 
-    def run(args):
+    def run(args, _):
         cols = np.array(args, dtype=float).T[:, :, None]
         return _de_half_lines(cols[:3], cols[3], cols[4])
 
@@ -545,7 +574,8 @@ def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
     quad_x_domain_infinite_many's block.
     """
     b, cos_c, sin2_half, _, rate = _x_kernel_args(spec, None)
-    res = _one_row(_sinh_lines(_t_kernel, [b, cos_c, sin2_half], _sinh_span(rate, rate)))
+    res = _one_row(_sinh_lines(_t_kernel, [b, cos_c, sin2_half],
+                               _t_sinh_geometry(spec.theta, rate)))
     return _per_n(res, spec.n)
 
 
@@ -559,10 +589,10 @@ def quad_x_domain_infinite_many(specs: list[IntegrandSpec]) -> list[QuadResult |
     block.
     """
 
-    def run(args):
+    def run(args, accepted):
         cols = np.array([a[:3] for a in args]).T[:, :, None]
-        return _sinh_lines(_t_kernel, cols,
-                           np.array([_sinh_span(a[4], a[4]) for a in args])[:, None])
+        geometry = [_t_sinh_geometry(spec.theta, a[4]) for spec, a in zip(accepted, args)]
+        return _sinh_lines(_t_kernel, cols, np.array(geometry).T[:, :, None])
 
     return _x_domain_block(specs, True, run)
 
@@ -607,7 +637,8 @@ def quad_two_sided(a: float, b: float) -> QuadResult:
         x = np.expm1(ns)
         return 2.0 * np.exp(b * t + ns) / (x * x + cos2_half_4 * np.exp(ns))
 
-    return integrate_real_line(kernel, 1.0 - b, 1.0 + b)
+    # the kernel peaks at t = 0 with width pi - |a|
+    return integrate_real_line(kernel, 1.0 - b, 1.0 + b, min(1.0, math.pi - abs(a)))
 
 
 def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
@@ -626,7 +657,8 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
     b = 1j * p.imag / spec.n
     sin2_half = math.sin(0.5 * spec.theta) ** 2
     if spec.upper == math.inf:
-        res = _one_row(_sinh_lines(_t_kernel, [b, 0.0, sin2_half], _sinh_span(1.0, 1.0)))
+        res = _one_row(_sinh_lines(_t_kernel, [b, 0.0, sin2_half],
+                                   _t_sinh_geometry(spec.theta, 1.0)))
     elif spec.upper == 1.0:
         res = _one_row(_de_half_lines([b, 0.0, sin2_half], 0.0, 1.0))
     else:

@@ -36,7 +36,7 @@ from .params import (
     classify_domain,
     normalize,
 )
-from .partial_fractions import integral_at, integral_closed, middle_term_integral
+from .partial_fractions import _as_int, integral_at, integral_closed, middle_term_integral
 from .quadrature import (
     quad_cos_log,
     quad_x_domain,
@@ -101,6 +101,10 @@ def pf_value(spec: IntegrandSpec) -> float:
     if p.imag != 0.0:
         raise CoshintError("partial fractions need a real integer p")
     if p.real < 0.0:
+        # refuse a non-integer n as both routes below do (integral_at
+        # refuses an X above 1 first) without rebuilding the spec
+        if not 1.0 < spec.upper < math.inf:
+            _as_int(spec.n, "n")
         spec = replace(spec, p=-p.real)  # the integrand is even in p
     if spec.upper not in (1.0, math.inf):
         return integral_at(spec, spec.upper)

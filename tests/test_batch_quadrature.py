@@ -209,9 +209,10 @@ INFINITE_GRIDS = {
     "slow_tails_inf": _slow_tails_infinite(100, 13),
 }
 
-# theta = 1e-8 puts a peak of width theta at s = 0, which the finest
-# sinh-map level cannot resolve: the oracle runs out of refinements
-EXHAUSTING_INF = IntegrandSpec(1.0, 0.5, 1e-8, 1.0, upper=math.inf)
+# sin(theta/2)**2 underflows to 0 at theta = 1e-170, so the kernel is inf
+# at s = 0, where the sinh map has a node: the oracle runs out of
+# refinements
+EXHAUSTING_INF = IntegrandSpec(1.0, 0.5, 1e-170, 1.0, upper=math.inf)
 
 
 def _single_infinite(spec):

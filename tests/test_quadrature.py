@@ -316,6 +316,52 @@ def test_cos_log_near_edges_against_mpmath():
     assert abs(two - 2.0 * one) <= 1e-12 * abs(two)
 
 
+def test_infinite_upper_near_edges_against_mpmath():
+    # the kernel peaks at s = 0 with width eps = min(theta, 2*pi - theta)
+    # (pi - |a| for quad_two_sided); the sinh map s = eps*sinh(U*tau)
+    # spaces its nodes about eps*U*h apart there
+    mp = pytest.importorskip("mpmath")
+    dists = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+    edge = [IntegrandSpec(n, b * n, theta, 1.0, upper=math.inf)
+            for dist in dists
+            for theta in (dist, 2 * PI - dist)
+            for b in (0.0, 0.5, -0.5, 0.9, -0.95, 0.99)
+            for n in (0.5, 3.7)]
+    # rows of scale 1 in the same block
+    middle = [IntegrandSpec(n, b * n, theta, 1.0, upper=math.inf)
+              for theta in (1.0, 2.0, PI, 2 * PI - 1.0)
+              for b in (0.0, 0.5, -0.95)
+              for n in (0.5, 3.7)]
+    specs = [s for pair in zip(edge, middle * 6) for s in pair]
+    results = []
+    for spec, many in zip(specs, quad_x_domain_infinite_many(specs)):
+        one = quad_x_domain_infinite(spec)
+        assert many == one, spec
+        results.append((spec, one, 2 * _master_mp(mp, spec)))
+    for dist in dists:
+        for theta in (dist, 2 * PI - dist):
+            for n in (0.5, 3.7):
+                for q in (0.0, 0.7, 3.0):
+                    spec = IntegrandSpec(n, q * 1j, theta, 1.0, upper=math.inf)
+                    with mp.workdps(30):
+                        a = mp.pi - mp.mpf(theta)
+                        ratio = (a / mp.pi if q == 0.0 else
+                                 mp.sinh(a * q / n) / mp.sinh(mp.pi * q / n))
+                        want = mp.pi * ratio / (mp.sin(a) * n)
+                    results.append((spec, quad_cos_log(spec), want))
+    for dist in dists[:4]:
+        for a in (PI - dist, dist - PI):
+            for b in (0.0, 0.3, -0.7, 0.9):
+                with mp.workdps(30):
+                    am = mp.mpf(a)
+                    want = (2 * am / mp.sin(am) if b == 0.0 else
+                            2 * mp.pi * mp.sin(am * b) / (mp.sin(am) * mp.sin(mp.pi * b)))
+                results.append(((a, b), quad_two_sided(a, b), want))
+    for args, res, want in results:
+        assert abs(res.value - want) <= 1e-12 * (1.0 + abs(want)), (args, res, want)
+        assert res.evaluations <= 2049, (args, res)
+
+
 @pytest.mark.parametrize("theta", [1e-170, 1e-200, 5e-324])
 def test_unresolvable_theta_raises_without_warnings(theta):
     # sin(theta/2)**2 underflows to 0, so the kernel is inf at s = 0 and
@@ -434,8 +480,9 @@ def test_evaluations_count_the_grid_of_the_last_level():
         counts[name] = [_grid(lo, hi, h0 / 2 ** level).size for level in range(2, last + 1)]
     de = [quad_x_domain(IntegrandSpec(1.0, 0.5, theta, 1.0), 1.0)
           for theta in (2.0, 0.2, 1e-3, 1e-6)]
-    sinh = [quad_x_domain_infinite(IntegrandSpec(1.0, 0.5, theta, 1.0, upper=math.inf))
-            for theta in (2.0, 0.2, 2e-2)] + [quad_two_sided(1.0, 0.3)]
+    sinh = [quad_x_domain_infinite(IntegrandSpec(1.0, b, theta, 1.0, upper=math.inf))
+            for b, theta in ((0.5, 2.0), (0.5, 0.2), (0.5, 2e-2), (0.5, 1e-8), (-0.995, 2.0))
+            ] + [quad_two_sided(1.0, 0.3)]
     for name, results in (("de", de), ("sinh", sinh)):
         levels = [counts[name].index(r.evaluations) for r in results]
         assert len(set(levels)) > 1, (name, levels)  # more than one level reached

@@ -11,6 +11,7 @@ from coshint import (
     eval_cosh_ratio,
     paradox_imaginary_n,
     paradox_periodicity,
+    pf_value,
     quad_t_domain,
     random_specs,
     verify_point,
@@ -37,6 +38,24 @@ def test_verify_integer_grid_always_agrees():
                     assert report.verdict is Verdict.AGREE
                     assert None not in (report.closed, report.pf,
                                         report.quad, report.series)
+
+
+def _pf_outcome(spec):
+    try:
+        return pf_value(spec)
+    except (CoshintError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_pf_value_is_even_in_p_refusals_included():
+    # a negative p is refused, or served, exactly as its positive twin:
+    # X above 1 first, then a non-integer n, then p
+    for upper in (1.0, math.inf, 0.5, 2.0):
+        for n in (2.5, 3.0):
+            for p in (1.0, 1.5, 3.0):
+                plus = _pf_outcome(IntegrandSpec(n, p, 1.0, 2.0, upper=upper))
+                minus = _pf_outcome(IntegrandSpec(n, -p, 1.0, 2.0, upper=upper))
+                assert minus == plus, (upper, n, p)
 
 
 def test_verify_excluded_spec_skipped():
