@@ -32,6 +32,7 @@ from .params import (
 from .partial_fractions import decompose
 from .series import series_contracted, series_imaginary, series_one_sided
 from .verify import (
+    AGREE_TOL,
     EvalReport,
     Verdict,
     closed_value,
@@ -153,11 +154,10 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def _spec_from_args(args, canonical: bool = True) -> IntegrandSpec:
+def _spec_from_args(args) -> IntegrandSpec:
     theta = math.radians(args.theta) if args.deg else args.theta
     zeta = math.radians(args.zeta) if args.deg else args.zeta
-    if canonical:
-        theta, _ = canonicalize_theta(theta)
+    theta, _ = canonicalize_theta(theta)
     return IntegrandSpec(n=args.n, p=args.p, theta=theta, zeta=zeta,
                          upper=args.upper)
 
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p_eval)
     p_eval.add_argument("--method", choices=["closed", "pf", "quad", "series", "all"],
                         default="closed")
-    p_eval.add_argument("--tol", type=float, default=1e-9)
+    p_eval.add_argument("--tol", type=float, default=AGREE_TOL)
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--grid", type=str, default=None)
     p_verify.add_argument("--random", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=float, default=AGREE_TOL)
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--threads", type=int, default=1,
                           help="accepted for compatibility; has no effect")
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--theta", type=str, required=True)
     p_tab.add_argument("--zeta", type=str, required=True)
     p_tab.add_argument("--upper", type=str, default="1")
-    p_tab.add_argument("--tol", type=float, default=1e-9)
+    p_tab.add_argument("--tol", type=float, default=AGREE_TOL)
     p_tab.add_argument("--out", type=str, default=None)
     p_tab.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--zeta", type=float, default=0.5 * math.pi)
     p_par.add_argument("--k", type=int, default=1)
     p_par.add_argument("--m", type=float, default=1.0)
-    p_par.add_argument("--tol", type=float, default=1e-9)
+    p_par.add_argument("--tol", type=float, default=AGREE_TOL)
     p_par.add_argument("--upper", type=str, default="1")
     p_par.add_argument("--deg", action="store_true")
     p_par.set_defaults(func=cmd_paradox)

@@ -94,15 +94,9 @@ class _Budget:
 # ---------------------------------------------------------------------------
 # Gauss-Legendre doubling-panel rule
 
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gl_rule(order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    cached = _gl_cache.get(order)
-    if cached is None:
-        cached = np.polynomial.legendre.leggauss(order)
-        _gl_cache[order] = cached
-    return cached
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _gauss_fixed(f, a: float, b: float, panels: int, budget: _Budget):

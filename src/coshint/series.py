@@ -21,12 +21,12 @@ estimate adds a bound on the rounding of the anchors and the prefactor.
 series_one_sided and series_imaginary keep the single anchor S_1: the
 one-sided sum's next anchors are Clausen functions, which have no
 polynomial form, and the imaginary variant's r = q/n is unbounded, so
-anchors in powers of r**2 would lose digits.  K is read off the bound
-before any term is summed, and the terms are summed in chunks of at most
-8192 so memory stays flat however large K is.  Tolerances below 1e-10
-are refused: the conditional part of the sum cannot honestly beat that,
-and a tolerance the bound cannot meet within MAX_TERMS terms is refused
-without summing.
+anchors in powers of r**2 would lose digits.  One driver serves all
+three: it reads K off the bound before any term is summed, and sums the
+terms in chunks of at most 8192 so memory stays flat however large K is.
+Tolerances below 1e-10 are refused: the conditional part of the sum
+cannot honestly beat that, and a tolerance the bound cannot meet within
+MAX_TERMS terms is refused without summing.
 """
 
 from __future__ import annotations
@@ -191,41 +191,46 @@ def _sine_sum(theta: float, c_of_k, stop: int) -> float:
     return total
 
 
-def _accelerated_sum(theta: float, prefactor: float, coef: float,
-                     c_of_k, tol: float) -> SeriesResult:
-    """value = prefactor * ((pi - theta)/2 + coef * sum_k sin(k*theta)*c_k).
+def _accelerated_sum(theta: float, prefactor: float, anchored: float,
+                     weight: float, c_of_k, tol: float, rounding: float = 0.0,
+                     decay: int | None = None) -> SeriesResult:
+    """value = prefactor * (anchored + weight * sum_{k<K} sin(k*theta)*c_k).
 
-    The single-anchor acceleration of series_one_sided and
-    series_imaginary.  c_of_k must be positive and monotonically
-    decreasing in k; the Dirichlet tail bound then applies.  The target
-    is a factor 10 below tol so the returned value is comfortably inside
-    it.  K, the first term left out, is the smallest k <= MAX_TERMS + 1
-    whose bound meets the target, found by bisection on the bound alone;
-    terms 1..K-1 are then summed.
+    The driver of all three variants.  c_of_k must be positive and
+    decreasing, so the Dirichlet bound applies; that bound plus rounding
+    must meet a target tol/10, and a target no K <= MAX_TERMS + 1 meets is
+    refused before any term is summed.  K is the smallest k that meets it:
+    the search gallops up in doubling steps from a lower bound on K (1, or
+    where k**-decay meets the target, less one, if every c_k >= k**-decay)
+    and bisects the last step.
     """
-    sin_half = abs(math.sin(0.5 * theta))
     target = 0.1 * tol
-    bound_scale = abs(prefactor * coef) / sin_half
+    budget = target - rounding
+    scale = abs(prefactor * weight) / abs(math.sin(0.5 * theta))
 
     def tail(k: int) -> float:
-        return bound_scale * c_of_k(float(k))
+        return scale * c_of_k(float(k))
 
     last = tail(MAX_TERMS + 1)
-    if not last <= target:
+    if not last <= budget:
         raise ToleranceUnreachableError(
-            f"tail bound {last} still above {target} after {MAX_TERMS} terms"
+            f"tail bound {last + rounding} still above {target} after {MAX_TERMS} terms"
         )
-    lo, hi = 1, MAX_TERMS + 1  # the bound meets the target at hi
+    lo = 1  # every k < lo has tail(k) > budget
+    if decay is not None and scale:
+        lo = max(1, math.ceil((scale / budget) ** (1.0 / decay)) - 1)
+    hi, step = lo, 1
+    while tail(hi) > budget:
+        lo, hi, step = hi + 1, min(hi + step, MAX_TERMS + 1), 2 * step
     while lo < hi:
         mid = (lo + hi) // 2
-        if tail(mid) <= target:
+        if tail(mid) <= budget:
             hi = mid
         else:
             lo = mid + 1
-    residual = _sine_sum(theta, c_of_k, hi)
-    value = prefactor * (0.5 * (math.pi - theta) + coef * residual)
+    value = prefactor * (anchored + weight * _sine_sum(theta, c_of_k, hi))
     return SeriesResult(value=value, terms_used=hi - 1,
-                        tail_estimate=tail(hi), accelerated=True)
+                        tail_estimate=tail(hi) + rounding, accelerated=True)
 
 
 def series_one_sided(n: float, p: float, theta: float, tol: float) -> SeriesResult:
@@ -242,7 +247,8 @@ def series_one_sided(n: float, p: float, theta: float, tol: float) -> SeriesResu
     def c_of_k(k):
         return 1.0 / (k * (k + b))
 
-    return _accelerated_sum(theta, 1.0 / (n * math.sin(theta)), -b, c_of_k, tol)
+    return _accelerated_sum(theta, 1.0 / (n * math.sin(theta)),
+                            0.5 * (math.pi - theta), -b, c_of_k, tol)
 
 
 def series_contracted(n: float, p: float, theta: float, tol: float) -> SeriesResult:
@@ -259,10 +265,8 @@ def series_contracted(n: float, p: float, theta: float, tol: float) -> SeriesRes
     remainder with positive coefficients falling like k**-(2J+3), so the
     Dirichlet bound after K - 1 terms needs only tens of terms.  The
     reported tail_estimate is that bound plus a bound on the rounding of
-    the anchors, the remainder and the prefactor; K is the smallest k at
-    which the two meet the target tol/10, read off the power law and
-    stepped to the minimum, and a target no K <= MAX_TERMS + 1 meets is
-    refused before any term is summed.
+    the anchors, the remainder and the prefactor.  The search for K starts
+    where k**-(2J+3), a lower bound on every c_k, meets the target.
     """
     _check_series_args(n, theta, tol)
     if not abs(p) < n:
@@ -293,27 +297,8 @@ def series_contracted(n: float, p: float, theta: float, tol: float) -> SeriesRes
     rounding = abs(prefactor) * _UNIT_ROUNDOFF * (
         _ROUNDING_ULPS * (size + weight * remainder_size)
         + weight * theta * _ARG_SUM)
-    target = 0.1 * tol
-    budget = target - rounding
-    scale = abs(prefactor) * weight / abs(math.sin(0.5 * theta))
-
-    def tail(k: int) -> float:
-        return scale * c_of_k(float(k))
-
-    last = tail(MAX_TERMS + 1)
-    if not last <= budget:
-        raise ToleranceUnreachableError(
-            f"tail bound {last + rounding} still above {target} after {MAX_TERMS} terms"
-        )
-    stop = max(1, math.ceil((scale / budget) ** (1.0 / _DECAY))) if scale else 1
-    while stop > 1 and tail(stop - 1) <= budget:
-        stop -= 1
-    while tail(stop) > budget:
-        stop += 1
-    remainder = _sine_sum(theta, c_of_k, stop)
-    value = prefactor * (anchors + weight * remainder)
-    return SeriesResult(value=value, terms_used=stop - 1,
-                        tail_estimate=tail(stop) + rounding, accelerated=True)
+    return _accelerated_sum(theta, prefactor, anchors, weight, c_of_k, tol,
+                            rounding, _DECAY)
 
 
 def series_imaginary(n: float, q: float, theta: float, tol: float) -> SeriesResult:
@@ -328,4 +313,5 @@ def series_imaginary(n: float, q: float, theta: float, tol: float) -> SeriesResu
     def c_of_k(k):
         return 1.0 / (k * (k * k + r * r))
 
-    return _accelerated_sum(theta, 2.0 / (n * math.sin(theta)), -r * r, c_of_k, tol)
+    return _accelerated_sum(theta, 2.0 / (n * math.sin(theta)),
+                            0.5 * (math.pi - theta), -r * r, c_of_k, tol)

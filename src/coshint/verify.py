@@ -47,6 +47,10 @@ from .quadrature import (
 from .series import TOL_FLOOR, series_contracted
 
 
+# default largest route difference that counts as agreement (CLI --tol too)
+AGREE_TOL = 1e-9
+
+
 class Verdict(Enum):
     AGREE = "Agree"
     DISAGREE = "Disagree"
@@ -112,7 +116,8 @@ def pf_value(spec: IntegrandSpec) -> float:
 
 
 def quad_value(spec: IntegrandSpec) -> float:
-    """Quadrature route; imaginary p splits into cosine and middle terms."""
+    """Quadrature route; for p = i*q, twice the cos(q*log x) oracle less
+    2*cos(zeta) times the same oracle at q = 0 (the middle term)."""
     p = complex(spec.p)
     if p.imag == 0.0:
         if spec.upper == math.inf:
@@ -120,18 +125,12 @@ def quad_value(spec: IntegrandSpec) -> float:
         return quad_x_domain(spec, spec.upper).value
     if p.real != 0.0:
         raise CoshintError("quadrature path needs a real or purely imaginary p")
-    # numerator x^n*(2*cos(q*log x) - 2*cos(zeta)): cosine part plus middle term
-    cos_part = 2.0 * quad_cos_log(spec).value
-    middle_spec = IntegrandSpec(n=spec.n, p=0.0, theta=spec.theta,
-                                zeta=0.5 * math.pi, upper=spec.upper)
-    if spec.upper == math.inf:
-        middle = 0.5 * quad_x_domain_infinite(middle_spec).value
-    else:
-        middle = 0.5 * quad_x_domain(middle_spec, 1.0).value
-    return cos_part - 2.0 * math.cos(spec.zeta) * middle
+    cos_part = quad_cos_log(spec).value
+    middle = quad_cos_log(replace(spec, p=0j)).value
+    return 2.0 * (cos_part - math.cos(spec.zeta) * middle)
 
 
-def series_value(spec: IntegrandSpec, tol: float = 1e-9) -> float:
+def series_value(spec: IntegrandSpec, tol: float = AGREE_TOL) -> float:
     """Series route: accelerated contracted sum plus the middle-term value."""
     factor = _upper_factor(spec)
     p = complex(spec.p)
@@ -167,7 +166,7 @@ def _paradox_only_paths(spec: IntegrandSpec) -> dict[str, float]:
     return values
 
 
-def verify_point(spec: IntegrandSpec, tol: float = 1e-9) -> EvalReport:
+def verify_point(spec: IntegrandSpec, tol: float = AGREE_TOL) -> EvalReport:
     """Evaluate one spec along every admissible route and compare.
 
     Routes whose preconditions fail are left unpopulated rather than
@@ -179,7 +178,7 @@ def verify_point(spec: IntegrandSpec, tol: float = 1e-9) -> EvalReport:
     return _report(spec, tol, lambda: quad_value(spec))
 
 
-def verify_points(specs: list[IntegrandSpec], tol: float = 1e-9) -> list[EvalReport]:
+def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[EvalReport]:
     """verify_point for every spec, in input order, with batched quadrature.
 
     The quadrature route of every real-p spec is computed for the whole

@@ -275,3 +275,39 @@ def test_contracted_value_within_its_estimate(theta):
             assert abs(res.value - _mp_contracted(n, b * n, theta)) <= res.tail_estimate
             assert res.tail_estimate <= 2.5e-11
     assert served > 0
+
+
+# (variant, n, p or q, theta, tol) -> (value, terms_used, tail_estimate),
+# exactly as the series driver returned them when these were recorded
+FROZEN_SERIES = [
+    # b = 0: the anchors alone, K - 1 = 0 terms; the estimate is the rounding
+    (series_contracted, (1.3, 0.0, 1.1, 1e-8),
+     (1.762166649149424, 0, 6.503348894828462e-15)),
+    (series_one_sided, (1.0, 0.0, 2.0, 1e-8), (0.6277333575962291, 0, 0.0)),
+    # past 8192 terms, so the sum runs in chunks
+    (series_one_sided, (1.0, 0.9, 0.2, 1e-7),
+     (5.771423902433327, 67361, 9.99999994563509e-09)),
+    # |b| near 1, where the c_1 term carries 1/(1 - b**2)
+    (series_contracted, (1.0, 0.999, 0.7, 1e-9),
+     (1002.8974270687236, 16, 7.779219825977501e-11)),
+    (series_contracted, (2.5, -2.4975, 4.0, 1e-10),
+     (399.70395061732233, 17, 6.542855735210889e-12)),
+    # large r = q/n
+    (series_imaginary, (0.5, 15.0, 1.0, 1e-8),
+     (3.8146757752062527e-10, 20741, 9.999755749948753e-10)),
+    (series_imaginary, (0.4, 12.0, 5.0, 1e-9),
+     (2.9769409613394664e-11, 42801, 9.999812542074423e-11)),
+]
+
+
+@pytest.mark.parametrize("variant, args, want", FROZEN_SERIES)
+def test_frozen_series_outputs(variant, args, want):
+    res = variant(*args)
+    assert (res.value, res.terms_used, res.tail_estimate) == want
+
+
+def test_frozen_unreachable_message():
+    with pytest.raises(ToleranceUnreachableError) as info:
+        series_contracted(1.0, 0.5, PI, 1e-10)
+    assert str(info.value) == ("tail bound 0.00030637698113901614 still above "
+                               "1.0000000000000001e-11 after 100000 terms")

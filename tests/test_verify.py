@@ -13,6 +13,7 @@ from coshint import (
     paradox_periodicity,
     pf_value,
     quad_t_domain,
+    quad_value,
     random_specs,
     verify_point,
 )
@@ -83,6 +84,24 @@ def test_verify_imaginary_p():
     assert report.verdict is Verdict.AGREE
     assert report.pf is None and report.series is None
     assert report.closed is not None and report.quad is not None
+
+
+@pytest.mark.parametrize("upper", [1.0, math.inf])
+@pytest.mark.parametrize("theta", [1e-6, 0.3, 2.0, PI, 4.5, 2 * PI - 1e-6])
+def test_quad_value_imaginary_p_against_mpmath(theta, upper):
+    # the cosine part and the middle term of p = i*q together, against the
+    # master formula at b = i*q/n
+    mp = pytest.importorskip("mpmath")
+    for n, q, zeta in ((0.7, 0.4, 0.3), (1.5, 3.0, 2.0), (3.2, 1.1, 1.4)):
+        spec = IntegrandSpec(n, q * 1j, theta, zeta, upper=upper)
+        got = quad_value(spec)
+        with mp.workdps(30):
+            a = mp.pi - mp.mpf(theta)
+            b = 1j * mp.mpf(q) / mp.mpf(n)
+            want = mp.re(mp.pi * mp.sin(a * b) / mp.sin(mp.pi * b)
+                         - a * mp.cos(mp.mpf(zeta))) / (mp.sin(a) * n)
+            want = float(2 * want if upper == math.inf else want)
+        assert abs(got - want) <= 1e-12 * (1 + abs(want)), (n, q, zeta)
 
 
 def test_verify_uncanonicalized_theta_disagrees():
