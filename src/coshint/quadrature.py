@@ -29,13 +29,18 @@ trapezoid sum that is inf or NaN.
 
 Sums run in a fixed order, so results are bit-identical across runs.
 One driver runs the trapezoid rule on either map over a (rows x nodes)
-block: quad_x_domain_many and quad_x_domain_infinite_many run many specs
-as one block and return, bit for bit, what quad_x_domain and
-quad_x_domain_infinite, their one-row calls, return for each.
+block, in kernel rounds that each evaluate the nodes of one or more
+levels of h: the first round of a DE row at s_X = 0 reaches as many
+levels as its kernel's peak width predicts, so a near-edge X = 1 row
+usually takes one round.  quad_x_domain_many and
+quad_x_domain_infinite_many run many specs as one block and return, bit
+for bit, what quad_x_domain and quad_x_domain_infinite, their one-row
+calls, return for each.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -209,8 +214,9 @@ def _one_row(results: list[QuadResult | BudgetExceededError]) -> QuadResult:
 # depends on the other rows.
 
 _MIN_LEVEL = 2  # the first level tested
-# The last level of the first kernel round: it evaluates the whole grid of
-# this level at once and tests each level from _MIN_LEVEL on its segment
+# The last level of the first kernel round, unless the map predicts a later
+# one for the row (_de_first_level): the round evaluates the whole grid of
+# that level at once and tests each level from _MIN_LEVEL on its segment
 # sums; every later round adds one level.  Most rows stop at level 3 (865
 # of random_specs(1000, 1)), and at these sizes a kernel call costs its
 # dispatch more than its nodes (_t_kernel took 13.7 us at 85 nodes, 16.7
@@ -253,17 +259,19 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, first_lev
     kernel round ends at a level, the first at ``first_level`` and each
     later one a level further; ``stage(level, first_level)`` is the
     cached table of the round's nodes with their segment starts last, and
-    ``place(*geometry_r, *table)`` gives the abscissae s and the weights
-    ds/dt there; the t step of level L is h0/2**L.  ``params`` and
+    ``place(*geometry_r, *table)`` gives the abscissae s, the weights
+    ds/dt there divided by the row's factor, and that factor, which the
+    Python side applies; the t step of level L is h0/2**L.  ``params`` and
     ``geometry`` are per-row columns of shape (rows, 1), or for a lone row
     the values themselves, which round as its columns would and spare its
     kernel the broadcasting: it gets 1-D arrays.
 
     Row r stops at the first level from _MIN_LEVEL on where |S_h - S_2h|
-    <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*mass*h) and both are
-    finite, and gets a QuadResult whose evaluations count the nodes
-    evaluated for it, every node of its last round included; a row still
-    open after last_level gets a BudgetExceededError.  The test runs on
+    <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*A_h), with A_h the
+    rule's sum for the integrand's magnitude, and both are finite, and
+    gets a QuadResult whose evaluations count the nodes evaluated for it,
+    every node of its last round included; a row still open after
+    last_level gets a BudgetExceededError.  The test runs on
     Python floats, which round as float64 does, and a block returns bit
     for bit what each row does alone.
     """
@@ -281,7 +289,7 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, first_lev
             size = table[0].size
             used += size
             levels = range(_MIN_LEVEL if first else last, last + 1)
-            steps = [(h, _ROUNDOFF_FLOOR * h) for h in (h0 / (1 << lev) for lev in levels)]
+            steps = [h0 / (1 << lev) for lev in levels]
             coarse = len(starts) - len(levels)  # 1 where the coarse grids lead
             # each level's magnitudes are one sum, the first level's with
             # the coarse grids' included
@@ -292,19 +300,22 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, first_lev
                 for lo in range(0, len(left), step)]
             sums = []
             for chunk_params, chunk_geometry in chunks:
-                s, ds = place(*chunk_geometry, *table)
-                g = (ds * kernel(*chunk_params)(s)).reshape(-1, size)
+                s, w, factor = place(*chunk_geometry, *table)
+                g = (w * kernel(*chunk_params)(s)).reshape(-1, size)
                 sums += zip(np.add.reduceat(g, starts, axis=1).tolist(),
-                            np.add.reduceat(np.abs(g), bounds, axis=1).tolist())
+                            np.add.reduceat(np.abs(g), bounds, axis=1).tolist(),
+                            np.ravel(factor).tolist())
             keep, kept = [], []
-            for i, (parts, absums) in enumerate(sums):
+            for i, (parts, absums, factor) in enumerate(sums):
                 total, mass = (parts[0], 0.0) if coarse else state[i]
-                for (h, floor), new, absum in zip(steps, parts[coarse:], absums):
+                for h, new, absum in zip(steps, parts[coarse:], absums):
+                    h *= factor  # each sample weighs h*factor*w
                     err = abs(new - total) * h  # S_h - S_2h: the new nodes against the old
                     total += new
                     mass += absum
                     value = total * h
-                    if ((err <= 0.25 * REL_TOL * (1.0 + abs(value)) or err <= floor * mass)
+                    if ((err <= 0.25 * REL_TOL * (1.0 + abs(value))
+                         or err <= _ROUNDOFF_FLOOR * h * mass)
                             and math.isfinite(err) and cmath.isfinite(value)):
                         out[left[i]] = _result(value, err, used)
                         break
@@ -338,13 +349,16 @@ _DE_MAX_LEVEL = 10
 # A kernel that peaks at s = s_X = 0 with width w (theta near 0 or 2*pi)
 # peaks at the offset u = lam*w, where the nodes lie h*(1 + e^(-t)), about
 # h*ln(1/u), apart relative to u: the step must halve each time ln(1/u)
-# doubles.  So the first round ends one level past _FIRST_ROUND_LEVEL each
-# time ln(1/u) doubles past _DE_PEAK_LOG, and at most at _DE_FIRST_CAP,
-# whose 5 377 nodes fit one _CHUNK.  Fitted on 6 093 X = 1 rows (theta
-# down to 1e-7): 89% of predictions are the level the row stops at, 11%
-# one level low and 0.3% one level high.
+# doubles.  So a row's first round ends one level past _FIRST_ROUND_LEVEL
+# for each threshold u < e^(-_DE_PEAK_LOG*2**k) that it passes, k from 0
+# on, and at most at _DE_FIRST_CAP, whose 5 377 nodes fit one _CHUNK.  On
+# 9 000 X = 1 rows (seeds 2 and 3 of the benchmark's workloads, and theta
+# log-uniform down to 1e-7 from either edge) 8 179 first rounds ended at
+# the level the row stops at, 808 one level before it and 13 one after.
 _DE_PEAK_LOG = 3.0
 _DE_FIRST_CAP = 8
+_DE_PEAK_OFFSETS = [math.exp(-_DE_PEAK_LOG * 2.0 ** k)
+                    for k in reversed(range(_DE_FIRST_CAP - _FIRST_ROUND_LEVEL))]
 
 
 @functools.cache
@@ -360,7 +374,7 @@ def _de_stage(level: int, first_level: int = _FIRST_ROUND_LEVEL
 
 
 def _de_place(s_x, lam, u, w):
-    return s_x + u / lam, w / lam
+    return s_x + u / lam, w, 1.0 / lam
 
 
 def _de_first_level(sin2_half, s_x, lam) -> int:
@@ -368,17 +382,12 @@ def _de_first_level(sin2_half, s_x, lam) -> int:
 
     ``sin2_half`` is the kernel's sin(theta/2)**2, perhaps complex; its
     peak at s = 0 has width w = 2*sqrt(|sin2_half|), and lies outside the
-    range unless s_x = 0.
+    range unless s_x = 0.  A sin2_half that underflowed to 0 gets the cap.
     """
     if s_x != 0.0:
         return _FIRST_ROUND_LEVEL
-    sin2 = abs(sin2_half)
-    if sin2 == 0.0:  # underflowed: the peak is narrower than any level resolves
-        return _DE_FIRST_CAP
-    doublings = -math.log(lam * 2.0 * math.sqrt(sin2)) / _DE_PEAK_LOG
-    if doublings <= 1.0:
-        return _FIRST_ROUND_LEVEL
-    return min(_DE_FIRST_CAP, _FIRST_ROUND_LEVEL + math.ceil(math.log2(doublings)))
+    u = lam * (2.0 * math.sqrt(abs(sin2_half)))
+    return _DE_FIRST_CAP - bisect.bisect_right(_DE_PEAK_OFFSETS, u)
 
 
 def _de_rows(params, s_x, lam, first_level: int) -> list[QuadResult | BudgetExceededError]:
@@ -437,7 +446,7 @@ def _sinh_stage(level: int, first_level: int = _FIRST_ROUND_LEVEL) -> tuple[np.n
 
 def _sinh_place(scale, span, tau):
     u = span * tau
-    return scale * np.sinh(u), (scale * span) * np.cosh(u)
+    return scale * np.sinh(u), np.cosh(u), scale * span
 
 
 def _sinh_lines(kernel, params, geometry) -> list[QuadResult | BudgetExceededError]:

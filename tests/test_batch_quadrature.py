@@ -27,6 +27,7 @@ from coshint import (
     verify_points,
 )
 from coshint.cli import main, report_to_dict
+from coshint.quadrature import _x_kernel_args
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,10 +60,29 @@ def _near_edge(count: int, seed: int) -> list[IntegrandSpec]:
     return specs
 
 
+def _peak_widths(count: int, seed: int) -> list[IntegrandSpec]:
+    """X = 1, |b| <= 0.995, theta log-uniform 1e-12 to pi away from 0 or 2*pi."""
+    rng = Lcg64(seed)
+    specs = []
+    for _ in range(count):
+        n = rng.uniform(0.5, 4.0)
+        dist = math.exp(rng.uniform(math.log(1e-12), math.log(math.pi)))
+        specs.append(IntegrandSpec(n=n, p=rng.uniform(-0.995, 0.995) * n,
+                                   theta=dist if rng.next_float() < 0.5 else TWO_PI - dist,
+                                   zeta=rng.uniform(0.05, math.pi - 0.05)))
+    return specs
+
+
+# theta = 1e-150 puts the kernel's peak, of width theta, where even the
+# finest DE level cannot resolve it: the oracle runs out of levels
+EXHAUSTING = IntegrandSpec(1.0, 0.5, 1e-150, 1.0)
+
 GRIDS = {
     "random": random_specs(200, 42),
     "integer_x": _integer_finite_x(150, 7),
     "near_edge": _near_edge(120, 11),
+    # one block holding rows of every first-round level, 3 to 8
+    "peak_widths": _peak_widths(120, 23) + [EXHAUSTING],
 }
 
 
@@ -104,9 +124,10 @@ def test_batch_bit_identical_to_single(singles, name, size):
     assert mismatched == []
 
 
-# theta = 1e-150 puts the kernel's peak, of width theta, where even the
-# finest DE level cannot resolve it: the oracle runs out of levels
-EXHAUSTING = IntegrandSpec(1.0, 0.5, 1e-150, 1.0)
+def test_peak_widths_reach_every_first_round_level():
+    levels = {quadrature._de_first_level(*_x_kernel_args(s, 1.0)[2:5])
+              for s in GRIDS["peak_widths"]}
+    assert levels == set(range(3, 9))
 
 
 def test_failure_sets_equal(singles):

@@ -473,6 +473,53 @@ def test_first_round_evaluates_the_level_3_grid_in_one_kernel_call(monkeypatch):
             assert sizes == [nodes], spec
 
 
+def test_de_first_level_follows_the_peak_width():
+    first = quadrature._de_first_level
+    # the peak lies outside [s_X, inf) for X < 1, and a wide peak needs no
+    # more than the level-3 grid
+    assert first(1e-20, 0.5, 0.1) == 3
+    assert first(1e-20, 1e-300, 1.0) == 3
+    assert first(1.0, 0.0, 1.0) == 3
+    assert first(0.25 * math.exp(-6.0), 0.0, 1.0) == 3  # lam*w = e^-3 exactly
+    assert first(0.25 * math.exp(-6.0), -0.0, 1.0) == 3  # X = 1 gives s_X = -0.0
+    # never fewer levels for a narrower peak or a slower tail, never above 8
+    for lam in (1.0, 0.3, 5e-3, 1e-16):
+        levels = [first(math.sin(0.5 * theta) ** 2, 0.0, lam)
+                  for theta in np.geomspace(math.pi, 1e-300, 400)]
+        assert levels == sorted(levels), lam
+        assert set(levels) <= set(range(3, 9)), lam
+    assert first(0.0, 0.0, 1.0) == 8  # sin(theta/2)**2 underflowed
+    assert first(0.0, 0.0, 1e-16) == 8
+    # quad_t_domain passes cos(a/2)**2, complex for a complex a
+    assert first(np.cos(0.5 * complex(math.pi - 1e-9, 1e-9)) ** 2, 0.0, 1.0) == 6
+    assert first(np.cos(0.5 * complex(1.0, 0.5)) ** 2, 0.0, 1.0) == 3
+    assert first(complex(0.0, 0.0), 0.0, 1.0) == 8
+
+
+def test_near_edge_rows_make_one_kernel_call(monkeypatch):
+    # the first round ends at the level the kernel's peak width predicts,
+    # and these rows stop there: 673 nodes is the level-5 grid, 1345 the
+    # level-6 grid
+    sizes = []
+    original = quadrature._t_kernel
+
+    def counting(b, cos_c, sin2_half):
+        f = original(b, cos_c, sin2_half)
+
+        def g(s):
+            sizes.append(s.size)
+            return f(s)
+
+        return g
+
+    monkeypatch.setattr(quadrature, "_t_kernel", counting)
+    for spec, nodes in ((IntegrandSpec(2, 1.9, 1e-3, 1), 673),
+                        (IntegrandSpec(1, 0.5, 1e-6, 1), 1345)):
+        sizes.clear()
+        assert quad_x_domain(spec).evaluations == nodes, spec
+        assert sizes == [nodes], spec
+
+
 def test_evaluations_count_the_grid_of_the_last_level():
     counts = {}
     for name in ("de", "sinh"):
