@@ -410,10 +410,11 @@ def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
     if len(groups) == 1:
         return _de_rows(params, s_x, lam, groups[0])
     out: list[QuadResult | BudgetExceededError | None] = [None] * len(firsts)
+    firsts = np.array(firsts)
     for first in groups:
-        rows = [i for i, f in enumerate(firsts) if f == first]
-        for i, res in zip(rows, _de_rows([c[rows] for c in params], s_x[rows], lam[rows],
-                                         first)):
+        rows = np.flatnonzero(firsts == first)
+        for i, res in zip(rows.tolist(), _de_rows([c[rows] for c in params], s_x[rows],
+                                                  lam[rows], first)):
             out[i] = res
     return out
 
