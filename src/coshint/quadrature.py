@@ -398,24 +398,22 @@ def _de_rows(params, s_x, lam, first_level: int) -> list[QuadResult | BudgetExce
 def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
     """The DE map's rule for _t_kernel(*params) on [s_x, inf), per row.
 
-    A block runs one driver call per first-round level (_de_first_level),
-    so each row gets the kernel rounds, and the result, of its one-row
-    call.
+    A lone row's first kernel round ends at _de_first_level.  A block's
+    rows share kernel rounds from _FIRST_ROUND_LEVEL on: each level's
+    segment sums, and so each value, are those of the row's one-row call,
+    and a row that stops before its predicted first level reports that
+    level's grid as its evaluations, as its one-row call does.
     """
     if not isinstance(lam, np.ndarray):
         return _de_rows(params, s_x, lam, _de_first_level(params[2], s_x, lam))
-    firsts = list(map(_de_first_level, params[2].ravel().tolist(), s_x.ravel().tolist(),
-                      lam.ravel().tolist()))
-    groups = sorted(set(firsts))
-    if len(groups) == 1:
-        return _de_rows(params, s_x, lam, groups[0])
-    out: list[QuadResult | BudgetExceededError | None] = [None] * len(firsts)
-    firsts = np.array(firsts)
-    for first in groups:
-        rows = np.flatnonzero(firsts == first)
-        for i, res in zip(rows.tolist(), _de_rows([c[rows] for c in params], s_x[rows],
-                                                  lam[rows], first)):
-            out[i] = res
+    out = _de_rows(params, s_x, lam, _FIRST_ROUND_LEVEL)
+    firsts = map(_de_first_level, params[2].ravel().tolist(), s_x.ravel().tolist(),
+                 lam.ravel().tolist())
+    for i, first in enumerate(firsts):
+        if first > _FIRST_ROUND_LEVEL and isinstance(out[i], QuadResult):
+            size = _de_stage(first, first)[0].size
+            if out[i].evaluations < size:
+                out[i] = replace(out[i], evaluations=size)
     return out
 
 

@@ -81,7 +81,7 @@ GRIDS = {
     "random": random_specs(200, 42),
     "integer_x": _integer_finite_x(150, 7),
     "near_edge": _near_edge(120, 11),
-    # one block holding rows of every first-round level, 3 to 8
+    # one block holding rows of every predicted first-round level, 3 to 8
     "peak_widths": _peak_widths(120, 23) + [EXHAUSTING],
 }
 
@@ -183,8 +183,8 @@ def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
         _single(spec)
     assert block_max <= cap
     assert max(sizes) == cap  # failing specs reach the deepest level
-    # one call per round of each first-round group; most one-row calls
-    # make a single round
+    # the block's rows share its kernel rounds; most one-row calls make a
+    # single round
     assert block_calls <= 16
     assert block_calls * 8 < len(sizes)
 
