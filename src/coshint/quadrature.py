@@ -390,11 +390,6 @@ def _de_first_level(sin2_half, s_x, lam) -> int:
     return _DE_FIRST_CAP - bisect.bisect_right(_DE_PEAK_OFFSETS, u)
 
 
-def _de_rows(params, s_x, lam, first_level: int) -> list[QuadResult | BudgetExceededError]:
-    return _trapezoid_rows(_t_kernel, params, _de_place, [s_x, lam], _de_stage,
-                           _DE_H0, first_level, _DE_MAX_LEVEL)
-
-
 def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
     """The DE map's rule for _t_kernel(*params) on [s_x, inf), per row.
 
@@ -404,9 +399,12 @@ def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
     and a row that stops before its predicted first level reports that
     level's grid as its evaluations, as its one-row call does.
     """
-    if not isinstance(lam, np.ndarray):
-        return _de_rows(params, s_x, lam, _de_first_level(params[2], s_x, lam))
-    out = _de_rows(params, s_x, lam, _FIRST_ROUND_LEVEL)
+    lone = not isinstance(lam, np.ndarray)
+    out = _trapezoid_rows(_t_kernel, params, _de_place, [s_x, lam], _de_stage, _DE_H0,
+                          _de_first_level(params[2], s_x, lam) if lone else _FIRST_ROUND_LEVEL,
+                          _DE_MAX_LEVEL)
+    if lone:
+        return out
     firsts = map(_de_first_level, params[2].ravel().tolist(), s_x.ravel().tolist(),
                  lam.ravel().tolist())
     for i, first in enumerate(firsts):

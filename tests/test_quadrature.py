@@ -480,7 +480,7 @@ def test_de_first_level_follows_the_peak_width():
     assert first(1e-20, 0.5, 0.1) == 3
     assert first(1e-20, 1e-300, 1.0) == 3
     assert first(1.0, 0.0, 1.0) == 3
-    assert first(0.25 * math.exp(-6.0), 0.0, 1.0) == 3  # lam*w = e^-3 exactly
+    assert first(0.25 * math.exp(-6.0), 0.0, 1.0) == 3  # lam*w at e^-3
     assert first(0.25 * math.exp(-6.0), -0.0, 1.0) == 3  # X = 1 gives s_X = -0.0
     # never fewer levels for a narrower peak or a slower tail, never above 8
     for lam in (1.0, 0.3, 5e-3, 1e-16):
