@@ -144,10 +144,11 @@ def integral_at(spec: IntegrandSpec, X: float) -> float:
     if not 0.0 < X <= 1.0:
         raise ValueError(f"X must lie in (0, 1], got {X}")
     n, p, theta_c = _check_decompose_spec(spec)
-    sin_theta = math.sin(theta_c)
+    cos_zeta = math.cos(spec.zeta)
+    n_sin_theta = n * math.sin(theta_c)
     total = 0.0
     for omega in root_angles(n, theta_c):
-        weight = 2.0 * (math.cos(p * omega) - math.cos(spec.zeta)) / (n * sin_theta)
+        weight = 2.0 * (math.cos(p * omega) - cos_zeta) / n_sin_theta
         total += weight * antiderivative_term(omega, X)
     return total
 

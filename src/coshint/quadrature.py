@@ -390,6 +390,16 @@ def _de_first_level(sin2_half, s_x, lam) -> int:
     return _DE_FIRST_CAP - bisect.bisect_right(_DE_PEAK_OFFSETS, u)
 
 
+def _de_first_levels(sin2_half, s_x, lam) -> np.ndarray:
+    """_de_first_level of each row of a block's columns, in one numpy
+    pass whose every step rounds as the scalar one does: np.hypot as
+    abs() of a complex does, where np.abs of a complex array can differ
+    from it in the last bit."""
+    u = lam * (2.0 * np.sqrt(np.hypot(sin2_half.real, sin2_half.imag)))
+    first = _DE_FIRST_CAP - np.searchsorted(_DE_PEAK_OFFSETS, u, side="right")
+    return np.where(s_x != 0.0, _FIRST_ROUND_LEVEL, first)
+
+
 def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
     """The DE map's rule for _t_kernel(*params) on [s_x, inf), per row.
 
@@ -405,10 +415,10 @@ def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
                           _DE_MAX_LEVEL)
     if lone:
         return out
-    firsts = map(_de_first_level, params[2].ravel().tolist(), s_x.ravel().tolist(),
-                 lam.ravel().tolist())
-    for i, first in enumerate(firsts):
-        if first > _FIRST_ROUND_LEVEL and isinstance(out[i], QuadResult):
+    firsts = _de_first_levels(params[2], s_x, lam).ravel()
+    for i in np.flatnonzero(firsts > _FIRST_ROUND_LEVEL).tolist():
+        if isinstance(out[i], QuadResult):
+            first = int(firsts[i])
             size = _de_stage(first, first)[0].size
             if out[i].evaluations < size:
                 out[i] = replace(out[i], evaluations=size)

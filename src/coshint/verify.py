@@ -93,8 +93,12 @@ def _upper_factor(spec: IntegrandSpec) -> float:
 
 def closed_value(spec: IntegrandSpec) -> float:
     """Closed-form route: master value scaled back to the x-domain."""
+    return _closed_value(spec, normalize(spec))
+
+
+def _closed_value(spec: IntegrandSpec, nf: NormalizedForm) -> float:
+    """closed_value, given the spec's normalized form ``nf``."""
     factor = _upper_factor(spec)
-    nf = normalize(spec)
     theta_c, _ = _theta_mod(spec.theta)  # nf.a = pi - theta_c, rounded
     return factor * nf.scale * eval_master(nf.a, nf.b, nf.c, theta=theta_c).value.real
 
@@ -142,15 +146,15 @@ def series_value(spec: IntegrandSpec, tol: float = AGREE_TOL) -> float:
     return factor * (contracted.value - zeta_part)
 
 
-def _paradox_only_paths(spec: IntegrandSpec) -> dict[str, float]:
-    """Raw-formula vs canonical-oracle values for an uncanonicalized theta.
+def _paradox_only_paths(spec: IntegrandSpec, nf: NormalizedForm) -> dict[str, float]:
+    """Raw-formula vs canonical-oracle values for an uncanonicalized theta,
+    given the spec's normalized form ``nf``.
 
     The closed route deliberately evaluates the formula at the shifted
     angle, so such grid points surface as Disagree instead of being
     silently repaired or dropped.
     """
     values: dict[str, float] = {}
-    nf = normalize(spec)  # nf.a already uses the reduced angle
     raw_a = math.pi - spec.theta
     try:
         factor = _upper_factor(spec)
@@ -158,7 +162,7 @@ def _paradox_only_paths(spec: IntegrandSpec) -> dict[str, float]:
             _master_raw(complex(raw_a), complex(nf.b), nf.c)).real
     except (CoshintError, ValueError, ZeroDivisionError):
         pass
-    theta_c = math.pi - complex(nf.a).real
+    theta_c = math.pi - complex(nf.a).real  # nf.a already uses the reduced angle
     try:
         values["quad"] = quad_value(replace(spec, theta=theta_c))
     except (CoshintError, ValueError):
@@ -215,9 +219,9 @@ def _report(spec: IntegrandSpec, tol: float, quad) -> EvalReport:
                           reason=domain.detail)
     values: dict[str, float] = {}
     if domain.kind is DomainKind.PARADOX_ONLY:
-        values = _paradox_only_paths(spec)
+        values = _paradox_only_paths(spec, nf)
     else:
-        paths = (("closed", lambda: closed_value(spec)),
+        paths = (("closed", lambda: _closed_value(spec, nf)),
                  ("pf", lambda: pf_value(spec)),
                  ("quad", quad),
                  ("series", lambda: series_value(spec, tol)))

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+import coshint.cli as cli
 from coshint.cli import (
+    build_parser,
     format_complex,
     main,
     parse_complex_literal,
@@ -182,6 +184,77 @@ def test_verify_bad_grid_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     code, _ = run_cli(capsys, ["verify", "--grid", str(path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("upper", [2.0, -1, "2.0"], ids=["number", "negative", "text"])
+def test_verify_grid_upper_out_of_range_exits_2(tmp_path, capsys, upper):
+    # a number in the file gets the same range check as the flag's text
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([{"n": 2, "p": 0.5, "theta": 1, "zeta": 1,
+                                 "upper": upper}]))
+    code = main(["verify", "--grid", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bad grid file: finite upper limits must lie in (0, 1]" in captured.err
+
+
+def test_spec_from_dict_accepts_a_numeric_upper():
+    base = {"n": 2, "p": 0.5, "theta": 1, "zeta": 1}
+    assert spec_from_dict({**base, "upper": 0.5}).upper == 0.5
+    assert spec_from_dict({**base, "upper": 1}).upper == 1.0
+    assert spec_from_dict(json.loads('{"upper": Infinity, "n": 2, "p": 0.5, '
+                                     '"theta": 1, "zeta": 1}')).upper == math.inf
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+def _run_calls(capsys, tmp_path, fresh):
+    """Exit code, stdout, stderr and --out file of each call, in one process."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([
+        {"n": 1, "p": 0.5, "theta": math.pi / 2, "zeta": math.pi / 2},
+        {"n": 2, "p": 1.0, "theta": 1.0, "zeta": 2.0, "upper": 0.5},
+        {"n": 1, "p": 0.5, "theta": 1.0, "zeta": 1.0, "upper": "inf"},
+    ]))
+    out = tmp_path / "out.jsonl"
+    calls = [
+        ["verify", "--grid", str(grid), "--out", str(out)],
+        ["verify", "--no-such-flag"],
+        ["--help"],
+        ["series", "--variant", "one-sided", "--n", "2", "--p", "0.5", "--theta", "1"],
+        ["eval", "--n", "2", "--p", "0.5", "--theta", "1", "--zeta", "1", "--json"],
+        ["verify", "--grid", str(grid)],
+    ]
+    results = []
+    for argv in calls:
+        if fresh:
+            cli._parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        results.append((code, captured.out, captured.err, written))
+    return results
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # a failed parse and --help leave the cached parser as a fresh one
+    cached = _run_calls(capsys, tmp_path, fresh=False)
+    parser = cli._parser()
+    assert main(["series", "--variant", "one-sided", "--n", "2", "--theta", "1"]) == 0
+    assert cli._parser() is parser
+    capsys.readouterr()
+    fresh = _run_calls(capsys, tmp_path, fresh=True)
+    assert [r[0] for r in cached] == [0, 2, 0, 0, 0, 0]
+    assert cached[0][3] == cached[5][1] != ""
+    assert "usage: coshint" in cached[2][1]
+    assert cached == fresh
 
 
 def test_table_csv(tmp_path, capsys):

@@ -496,6 +496,24 @@ def test_de_first_level_follows_the_peak_width():
     assert first(complex(0.0, 0.0), 0.0, 1.0) == 8
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_de_first_levels_equal_the_scalar_predictor(kind):
+    # a block's column pass gives each row the level its one-row call uses;
+    # the last real values put lam*w at each threshold for lam = 1
+    sin2 = np.concatenate([[0.0], np.geomspace(1.0, 1e-300, 500),
+                           [0.25 * math.exp(-3.0 * 2.0 ** k) ** 2 for k in range(6)]])
+    if kind == "complex":
+        sin2 = np.concatenate([sin2 * np.exp(1j * phase) for phase in (0.3, 1.7, -2.9)]
+                              + [[complex(0.0, 0.0), np.cos(0.5 * complex(1.0, 0.5)) ** 2]])
+    rows = [(v, s_x, lam) for v in sin2.tolist()
+            for s_x in (0.0, -0.0, 1e-300, 0.5)
+            for lam in (1.0, 0.3, 5e-3, 1e-16, 3.0)]
+    sin2_half, s_x, lam = (np.array(col)[:, None] for col in zip(*rows))
+    got = quadrature._de_first_levels(sin2_half, s_x, lam).ravel().tolist()
+    assert got == [quadrature._de_first_level(*row) for row in rows]
+    assert set(got) == set(range(3, 9))
+
+
 def test_near_edge_rows_make_one_kernel_call(monkeypatch):
     # the first round ends at the level the kernel's peak width predicts,
     # and these rows stop there: 673 nodes is the level-5 grid, 1345 the
