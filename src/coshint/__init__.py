@@ -83,6 +83,7 @@ from .quadrature import (
 from .series import (
     SeriesResult,
     series_contracted,
+    series_contracted_many,
     series_imaginary,
     series_one_sided,
     sine_series_partial,

@@ -8,7 +8,9 @@ paradox that failed to manifest, 2 usage or domain errors.
 
 Sweeps (verify, table) evaluate the whole grid in one process, with the
 quadrature route of every real-p spec batched into one block per kind of
-upper limit (see coshint.verify.verify_points).  Output rows follow
+upper limit, and the contracted series of every real-p spec with upper
+limit 1 or inf into one numpy block (see coshint.verify.verify_points).
+Output rows follow
 input order and each equals the single-spec report, so identical flags
 and seed give byte-identical output.  --threads is still accepted but
 has no effect.

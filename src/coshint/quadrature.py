@@ -553,7 +553,9 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
         raise NonIntegrableError(
             f"|p| = {abs(p)} >= n = {spec.n}: divergent at {where}"
         )
-    _require_integrable(spec)
+    # with |p| < n, classify_domain refuses exactly a theta outside (0, 2*pi)
+    if not 0.0 < spec.theta < 2.0 * math.pi:
+        _require_integrable(spec)
     b = p / spec.n
     s_x = None if X is None else -spec.n * math.log(X)
     return b, -math.cos(spec.zeta), math.sin(0.5 * spec.theta) ** 2, s_x, _decay_rate(b)

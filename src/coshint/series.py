@@ -27,6 +27,12 @@ terms in chunks of at most 8192 so memory stays flat however large K is.
 Tolerances below 1e-10 are refused: the conditional part of the sum
 cannot honestly beat that, and a tolerance the bound cannot meet within
 MAX_TERMS terms is refused without summing.
+
+series_contracted_many is series_contracted for a block of rows, as
+numpy columns; verify.verify_points runs a grid's series route through
+it.  It serves the rows whose terms the driver sums in its plain loop
+(fewer than _LOOP_TERMS), equal to the scalar call bit for bit, and
+leaves every other row to the scalar call.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ MAX_TERMS = 100_000
 TOL_FLOOR = 1e-10
 THETA_EDGE = 1e-3
 _BLOCK = 8192
+# _sine_sum sums stop - 1 terms in a plain loop when stop <= _LOOP_TERMS,
+# with numpy above; series_contracted_many serves exactly the loop's rows,
+# so this bound is also the block's contract
 _LOOP_TERMS = 24
 
 # J: the Bernoulli-polynomial anchors series_contracted subtracts beyond
@@ -299,6 +308,126 @@ def series_contracted(n: float, p: float, theta: float, tol: float) -> SeriesRes
         + weight * theta * _ARG_SUM)
     return _accelerated_sum(theta, prefactor, anchors, weight, c_of_k, tol,
                             rounding, _DECAY)
+
+
+# k = 1.._LOOP_TERMS and k**(2J+1) by Python's pow (numpy's ** differs from
+# it in the last bit for some k), for series_contracted_many's tables
+_LOOP_K = np.arange(1.0, _LOOP_TERMS + 1.0)
+_LOOP_POW = np.array([k ** (_DECAY - 2) for k in _LOOP_K.tolist()])
+_LAST_K = float(MAX_TERMS + 1)
+
+
+def _padded(odd, i: int) -> list[float]:
+    """Entry i (0: c, 1: |c|) of each (c, |c|) pair, after zeros up to
+    EXTRA_ANCHORS + 1 entries: a Horner step from 0 with a 0 coefficient
+    stays 0, so every anchor's polynomial runs the same steps."""
+    return [0.0] * (EXTRA_ANCHORS + 1 - len(odd)) + [pair[i] for pair in odd]
+
+
+# indexed [region (0: theta form, 1: pi form), c or |c|, anchor, coefficient]
+# and [region, e or |e|, anchor]
+_ANCHOR_ODD = np.array([[[_padded(f[0], i) for f in forms] for i in (0, 1)]
+                        for forms in (_THETA_FORMS, _PI_FORMS)])
+_ANCHOR_EVEN = np.array([[[f[1 + i] for f in forms] for i in (0, 1)]
+                         for forms in (_THETA_FORMS, _PI_FORMS)])
+
+
+def _anchor_columns(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """anchor_sums for a column of theta: (rows x anchors) sums and sizes.
+
+    Each row takes the region, z and polynomial that anchor_sums picks for
+    its theta, and the same operations in the same order; w**m is Python's
+    pow per row.
+    """
+    mid = (theta >= 0.5 * math.pi) & (theta <= 1.5 * math.pi)
+    high = theta > 1.5 * math.pi
+    z = np.where(mid, (math.pi - theta) + _PI_LO,
+                 np.where(high, (2.0 * math.pi - theta) + 2.0 * _PI_LO, theta))
+    w = z * z
+    z_even = np.array([[x ** m for m in range(EXTRA_ANCHORS + 1)] for x in w.tolist()])
+    region = mid.astype(np.intp)
+    odd, even = _ANCHOR_ODD[region], _ANCHOR_EVEN[region]
+    poly = 0.0  # value and magnitude polynomials side by side
+    for i in range(EXTRA_ANCHORS + 1):
+        poly = poly * w[:, None, None] + odd[..., i]
+    sign = np.where(high, -1.0, 1.0)[:, None]
+    sums = sign * (z[:, None] * poly[:, 0] + even[:, 0] * z_even)
+    sizes = np.abs(z)[:, None] * poly[:, 1] + even[:, 1] * z_even
+    return sums, sizes
+
+
+def series_contracted_many(n, p, theta, tol: float) -> list[SeriesResult | None]:
+    """series_contracted(n[i], p[i], theta[i], tol) for a block of rows.
+
+    The rows run as numpy columns: the anchors, the rounding allowance,
+    the search for K over a (rows x _LOOP_TERMS) table of tails, and the
+    sine sum.  A row is served when its scalar call would sum its terms
+    in _sine_sum's plain loop (K <= _LOOP_TERMS): THETA_EDGE < theta <
+    2*pi - THETA_EDGE, |p| < n, a positive budget (the target less the
+    rounding) and a tail bound met within MAX_TERMS terms.  A served
+    row's result equals the scalar call's bit for bit; every other row is
+    None, for the caller to pass to series_contracted, which returns or
+    raises for it as it does alone.  Rows past the loop are left to the
+    scalar call because it sums them with numpy's k**(2J+1), whose bits
+    only the same per-row numpy call reproduces.
+
+    The bits match because every step is the scalar's IEEE operation in
+    the scalar's order, the powers are Python's (w**m per row, k**(2J+1)
+    from _LOOP_POW), np.sin is libm's sin on float64 (tests/test_series.py
+    checks it), and the loop's left-to-right sum is a cumsum along the row
+    from a zero column.  K is the first k whose tail meets the budget,
+    which is where the scalar's gallop and bisection land, since the tail
+    falls with k.
+    """
+    n, p, theta = (np.asarray(x, dtype=float) for x in (n, p, theta))
+    out: list[SeriesResult | None] = [None] * len(n)
+    if not tol >= TOL_FLOOR:
+        return out
+    p_abs = np.abs(p)
+    rows = np.flatnonzero((n > 0) & (THETA_EDGE < theta)
+                          & (theta < 2.0 * math.pi - THETA_EDGE) & (p_abs < n))
+    if not len(rows):
+        return out
+    n, p, p_abs, theta = n[rows], p[rows], p_abs[rows], theta[rows]
+    with np.errstate(all="ignore"):
+        b = p / n
+        b2 = b * b
+        b_abs = np.abs(b)
+        sin_theta = np.sin(theta)
+        prefactor = 2.0 / (n * sin_theta)
+        sums, sizes = _anchor_columns(theta)
+        anchors = size = 0.0
+        weight = 1.0
+        for j in range(EXTRA_ANCHORS + 1):
+            anchors += weight * sums[:, j]
+            size += weight * sizes[:, j]
+            weight *= b2
+        n_col, p_col, b_col = n[:, None], p_abs[:, None], b_abs[:, None]
+        c = n_col / (_LOOP_POW * (_LOOP_K * n_col - p_col) * (_LOOP_K + b_col))
+        c_last = n / (_LAST_K ** (_DECAY - 2) * (_LAST_K * n - p_abs) * (_LAST_K + b_abs))
+        remainder_size = c[:, 0] * np.abs(sin_theta) + _COEF_SUM
+        rounding = np.abs(prefactor) * _UNIT_ROUNDOFF * (
+            _ROUNDING_ULPS * (size + weight * remainder_size)
+            + weight * theta * _ARG_SUM)
+        budget = 0.1 * tol - rounding
+        scale = np.abs(prefactor * weight) / np.abs(np.sin(0.5 * theta))
+        tails = scale[:, None] * c
+        fits = tails <= budget[:, None]
+        # the scalar's search starts at lo = ceil((scale/budget)**(1/(2J+3))) - 1,
+        # below the first k that meets the budget (every c_k >= k**-(2J+3)),
+        # so its K is that k
+        stop = np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, _LOOP_TERMS + 1)
+        keep = np.flatnonzero((budget > 0.0) & (scale * c_last <= budget)
+                              & (stop <= _LOOP_TERMS))
+        stop = stop[keep]
+        terms = np.zeros((len(keep), _LOOP_TERMS))
+        terms[:, 1:] = np.sin(_LOOP_K[:-1] * theta[keep, None]) * c[keep, :-1]
+        total = np.cumsum(terms, axis=1)[np.arange(len(keep)), stop - 1]
+        value = prefactor[keep] * (anchors[keep] + weight[keep] * total)
+        tail = tails[keep, stop - 1] + rounding[keep]
+    for i, v, k, t in zip(rows[keep].tolist(), value.tolist(), stop.tolist(), tail.tolist()):
+        out[i] = SeriesResult(value=v, terms_used=k - 1, tail_estimate=t, accelerated=True)
+    return out
 
 
 def series_imaginary(n: float, q: float, theta: float, tol: float) -> SeriesResult:

@@ -4,7 +4,7 @@ verify_point evaluates one spec by every admissible route (closed form,
 partial fractions, quadrature, accelerated series) and reports the
 worst pairwise disagreement; verify_points does the same for a grid,
 with the quadrature of its real-p specs run as one block per kind of
-upper limit.
+upper limit and their contracted series as one numpy block.
 Disagreements never raise: callers and the test suite decide what
 counts as failure.
 
@@ -44,7 +44,7 @@ from .quadrature import (
     quad_x_domain_infinite_many,
     quad_x_domain_many,
 )
-from .series import TOL_FLOOR, series_contracted
+from .series import TOL_FLOOR, SeriesResult, series_contracted, series_contracted_many
 
 
 # default largest route difference that counts as agreement (CLI --tol too)
@@ -140,8 +140,17 @@ def series_value(spec: IntegrandSpec, tol: float = AGREE_TOL) -> float:
     p = complex(spec.p)
     if p.imag != 0.0:
         raise CoshintError("series path needs a real p")
-    contracted = series_contracted(spec.n, abs(p.real), spec.theta,
-                                   max(0.25 * tol, TOL_FLOOR))
+    contracted = series_contracted(spec.n, abs(p.real), spec.theta, _series_tol(tol))
+    return _series_total(spec, factor, contracted)
+
+
+def _series_tol(tol: float) -> float:
+    """The contracted sum's tolerance for a route tolerance ``tol``."""
+    return max(0.25 * tol, TOL_FLOOR)
+
+
+def _series_total(spec: IntegrandSpec, factor: float, contracted: SeriesResult) -> float:
+    """series_value from the spec's upper-limit factor and contracted sum."""
     zeta_part = 2.0 * math.cos(spec.zeta) * middle_term_integral(spec.n, spec.theta)
     return factor * (contracted.value - zeta_part)
 
@@ -179,26 +188,37 @@ def verify_point(spec: IntegrandSpec, tol: float = AGREE_TOL) -> EvalReport:
     lies outside (0, 2*pi) keep their raw angle in the closed route and
     therefore Disagree with the oracle (the periodicity failure).
     """
-    return _report(spec, tol, lambda: quad_value(spec))
+    return _report(spec, tol, lambda: quad_value(spec), lambda: series_value(spec, tol))
 
 
 def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[EvalReport]:
-    """verify_point for every spec, in input order, with batched quadrature.
+    """verify_point for every spec, in input order, with batched quadrature
+    and series.
 
     The quadrature route of every real-p spec is computed for the whole
     grid at once: quad_x_domain_many for finite upper limits and
     quad_x_domain_infinite_many for an infinite one, whose results are
-    bit-identical to quad_x_domain and quad_x_domain_infinite.  All other
-    routes and specs go through verify_point's own code, so each report
-    equals verify_point(spec, tol).
+    bit-identical to quad_x_domain and quad_x_domain_infinite.  So is the
+    contracted series of every real-p spec with upper limit 1 or inf:
+    series_contracted_many serves the rows that series_contracted sums in
+    its plain loop, bit for bit.  All other routes and specs go through
+    verify_point's own code, so each report equals verify_point(spec, tol).
     """
     real = [i for i, s in enumerate(specs) if complex(s.p).imag == 0.0]
     finite = [i for i in real if specs[i].upper != math.inf]
     infinite = [i for i in real if specs[i].upper == math.inf]
     quads = dict(zip(finite, quad_x_domain_many([specs[i] for i in finite])))
     quads.update(zip(infinite, quad_x_domain_infinite_many([specs[i] for i in infinite])))
-    return [_report(s, tol, partial(_quad_result_value, quads[i]) if i in quads
-                    else partial(quad_value, s))
+    summed = [i for i in real if specs[i].upper in (1.0, math.inf)]
+    block = series_contracted_many([specs[i].n for i in summed],
+                                   [abs(complex(specs[i].p).real) for i in summed],
+                                   [specs[i].theta for i in summed], _series_tol(tol))
+    sums = {i: res for i, res in zip(summed, block) if res is not None}
+    return [_report(s, tol,
+                    partial(_quad_result_value, quads[i]) if i in quads
+                    else partial(quad_value, s),
+                    partial(_series_total, s, _upper_factor(s), sums[i]) if i in sums
+                    else partial(series_value, s, tol))
             for i, s in enumerate(specs)]
 
 
@@ -208,8 +228,9 @@ def _quad_result_value(result) -> float:
     return result.value
 
 
-def _report(spec: IntegrandSpec, tol: float, quad) -> EvalReport:
-    """verify_point's body; ``quad()`` gives the quadrature route's value."""
+def _report(spec: IntegrandSpec, tol: float, quad, series) -> EvalReport:
+    """verify_point's body; ``quad()`` and ``series()`` give the quadrature
+    and series routes' values."""
     nf = normalize(spec)
     domain = classify_domain(spec)
     base = dict(spec=spec, normalized=nf, domain=domain, closed=None,
@@ -224,7 +245,7 @@ def _report(spec: IntegrandSpec, tol: float, quad) -> EvalReport:
         paths = (("closed", lambda: _closed_value(spec, nf)),
                  ("pf", lambda: pf_value(spec)),
                  ("quad", quad),
-                 ("series", lambda: series_value(spec, tol)))
+                 ("series", series))
         for name, path in paths:
             try:
                 values[name] = path()

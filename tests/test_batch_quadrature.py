@@ -28,6 +28,7 @@ from coshint import (
 )
 from coshint.cli import main, report_to_dict
 from coshint.quadrature import _x_kernel_args
+from coshint.series import TOL_FLOOR
 
 TWO_PI = 2.0 * math.pi
 
@@ -332,3 +333,26 @@ def test_verify_points_equals_verify_point_at_infinity():
              ])
     assert sum(s.upper == math.inf for s in specs) >= 20
     assert verify_points(specs, 1e-9) == [verify_point(s, 1e-9) for s in specs]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 2e-10])
+def test_verify_points_bytes_equal_verify_point(workload, tol):
+    # EvalReport == compares floats with ==, blind to -0.0 against 0.0;
+    # the JSON lines are what the CLI writes.  0.25*2e-10 is below the
+    # series floor, so that tol runs the contracted sums at TOL_FLOOR.
+    assert 0.25 * 2e-10 < TOL_FLOOR < 0.25 * 1e-9
+    specs = workload("near_edge", 1) + workload("integer_inf", 1)[:100] + [
+        IntegrandSpec(2, 1, 1.0, 2.0, upper=math.inf),
+        IntegrandSpec(3, 1, 2.0, 1.0, upper=0.5),
+        IntegrandSpec(1.5, 0.4, 1.0, 1.0, upper=0.5),
+        IntegrandSpec(1, 1j, math.pi / 2, math.pi / 2),
+        IntegrandSpec(1, 0.5j, 2.0, 1.0, upper=math.inf),
+        IntegrandSpec(1, -0.0, 1.0, math.pi / 2),
+        IntegrandSpec(1, 0.5, 1.0 + TWO_PI, 1.0),  # paradox-only
+        IntegrandSpec(1, 1.5, 1.0, 1.0),  # excluded
+        IntegrandSpec(1, 0.5, TWO_PI, 1.0),  # singular theta
+        IntegrandSpec(2, 1, math.pi, 1.0),  # boundary-a
+        IntegrandSpec(2, 1, math.pi, 1.0, upper=math.inf),
+    ]
+    block = [json.dumps(report_to_dict(r)) for r in verify_points(specs, tol)]
+    assert block == [json.dumps(report_to_dict(verify_point(s, tol))) for s in specs]

@@ -8,6 +8,7 @@ import pytest
 from coshint import (
     BudgetExceededError,
     DomainError,
+    DomainKind,
     IntegrandSpec,
     NonIntegrableError,
     PoleTooCloseError,
@@ -551,3 +552,27 @@ def test_evaluations_count_the_grid_of_the_last_level():
     for name, results in (("de", de), ("sinh", sinh)):
         levels = [counts[name].index(r.evaluations) for r in results]
         assert len(set(levels)) > 1, (name, levels)  # more than one level reached
+
+
+def test_x_kernel_args_classifies_only_a_theta_outside_the_turn(monkeypatch):
+    classify = quadrature.classify_domain
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return classify(spec)
+
+    monkeypatch.setattr(quadrature, "classify_domain", counted)
+    for theta in (5e-324, 1e-300, 1.0, math.pi, math.nextafter(2 * math.pi, 0.0)):
+        spec = IntegrandSpec(2.0, -0.5, theta, 1.0)
+        assert classify(spec).kind in (DomainKind.VALID, DomainKind.BOUNDARY_A)
+        for X in (1.0, 0.5, None):
+            quadrature._x_kernel_args(spec, X)
+    assert calls == []
+    outside = (0.0, -0.0, 2 * math.pi, -1.0, 2 * math.pi + 1.0, 6 * math.pi, -2 * math.pi)
+    for theta in outside:
+        spec = IntegrandSpec(2.0, 0.5, theta, 1.0)
+        with pytest.raises(DomainError) as info:
+            quadrature._x_kernel_args(spec, 1.0)
+        assert str(info.value) == f"spec not integrable as given: {classify(spec).detail}"
+    assert len(calls) == len(outside)

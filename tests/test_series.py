@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from coshint import (
+    IntegrandSpec,
     SlowConvergenceError,
     ToleranceUnreachableError,
     eval_cosh_ratio,
     eval_sech_transform,
     series_contracted,
+    series_contracted_many,
     series_imaginary,
     series_one_sided,
     sine_series_partial,
@@ -311,3 +313,145 @@ def test_frozen_unreachable_message():
         series_contracted(1.0, 0.5, PI, 1e-10)
     assert str(info.value) == ("tail bound 0.00030637698113901614 still above "
                                "1.0000000000000001e-11 after 100000 terms")
+
+
+# ---------------------------------------------------------------------------
+# series_contracted_many: the block form of series_contracted
+
+BLOCK_TOL = 0.25e-9  # verify.series_value's tol at the default AGREE_TOL
+
+
+def _bits(res):
+    return (res.value.hex(), res.terms_used, res.tail_estimate.hex(), res.accelerated)
+
+
+def _block_against_scalar(rows, tol=BLOCK_TOL):
+    """Run rows of (n, p, theta) as one block and one by one.
+
+    Every row the block serves must equal the scalar call bit for bit, and
+    the block must serve exactly the rows that the scalar sums in its
+    plain loop (terms_used < _LOOP_TERMS); the others are None.  Returns
+    {terms_used or the error class: count} of the scalar calls.
+    """
+    n, p, theta = zip(*rows)
+    block = series_contracted_many(n, p, theta, tol)
+    assert len(block) == len(rows)
+    seen = {}
+    for row, got in zip(rows, block):
+        try:
+            want = series_contracted(*row, tol)
+        except (SlowConvergenceError, ToleranceUnreachableError, ValueError) as exc:
+            assert got is None, row
+            seen[type(exc)] = seen.get(type(exc), 0) + 1
+            continue
+        seen[want.terms_used] = seen.get(want.terms_used, 0) + 1
+        if want.terms_used < series._LOOP_TERMS:
+            assert got is not None, row
+            assert _bits(got) == _bits(want), row
+        else:
+            assert got is None, row
+    return seen
+
+
+@pytest.mark.parametrize("name, served", [("random_unit", 998), ("integer_inf", 1998),
+                                          ("near_edge", 93)])
+def test_block_equals_scalar_on_workload_seed_1(workload, name, served):
+    rows = [(s.n, abs(s.p), s.theta) for s in workload(name, 1)]
+    seen = _block_against_scalar(rows)
+    assert sum(v for k, v in seen.items() if isinstance(k, int) and k < 24) == served
+
+
+def test_block_b_zero_sums_no_terms():
+    rows = [(n, 0.0, theta) for n in (0.5, 1.3, 7.0)
+            for theta in (1.5e-3, 0.4, 1.1, PI, 4.0, 2 * PI - 1.5e-3)]
+    assert _block_against_scalar(rows) == {0: len(rows)}
+
+
+BLOCK_BS = [0.0, 1e-3, 0.3, -0.5, 0.9, -0.95, 0.99, -0.995, 0.999]
+# the three anchor regions of theta, their borders at pi/2 and 3*pi/2 and
+# the points beside them
+REGION_THETAS = [0.01, 0.3, math.nextafter(PI / 2, 0.0), PI / 2,
+                 math.nextafter(PI / 2, 4.0), 2.0, PI, 4.0,
+                 math.nextafter(3 * PI / 2, 0.0), 3 * PI / 2,
+                 math.nextafter(3 * PI / 2, 7.0), 5.5, 6.2]
+
+
+def test_block_equals_scalar_in_every_anchor_region():
+    rows = [(n, b * n, theta) for theta in REGION_THETAS for b in BLOCK_BS
+            for n in (0.5, 2.0)]
+    seen = _block_against_scalar(rows)
+    # most rows are served; b near 1 needs more terms, and theta = pi
+    # leaves no budget (see test_contracted_refused_at_pi_before_summing)
+    assert sum(v for k, v in seen.items() if isinstance(k, int) and k < 24) > 0.8 * len(rows)
+    assert seen[ToleranceUnreachableError] >= 1
+
+
+def test_block_around_the_loop_boundary(workload):
+    # near_edge seed-1 spec 16 sums 24 terms: the scalar sums it with numpy,
+    # so the block leaves it to the scalar call
+    spec16 = workload("near_edge", 1)[16]
+    assert spec16 == IntegrandSpec(n=2.177539212903693, p=1.9924219091495128,
+                                   theta=6.183374845796147, zeta=0.6343056039034375)
+    assert series_contracted(spec16.n, spec16.p, spec16.theta, BLOCK_TOL).terms_used == 24
+    rows = [(spec16.n, spec16.p, spec16.theta)]
+    # |b| = 0.9 at theta from 0.1 to 0.3 walks terms_used from 26 down to 20
+    rows += [(1.0, 0.9, 0.1 + 0.002 * i) for i in range(100)]
+    seen = _block_against_scalar(rows)
+    assert {22, 23, 24, 25} <= set(seen)
+
+
+def test_block_refuses_a_row_without_budget(monkeypatch):
+    # the budget is the target less the rounding; where the rounding alone
+    # is above the target, the block must not take the root of a negative
+    # ratio, and the scalar raises its own error
+    rows = [(1.0, 0.5, PI), (2.0, -1.0, math.nextafter(PI, 0.0)), (3.0, 2.9, 1.0)]
+    budgets = []
+    driver = series._accelerated_sum
+
+    def record(theta, prefactor, anchored, weight, c_of_k, tol, rounding, decay):
+        budgets.append(0.1 * tol - rounding)
+        return driver(theta, prefactor, anchored, weight, c_of_k, tol, rounding, decay)
+
+    monkeypatch.setattr(series, "_accelerated_sum", record)
+    seen = _block_against_scalar(rows)
+    assert [g <= 0.0 for g in budgets] == [True, True, False]
+    assert seen == {ToleranceUnreachableError: 2, 15: 1}
+
+
+def test_block_at_the_theta_edge():
+    edge, top = series.THETA_EDGE, 2 * PI - series.THETA_EDGE
+    thetas = [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0),
+              math.nextafter(top, 0.0), top, math.nextafter(top, 7.0)]
+    rows = [(n, b * n, theta) for theta in thetas for b in (0.0, 1e-3, 0.5) for n in (0.7, 3.0)]
+    seen = _block_against_scalar(rows)
+    assert seen[SlowConvergenceError] == 24  # theta on or beyond the edge
+    assert seen[0] >= 4  # b = 0 just inside the edge is served
+
+
+def test_block_refuses_what_the_scalar_refuses():
+    rows = [(1.0, 1.0, 1.0), (1.0, -1.5, 2.0), (0.0, 0.0, 1.0), (-1.0, 0.5, 1.0),
+            (math.nan, 0.5, 1.0), (1.0, math.nan, 1.0), (1.0, 0.5, math.nan),
+            (1.0, 0.5, 1.0)]
+    assert series_contracted_many(*zip(*rows), 0.5 * series.TOL_FLOOR) == [None] * 8
+    assert series_contracted_many([], [], [], BLOCK_TOL) == []
+    block = series_contracted_many(*zip(*rows), BLOCK_TOL)
+    assert block[:7] == [None] * 7
+    assert _bits(block[7]) == _bits(series_contracted(1.0, 0.5, 1.0, BLOCK_TOL))
+
+
+def test_numpy_sin_is_libm_sin_on_the_loop_arguments():
+    # the block's sine table is np.sin, the scalar loop's math.sin
+    theta = np.linspace(series.THETA_EDGE, 2 * PI - series.THETA_EDGE, 20_001)
+    args = (series._LOOP_K[:, None] * theta).ravel()
+    assert np.sin(args).tolist() == [math.sin(x) for x in args.tolist()]
+
+
+def test_anchor_columns_equal_anchor_sums():
+    # both regions' borders, the edges and a dense grid; numpy's w**m would
+    # move some of the theta form's even terms by an ulp
+    thetas = np.concatenate([np.linspace(1e-3, 2 * PI - 1e-3, 20_001),
+                             [5e-324, PI / 2, math.nextafter(PI / 2, 0.0), PI,
+                              3 * PI / 2, math.nextafter(3 * PI / 2, 7.0)]])
+    sums, sizes = series._anchor_columns(thetas)
+    for theta, row_sums, row_sizes in zip(thetas.tolist(), sums.tolist(), sizes.tolist()):
+        assert (row_sums, row_sizes) == anchor_sums(theta), theta
