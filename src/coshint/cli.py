@@ -100,6 +100,8 @@ def parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid ranges are start:step:stop, got {text!r}")
     start, step, stop = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ValueError(f"grid ranges need finite start, step and stop, got {text!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
     values = []

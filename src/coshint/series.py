@@ -30,9 +30,9 @@ MAX_TERMS terms is refused without summing.
 
 series_contracted_many is series_contracted for a block of rows, as
 numpy columns; verify.verify_points runs a grid's series route through
-it.  It serves the rows whose terms the driver sums in its plain loop
-(fewer than _LOOP_TERMS), equal to the scalar call bit for bit, and
-leaves every other row to the scalar call.
+it.  It serves every row whose K - 1 terms fit in _WIDTH, whether the
+driver sums them in its plain loop or in one numpy chunk, equal to the
+scalar call bit for bit, and leaves every other row to the scalar call.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ TOL_FLOOR = 1e-10
 THETA_EDGE = 1e-3
 _BLOCK = 8192
 # _sine_sum sums stop - 1 terms in a plain loop when stop <= _LOOP_TERMS,
-# with numpy above; series_contracted_many serves exactly the loop's rows,
-# so this bound is also the block's contract
+# with numpy above; series_contracted_many copies the loop's sum below this
+# bound and numpy's pairwise one from it up to _WIDTH terms
 _LOOP_TERMS = 24
 
 # J: the Bernoulli-polynomial anchors series_contracted subtracts beyond
@@ -310,11 +310,20 @@ def series_contracted(n: float, p: float, theta: float, tol: float) -> SeriesRes
                             rounding, _DECAY)
 
 
-# k = 1.._LOOP_TERMS and k**(2J+1) by Python's pow (numpy's ** differs from
-# it in the last bit for some k), for series_contracted_many's tables
-_LOOP_K = np.arange(1.0, _LOOP_TERMS + 1.0)
-_LOOP_POW = np.array([k ** (_DECAY - 2) for k in _LOOP_K.tolist()])
+# series_contracted_many serves rows of at most _WIDTH terms (K <= _WIDTH + 1).
+# Natural rows need at most about 150; more arise only where the rounding
+# allowance leaves almost none of the target, and those take the scalar call.
+_WIDTH = 1024
+# k = 1.._WIDTH + 1 and k**(2J+1) twice over: by Python's pow, as the tails
+# the scalar's search compares (tail(k) passes a Python float), and by
+# numpy's **, as _sine_sum's numpy chunk computes its terms; the two differ
+# in the last bit for some k
+_K = np.arange(1.0, _WIDTH + 2.0)
+_K_POW = np.array([k ** (_DECAY - 2) for k in _K.tolist()])
+_TERM_POW = _K[:_WIDTH] ** (_DECAY - 2)
 _LAST_K = float(MAX_TERMS + 1)
+# columns of the window in which _far_stops looks for K
+_WINDOW = 5
 
 
 def _padded(odd, i: int) -> list[float]:
@@ -356,28 +365,85 @@ def _anchor_columns(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums, sizes
 
 
+def _coefficients(k, k_pow, n, p_abs, b_abs):
+    """series_contracted's c_k for each row (n, p_abs, b_abs) at the columns
+    k, with k**(2J+1) given as k_pow, in c_of_k's order of operations."""
+    n, p_abs, b_abs = n[:, None], p_abs[:, None], b_abs[:, None]
+    return n / (k_pow * (k * n - p_abs) * (k + b_abs))
+
+
+def _far_stops(scale, budget, n, p_abs, b_abs):
+    """K and tail(K) for rows whose tails exceed the budget up to _LOOP_TERMS.
+
+    Every c_k >= k**-(2J+3) puts K at or above y = (scale/budget)**(1/(2J+3)),
+    and c_k <= 1.002*k**-(2J+3) for k >= _LOOP_TERMS puts it at most
+    ceil(y) + 1 for y <= _WIDTH.  So K lies in the _WINDOW columns from
+    ceil(y) - 2, however numpy's ** rounds y.  A row's K is the first
+    column there whose tail meets the budget, when the first column's does
+    not; for any other row (y past _WIDTH, say) K is 0.
+    """
+    y = (scale / budget) ** (1.0 / _DECAY)
+    first = np.clip(np.ceil(y) - 2.0, _LOOP_TERMS, _WIDTH + 2 - _WINDOW)
+    k = first[:, None] + np.arange(_WINDOW)
+    tails = scale[:, None] * _coefficients(k, _K_POW[k.astype(np.intp) - 1], n, p_abs, b_abs)
+    fits = tails <= budget[:, None]
+    col = fits.argmax(axis=1)
+    rows = np.arange(len(col))
+    stop = np.where(fits[rows, col] & ~fits[:, 0], k[rows, col], 0.0).astype(np.intp)
+    return stop, tails[rows, col]
+
+
+def _pairwise_sums(stop, theta, n, p_abs, b_abs):
+    """0.0 + sum_{k<stop} sin(k*theta)*c_k per row, as _sine_sum's numpy chunk
+    adds it: numpy's k**(2J+1) (_TERM_POW), and one pairwise sum over each
+    row's contiguous terms.
+
+    The rows run widest first, in chunks of at most _BLOCK terms (_WIDTH
+    <= _BLOCK), so temporaries stay as small as _sine_sum's.  Within a
+    chunk, the rows of one K are adjacent and sum as one (rows x (K - 1))
+    slice.
+    """
+    total = np.empty(len(stop))
+    order = np.argsort(-stop, kind="stable")
+    stop, theta, n, p_abs, b_abs = (x[order] for x in (stop, theta, n, p_abs, b_abs))
+    start = 0
+    while start < len(stop):
+        width = int(stop[start]) - 1
+        chunk = slice(start, min(len(stop), start + _BLOCK // width))
+        k = _K[:width]
+        terms = np.sin(k * theta[chunk, None]) * _coefficients(
+            k, _TERM_POW[:width], n[chunk], p_abs[chunk], b_abs[chunk])
+        ends = stop[chunk]
+        cuts = [0, *(np.flatnonzero(ends[1:] != ends[:-1]) + 1).tolist(), len(ends)]
+        total[order[chunk]] = 0.0 + np.concatenate(
+            [np.add.reduce(terms[lo:hi, :ends[lo] - 1], axis=1) for lo, hi in zip(cuts, cuts[1:])])
+        start = chunk.stop
+    return total
+
+
 def series_contracted_many(n, p, theta, tol: float) -> list[SeriesResult | None]:
     """series_contracted(n[i], p[i], theta[i], tol) for a block of rows.
 
     The rows run as numpy columns: the anchors, the rounding allowance,
-    the search for K over a (rows x _LOOP_TERMS) table of tails, and the
-    sine sum.  A row is served when its scalar call would sum its terms
-    in _sine_sum's plain loop (K <= _LOOP_TERMS): THETA_EDGE < theta <
-    2*pi - THETA_EDGE, |p| < n, a positive budget (the target less the
-    rounding) and a tail bound met within MAX_TERMS terms.  A served
-    row's result equals the scalar call's bit for bit; every other row is
-    None, for the caller to pass to series_contracted, which returns or
-    raises for it as it does alone.  Rows past the loop are left to the
-    scalar call because it sums them with numpy's k**(2J+1), whose bits
-    only the same per-row numpy call reproduces.
+    the search for K and the sine sum.  A row is served when the scalar
+    call would sum its K - 1 terms in one _sine_sum pass of at most
+    _WIDTH terms: THETA_EDGE < theta < 2*pi - THETA_EDGE, |p| < n, a
+    positive budget (the target less the rounding) and a tail bound met
+    within MAX_TERMS terms.  A served row's result equals the scalar
+    call's bit for bit; every other row is None, for the caller to pass to
+    series_contracted, which returns or raises for it as it does alone.
 
     The bits match because every step is the scalar's IEEE operation in
-    the scalar's order, the powers are Python's (w**m per row, k**(2J+1)
-    from _LOOP_POW), np.sin is libm's sin on float64 (tests/test_series.py
-    checks it), and the loop's left-to-right sum is a cumsum along the row
-    from a zero column.  K is the first k whose tail meets the budget,
-    which is where the scalar's gallop and bisection land, since the tail
-    falls with k.
+    the scalar's order, with the scalar's powers (w**m per row, and
+    k**(2J+1) by Python's pow in the tails and by numpy's in the numpy
+    chunk's terms), and np.sin is libm's sin on the loop's arguments
+    (tests/test_series.py checks both).  K is the first k whose tail meets
+    the budget, which is where the scalar's gallop and bisection land,
+    since the tail falls with k: a (rows x _LOOP_TERMS) table of tails
+    finds it up to _LOOP_TERMS, and _far_stops beyond.  Below
+    _LOOP_TERMS the loop's left-to-right sum is a cumsum along the row
+    from a zero column; from there each row's terms are one pairwise
+    numpy sum (_pairwise_sums).
     """
     n, p, theta = (np.asarray(x, dtype=float) for x in (n, p, theta))
     out: list[SeriesResult | None] = [None] * len(n)
@@ -402,8 +468,8 @@ def series_contracted_many(n, p, theta, tol: float) -> list[SeriesResult | None]
             anchors += weight * sums[:, j]
             size += weight * sizes[:, j]
             weight *= b2
-        n_col, p_col, b_col = n[:, None], p_abs[:, None], b_abs[:, None]
-        c = n_col / (_LOOP_POW * (_LOOP_K * n_col - p_col) * (_LOOP_K + b_col))
+        k = _K[:_LOOP_TERMS]
+        c = _coefficients(k, _K_POW[:_LOOP_TERMS], n, p_abs, b_abs)
         c_last = n / (_LAST_K ** (_DECAY - 2) * (_LAST_K * n - p_abs) * (_LAST_K + b_abs))
         remainder_size = c[:, 0] * np.abs(sin_theta) + _COEF_SUM
         rounding = np.abs(prefactor) * _UNIT_ROUNDOFF * (
@@ -416,16 +482,25 @@ def series_contracted_many(n, p, theta, tol: float) -> list[SeriesResult | None]
         # the scalar's search starts at lo = ceil((scale/budget)**(1/(2J+3))) - 1,
         # below the first k that meets the budget (every c_k >= k**-(2J+3)),
         # so its K is that k
-        stop = np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, _LOOP_TERMS + 1)
-        keep = np.flatnonzero((budget > 0.0) & (scale * c_last <= budget)
-                              & (stop <= _LOOP_TERMS))
-        stop = stop[keep]
-        terms = np.zeros((len(keep), _LOOP_TERMS))
-        terms[:, 1:] = np.sin(_LOOP_K[:-1] * theta[keep, None]) * c[keep, :-1]
-        total = np.cumsum(terms, axis=1)[np.arange(len(keep)), stop - 1]
-        value = prefactor[keep] * (anchors[keep] + weight[keep] * total)
-        tail = tails[keep, stop - 1] + rounding[keep]
-    for i, v, k, t in zip(rows[keep].tolist(), value.tolist(), stop.tolist(), tail.tolist()):
+        near = fits.any(axis=1)
+        stop = np.where(near, fits.argmax(axis=1) + 1, 0)
+        tail = tails[np.arange(len(stop)), stop - 1]
+        total = np.empty(len(stop))
+        ok = (budget > 0.0) & (scale * c_last <= budget)
+        loop = np.flatnonzero(ok & near)
+        terms = np.zeros((len(loop), _LOOP_TERMS))
+        terms[:, 1:] = np.sin(k[:-1] * theta[loop, None]) * c[loop, :-1]
+        total[loop] = np.cumsum(terms, axis=1)[np.arange(len(loop)), stop[loop] - 1]
+        far = np.flatnonzero(ok & ~near)
+        if len(far):  # rows past the loop are rare away from the theta edges
+            stop[far], tail[far] = _far_stops(scale[far], budget[far], n[far],
+                                              p_abs[far], b_abs[far])
+            far = far[stop[far] > 0]
+            total[far] = _pairwise_sums(stop[far], theta[far], n[far], p_abs[far], b_abs[far])
+        keep = np.flatnonzero(ok & (stop > 0))
+        value = prefactor[keep] * (anchors[keep] + weight[keep] * total[keep])
+        tail = tail[keep] + rounding[keep]
+    for i, v, k, t in zip(rows[keep].tolist(), value.tolist(), stop[keep].tolist(), tail.tolist()):
         out[i] = SeriesResult(value=v, terms_used=k - 1, tail_estimate=t, accelerated=True)
     return out
 

@@ -201,7 +201,8 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
     bit-identical to quad_x_domain and quad_x_domain_infinite.  So is the
     contracted series of every real-p spec with upper limit 1 or inf:
     series_contracted_many serves the rows that series_contracted sums in
-    its plain loop, bit for bit.  All other routes and specs go through
+    one pass of at most series._WIDTH terms, in its plain loop or with
+    numpy, bit for bit.  All other routes and specs go through
     verify_point's own code, so each report equals verify_point(spec, tol).
     """
     real = [i for i, s in enumerate(specs) if complex(s.p).imag == 0.0]

@@ -54,6 +54,24 @@ def test_parse_grid():
     assert parse_grid("1:1:3") == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("text", ["0:1:inf", "0:1:-inf", "-inf:1:0", "inf:1:inf",
+                                  "0:inf:1", "nan:1:2", "0:nan:1", "0:1:nan"])
+def test_parse_grid_refuses_non_finite_parts(text):
+    with pytest.raises(ValueError, match="finite"):
+        parse_grid(text)
+
+
+def test_table_non_finite_sweep_exits_2(capsys):
+    code = main(["table", "--n", "1", "--p", "0.5", "--theta", "0:1:inf", "--zeta", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("bad sweep: grid ranges need finite")
+    code = main(["table", "--n", "1", "--p", "nan:0.1:0.5", "--theta", "1", "--zeta", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("bad sweep: grid ranges need finite")
+
+
 def test_parse_upper():
     assert parse_upper("inf") == math.inf
     assert parse_upper("1") == 1.0

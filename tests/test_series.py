@@ -328,10 +328,11 @@ def _bits(res):
 def _block_against_scalar(rows, tol=BLOCK_TOL):
     """Run rows of (n, p, theta) as one block and one by one.
 
-    Every row the block serves must equal the scalar call bit for bit, and
-    the block must serve exactly the rows that the scalar sums in its
-    plain loop (terms_used < _LOOP_TERMS); the others are None.  Returns
-    {terms_used or the error class: count} of the scalar calls.
+    The block must serve every row that the scalar serves within the
+    block's width (terms_used <= _WIDTH), in its plain loop or in one numpy
+    chunk, and equal the scalar call there bit for bit; the others are
+    None.  Returns {terms_used or the error class: count} of the scalar
+    calls.
     """
     n, p, theta = zip(*rows)
     block = series_contracted_many(n, p, theta, tol)
@@ -345,7 +346,7 @@ def _block_against_scalar(rows, tol=BLOCK_TOL):
             seen[type(exc)] = seen.get(type(exc), 0) + 1
             continue
         seen[want.terms_used] = seen.get(want.terms_used, 0) + 1
-        if want.terms_used < series._LOOP_TERMS:
+        if want.terms_used <= series._WIDTH:
             assert got is not None, row
             assert _bits(got) == _bits(want), row
         else:
@@ -353,12 +354,15 @@ def _block_against_scalar(rows, tol=BLOCK_TOL):
     return seen
 
 
-@pytest.mark.parametrize("name, served", [("random_unit", 998), ("integer_inf", 1998),
-                                          ("near_edge", 93)])
-def test_block_equals_scalar_on_workload_seed_1(workload, name, served):
-    rows = [(s.n, abs(s.p), s.theta) for s in workload(name, 1)]
+@pytest.mark.parametrize("name, seed, served", [
+    ("random_unit", 1, 1000), ("integer_inf", 1, 2000),
+    ("near_edge", 1, 712), ("near_edge", 2, 713), ("near_edge", 9001, 712)])
+def test_block_equals_scalar_on_workload(workload, name, seed, served):
+    rows = [(s.n, abs(s.p), s.theta) for s in workload(name, seed)]
     seen = _block_against_scalar(rows)
-    assert sum(v for k, v in seen.items() if isinstance(k, int) and k < 24) == served
+    assert sum(v for k, v in seen.items() if isinstance(k, int)) == served
+    if name == "near_edge":  # most of its rows sum in numpy, not in the loop
+        assert sum(v for k, v in seen.items() if isinstance(k, int) and k >= 24) > 600
 
 
 def test_block_b_zero_sums_no_terms():
@@ -380,15 +384,18 @@ def test_block_equals_scalar_in_every_anchor_region():
     rows = [(n, b * n, theta) for theta in REGION_THETAS for b in BLOCK_BS
             for n in (0.5, 2.0)]
     seen = _block_against_scalar(rows)
-    # most rows are served; b near 1 needs more terms, and theta = pi
-    # leaves no budget (see test_contracted_refused_at_pi_before_summing)
+    # most rows sum in the loop; b near 1 needs more terms, which sum in
+    # numpy, and theta = pi leaves no budget (see
+    # test_contracted_refused_at_pi_before_summing)
     assert sum(v for k, v in seen.items() if isinstance(k, int) and k < 24) > 0.8 * len(rows)
+    assert sum(v for k, v in seen.items() if isinstance(k, int) and k >= 24) >= 1
     assert seen[ToleranceUnreachableError] >= 1
 
 
 def test_block_around_the_loop_boundary(workload):
-    # near_edge seed-1 spec 16 sums 24 terms: the scalar sums it with numpy,
-    # so the block leaves it to the scalar call
+    # near_edge seed-1 spec 16 sums 24 terms, the fewest that the scalar sums
+    # with numpy instead of its loop: the block must switch from its cumsum
+    # to numpy's pairwise sum right there
     spec16 = workload("near_edge", 1)[16]
     assert spec16 == IntegrandSpec(n=2.177539212903693, p=1.9924219091495128,
                                    theta=6.183374845796147, zeta=0.6343056039034375)
@@ -398,6 +405,50 @@ def test_block_around_the_loop_boundary(workload):
     rows += [(1.0, 0.9, 0.1 + 0.002 * i) for i in range(100)]
     seen = _block_against_scalar(rows)
     assert {22, 23, 24, 25} <= set(seen)
+
+
+def _scale_and_rounding(monkeypatch, row):
+    """The tail's scale and the rounding allowance of a scalar call."""
+    seen = []
+    driver = series._accelerated_sum
+
+    def record(theta, prefactor, anchored, weight, c_of_k, tol, rounding, decay):
+        seen.append((abs(prefactor * weight) / abs(math.sin(0.5 * theta)), rounding))
+        return driver(theta, prefactor, anchored, weight, c_of_k, tol, rounding, decay)
+
+    monkeypatch.setattr(series, "_accelerated_sum", record)
+    series_contracted(*row, 1e-6)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_block_around_its_width(monkeypatch):
+    # K ~ (scale/budget)**(1/9), and the budget is 0.1*tol less the rounding,
+    # so a tol just above 10*rounding asks for any number of terms; natural
+    # rows need at most about 150
+    row = (1e-4, 0.9e-4, 0.01)
+    scale, rounding = _scale_and_rounding(monkeypatch, row)
+    width = series._WIDTH
+    seen = {}
+    for k in np.linspace(width - 40, width + 3, 300).tolist() + [30.0, 100.0, 2 * width]:
+        seen.update(_block_against_scalar([row], 10.0 * (rounding + scale / k ** 9)))
+    assert {width - 1, width, width + 1} <= set(seen)
+
+
+def test_far_search_lands_where_the_scalars_tail_meets_the_budget():
+    # with the budget set to the scalar's own tail(k) (Python floats, as
+    # _accelerated_sum's tail passes them), K must be k and tail(K) its bits,
+    # for every k past the loop; numpy's k**7 differs from Python's at some
+    # of them and would move K past k or change the tail's last bit
+    n, p_abs, scale = 0.7, 0.63, 3.0e7
+    b_abs = p_abs / n
+    ks = range(series._LOOP_TERMS + 1, series._WIDTH + 2)
+    budget = [scale * (n / (k ** 7 * (k * n - p_abs) * (k + b_abs))) for k in map(float, ks)]
+    column = np.ones(len(budget))
+    stop, tail = series._far_stops(scale * column, np.array(budget), n * column,
+                                   p_abs * column, b_abs * column)
+    assert stop.tolist() == list(ks)
+    assert tail.tolist() == budget
 
 
 def test_block_refuses_a_row_without_budget(monkeypatch):
@@ -442,7 +493,7 @@ def test_block_refuses_what_the_scalar_refuses():
 def test_numpy_sin_is_libm_sin_on_the_loop_arguments():
     # the block's sine table is np.sin, the scalar loop's math.sin
     theta = np.linspace(series.THETA_EDGE, 2 * PI - series.THETA_EDGE, 20_001)
-    args = (series._LOOP_K[:, None] * theta).ravel()
+    args = (series._K[:series._LOOP_TERMS, None] * theta).ravel()
     assert np.sin(args).tolist() == [math.sin(x) for x in args.tolist()]
 
 
@@ -455,3 +506,35 @@ def test_anchor_columns_equal_anchor_sums():
     sums, sizes = series._anchor_columns(thetas)
     for theta, row_sums, row_sizes in zip(thetas.tolist(), sums.tolist(), sizes.tolist()):
         assert (row_sums, row_sizes) == anchor_sums(theta), theta
+
+
+def test_numpy_term_powers_are_a_prefix_at_every_stop():
+    # the scalar's numpy chunk takes k**(2J+1) of np.arange(1, stop) afresh;
+    # the block slices one table of it
+    for stop in range(series._LOOP_TERMS + 1, series._WIDTH + 2):
+        k = np.arange(1, stop, dtype=float)
+        assert (k ** (series._DECAY - 2)).tolist() == series._TERM_POW[:stop - 1].tolist(), stop
+
+
+def test_numpy_sin_of_a_table_is_the_sin_of_each_row():
+    # the scalar's numpy chunk takes np.sin of one row's arguments, the block
+    # of a (rows x width) table of them
+    theta = np.linspace(series.THETA_EDGE, 2 * PI - series.THETA_EDGE, 401)
+    k = series._K[:series._WIDTH]
+    table = np.sin(k * theta[:, None])
+    for t, row in zip(theta.tolist(), table.tolist()):
+        assert np.sin(np.arange(1, series._WIDTH + 1, dtype=float) * t).tolist() == row, t
+
+
+def test_numpy_row_sums_of_a_table_are_the_one_row_sum():
+    # the scalar adds a fresh array's .sum() (pairwise); the block reduces a
+    # (rows x K - 1) slice of a wider table along its rows
+    # (np.add.reduce is what .sum() runs); both must give every row's bits
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((5, series._WIDTH)) * np.exp(rng.uniform(-30, 30, (5, 1)))
+    for length in range(1, series._WIDTH + 1):
+        want = [np.array(row[:length]).sum() for row in table]
+        for block in (table, np.ascontiguousarray(table[:, :length])):
+            got = np.add.reduce(block[1:4, :length], axis=1).tolist()
+            assert got == want[1:4], length
+            assert (block[:, :length].sum(axis=1) == want).all(), length
