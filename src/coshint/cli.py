@@ -15,6 +15,12 @@ input order and each equals the single-spec report, so identical flags
 and seed give byte-identical output.  --threads is still accepted but
 has no effect.
 
+verify and eval --json write each report with report_line: one
+f-string in report_to_dict's key order, byte for byte equal to
+json.dumps(report_to_dict(report)), without building the dicts or
+running the json encoder.  report_to_dict stays the dict form of a
+report and the reference that report_line is tested against.
+
 main() parses with one parser per process, built on its first call:
 building it costs about 2 ms (54 add_argument calls), so a caller that
 runs main() once per grid file, such as a script that sweeps many files
@@ -31,6 +37,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import CoshintError
 from .params import (
@@ -166,6 +173,42 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
+_float_repr = float.__repr__
+
+
+def _json_num(x) -> str:
+    """json.dumps(x) for a number or None; a finite float is written
+    directly, anything else (ints, float subclasses, NaN, +-inf) by json."""
+    if type(x) is float and x - x == 0.0:  # x - x is NaN for +-inf and NaN
+        return _float_repr(x)
+    if x is None:
+        return "null"
+    return json.dumps(x)
+
+
+def report_line(report: EvalReport) -> str:
+    """json.dumps(report_to_dict(report)), byte for byte, written directly.
+
+    The keys come in report_to_dict's order; the complex and upper-limit
+    strings are reprs of numbers, which JSON needs no escapes for.
+    """
+    spec, nf, domain = report.spec, report.normalized, report.domain
+    reason = "null" if report.reason is None else _json_str(report.reason)
+    return (
+        f'{{"spec": {{"n": {_json_num(spec.n)}, "p": "{format_complex(spec.p)}", '
+        f'"theta": {_json_num(spec.theta)}, "zeta": {_json_num(spec.zeta)}, '
+        f'"upper": "{format_upper(spec.upper)}"}}, '
+        f'"normalized": {{"a": "{format_complex(nf.a)}", "b": "{format_complex(nf.b)}", '
+        f'"c": {_json_num(nf.c)}, "scale": {_json_num(nf.scale)}}}, '
+        f'"domain": {{"kind": {_json_str(domain.kind.value)}, '
+        f'"detail": {_json_str(domain.detail)}}}, '
+        f'"closed": {_json_num(report.closed)}, "pf": {_json_num(report.pf)}, '
+        f'"quad": {_json_num(report.quad)}, "series": {_json_num(report.series)}, '
+        f'"max_abs_err": {_json_num(report.max_abs_err)}, '
+        f'"verdict": {_json_str(report.verdict.value)}, "reason": {reason}}}'
+    )
+
+
 def _spec_from_args(args) -> IntegrandSpec:
     theta = math.radians(args.theta) if args.deg else args.theta
     zeta = math.radians(args.zeta) if args.deg else args.zeta
@@ -195,7 +238,7 @@ def cmd_eval(args) -> int:
     if args.json or args.method == "all":
         report = verify_point(spec, tol)
         if args.json:
-            print(json.dumps(report_to_dict(report)))
+            print(report_line(report))
         else:
             for name in ("closed", "pf", "quad", "series"):
                 value = getattr(report, name)
@@ -233,7 +276,7 @@ def cmd_verify(args) -> int:
     else:
         return _fail("need either --grid FILE or --random N")
     reports = verify_points(specs, args.tol)
-    lines = [json.dumps(report_to_dict(r)) for r in reports]
+    lines = [report_line(r) for r in reports]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

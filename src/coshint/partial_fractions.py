@@ -29,11 +29,16 @@ from .quadrature import integrate_half_line
 from .trig_sums import assemble
 
 
-def _as_int(x, name: str) -> int:
+def _is_int(x) -> bool:
+    """Whether x, real or complex, is an integer (_as_int's test)."""
     xc = complex(x)
-    if xc.imag != 0.0 or xc.real != round(xc.real):
+    return xc.imag == 0.0 and xc.real == round(xc.real)
+
+
+def _as_int(x, name: str) -> int:
+    if not _is_int(x):
         raise NotIntegerExponentsError(f"{name} = {x!r} is not an integer")
-    return int(round(xc.real))
+    return int(round(complex(x).real))
 
 
 def root_angles(n: int, theta: float) -> list[float]:

@@ -345,15 +345,21 @@ def _anchor_columns(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """anchor_sums for a column of theta: (rows x anchors) sums and sizes.
 
     Each row takes the region, z and polynomial that anchor_sums picks for
-    its theta, and the same operations in the same order; w**m is Python's
-    pow per row.
+    its theta, and the same operations in the same order; w**m is 1 and w
+    for m = 0 and 1, which are exact, and Python's pow per row from m = 2
+    (libm's pow(w, 2) is not known to equal w*w, nor numpy's power libm's).
     """
     mid = (theta >= 0.5 * math.pi) & (theta <= 1.5 * math.pi)
     high = theta > 1.5 * math.pi
     z = np.where(mid, (math.pi - theta) + _PI_LO,
                  np.where(high, (2.0 * math.pi - theta) + 2.0 * _PI_LO, theta))
     w = z * z
-    z_even = np.array([[x ** m for m in range(EXTRA_ANCHORS + 1)] for x in w.tolist()])
+    z_even = np.empty((len(w), EXTRA_ANCHORS + 1))
+    z_even[:, 0] = 1.0
+    z_even[:, 1] = w
+    w_list = w.tolist()
+    for m in range(2, EXTRA_ANCHORS + 1):
+        z_even[:, m] = [x ** m for x in w_list]
     region = mid.astype(np.intp)
     odd, even = _ANCHOR_ODD[region], _ANCHOR_EVEN[region]
     poly = 0.0  # value and magnitude polynomials side by side

@@ -4,7 +4,11 @@ verify_point evaluates one spec by every admissible route (closed form,
 partial fractions, quadrature, accelerated series) and reports the
 worst pairwise disagreement; verify_points does the same for a grid,
 with the quadrature of its real-p specs run as one block per kind of
-upper limit and their contracted series as one numpy block.
+upper limit and their contracted series as one numpy block.  A route
+whose precondition fails (an upper limit other than 1 or inf for closed
+and series, a p that is not real for pf and series, a non-integer n for
+pf) is not called at all: the route function raises from the same
+predicate, so the report is the one that trying it would give.
 Disagreements never raise: callers and the test suite decide what
 counts as failure.
 
@@ -36,7 +40,13 @@ from .params import (
     classify_domain,
     normalize,
 )
-from .partial_fractions import _as_int, integral_at, integral_closed, middle_term_integral
+from .partial_fractions import (
+    _as_int,
+    _is_int,
+    integral_at,
+    integral_closed,
+    middle_term_integral,
+)
 from .quadrature import (
     quad_cos_log,
     quad_x_domain,
@@ -83,12 +93,24 @@ class ParadoxReport:
     explanation: str
 
 
+# Route preconditions.  Each route function raises when its own fails,
+# and _report does not call a route whose precondition fails.
+
+
+def _summed_upper(spec: IntegrandSpec) -> bool:
+    """The closed and series routes' precondition: upper limit 1 or inf."""
+    return spec.upper == 1.0 or spec.upper == math.inf
+
+
+def _real_p(spec: IntegrandSpec) -> bool:
+    """The partial-fraction and series routes' precondition: a real p."""
+    return complex(spec.p).imag == 0.0
+
+
 def _upper_factor(spec: IntegrandSpec) -> float:
-    if spec.upper == 1.0:
-        return 1.0
-    if spec.upper == math.inf:
-        return 2.0
-    raise CoshintError("closed and series routes cover upper limits 1 and inf only")
+    if not _summed_upper(spec):
+        raise CoshintError("closed and series routes cover upper limits 1 and inf only")
+    return 1.0 if spec.upper == 1.0 else 2.0
 
 
 def closed_value(spec: IntegrandSpec) -> float:
@@ -105,15 +127,15 @@ def _closed_value(spec: IntegrandSpec, nf: NormalizedForm) -> float:
 
 def pf_value(spec: IntegrandSpec) -> float:
     """Partial-fraction route (integer exponents; finite X via arctangents)."""
-    p = complex(spec.p)
-    if p.imag != 0.0:
+    if not _real_p(spec):
         raise CoshintError("partial fractions need a real integer p")
-    if p.real < 0.0:
+    p = complex(spec.p).real
+    if p < 0.0:
         # refuse a non-integer n as both routes below do (integral_at
         # refuses an X above 1 first) without rebuilding the spec
         if not 1.0 < spec.upper < math.inf:
             _as_int(spec.n, "n")
-        spec = replace(spec, p=-p.real)  # the integrand is even in p
+        spec = replace(spec, p=-p)  # the integrand is even in p
     if spec.upper not in (1.0, math.inf):
         return integral_at(spec, spec.upper)
     return integral_closed(spec)
@@ -137,10 +159,10 @@ def quad_value(spec: IntegrandSpec) -> float:
 def series_value(spec: IntegrandSpec, tol: float = AGREE_TOL) -> float:
     """Series route: accelerated contracted sum plus the middle-term value."""
     factor = _upper_factor(spec)
-    p = complex(spec.p)
-    if p.imag != 0.0:
+    if not _real_p(spec):
         raise CoshintError("series path needs a real p")
-    contracted = series_contracted(spec.n, abs(p.real), spec.theta, _series_tol(tol))
+    contracted = series_contracted(spec.n, abs(complex(spec.p).real), spec.theta,
+                                   _series_tol(tol))
     return _series_total(spec, factor, contracted)
 
 
@@ -205,12 +227,12 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
     numpy, bit for bit.  All other routes and specs go through
     verify_point's own code, so each report equals verify_point(spec, tol).
     """
-    real = [i for i, s in enumerate(specs) if complex(s.p).imag == 0.0]
+    real = [i for i, s in enumerate(specs) if _real_p(s)]
     finite = [i for i in real if specs[i].upper != math.inf]
     infinite = [i for i in real if specs[i].upper == math.inf]
     quads = dict(zip(finite, quad_x_domain_many([specs[i] for i in finite])))
     quads.update(zip(infinite, quad_x_domain_infinite_many([specs[i] for i in infinite])))
-    summed = [i for i in real if specs[i].upper in (1.0, math.inf)]
+    summed = [i for i in real if _summed_upper(specs[i])]
     block = series_contracted_many([specs[i].n for i in summed],
                                    [abs(complex(specs[i].p).real) for i in summed],
                                    [specs[i].theta for i in summed], _series_tol(tol))
@@ -231,35 +253,51 @@ def _quad_result_value(result) -> float:
 
 def _report(spec: IntegrandSpec, tol: float, quad, series) -> EvalReport:
     """verify_point's body; ``quad()`` and ``series()`` give the quadrature
-    and series routes' values."""
+    and series routes' values.
+
+    A route is called only when the spec meets its preconditions, the
+    predicates that the route function itself raises from: closed and
+    series need an upper limit of 1 or inf, pf and series a real p, and
+    pf an integer n.  A route that is called may still raise (a near
+    pole, an unreachable tolerance, ...), and is then left out.
+    """
     nf = normalize(spec)
     domain = classify_domain(spec)
-    base = dict(spec=spec, normalized=nf, domain=domain, closed=None,
-                pf=None, quad=None, series=None)
-    if domain.kind in (DomainKind.SINGULAR_THETA, DomainKind.EXCLUDED):
-        return EvalReport(**base, max_abs_err=0.0, verdict=Verdict.SKIPPED,
-                          reason=domain.detail)
-    values: dict[str, float] = {}
-    if domain.kind is DomainKind.PARADOX_ONLY:
+    kind = domain.kind
+    if kind is DomainKind.SINGULAR_THETA or kind is DomainKind.EXCLUDED:
+        return EvalReport(spec, nf, domain, None, None, None, None,
+                          0.0, Verdict.SKIPPED, domain.detail)
+    if kind is DomainKind.PARADOX_ONLY:
         values = _paradox_only_paths(spec, nf)
     else:
-        paths = (("closed", lambda: _closed_value(spec, nf)),
-                 ("pf", lambda: pf_value(spec)),
-                 ("quad", quad),
-                 ("series", series))
-        for name, path in paths:
-            try:
-                values[name] = path()
-            except (CoshintError, ValueError):
-                pass
-    base.update(values)
+        values = {}
+        summed, real = _summed_upper(spec), _real_p(spec)
+        if summed:
+            _route(values, "closed", _closed_value, spec, nf)
+        if real and _is_int(spec.n):
+            _route(values, "pf", pf_value, spec)
+        _route(values, "quad", quad)
+        if summed and real:
+            _route(values, "series", series)
     if len(values) < 2:
-        return EvalReport(**base, max_abs_err=0.0, verdict=Verdict.SKIPPED,
-                          reason="fewer than two evaluation routes are admissible")
-    vals = list(values.values())
-    max_err = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])
-    verdict = Verdict.AGREE if max_err <= tol else Verdict.DISAGREE
-    return EvalReport(**base, max_abs_err=max_err, verdict=verdict, reason=None)
+        max_err, verdict = 0.0, Verdict.SKIPPED
+        reason = "fewer than two evaluation routes are admissible"
+    else:
+        vals = list(values.values())
+        max_err = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])
+        verdict = Verdict.AGREE if max_err <= tol else Verdict.DISAGREE
+        reason = None
+    get = values.get
+    return EvalReport(spec, nf, domain, get("closed"), get("pf"), get("quad"),
+                      get("series"), max_err, verdict, reason)
+
+
+def _route(values: dict[str, float], name: str, path, *args) -> None:
+    """values[name] = path(*args), unless the route raises."""
+    try:
+        values[name] = path(*args)
+    except (CoshintError, ValueError):
+        pass
 
 
 def paradox_periodicity(spec: IntegrandSpec, k: int) -> ParadoxReport:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import coshint.cli as cli
@@ -11,10 +12,12 @@ from coshint.cli import (
     parse_complex_literal,
     parse_grid,
     parse_upper,
+    report_to_dict,
     spec_from_dict,
     spec_to_dict,
 )
-from coshint.params import IntegrandSpec
+from coshint.params import DomainKind, DomainStatus, IntegrandSpec, NormalizedForm
+from coshint.verify import EvalReport, Verdict, verify_point, verify_points
 
 PI_STR = "3.141592653589793"
 HALF_PI = "1.5707963267948966"
@@ -362,3 +365,68 @@ def test_table_upper_inf(capsys):
         assert row["upper"] == "inf"
         assert all(row[name] for name in ("closed", "quad", "series"))
         assert row["verdict"] == "Agree"
+
+
+# ---------------------------------------------------------------------------
+# report_line: the verify and eval --json writer
+
+
+def _edge_grid() -> list[IntegrandSpec]:
+    """Specs of every domain kind and route pattern, at X = 1, inf and 0.5."""
+    specs = []
+    for upper in (1.0, math.inf, 0.5):
+        for n, p in ((3.0, 1.0), (3.0, -2.0), (2.5, 0.7), (2.0, 0.6j),
+                     (2.0, 0.5 + 0.3j), (2.0, -0.0), (2.0, 2.0), (1.0, -3.0)):
+            for theta in (1.0, math.pi, 0.0, 2 * math.pi, 7.5, -1.0):
+                specs.append(IntegrandSpec(n=n, p=p, theta=theta, zeta=1.0, upper=upper))
+    return specs
+
+
+def test_report_line_equals_json_dumps_on_the_workloads(workload):
+    for name in ("random_unit", "integer_inf", "integer_x", "near_edge"):
+        for report in verify_points(workload(name, 1), 1e-9):
+            assert cli.report_line(report) == json.dumps(report_to_dict(report))
+
+
+def test_report_line_equals_json_dumps_on_every_domain_kind():
+    reports = verify_points(_edge_grid(), 1e-9)
+    kinds = {r.domain.kind for r in reports}
+    assert kinds == set(DomainKind)
+    for report in reports:
+        assert cli.report_line(report) == json.dumps(report_to_dict(report))
+
+
+_SPEC = IntegrandSpec(n=3.0, p=1.0, theta=1.0, zeta=1.0)
+_NF = NormalizedForm(a=math.pi - 1.0, b=1.0 / 3.0, c=math.pi - 1.0, scale=1.0 / 3.0)
+_VALID = DomainStatus(DomainKind.VALID, "inside the validity region")
+
+
+@pytest.mark.parametrize("report", [
+    EvalReport(_SPEC, _NF, _VALID, math.nan, math.inf, -math.inf, -0.0,
+               5e-324, Verdict.DISAGREE, None),
+    EvalReport(_SPEC, _NF, _VALID, 1e300, -1e300, 5e-324, None,
+               math.nan, Verdict.AGREE, None),
+    EvalReport(IntegrandSpec(n=3, p=1, theta=1, zeta=1, upper=math.inf),
+               NormalizedForm(a=2, b=-0.0, c=0, scale=1), _VALID,
+               None, 0, None, None, 0, Verdict.SKIPPED, "ints"),
+    EvalReport(IntegrandSpec(n=np.float64(3.0), p=np.float64(1.0), theta=np.float64(1.0),
+                             zeta=np.float64(1.0), upper=np.float64(0.5)),
+               NormalizedForm(a=np.float64(2.0), b=np.float64(0.25), c=np.float64(2.0),
+                              scale=np.float64(1 / 3)), _VALID,
+               np.float64(0.1), np.float64(math.nan), np.float64(-0.0), np.float64(math.inf),
+               np.float64(1e-17), Verdict.AGREE, None),
+    EvalReport(IntegrandSpec(n=2.0, p=complex(-0.0, 0.5), theta=1.0, zeta=1.0),
+               NormalizedForm(a=1.0, b=complex(0.0, -0.25), c=1.0, scale=0.5),
+               DomainStatus(DomainKind.PARADOX_ONLY, 'say "\\n"\nand\tthéta ≈ 2π \x00'),
+               None, None, None, None, 0.0, Verdict.SKIPPED, 'a "quote", a \\, a\nnewline, ß'),
+])
+def test_report_line_equals_json_dumps_on_hand_built_reports(report):
+    assert cli.report_line(report) == json.dumps(report_to_dict(report))
+
+
+def test_eval_json_prints_the_report_line(capsys):
+    argv = ["eval", "--n", "2", "--p", "0.5", "--theta", "1", "--zeta", "1", "--json"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    spec = IntegrandSpec(n=2.0, p=0.5, theta=1.0, zeta=1.0)
+    assert out == json.dumps(report_to_dict(verify_point(spec, 1e-9))) + "\n"

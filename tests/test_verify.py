@@ -3,19 +3,27 @@ import math
 import numpy as np
 import pytest
 
+import coshint.verify as verify
 from coshint import (
     CoshintError,
+    DomainKind,
+    EvalReport,
     IntegrandSpec,
     Lcg64,
     Verdict,
+    classify_domain,
+    closed_value,
     eval_cosh_ratio,
+    normalize,
     paradox_imaginary_n,
     paradox_periodicity,
     pf_value,
     quad_t_domain,
     quad_value,
     random_specs,
+    series_value,
     verify_point,
+    verify_points,
 )
 
 PI = math.pi
@@ -187,3 +195,104 @@ def test_random_specs_reproducible():
         assert abs(complex(spec.p).real / spec.n) <= 0.95
         assert 0.05 <= spec.theta <= 2 * PI - 0.05
         assert 0.05 <= spec.zeta <= PI - 0.05
+
+
+# ---------------------------------------------------------------------------
+# route admission: _report calls no route that is certain to raise
+
+
+def _try_every_route(spec: IntegrandSpec, tol: float) -> EvalReport:
+    """verify_point as written before route admission: every route is
+    tried under try/except, and one that raises is left out."""
+    nf = normalize(spec)
+    domain = classify_domain(spec)
+    base = dict(spec=spec, normalized=nf, domain=domain, closed=None,
+                pf=None, quad=None, series=None)
+    if domain.kind in (DomainKind.SINGULAR_THETA, DomainKind.EXCLUDED):
+        return EvalReport(**base, max_abs_err=0.0, verdict=Verdict.SKIPPED,
+                          reason=domain.detail)
+    values = {}
+    if domain.kind is DomainKind.PARADOX_ONLY:
+        values = verify._paradox_only_paths(spec, nf)
+    else:
+        paths = (("closed", lambda: closed_value(spec)),
+                 ("pf", lambda: pf_value(spec)),
+                 ("quad", lambda: quad_value(spec)),
+                 ("series", lambda: series_value(spec, tol)))
+        for name, path in paths:
+            try:
+                values[name] = path()
+            except (CoshintError, ValueError):
+                pass
+    base.update(values)
+    if len(values) < 2:
+        return EvalReport(**base, max_abs_err=0.0, verdict=Verdict.SKIPPED,
+                          reason="fewer than two evaluation routes are admissible")
+    vals = list(values.values())
+    max_err = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])
+    verdict = Verdict.AGREE if max_err <= tol else Verdict.DISAGREE
+    return EvalReport(**base, max_abs_err=max_err, verdict=verdict, reason=None)
+
+
+def _admission_grid() -> list[IntegrandSpec]:
+    specs = []
+    for upper in (1.0, math.inf, 0.5):
+        for n in (3.0, 2.5):
+            for p in (1.0, -1.0, 0.7, 0.8j, 0.5 + 0.3j):
+                for theta in (1.0, 5.0, 2 * PI + 1.0, -1.0, PI, 0.0, 2 * PI):
+                    specs.append(IntegrandSpec(n=n, p=p, theta=theta, zeta=1.2,
+                                               upper=upper))
+    return specs
+
+
+def _skipped_routes(spec: IntegrandSpec) -> set[str]:
+    """The routes that admission leaves uncalled, by its three rules."""
+    skipped = set()
+    if spec.upper not in (1.0, math.inf):
+        skipped |= {"closed", "series"}
+    if complex(spec.p).imag != 0.0:
+        skipped |= {"pf", "series"}
+    if spec.n != round(spec.n):
+        skipped.add("pf")
+    return skipped
+
+
+_ROUTES = {"closed": closed_value, "pf": pf_value, "series": series_value}
+
+
+def test_admission_gives_the_reports_of_trying_every_route():
+    specs = _admission_grid()
+    expected = [repr(_try_every_route(s, 1e-9)) for s in specs]
+    assert [repr(verify_point(s, 1e-9)) for s in specs] == expected
+    assert [repr(r) for r in verify_points(specs, 1e-9)] == expected
+    # the grid reaches every route pattern the rules can give
+    assert {frozenset(_skipped_routes(s)) for s in specs} == {
+        frozenset(), frozenset({"pf"}), frozenset({"closed", "series"}),
+        frozenset({"pf", "series"}), frozenset({"closed", "pf", "series"})}
+
+
+def test_routes_skipped_by_admission_raise_when_called_directly():
+    for spec in _admission_grid():
+        for name in _skipped_routes(spec):
+            with pytest.raises((CoshintError, ValueError)):
+                _ROUTES[name](spec)
+
+
+def test_admission_leaves_skipped_routes_uncalled(monkeypatch):
+    called = []
+
+    def recorder(name, fn):
+        def route(spec, *args):
+            called.append((name, spec))
+            return fn(spec, *args)
+        return route
+
+    monkeypatch.setattr(verify, "_closed_value", recorder("closed", verify._closed_value))
+    monkeypatch.setattr(verify, "pf_value", recorder("pf", verify.pf_value))
+    monkeypatch.setattr(verify, "series_value", recorder("series", verify.series_value))
+    specs = [s for s in _admission_grid() if 0.0 < s.theta < 2 * PI]
+    for s in specs:
+        verify_point(s, 1e-9)
+    verify_points(specs, 1e-9)
+    assert called
+    assert not [(name, s) for name, s in called if name in _skipped_routes(s)]
