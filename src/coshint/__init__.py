@@ -65,6 +65,7 @@ from .partial_fractions import (
     integral_closed,
     integrand_value,
     middle_term_integral,
+    pf_value_many,
     reconstruct,
     root_angles,
     squared_denominator_identity,

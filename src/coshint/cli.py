@@ -8,11 +8,13 @@ paradox that failed to manifest, 2 usage or domain errors.
 
 Sweeps (verify, table) evaluate the whole grid in one process, with the
 quadrature route of every real-p spec batched into one block per kind of
-upper limit, and the contracted series of every real-p spec with upper
-limit 1 or inf into one numpy block (see coshint.verify.verify_points).
-Output rows follow
-input order and each equals the single-spec report, so identical flags
-and seed give byte-identical output.  --threads is still accepted but
+upper limit, the contracted series of every real-p spec with upper
+limit 1 or inf into one numpy block, and the partial fractions of every
+real-p spec with an integer n into another (its arctangents by
+math.atan2, as numpy's arctan2 is not libm's; see
+coshint.verify.verify_points).  Output rows follow input order and each
+equals the single-spec report, so identical flags and seed give
+byte-identical output.  --threads is still accepted but
 has no effect.
 
 verify and eval --json write each report with report_line: one

@@ -7,6 +7,11 @@ The integrand then splits into simple fractions whose antiderivatives
 are arctangents, and collecting the arctangent values at x = 1 gives the
 same closed value as the master formula.  This module implements every
 stage of that construction so each can be checked independently.
+
+pf_value_many runs the route (verify.pf_value) for a block of rows as
+numpy columns, bit for bit: the arctangent sums of integral_at at a
+finite X, the assembly of integral_closed at X = 1 and inf.  Its
+arctangents are math.atan2, since numpy's arctan2 is not libm's.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import _sinc, eval_theta_pi_limit
+from .closed_form import _TAYLOR_RADIUS, _sinc, eval_theta_pi_limit
 from .errors import (
     BranchError,
     DomainError,
@@ -24,7 +29,7 @@ from .errors import (
     NotIntegerExponentsError,
     SingularThetaError,
 )
-from .params import _THETA_PI_TOL, IntegrandSpec, canonicalize_theta
+from .params import _THETA_PI_TOL, TWO_PI, IntegrandSpec, canonicalize_theta
 from .quadrature import integrate_half_line
 from .trig_sums import assemble
 
@@ -145,16 +150,27 @@ def antiderivative_term(omega: float, x: float) -> float:
 
 
 def integral_at(spec: IntegrandSpec, X: float) -> float:
-    """Partial-fraction value of the integral from 0 to X, X in (0, 1]."""
+    """Partial-fraction value of the integral from 0 to X, X in (0, 1].
+
+    The sum over the root angles of the fraction weight times
+    antiderivative_term(omega, X), added left to right.  The angles
+    ascend, so the first and the last decide whether every one has the
+    branch that antiderivative_term assigns; the arctangent is then
+    taken inline.
+    """
     if not 0.0 < X <= 1.0:
         raise ValueError(f"X must lie in (0, 1], got {X}")
     n, p, theta_c = _check_decompose_spec(spec)
+    omegas = root_angles(n, theta_c)
+    if not (0.0 < omegas[0] and omegas[-1] < TWO_PI):
+        for omega in omegas:
+            antiderivative_term(omega, X)  # raises at the first angle outside
     cos_zeta = math.cos(spec.zeta)
     n_sin_theta = n * math.sin(theta_c)
     total = 0.0
-    for omega in root_angles(n, theta_c):
+    for omega in omegas:
         weight = 2.0 * (math.cos(p * omega) - cos_zeta) / n_sin_theta
-        total += weight * antiderivative_term(omega, X)
+        total += weight * math.atan2(X * math.sin(omega), 1.0 - X * math.cos(omega))
     return total
 
 
@@ -178,6 +194,96 @@ def integral_closed(spec: IntegrandSpec) -> float:
     parts = assemble(n, p, theta_c)
     value = (parts.q - parts.r * math.cos(spec.zeta)) / (n * math.sin(theta_c))
     return factor * value
+
+
+# the most root angles a pf_value_many row may have; rows with more go
+# to pf_value, so a block's (roots x rows) table stays small
+_BLOCK_ROOTS = 64
+
+
+def pf_value_many(n, p, theta, zeta, upper) -> list[float | None]:
+    """The partial-fraction route for a block of rows, or None per row.
+
+    Row i is the spec (n[i], p[i], theta[i], zeta[i], upper[i]).  A row is
+    served as verify.pf_value serves it, bit for bit, when it needs no
+    special case: integer n <= _BLOCK_ROOTS and a real integer p with
+    |p| < n (|p| for a negative p: the integrand is even in p), theta in
+    (0, 2*pi) and more than _THETA_PI_TOL from pi, and either 0 < X < 1
+    with every root angle in (0, 2*pi), summed as integral_at sums, or
+    X = 1 or inf, assembled as integral_closed assembles.  Every other row
+    is None, for the caller to pass to pf_value, which returns or raises
+    for it as it does alone.  arc_cosine_sum's pole test cannot refuse a
+    served row: b = |p|/n is 0 or in [1/n, 1 - 1/n], so |sin(pi*b)| is
+    far above its 1e-12.
+
+    The bits match because each step is the scalar's IEEE operation in
+    the scalar's order, on (roots x rows) tables.  numpy's sin and cos
+    are libm's on these arguments (tests/test_series.py pins that), but
+    numpy's arctan2 is a SIMD routine that is not libm's atan2, so the
+    arctangents are math.atan2 mapped over the live (root, row) pairs.
+    Each row's terms are added from 0.0 one root at a time, as
+    integral_at's loop adds them; a pairwise sum would round differently.
+    """
+    n, theta, zeta, upper = (np.asarray(x, dtype=float) for x in (n, theta, zeta, upper))
+    p = np.asarray(p, dtype=complex)
+    out: list[float | None] = [None] * len(n)
+    p_abs = np.abs(p.real)
+    ok = ((p.imag == 0.0) & (n == np.rint(n)) & (n <= _BLOCK_ROOTS)
+          & (p_abs == np.rint(p_abs)) & (p_abs < n)
+          & (0.0 < theta) & (theta < TWO_PI) & (np.abs(theta - math.pi) > _THETA_PI_TOL))
+    closed = np.flatnonzero(ok & ((upper == 1.0) | (upper == math.inf)))
+    finite = np.flatnonzero(ok & (0.0 < upper) & (upper < 1.0))
+    # the root angles ascend: the first and the last decide the branch
+    th, nf = theta[finite], n[finite]
+    finite = finite[(0.0 < _root_angle(th, 0.0, nf)) & (_root_angle(th, nf - 1.0, nf) < TWO_PI)]
+    # silent, as the scalar's float arithmetic is, where a value overflows
+    # (theta = 5e-324) and at sinc's 0/0 on the side that np.where drops
+    with np.errstate(all="ignore"):
+        for rows, route in ((closed, _closed_many), (finite, _integral_at_many)):
+            if len(rows):
+                values = route(n[rows], p_abs[rows], theta[rows], zeta[rows], upper[rows])
+                for i, v in zip(rows.tolist(), values.tolist()):
+                    out[i] = v
+    return out
+
+
+def _root_angle(theta, k, n):
+    """root_angles' omega_k = (theta + 2*pi*k)/n, elementwise."""
+    return (theta + TWO_PI * k) / n
+
+
+def _integral_at_many(n, p, theta, zeta, X) -> np.ndarray:
+    """integral_at for rows that it serves: one value per row."""
+    live = np.arange(int(n.max()))[:, None] < n  # (roots x rows)
+    k, row = np.nonzero(live)
+    omega = _root_angle(theta[row], k, n[row])
+    cos_zeta = np.cos(zeta)
+    n_sin_theta = n * np.sin(theta)
+    weight = 2.0 * (np.cos(p[row] * omega) - cos_zeta[row]) / n_sin_theta[row]
+    x = X[row]
+    arcs = map(math.atan2, (x * np.sin(omega)).tolist(), (1.0 - x * np.cos(omega)).tolist())
+    terms = np.zeros(live.shape)
+    terms[live] = weight * np.fromiter(arcs, float, len(omega))
+    total = np.zeros(len(n))
+    for root_terms in terms:
+        total += root_terms
+    return total
+
+
+def _closed_many(n, p, theta, zeta, upper) -> np.ndarray:
+    """integral_closed for rows off theta = pi: one value per row."""
+    r = math.pi - theta  # arc_sum
+    b = p / n
+    q = r * _sinc_many(b * r) / _sinc_many(math.pi * b)  # arc_cosine_sum
+    value = (q - r * np.cos(zeta)) / (n * np.sin(theta))
+    return np.where(upper == math.inf, 2.0, 1.0) * value
+
+
+def _sinc_many(z: np.ndarray) -> np.ndarray:
+    """closed_form._sinc, elementwise on real z."""
+    z2 = z * z
+    return np.where(np.abs(z) < _TAYLOR_RADIUS, 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0),
+                    np.sin(z) / z)
 
 
 def middle_term_integral(n: float, theta: float) -> float:

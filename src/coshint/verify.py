@@ -4,7 +4,8 @@ verify_point evaluates one spec by every admissible route (closed form,
 partial fractions, quadrature, accelerated series) and reports the
 worst pairwise disagreement; verify_points does the same for a grid,
 with the quadrature of its real-p specs run as one block per kind of
-upper limit and their contracted series as one numpy block.  A route
+upper limit, and their contracted series and partial fractions as one
+numpy block each.  A route
 whose precondition fails (an upper limit other than 1 or inf for closed
 and series, a p that is not real for pf and series, a non-integer n for
 pf) is not called at all: the route function raises from the same
@@ -46,6 +47,7 @@ from .partial_fractions import (
     integral_at,
     integral_closed,
     middle_term_integral,
+    pf_value_many,
 )
 from .quadrature import (
     quad_cos_log,
@@ -224,8 +226,15 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
     contracted series of every real-p spec with upper limit 1 or inf:
     series_contracted_many serves the rows that series_contracted sums in
     one pass of at most series._WIDTH terms, in its plain loop or with
-    numpy, bit for bit.  All other routes and specs go through
-    verify_point's own code, so each report equals verify_point(spec, tol).
+    numpy, bit for bit.  The partial fractions of every real-p spec with
+    an integer n go to pf_value_many, which serves the rows that pf_value
+    serves without a special case (at most _BLOCK_ROOTS roots, theta in
+    (0, 2*pi) off pi, every root angle on its branch), bit for bit: numpy's
+    sin and cos are libm's on these arguments, its arctangents are
+    math.atan2 (numpy's arctan2 is not libm's), and each row is summed
+    root by root, as integral_at sums.  All other routes and specs go
+    through verify_point's own code, so each report equals
+    verify_point(spec, tol).
     """
     real = [i for i, s in enumerate(specs) if _real_p(s)]
     finite = [i for i in real if specs[i].upper != math.inf]
@@ -237,11 +246,18 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
                                    [abs(complex(specs[i].p).real) for i in summed],
                                    [specs[i].theta for i in summed], _series_tol(tol))
     sums = {i: res for i, res in zip(summed, block) if res is not None}
+    whole = [i for i in real if specs[i].n % 1.0 == 0.0]  # pf needs an integer n
+    pfs = {}
+    if whole:
+        rows = [specs[i] for i in whole]
+        pfs = dict(zip(whole, pf_value_many([s.n for s in rows], [s.p for s in rows],
+                                            [s.theta for s in rows], [s.zeta for s in rows],
+                                            [s.upper for s in rows])))
     return [_report(s, tol,
                     partial(_quad_result_value, quads[i]) if i in quads
                     else partial(quad_value, s),
                     partial(_series_total, s, _upper_factor(s), sums[i]) if i in sums
-                    else partial(series_value, s, tol))
+                    else partial(series_value, s, tol), pfs.get(i))
             for i, s in enumerate(specs)]
 
 
@@ -251,9 +267,10 @@ def _quad_result_value(result) -> float:
     return result.value
 
 
-def _report(spec: IntegrandSpec, tol: float, quad, series) -> EvalReport:
+def _report(spec: IntegrandSpec, tol: float, quad, series, pf=None) -> EvalReport:
     """verify_point's body; ``quad()`` and ``series()`` give the quadrature
-    and series routes' values.
+    and series routes' values, and ``pf`` the partial-fraction value when
+    a block has it (None: call pf_value).
 
     A route is called only when the spec meets its preconditions, the
     predicates that the route function itself raises from: closed and
@@ -274,7 +291,9 @@ def _report(spec: IntegrandSpec, tol: float, quad, series) -> EvalReport:
         summed, real = _summed_upper(spec), _real_p(spec)
         if summed:
             _route(values, "closed", _closed_value, spec, nf)
-        if real and _is_int(spec.n):
+        if pf is not None:
+            values["pf"] = pf
+        elif real and _is_int(spec.n):
             _route(values, "pf", pf_value, spec)
         _route(values, "quad", quad)
         if summed and real:

@@ -497,6 +497,33 @@ def test_numpy_sin_is_libm_sin_on_the_loop_arguments():
     assert np.sin(args).tolist() == [math.sin(x) for x in args.tolist()]
 
 
+def test_numpy_sin_and_cos_are_libm_on_the_pf_block_arguments():
+    # pf_value_many takes np.sin and np.cos where integral_at and
+    # integral_closed take math's: of the root angles omega_k and p*omega_k
+    # (n <= _BLOCK_ROOTS), theta, zeta and the sinc arguments.  Its
+    # arctangents stay math.atan2: numpy's arctan2 is a SIMD routine that
+    # is not libm's atan2 and can round differently, depending on the host
+    from coshint.partial_fractions import _BLOCK_ROOTS
+
+    def same(args):
+        args = np.asarray(args, dtype=float).ravel()
+        listed = args.tolist()
+        assert np.sin(args).tolist() == [math.sin(x) for x in listed]
+        assert np.cos(args).tolist() == [math.cos(x) for x in listed]
+
+    theta = np.concatenate([np.linspace(0.0, 2 * PI, 11)[1:-1], [1e-3, 2 * PI - 1e-3,
+                            math.nextafter(2 * PI, 0.0), 5e-324, PI + 2e-12]])
+    for n in range(1, _BLOCK_ROOTS + 1):
+        omega = (theta + 2.0 * PI * np.arange(n)[:, None]) / n
+        p = np.arange(n, dtype=float)
+        same(p[:, None, None] * omega)
+        b = p / n
+        same(b[:, None] * (PI - theta))
+        same(PI * b)
+    same(np.linspace(0.0, 2 * PI, 20_001))
+    same(np.concatenate([np.linspace(-1e3, 1e3, 20_001), [1e10, -3e15, 1e300]]))
+
+
 def test_anchor_columns_equal_anchor_sums():
     # both regions' borders, the edges and a dense grid; numpy's w**m would
     # move some of the theta form's even terms by an ulp
