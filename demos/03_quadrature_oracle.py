@@ -2,9 +2,9 @@
 
 Nothing here touches the closed forms' algebra: integrands are evaluated
 after the x**n = exp(-s) substitution and summed by the trapezoid rule
-under one double-exponential map of the half-line (or, for
-cross-checking, a doubling-panel Gauss rule and a sinh-map trapezoid
-rule on the whole line).
+under the sinh map s = eps*sinh(U*tau), folded at s = 0 for the
+half-line and two-sided for the whole line (or, for cross-checking, a
+doubling-panel Gauss rule).
 """
 
 import math

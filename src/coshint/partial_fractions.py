@@ -41,9 +41,10 @@ def _is_int(x) -> bool:
 
 
 def _as_int(x, name: str) -> int:
-    if not _is_int(x):
-        raise NotIntegerExponentsError(f"{name} = {x!r} is not an integer")
-    return int(round(complex(x).real))
+    xc = complex(x)  # converted once; the test is _is_int's
+    if xc.imag == 0.0 and xc.real == (r := round(xc.real)):
+        return r
+    raise NotIntegerExponentsError(f"{name} = {x!r} is not an integer")
 
 
 def root_angles(n: int, theta: float) -> list[float]:

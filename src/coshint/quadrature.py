@@ -4,17 +4,21 @@ Two unrelated rule families are provided so the oracle can be checked
 against itself:
 
 * the trapezoid rule on nested halvings of h for the family's own
-  kernels, on two maps that make them decay double exponentially: the
-  DE half-line map s = s_X + exp(t - e^(-t))/lam, with lam the kernel's
-  tail decay rate, for every integral over [s_X, inf), and the sinh map
-  s = eps*sinh(U*tau), with eps the width of the kernel's peak at s = 0
-  (capped at 1), for every integral over the whole real line
+  kernels, on maps that make them decay double exponentially: the sinh
+  map s = eps*sinh(U*tau), with eps the width of the kernel's peak at
+  s = 0 (capped at 1), for every integral over the whole real line
   (quad_x_domain_infinite, quad_two_sided, and quad_cos_log at an
-  infinite upper limit); both maps cluster their nodes where a near-edge
-  kernel peaks, so X = 1 and X = inf are served near the edges;
+  infinite upper limit) and, folded at s = 0, for every integral of the
+  even kernel over [0, inf) (quad_x_domain at X = 1, quad_t_domain, and
+  quad_cos_log at upper limit 1); and the DE half-line map s = s_X +
+  exp(t - e^(-t))/lam, with lam the kernel's tail decay rate, for every
+  integral over [s_X, inf) with s_X > 0 (quad_x_domain at X < 1).  The
+  sinh map clusters its nodes where a near-edge kernel peaks, so X = 1
+  and X = inf are served near the edges;
 * a doubling-panel Gauss-Legendre rule on geometrically growing panels
   for every other integrand (integrate_finite, integrate_half_line) and
-  as the independent check of the DE map (quad_x_domain's rule="gauss").
+  as the independent check of the trapezoid maps (quad_x_domain's
+  rule="gauss").
   Its nodes never touch a panel end, so a kernel that is 0/0 at the
   start of its range is safe.
 
@@ -28,19 +32,17 @@ call) raises instead of returning a degraded value, and so does a
 trapezoid sum that is inf or NaN.
 
 Sums run in a fixed order, so results are bit-identical across runs.
-One driver runs the trapezoid rule on either map over a (rows x nodes)
+One driver runs the trapezoid rule on every map over a (rows x nodes)
 block, in kernel rounds that each evaluate the nodes of one or more
-levels of h: the first round of a DE row at s_X = 0 reaches as many
-levels as its kernel's peak width predicts, so a near-edge X = 1 row
-usually takes one round.  quad_x_domain_many and
-quad_x_domain_infinite_many run many specs as one block and return, bit
-for bit, what quad_x_domain and quad_x_domain_infinite, their one-row
-calls, return for each.
+levels of h: the first round evaluates the level-3 grid, where most
+rows, near-edge ones at X = 1 among them, stop.  quad_x_domain_many and
+quad_x_domain_infinite_many run many specs as blocks, one per map, and
+return, bit for bit, what quad_x_domain and quad_x_domain_infinite,
+their one-row calls, return for each.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import math
@@ -208,19 +210,19 @@ def _one_row(results: list[QuadResult | BudgetExceededError]) -> QuadResult:
 # exponentially in the node variable t, so the trapezoid rule over a fixed
 # t window converges geometrically as h halves (Takahasi & Mori 1974;
 # Mori & Sugihara 2001); the integrand is negligible at the window's ends,
-# so every node weighs h.  Every row of a block shares one cached table of
-# t nodes per kernel round and only its map's parameters differ, so one
-# kernel call per round serves a chunk of rows, and no row's arithmetic
-# depends on the other rows.
+# so every node weighs h (the folded sinh map's node at s = 0, h/2).
+# Every row of a block shares one cached table of t nodes per kernel round
+# and only its map's parameters differ, so one kernel call per round
+# serves a chunk of rows, and no row's arithmetic depends on the other
+# rows.
 
 _MIN_LEVEL = 2  # the first level tested
-# The last level of the first kernel round, unless the map predicts a later
-# one for the row (_de_first_level): the round evaluates the whole grid of
-# that level at once and tests each level from _MIN_LEVEL on its segment
-# sums; every later round adds one level.  Most rows stop at level 3 (865
-# of random_specs(1000, 1)), and at these sizes a kernel call costs its
-# dispatch more than its nodes (_t_kernel took 13.7 us at 85 nodes, 16.7
-# at 169; one core, numpy 2.4).
+# The last level of the first kernel round: the round evaluates the whole
+# grid of that level at once and tests each level from _MIN_LEVEL on its
+# segment sums; every later round adds one level.  Most rows stop by level
+# 3 (all 1000 of random_specs(1000, 1) at X = 1), and at these sizes a
+# kernel call costs its dispatch more than its nodes (_t_kernel took
+# 13.7 us at 85 nodes, 16.7 at 169; one core, numpy 2.4).
 _FIRST_ROUND_LEVEL = 3
 # Elements per kernel call of a block.  Rows split into chunks of this
 # size keep every temporary at 64 KiB: at 16 384 elements the kernel took
@@ -229,18 +231,18 @@ _FIRST_ROUND_LEVEL = 3
 _CHUNK = 8192
 
 
-def _grid_stage(lo: float, hi: float, h0: float, level: int,
-                first_level: int) -> tuple[np.ndarray, tuple]:
+def _grid_stage(lo: float, hi: float, h0: float, level: int) -> tuple[np.ndarray, tuple]:
     """The nodes of the kernel round that ends at ``level`` on the grids
-    of step h0/2**level on [lo, hi], when the first round ends at
-    ``first_level``, and the index where each segment of them starts.
+    of step h0/2**level on [lo, hi], and the index where each segment of
+    them starts.
 
     A later round adds the nodes of that grid not on the grid of twice
-    the step, as one segment.  The first round holds the whole grid: the
-    grids of the levels before _MIN_LEVEL as one segment, then the nodes
-    each tested level adds, one segment per level.
+    the step, as one segment.  The first round, which ends at
+    _FIRST_ROUND_LEVEL, holds the whole grid: the grids of the levels
+    before _MIN_LEVEL as one segment, then the nodes each tested level
+    adds, one segment per level.
     """
-    first = level == first_level
+    first = level == _FIRST_ROUND_LEVEL
     parts = []
     for lev in range(level + 1) if first else [level]:
         h = h0 / (1 << lev)
@@ -251,17 +253,17 @@ def _grid_stage(lo: float, hi: float, h0: float, level: int,
     return nodes, (0, *ends[_MIN_LEVEL - 1:-1]) if first else (0,)
 
 
-def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, first_level: int,
+def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
                     last_level: int) -> list[QuadResult | BudgetExceededError]:
     """The trapezoid rule on nested halvings of h for each row of a block.
 
     Row r integrates kernel(*params_r) over its map's s-range.  Each
-    kernel round ends at a level, the first at ``first_level`` and each
-    later one a level further; ``stage(level, first_level)`` is the
-    cached table of the round's nodes with their segment starts last, and
+    kernel round ends at a level, the first at _FIRST_ROUND_LEVEL and
+    each later one a level further; ``stage(level)`` is the cached table
+    of the round's nodes with their segment starts last, and
     ``place(*geometry_r, *table)`` gives the abscissae s, the weights
-    ds/dt there divided by the row's factor, and that factor, which the
-    Python side applies; the t step of level L is h0/2**L.  ``params`` and
+    ds/dt there (times a trapezoid weight the table may carry) divided
+    by the row's factor, and that factor, which the Python side applies; the t step of level L is h0/2**L.  ``params`` and
     ``geometry`` are per-row columns of shape (rows, 1), or for a lone row
     the values themselves, which round as its columns would and spare its
     kernel the broadcasting: it gets 1-D arrays.
@@ -283,9 +285,9 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, first_lev
     # a kernel too large or too peaked to sample gives inf or NaN sums:
     # numpy stays quiet, and the stopping test refuses them
     with np.errstate(all="ignore"):
-        for last in range(first_level, last_level + 1):
-            first = last == first_level
-            *table, starts = stage(last, first_level) if first else stage(last)
+        for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
+            first = last == _FIRST_ROUND_LEVEL
+            *table, starts = stage(last)
             size = table[0].size
             used += size
             levels = range(_MIN_LEVEL if first else last, last + 1)
@@ -339,35 +341,22 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, first_lev
 # double-exponential half-line map for _t_kernel integrands
 #
 # s = s_X + exp(t - e^(-t))/lam maps the t-line onto (s_X, inf) and
-# clusters the nodes double exponentially at s_X, where a near-edge kernel
-# peaks.
+# clusters the nodes double exponentially at s_X.  It serves the ranges
+# with s_X > 0, which leave the kernel's peak at s = 0 outside; a range
+# from s = 0 goes to the folded sinh map below.
 
 _DE_TMIN = -6.0  # s - s_X is about 1e-178/lam here
 _DE_TMAX = 4.5  # the e^(-lam*(s - s_X)) envelope is below 1e-38 here
 _DE_H0 = 0.5
 _DE_MAX_LEVEL = 10
-# A kernel that peaks at s = s_X = 0 with width w (theta near 0 or 2*pi)
-# peaks at the offset u = lam*w, where the nodes lie h*(1 + e^(-t)), about
-# h*ln(1/u), apart relative to u: the step must halve each time ln(1/u)
-# doubles.  So a row's first round ends one level past _FIRST_ROUND_LEVEL
-# for each threshold u < e^(-_DE_PEAK_LOG*2**k) that it passes, k from 0
-# on, and at most at _DE_FIRST_CAP, whose 5 377 nodes fit one _CHUNK.  On
-# 9 000 X = 1 rows (seeds 2 and 3 of the benchmark's workloads, and theta
-# log-uniform down to 1e-7 from either edge) 8 179 first rounds ended at
-# the level the row stops at, 808 one level before it and 13 one after.
-_DE_PEAK_LOG = 3.0
-_DE_FIRST_CAP = 8
-_DE_PEAK_OFFSETS = [math.exp(-_DE_PEAK_LOG * 2.0 ** k)
-                    for k in reversed(range(_DE_FIRST_CAP - _FIRST_ROUND_LEVEL))]
 
 
 @functools.cache
-def _de_stage(level: int, first_level: int = _FIRST_ROUND_LEVEL
-              ) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _de_stage(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Offsets lam*(s - s_X) and weights lam*ds/dt of the nodes of the
-    kernel round ending at ``level`` on t in [_DE_TMIN, _DE_TMAX], when
-    the first round ends at ``first_level``, and their segment starts."""
-    t, starts = _grid_stage(_DE_TMIN, _DE_TMAX, _DE_H0, level, first_level)
+    kernel round ending at ``level`` on t in [_DE_TMIN, _DE_TMAX], and
+    their segment starts."""
+    t, starts = _grid_stage(_DE_TMIN, _DE_TMAX, _DE_H0, level)
     em = np.exp(-t)
     u = np.exp(t - em)
     return u, (1.0 + em) * u, starts
@@ -377,56 +366,14 @@ def _de_place(s_x, lam, u, w):
     return s_x + u / lam, w, 1.0 / lam
 
 
-def _de_first_level(sin2_half, s_x, lam) -> int:
-    """The level at which a DE row's first kernel round ends.
-
-    ``sin2_half`` is the kernel's sin(theta/2)**2, perhaps complex; its
-    peak at s = 0 has width w = 2*sqrt(|sin2_half|), and lies outside the
-    range unless s_x = 0.  A sin2_half that underflowed to 0 gets the cap.
-    """
-    if s_x != 0.0:
-        return _FIRST_ROUND_LEVEL
-    u = lam * (2.0 * math.sqrt(abs(sin2_half)))
-    return _DE_FIRST_CAP - bisect.bisect_right(_DE_PEAK_OFFSETS, u)
-
-
-def _de_first_levels(sin2_half, s_x, lam) -> np.ndarray:
-    """_de_first_level of each row of a block's columns, in one numpy
-    pass whose every step rounds as the scalar one does: np.hypot as
-    abs() of a complex does, where np.abs of a complex array can differ
-    from it in the last bit."""
-    u = lam * (2.0 * np.sqrt(np.hypot(sin2_half.real, sin2_half.imag)))
-    first = _DE_FIRST_CAP - np.searchsorted(_DE_PEAK_OFFSETS, u, side="right")
-    return np.where(s_x != 0.0, _FIRST_ROUND_LEVEL, first)
-
-
 def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
-    """The DE map's rule for _t_kernel(*params) on [s_x, inf), per row.
-
-    A lone row's first kernel round ends at _de_first_level.  A block's
-    rows share kernel rounds from _FIRST_ROUND_LEVEL on: each level's
-    segment sums, and so each value, are those of the row's one-row call,
-    and a row that stops before its predicted first level reports that
-    level's grid as its evaluations, as its one-row call does.
-    """
-    lone = not isinstance(lam, np.ndarray)
-    out = _trapezoid_rows(_t_kernel, params, _de_place, [s_x, lam], _de_stage, _DE_H0,
-                          _de_first_level(params[2], s_x, lam) if lone else _FIRST_ROUND_LEVEL,
-                          _DE_MAX_LEVEL)
-    if lone:
-        return out
-    firsts = _de_first_levels(params[2], s_x, lam).ravel()
-    for i in np.flatnonzero(firsts > _FIRST_ROUND_LEVEL).tolist():
-        if isinstance(out[i], QuadResult):
-            first = int(firsts[i])
-            size = _de_stage(first, first)[0].size
-            if out[i].evaluations < size:
-                out[i] = replace(out[i], evaluations=size)
-    return out
+    """The DE map's rule for _t_kernel(*params) on [s_x, inf), per row."""
+    return _trapezoid_rows(_t_kernel, params, _de_place, [s_x, lam], _de_stage, _DE_H0,
+                           _DE_MAX_LEVEL)
 
 
 # ---------------------------------------------------------------------------
-# sinh map over the real line
+# sinh map over the real line, and folded at s = 0
 #
 # s = eps*sinh(U*tau) for tau in [-1, 1], with U putting the window's ends
 # where the tails are below 1e-17 (_sinh_span); level 0 has 16 intervals.
@@ -435,20 +382,34 @@ def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
 # transformation of Johnston & Elliott (Int. J. Numer. Meth. Engng 62,
 # 2005).  At eps = 1 every product with eps is exact, so such a row is
 # the unscaled map's bit for bit.
+#
+# An even kernel's integral over [0, inf) is the same trapezoid sum over
+# tau in [0, 1] with the node at tau = 0 weighted 1/2: the folded map,
+# whose stage table carries that weight as a column.  Its steps are half
+# the full line's, so a level has as many nodes on [0, 1] as the full
+# line's on [-1, 1].
 
 _SINH_H0 = 0.125
 # 16 385 evaluations at most: the deepest round's 8192 new nodes fit one
-# _CHUNK.  Served rows need at most 2049 (theta down to 1e-16 from either
-# edge, |b| up to 0.999).
+# _CHUNK, on the full line and folded.  Served rows need at most 2049
+# (theta down to 1e-16 from either edge, |b| up to 0.999).
 _SINH_LEVELS = 10
 
 
 @functools.cache
-def _sinh_stage(level: int, first_level: int = _FIRST_ROUND_LEVEL) -> tuple[np.ndarray, tuple]:
+def _sinh_stage(level: int) -> tuple[np.ndarray, tuple]:
     """Unit offsets tau of the nodes of the kernel round ending at
-    ``level``, when the first round ends at ``first_level``, and their
-    segment starts."""
-    return _grid_stage(-1.0, 1.0, _SINH_H0, level, first_level)
+    ``level``, and their segment starts."""
+    return _grid_stage(-1.0, 1.0, _SINH_H0, level)
+
+
+@functools.cache
+def _folded_stage(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Unit offsets tau in [0, 1] of the nodes of the folded map's kernel
+    round ending at ``level``, their trapezoid weights (1/2 at tau = 0, 1
+    elsewhere) and their segment starts."""
+    tau, starts = _grid_stage(0.0, 1.0, 0.5 * _SINH_H0, level)
+    return tau, np.where(tau == 0.0, 0.5, 1.0), starts
 
 
 def _sinh_place(scale, span, tau):
@@ -456,17 +417,28 @@ def _sinh_place(scale, span, tau):
     return scale * np.sinh(u), np.cosh(u), scale * span
 
 
+def _folded_place(scale, span, tau, weight):
+    s, w, factor = _sinh_place(scale, span, tau)
+    return s, weight * w, factor
+
+
 def _sinh_lines(kernel, params, geometry) -> list[QuadResult | BudgetExceededError]:
     """The sinh map's rule for kernel(*params) over the real line, per row;
     ``geometry`` is (scale, span)."""
     return _trapezoid_rows(kernel, params, _sinh_place, geometry, _sinh_stage,
-                           _SINH_H0, _FIRST_ROUND_LEVEL, _SINH_LEVELS)
+                           _SINH_H0, _SINH_LEVELS)
 
 
-def _sinh_span(decay_pos: float, decay_neg: float, scale: float) -> float:
+def _folded_lines(kernel, params, geometry) -> list[QuadResult | BudgetExceededError]:
+    """The folded sinh map's rule for the even kernel(*params) over
+    [0, inf), per row; ``geometry`` is (scale, span)."""
+    return _trapezoid_rows(kernel, params, _folded_place, geometry, _folded_stage,
+                           0.5 * _SINH_H0, _SINH_LEVELS)
+
+
+def _sinh_span(cutoff: float, scale: float) -> float:
     """Half-width U of the u-range of the map s = scale*sinh(u) for tails
-    decaying like e^(-decay*|s|)."""
-    cutoff = max(_tail_cutoff(decay_pos), _tail_cutoff(decay_neg))
+    that _tail_cutoff puts below 1e-17 past |s| = cutoff."""
     return math.asinh(cutoff / scale) + 0.5
 
 
@@ -479,7 +451,7 @@ def _t_sinh_geometry(theta: float, decay: float) -> tuple[float, float]:
     theta = 1e-162.
     """
     scale = min(1.0, theta, 2.0 * math.pi - theta)
-    return scale, _sinh_span(decay, decay, scale)
+    return scale, _sinh_span(_tail_cutoff(decay), scale)
 
 
 def integrate_real_line(f, decay_pos: float, decay_neg: float, scale: float) -> QuadResult:
@@ -491,8 +463,8 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float, scale: float) -> 
     rules, used where an independently computed two-sided value is
     wanted.
     """
-    return _one_row(_sinh_lines(lambda: f, [],
-                                [scale, _sinh_span(decay_pos, decay_neg, scale)]))
+    cutoff = max(_tail_cutoff(decay_pos), _tail_cutoff(decay_neg))
+    return _one_row(_sinh_lines(lambda: f, [], [scale, _sinh_span(cutoff, scale)]))
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +550,19 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     Substituting x**n = exp(-s) maps the range to [s_X, inf) with
     s_X = -n*log(X) and integrand (cosh(b*s) - cos(zeta)) /
     (cosh(s) - cos(theta)) / n, which has no endpoint singularity.
-    ``rule="tanh-sinh"`` integrates it with the double-exponential
-    half-line map, ``rule="gauss"`` with Gauss-Legendre panels.
+    ``rule="tanh-sinh"`` integrates it with the sinh map folded at s = 0
+    when s_X = 0 (X = 1), whose nodes resolve the kernel's peak there,
+    and with the double-exponential half-line map when s_X > 0;
+    ``rule="gauss"`` integrates it with Gauss-Legendre panels.  This is
+    the one-row call of quad_x_domain_many's blocks.
     """
     b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "tanh-sinh":
-        res = _one_row(_de_half_lines([b, cos_c, sin2_half], s_x, decay))
+        if s_x == 0.0:
+            res = _one_row(_folded_lines(_t_kernel, [b, cos_c, sin2_half],
+                                         _t_sinh_geometry(spec.theta, decay)))
+        else:
+            res = _one_row(_de_half_lines([b, cos_c, sin2_half], s_x, decay))
     elif rule == "gauss":
         res = integrate_half_line(_t_kernel(b, cos_c, sin2_half), s_x, decay)
     else:
@@ -615,8 +594,17 @@ def _x_domain_block(specs: list[IntegrandSpec], infinite: bool,
     return out
 
 
+def _t_sinh_columns(args, accepted) -> tuple[np.ndarray, np.ndarray]:
+    """The _t_kernel columns and the sinh maps' (scale, span) columns of
+    a block's rows, from their _x_kernel_args and specs."""
+    cols = np.array([a[:3] for a in args], dtype=float).T[:, :, None]
+    geometry = [_t_sinh_geometry(spec.theta, a[4]) for spec, a in zip(accepted, args)]
+    return cols, np.array(geometry).T[:, :, None]
+
+
 def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
-    """quad_x_domain(spec, spec.upper) for every spec, as one DE block.
+    """quad_x_domain(spec, spec.upper) for every spec, as two blocks: the
+    rows with s_X = 0 on the folded sinh map, the others on the DE map.
 
     Returns, in input order, each spec's QuadResult or the error that
     quad_x_domain would raise for it (CoshintError or ValueError).
@@ -624,9 +612,19 @@ def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exceptio
     the per-spec calls, whatever the other specs in the block.
     """
 
-    def run(args, _):
-        cols = np.array(args, dtype=float).T[:, :, None]
-        return _de_half_lines(cols[:3], cols[3], cols[4])
+    def run(args, accepted):
+        out = [None] * len(args)
+        folded = [i for i, a in enumerate(args) if a[3] == 0.0]
+        de = [i for i, a in enumerate(args) if a[3] != 0.0]
+        if folded:
+            cols = _t_sinh_columns([args[i] for i in folded], [accepted[i] for i in folded])
+            for i, res in zip(folded, _folded_lines(_t_kernel, *cols)):
+                out[i] = res
+        if de:
+            cols = np.array([args[i] for i in de], dtype=float).T[:, :, None]
+            for i, res in zip(de, _de_half_lines(cols[:3], cols[3], cols[4])):
+                out[i] = res
+        return out
 
     return _x_domain_block(specs, False, run)
 
@@ -655,9 +653,7 @@ def quad_x_domain_infinite_many(specs: list[IntegrandSpec]) -> list[QuadResult |
     """
 
     def run(args, accepted):
-        cols = np.array([a[:3] for a in args]).T[:, :, None]
-        geometry = [_t_sinh_geometry(spec.theta, a[4]) for spec, a in zip(accepted, args)]
-        return _sinh_lines(_t_kernel, cols, np.array(geometry).T[:, :, None])
+        return _sinh_lines(_t_kernel, *_t_sinh_columns(args, accepted))
 
     return _x_domain_block(specs, True, run)
 
@@ -666,7 +662,9 @@ def quad_t_domain(a, b, c: float) -> QuadResult:
     """Oracle for integral of (cosh(b*t) + cos(c)) / (cosh(t) + cos(a)) on [0, inf).
 
     ``a`` and ``b`` may be complex (|Re a| < pi, |Re b| < 1); the kernel
-    is then complex-valued and so is the returned value.
+    is then complex-valued and so is the returned value.  The kernel is
+    even in t and peaks at t = 0 with width pi - |Re a|, which sets the
+    scale of its folded sinh map.
     """
     a = complex(a)
     b = complex(b)
@@ -682,9 +680,10 @@ def quad_t_domain(a, b, c: float) -> QuadResult:
         a = a.real
     if b.imag == 0.0:
         b = b.real
-    # theta = pi - a, so sin(theta/2)**2 = cos(a/2)**2
-    return _one_row(_de_half_lines([b, math.cos(c), np.cos(0.5 * a) ** 2], 0.0,
-                                   _decay_rate(b)))
+    # theta = pi - a, so sin(theta/2)**2 = cos(a/2)**2, and the scale
+    # min(1, theta, 2*pi - theta) is min(1, pi - |Re a|)
+    return _one_row(_folded_lines(_t_kernel, [b, math.cos(c), np.cos(0.5 * a) ** 2],
+                                  _t_sinh_geometry(math.pi - abs(a.real), _decay_rate(b))))
 
 
 def quad_two_sided(a: float, b: float) -> QuadResult:
@@ -711,9 +710,9 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
 
     In the s-domain the integrand becomes cos(q*s/n) / (2*(cosh s -
     cos theta)) / n, and cos(q*s/n) = cosh(b*s) for b = i*q/n: it is
-    _t_kernel(b, 0, sin(theta/2)**2) / (2*n), on the DE map over [0, inf)
-    for upper 1, and on the sinh map over the whole line for upper
-    infinity (computed two-sided, not by doubling).
+    _t_kernel(b, 0, sin(theta/2)**2) / (2*n), on the sinh map folded at
+    s = 0 over [0, inf) for upper 1, and on the sinh map over the whole
+    line for upper infinity (computed two-sided, not by doubling).
     """
     p = complex(spec.p)
     if p.real != 0.0:
@@ -721,13 +720,10 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
     _require_integrable(spec)
     b = 1j * p.imag / spec.n
     sin2_half = math.sin(0.5 * spec.theta) ** 2
-    if spec.upper == math.inf:
-        res = _one_row(_sinh_lines(_t_kernel, [b, 0.0, sin2_half],
-                                   _t_sinh_geometry(spec.theta, 1.0)))
-    elif spec.upper == 1.0:
-        res = _one_row(_de_half_lines([b, 0.0, sin2_half], 0.0, 1.0))
-    else:
+    if spec.upper not in (1.0, math.inf):
         raise ValueError("upper must be 1 or infinity for this oracle")
+    lines = _sinh_lines if spec.upper == math.inf else _folded_lines
+    res = _one_row(lines(_t_kernel, [b, 0.0, sin2_half], _t_sinh_geometry(spec.theta, 1.0)))
     # the kernel's imaginary parts cancel exactly: e^((1 -+ b)*s) are conjugates
     return _per_n(replace(res, value=res.value.real), 2.0 * spec.n)
 

@@ -27,7 +27,6 @@ from coshint import (
     verify_points,
 )
 from coshint.cli import main, report_to_dict
-from coshint.quadrature import _x_kernel_args
 from coshint.series import TOL_FLOOR
 
 TWO_PI = 2.0 * math.pi
@@ -74,16 +73,28 @@ def _peak_widths(count: int, seed: int) -> list[IntegrandSpec]:
     return specs
 
 
-# theta = 1e-150 puts the kernel's peak, of width theta, where even the
-# finest DE level cannot resolve it: the oracle runs out of levels
-EXHAUSTING = IntegrandSpec(1.0, 0.5, 1e-150, 1.0)
+# sin(theta/2)**2 underflows to 0 at theta = 1e-170, so the kernel is inf
+# at s = 0, where the folded sinh map has a node: the oracle runs out of
+# levels
+EXHAUSTING = IntegrandSpec(1.0, 0.5, 1e-170, 1.0)
+
+
+def _edges() -> list[IntegrandSpec]:
+    """X = 1, theta 1e-2 to 1e-16 from either edge, |b| up to 0.999."""
+    return [IntegrandSpec(n, b * n, theta, 1.0)
+            for n in (0.5, 1.0, 3.7)
+            for b in (0.0, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99, 0.999, -0.999)
+            for dist in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16)
+            for theta in (dist, TWO_PI - dist)]
+
 
 GRIDS = {
     "random": random_specs(200, 42),
     "integer_x": _integer_finite_x(150, 7),
     "near_edge": _near_edge(120, 11),
-    # one block holding rows of every predicted first-round level, 3 to 8
+    # X = 1 rows whose kernel peaks at s = 0 with widths from 1e-12 to pi
     "peak_widths": _peak_widths(120, 23) + [EXHAUSTING],
+    "edges": _edges(),
 }
 
 
@@ -125,10 +136,14 @@ def test_batch_bit_identical_to_single(singles, name, size):
     assert mismatched == []
 
 
-def test_peak_widths_reach_every_first_round_level():
-    levels = {quadrature._de_first_level(*_x_kernel_args(s, 1.0)[2:5])
-              for s in GRIDS["peak_widths"]}
-    assert levels == set(range(3, 9))
+def test_edges_are_served_up_to_the_last_theta_below_two_pi(singles):
+    # the block's failure sets are test_failure_sets_equal's; here the one
+    # failure is a theta of 2*pi - 1e-16, which rounds to 2*pi
+    specs = GRIDS["edges"]
+    assert len(specs) == 432
+    failed = [s for s, r in zip(specs, singles["edges"]) if isinstance(r, Exception)]
+    assert len(failed) == 27 and all(s.theta == TWO_PI for s in failed)
+    assert max(r.evaluations for r in singles["edges"] if not isinstance(r, Exception)) <= 513
 
 
 def test_failure_sets_equal(singles):
@@ -162,7 +177,7 @@ def test_invalid_specs_raise_the_single_spec_errors():
 
 
 def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
-    cap = quadrature._de_stage(quadrature._DE_MAX_LEVEL)[0].size
+    cap = quadrature._folded_stage(quadrature._SINH_LEVELS)[0].size
     sizes = []
     original = quadrature._t_kernel
 

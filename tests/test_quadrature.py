@@ -23,6 +23,7 @@ from coshint import (
     quad_x_domain_infinite,
     quad_x_domain_infinite_many,
     quad_x_domain_many,
+    random_specs,
     rescale,
 )
 import coshint.quadrature as quadrature
@@ -72,15 +73,19 @@ def test_x_domain_errors():
 
 def test_two_rules_agree_on_random_specs():
     rng = np.random.RandomState(61)
+    specs = []
     for _ in range(40):
         n = float(rng.uniform(0.5, 4.0))
         b = float(rng.uniform(-0.9, 0.9))
         theta = float(rng.uniform(0.3, 2 * PI - 0.3))
         zeta = float(rng.uniform(0.05, PI - 0.05))
-        spec = IntegrandSpec(n, b * n, theta, zeta)
+        specs.append(IntegrandSpec(n, b * n, theta, zeta))
+    # criterion 4 checks X = 1 against X = inf, both on sinh maps: Gauss-
+    # Legendre panels are the unrelated rule on criterion 1's grid
+    for spec in specs + random_specs(500, seed=1):
         ts = quad_x_domain(spec, 1.0)
         gl = quad_x_domain(spec, 1.0, rule="gauss")
-        assert abs(ts.value - gl.value) <= 1e-12 * (1.0 + abs(ts.value))
+        assert abs(ts.value - gl.value) <= 1e-12 * (1.0 + abs(ts.value)), spec
 
 
 def test_domain_equivalence_x_vs_t():
@@ -415,6 +420,8 @@ def _map(name):
     if name == "de":
         return (q._de_stage, q._DE_TMIN, q._DE_TMAX, q._DE_H0, q._DE_MAX_LEVEL,
                 lambda t: np.exp(t - np.exp(-t)))
+    if name == "folded":
+        return q._folded_stage, 0.0, 1.0, 0.5 * q._SINH_H0, q._SINH_LEVELS, lambda t: t
     return q._sinh_stage, -1.0, 1.0, q._SINH_H0, q._SINH_LEVELS, lambda t: t
 
 
@@ -422,14 +429,19 @@ def _grid(lo, hi, h):
     return lo + h * np.arange(round((hi - lo) / h) + 1)
 
 
-@pytest.mark.parametrize("name", ["de", "sinh"])
+@pytest.mark.parametrize("name", ["de", "sinh", "folded"])
 def test_stage_tables_nest_into_uniform_grids(name):
     # the first kernel round's table is the grid of its last level, in
     # segments: the grids before _MIN_LEVEL, then the nodes each tested
     # level adds; each later round adds the nodes of one level, as one
     # segment; the segments up to level L are the grid of step h0/2**L,
-    # each node once
+    # each node once; the folded map weighs its node at tau = 0 by 1/2
     stage, lo, hi, h0, last, to_table = _map(name)
+    if name == "folded":
+        for level in range(quadrature._FIRST_ROUND_LEVEL, last + 1):
+            tau, weight, _ = stage(level)
+            assert weight.tolist() == np.where(tau == 0.0, 0.5, 1.0).tolist()
+            assert (weight == 0.5).sum() == (level == quadrature._FIRST_ROUND_LEVEL)
     first_level, min_level = quadrature._FIRST_ROUND_LEVEL, quadrature._MIN_LEVEL
     first, starts = stage(first_level)[0], stage(first_level)[-1]
     assert len(starts) == first_level - min_level + 2
@@ -447,7 +459,8 @@ def test_stage_tables_nest_into_uniform_grids(name):
 def test_first_round_evaluates_the_level_3_grid_in_one_kernel_call(monkeypatch):
     # levels 2 and 3 are both tested from the sums of one kernel call, so a
     # row that stops at either level makes one call, and evaluations count
-    # every node evaluated: 169 on the DE map, 129 on the sinh map
+    # every node evaluated: 169 on the DE map (X < 1), 129 on the sinh map
+    # and on the folded sinh map (X = 1)
     sizes = []
     original = quadrature._t_kernel
 
@@ -462,8 +475,11 @@ def test_first_round_evaluates_the_level_3_grid_in_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_t_kernel", counting)
     cases = [(lambda s: quad_x_domain(s, s.upper), 169, [
-                 IntegrandSpec(1.5, 0.6, 2.0, 1.0),  # stops at level 3
+                 IntegrandSpec(1.5, 0.6, 2.0, 1.0, upper=0.9),  # stops at level 3
                  IntegrandSpec(5.0, 2.0, 2.0, 1.0, upper=0.5)]),  # stops at level 2
+             (lambda s: quad_x_domain(s, s.upper), 129, [
+                 IntegrandSpec(2.0, 1.9, 1e-3, 1.0),  # level 3
+                 IntegrandSpec(1.5, 0.6, 2.0, 1.0)]),  # level 2
              (quad_x_domain_infinite, 129, [
                  IntegrandSpec(5.0, 2.0, 2.0, 1.0, upper=math.inf),  # level 3
                  IntegrandSpec(1.0, 0.0, 2.0, 1.0, upper=math.inf)])]  # level 2
@@ -474,51 +490,10 @@ def test_first_round_evaluates_the_level_3_grid_in_one_kernel_call(monkeypatch):
             assert sizes == [nodes], spec
 
 
-def test_de_first_level_follows_the_peak_width():
-    first = quadrature._de_first_level
-    # the peak lies outside [s_X, inf) for X < 1, and a wide peak needs no
-    # more than the level-3 grid
-    assert first(1e-20, 0.5, 0.1) == 3
-    assert first(1e-20, 1e-300, 1.0) == 3
-    assert first(1.0, 0.0, 1.0) == 3
-    assert first(0.25 * math.exp(-6.0), 0.0, 1.0) == 3  # lam*w at e^-3
-    assert first(0.25 * math.exp(-6.0), -0.0, 1.0) == 3  # X = 1 gives s_X = -0.0
-    # never fewer levels for a narrower peak or a slower tail, never above 8
-    for lam in (1.0, 0.3, 5e-3, 1e-16):
-        levels = [first(math.sin(0.5 * theta) ** 2, 0.0, lam)
-                  for theta in np.geomspace(math.pi, 1e-300, 400)]
-        assert levels == sorted(levels), lam
-        assert set(levels) <= set(range(3, 9)), lam
-    assert first(0.0, 0.0, 1.0) == 8  # sin(theta/2)**2 underflowed
-    assert first(0.0, 0.0, 1e-16) == 8
-    # quad_t_domain passes cos(a/2)**2, complex for a complex a
-    assert first(np.cos(0.5 * complex(math.pi - 1e-9, 1e-9)) ** 2, 0.0, 1.0) == 6
-    assert first(np.cos(0.5 * complex(1.0, 0.5)) ** 2, 0.0, 1.0) == 3
-    assert first(complex(0.0, 0.0), 0.0, 1.0) == 8
-
-
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_de_first_levels_equal_the_scalar_predictor(kind):
-    # a block's column pass gives each row the level its one-row call uses;
-    # the last real values put lam*w at each threshold for lam = 1
-    sin2 = np.concatenate([[0.0], np.geomspace(1.0, 1e-300, 500),
-                           [0.25 * math.exp(-3.0 * 2.0 ** k) ** 2 for k in range(6)]])
-    if kind == "complex":
-        sin2 = np.concatenate([sin2 * np.exp(1j * phase) for phase in (0.3, 1.7, -2.9)]
-                              + [[complex(0.0, 0.0), np.cos(0.5 * complex(1.0, 0.5)) ** 2]])
-    rows = [(v, s_x, lam) for v in sin2.tolist()
-            for s_x in (0.0, -0.0, 1e-300, 0.5)
-            for lam in (1.0, 0.3, 5e-3, 1e-16, 3.0)]
-    sin2_half, s_x, lam = (np.array(col)[:, None] for col in zip(*rows))
-    got = quadrature._de_first_levels(sin2_half, s_x, lam).ravel().tolist()
-    assert got == [quadrature._de_first_level(*row) for row in rows]
-    assert set(got) == set(range(3, 9))
-
-
 def test_near_edge_rows_make_one_kernel_call(monkeypatch):
-    # the first round ends at the level the kernel's peak width predicts,
-    # and these rows stop there: 673 nodes is the level-5 grid, 1345 the
-    # level-6 grid
+    # the folded sinh map's scale is the width of the kernel's peak at
+    # s = 0, so rows near the edges stop on its level-3 grid, as wide
+    # peaks do
     sizes = []
     original = quadrature._t_kernel
 
@@ -532,24 +507,26 @@ def test_near_edge_rows_make_one_kernel_call(monkeypatch):
         return g
 
     monkeypatch.setattr(quadrature, "_t_kernel", counting)
-    for spec, nodes in ((IntegrandSpec(2, 1.9, 1e-3, 1), 673),
-                        (IntegrandSpec(1, 0.5, 1e-6, 1), 1345)):
+    for spec in (IntegrandSpec(2, 1.9, 1e-3, 1), IntegrandSpec(1, 0.5, 1e-6, 1),
+                 IntegrandSpec(1, 0.5, 2 * PI - 1e-6, 1)):
         sizes.clear()
-        assert quad_x_domain(spec).evaluations == nodes, spec
-        assert sizes == [nodes], spec
+        assert quad_x_domain(spec).evaluations == 129, spec
+        assert sizes == [129], spec
 
 
 def test_evaluations_count_the_grid_of_the_last_level():
     counts = {}
-    for name in ("de", "sinh"):
+    for name in ("de", "sinh", "folded"):
         _, lo, hi, h0, last, _ = _map(name)
         counts[name] = [_grid(lo, hi, h0 / 2 ** level).size for level in range(2, last + 1)]
-    de = [quad_x_domain(IntegrandSpec(1.0, 0.5, theta, 1.0), 1.0)
-          for theta in (2.0, 0.2, 1e-3, 1e-6)]
+    de = [quad_x_domain(IntegrandSpec(1.0, 0.5, theta, 1.0), X)
+          for theta, X in ((2.0, 0.5), (1e-2, 0.99), (1e-4, 0.9999), (1e-6, 1.0 - 1e-9))]
+    folded = [quad_x_domain(IntegrandSpec(1.0, 0.5, theta, 1.0), 1.0)
+              for theta in (2.0, 1e-6, 1e-12, 1e-150)]
     sinh = [quad_x_domain_infinite(IntegrandSpec(1.0, b, theta, 1.0, upper=math.inf))
             for b, theta in ((0.5, 2.0), (0.5, 0.2), (0.5, 2e-2), (0.5, 1e-8), (-0.995, 2.0))
             ] + [quad_two_sided(1.0, 0.3)]
-    for name, results in (("de", de), ("sinh", sinh)):
+    for name, results in (("de", de), ("sinh", sinh), ("folded", folded)):
         levels = [counts[name].index(r.evaluations) for r in results]
         assert len(set(levels)) > 1, (name, levels)  # more than one level reached
 
