@@ -6,16 +6,13 @@ grid ranges use start:step:stop, inclusive of stop within half a step.
 Exit codes: 0 success or agreement, 1 verification disagreement or a
 paradox that failed to manifest, 2 usage or domain errors.
 
-Sweeps (verify, table) evaluate the whole grid in one process, with the
-quadrature route of every real-p spec batched into one block per kind of
-upper limit, the contracted series of every real-p spec with upper
-limit 1 or inf into one numpy block, and the partial fractions of every
-real-p spec with an integer n into another (its arctangents by
-math.atan2, as numpy's arctan2 is not libm's; see
-coshint.verify.verify_points).  Output rows follow input order and each
-equals the single-spec report, so identical flags and seed give
-byte-identical output.  --threads is still accepted but
-has no effect.
+The routes, their names and when each applies come from
+coshint.verify.ROUTES: eval --method, the report keys and the table
+columns follow it.  Sweeps (verify, table) evaluate the whole grid in
+one process with coshint.verify.verify_points, which runs each route
+that has a block form as one block.  Output rows follow input order and
+each equals the single-spec report, so identical flags and seed give
+byte-identical output.  --threads is still accepted but has no effect.
 
 verify and eval --json write each report with report_line: one
 f-string in report_to_dict's key order, byte for byte equal to
@@ -24,7 +21,7 @@ running the json encoder.  report_to_dict stays the dict form of a
 report and the reference that report_line is tested against.
 
 main() parses with one parser per process, built on its first call:
-building it costs about 2 ms (54 add_argument calls), so a caller that
+building it costs about 2 ms (53 add_argument calls), so a caller that
 runs main() once per grid file, such as a script that sweeps many files
 or the test suite, pays it once.  A one-shot ``coshint verify`` still
 builds it once, about 1% of a 1000-spec run.  build_parser() returns a
@@ -47,20 +44,18 @@ from .params import (
     IntegrandSpec,
     canonicalize_theta,
     classify_domain,
+    normalize,
 )
 from .partial_fractions import decompose
 from .series import series_contracted, series_imaginary, series_one_sided
 from .verify import (
     AGREE_TOL,
+    ROUTES,
     EvalReport,
     Verdict,
-    closed_value,
     paradox_imaginary_n,
     paradox_periodicity,
-    pf_value,
-    quad_value,
     random_specs,
-    series_value,
     verify_point,
     verify_points,
 )
@@ -165,10 +160,7 @@ def report_to_dict(report: EvalReport) -> dict:
                        "c": nf.c, "scale": nf.scale},
         "domain": {"kind": report.domain.kind.value,
                    "detail": report.domain.detail},
-        "closed": report.closed,
-        "pf": report.pf,
-        "quad": report.quad,
-        "series": report.series,
+        **{route.name: getattr(report, route.name) for route in ROUTES},
         "max_abs_err": report.max_abs_err,
         "verdict": report.verdict.value,
         "reason": report.reason,
@@ -242,21 +234,15 @@ def cmd_eval(args) -> int:
         if args.json:
             print(report_line(report))
         else:
-            for name in ("closed", "pf", "quad", "series"):
-                value = getattr(report, name)
+            for route in ROUTES:
+                value = getattr(report, route.name)
                 if value is not None:
-                    print(f"{name} {value!r}")
+                    print(f"{route.name} {value!r}")
             print(f"verdict {report.verdict.value} max_abs_err {report.max_abs_err!r}")
         return 0
+    route = next(r for r in ROUTES if r.name == args.method)
     try:
-        if args.method == "closed":
-            value = closed_value(spec)
-        elif args.method == "pf":
-            value = pf_value(spec)
-        elif args.method == "quad":
-            value = quad_value(spec)
-        else:
-            value = series_value(spec, tol)
+        value = route.value(spec, normalize(spec), tol)
     except (CoshintError, ValueError) as exc:
         return _fail(f"domain error: {exc}")
     print(repr(value))
@@ -273,10 +259,8 @@ def cmd_verify(args) -> int:
             specs = [spec_from_dict(d) for d in raw]
         except (OSError, ValueError, KeyError, TypeError) as exc:
             return _fail(f"bad grid file: {exc}")
-    elif args.random is not None:
-        specs = random_specs(args.random, args.seed)
     else:
-        return _fail("need either --grid FILE or --random N")
+        specs = random_specs(args.random, args.seed)
     reports = verify_points(specs, args.tol)
     lines = [report_line(r) for r in reports]
     text = "\n".join(lines) + ("\n" if lines else "")
@@ -325,7 +309,7 @@ def cmd_series(args) -> int:
 
 
 _CSV_HEADER = ["n", "p_re", "p_im", "theta", "zeta", "upper", "domain",
-               "closed", "pf", "quad", "series", "max_abs_err", "verdict"]
+               *(route.name for route in ROUTES), "max_abs_err", "verdict"]
 
 
 def _csv_cell(value: float | None) -> str:
@@ -360,8 +344,8 @@ def cmd_table(args) -> int:
                 repr(r.spec.n), repr(p.real), repr(p.imag),
                 repr(r.spec.theta), repr(r.spec.zeta),
                 format_upper(r.spec.upper), r.domain.kind.value,
-                _csv_cell(r.closed), _csv_cell(r.pf), _csv_cell(r.quad),
-                _csv_cell(r.series), repr(r.max_abs_err), verdict,
+                *(_csv_cell(getattr(r, route.name)) for route in ROUTES),
+                repr(r.max_abs_err), verdict,
             ])
     finally:
         if args.out:
@@ -420,15 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one spec")
     _add_spec_flags(p_eval)
-    p_eval.add_argument("--method", choices=["closed", "pf", "quad", "series", "all"],
+    p_eval.add_argument("--method", choices=[*(route.name for route in ROUTES), "all"],
                         default="closed")
     p_eval.add_argument("--tol", type=float, default=AGREE_TOL)
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="cross-check a grid of specs")
-    p_verify.add_argument("--grid", type=str, default=None)
-    p_verify.add_argument("--random", type=int, default=None)
+    source = p_verify.add_mutually_exclusive_group(required=True)
+    source.add_argument("--grid", type=str, default=None)
+    source.add_argument("--random", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--tol", type=float, default=AGREE_TOL)
     p_verify.add_argument("--out", type=str, default=None)
@@ -475,9 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--k", type=int, default=1)
     p_par.add_argument("--m", type=float, default=1.0)
     p_par.add_argument("--tol", type=float, default=AGREE_TOL)
-    p_par.add_argument("--upper", type=str, default="1")
     p_par.add_argument("--deg", action="store_true")
-    p_par.set_defaults(func=cmd_paradox)
+    p_par.set_defaults(upper=1.0, func=cmd_paradox)
 
     return parser
 

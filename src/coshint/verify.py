@@ -1,17 +1,13 @@
 """Cross-path verification and the two documented formula failures.
 
-verify_point evaluates one spec by every admissible route (closed form,
-partial fractions, quadrature, accelerated series) and reports the
-worst pairwise disagreement; verify_points does the same for a grid,
-with the quadrature of its real-p specs run as one block per kind of
-upper limit, and their contracted series and partial fractions as one
-numpy block each.  A route
-whose precondition fails (an upper limit other than 1 or inf for closed
-and series, a p that is not real for pf and series, a non-integer n for
-pf) is not called at all: the route function raises from the same
-predicate, so the report is the one that trying it would give.
-Disagreements never raise: callers and the test suite decide what
-counts as failure.
+verify_point evaluates one spec by every admissible route of ROUTES
+(closed form, partial fractions, quadrature, accelerated series) and
+reports the worst pairwise disagreement; verify_points does the same for
+a grid, with each route's block form run once over the grid.  A route
+whose precondition (ROUTES) fails is not called at all: the route
+function raises from the same predicate, so the report is the one that
+trying it would give.  Disagreements never raise: callers and the test
+suite decide what counts as failure.
 
 The paradox demonstrators are assertable artifacts of where the closed
 forms stop being valid: shifting theta by a full turn changes the
@@ -26,9 +22,9 @@ is supposed to break the paradox tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 
 from .closed_form import _master_raw, eval_master
 from .errors import CoshintError
@@ -203,6 +199,63 @@ def _paradox_only_paths(spec: IntegrandSpec, nf: NormalizedForm) -> dict[str, fl
     return values
 
 
+def _pf_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
+    """pf_value_many over the specs; see verify_points."""
+    return pf_value_many([s.n for s in specs], [s.p for s in specs],
+                         [s.theta for s in specs], [s.zeta for s in specs],
+                         [s.upper for s in specs])
+
+
+def _quad_block(specs: list[IntegrandSpec], tol: float) -> list:
+    """The real-p specs' oracles, one block per kind of upper limit."""
+    out: list = [None] * len(specs)
+    real = [i for i, s in enumerate(specs) if _real_p(s)]
+    for infinite in (False, True):
+        rows = [i for i in real if (specs[i].upper == math.inf) is infinite]
+        if rows:
+            many = quad_x_domain_infinite_many if infinite else quad_x_domain_many
+            for i, result in zip(rows, many([specs[i] for i in rows])):
+                out[i] = result if isinstance(result, Exception) else result.value
+    return out
+
+
+def _series_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
+    """series_value from series_contracted_many's sums."""
+    block = series_contracted_many([s.n for s in specs],
+                                   [abs(complex(s.p).real) for s in specs],
+                                   [s.theta for s in specs], _series_tol(tol))
+    return [None if res is None else _series_total(s, _upper_factor(s), res)
+            for s, res in zip(specs, block)]
+
+
+@dataclass(frozen=True)
+class Route:
+    """An evaluation route, reported in EvalReport's field ``name``.
+
+    ``admits(spec)`` is the predicate that the route function raises
+    from; ``value(spec, nf, tol)`` is its value, given normalize(spec).
+    ``block(specs, tol)``, for specs it admits, gives per spec the value,
+    the error the route would raise, or None (call ``value``).  Each looks
+    its functions up in this module at call time.
+    """
+
+    name: str
+    admits: Callable[[IntegrandSpec], bool]
+    value: Callable[[IntegrandSpec, NormalizedForm, float], float]
+    block: Callable[[list[IntegrandSpec], float], list] | None = None
+
+
+ROUTES = (
+    Route("closed", _summed_upper, lambda spec, nf, tol: _closed_value(spec, nf)),
+    Route("pf", lambda spec: _real_p(spec) and _is_int(spec.n),
+          lambda spec, nf, tol: pf_value(spec), _pf_block),
+    Route("quad", lambda spec: True, lambda spec, nf, tol: quad_value(spec), _quad_block),
+    Route("series", lambda spec: _summed_upper(spec) and _real_p(spec),
+          lambda spec, nf, tol: series_value(spec, tol), _series_block),
+)
+_NO_RESULTS = (None,) * len(ROUTES)
+
+
 def verify_point(spec: IntegrandSpec, tol: float = AGREE_TOL) -> EvalReport:
     """Evaluate one spec along every admissible route and compare.
 
@@ -212,92 +265,58 @@ def verify_point(spec: IntegrandSpec, tol: float = AGREE_TOL) -> EvalReport:
     lies outside (0, 2*pi) keep their raw angle in the closed route and
     therefore Disagree with the oracle (the periodicity failure).
     """
-    return _report(spec, tol, lambda: quad_value(spec), lambda: series_value(spec, tol))
+    return _report(spec, tol, _NO_RESULTS)
 
 
 def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[EvalReport]:
-    """verify_point for every spec, in input order, with batched quadrature
-    and series.
+    """verify_point for every spec, in input order, with each route's
+    block run once over the specs that the route admits.
 
-    The quadrature route of every real-p spec is computed for the whole
-    grid at once: quad_x_domain_many for finite upper limits and
-    quad_x_domain_infinite_many for an infinite one, whose results are
-    bit-identical to quad_x_domain and quad_x_domain_infinite.  So is the
-    contracted series of every real-p spec with upper limit 1 or inf:
-    series_contracted_many serves the rows that series_contracted sums in
-    one pass of at most series._WIDTH terms, in its plain loop or with
-    numpy, bit for bit.  The partial fractions of every real-p spec with
-    an integer n go to pf_value_many, which serves the rows that pf_value
-    serves without a special case (at most _BLOCK_ROOTS roots, theta in
-    (0, 2*pi) off pi, every root angle on its branch), bit for bit: numpy's
-    sin and cos are libm's on these arguments, its arctangents are
-    math.atan2 (numpy's arctan2 is not libm's), and each row is summed
-    root by root, as integral_at sums.  All other routes and specs go
-    through verify_point's own code, so each report equals
-    verify_point(spec, tol).
+    Each block (quad_x_domain_many, quad_x_domain_infinite_many,
+    series_contracted_many, pf_value_many) is bit-identical to its
+    one-row call on the rows it serves, and leaves the others to
+    verify_point's own code, so each report equals verify_point(spec, tol).
     """
-    real = [i for i, s in enumerate(specs) if _real_p(s)]
-    finite = [i for i in real if specs[i].upper != math.inf]
-    infinite = [i for i in real if specs[i].upper == math.inf]
-    quads = dict(zip(finite, quad_x_domain_many([specs[i] for i in finite])))
-    quads.update(zip(infinite, quad_x_domain_infinite_many([specs[i] for i in infinite])))
-    summed = [i for i in real if _summed_upper(specs[i])]
-    block = series_contracted_many([specs[i].n for i in summed],
-                                   [abs(complex(specs[i].p).real) for i in summed],
-                                   [specs[i].theta for i in summed], _series_tol(tol))
-    sums = {i: res for i, res in zip(summed, block) if res is not None}
-    whole = [i for i in real if specs[i].n % 1.0 == 0.0]  # pf needs an integer n
-    pfs = {}
-    if whole:
-        rows = [specs[i] for i in whole]
-        pfs = dict(zip(whole, pf_value_many([s.n for s in rows], [s.p for s in rows],
-                                            [s.theta for s in rows], [s.zeta for s in rows],
-                                            [s.upper for s in rows])))
-    return [_report(s, tol,
-                    partial(_quad_result_value, quads[i]) if i in quads
-                    else partial(quad_value, s),
-                    partial(_series_total, s, _upper_factor(s), sums[i]) if i in sums
-                    else partial(series_value, s, tol), pfs.get(i))
-            for i, s in enumerate(specs)]
+    columns = [_block_column(route, specs, tol) for route in ROUTES]
+    return [_report(s, tol, given) for s, given in zip(specs, zip(*columns))]
 
 
-def _quad_result_value(result) -> float:
-    if isinstance(result, Exception):
-        raise result
-    return result.value
+def _block_column(route: Route, specs: list[IntegrandSpec], tol: float) -> list:
+    """route.block's result for each spec that the route admits, else None."""
+    column: list = [None] * len(specs)
+    rows = [i for i, s in enumerate(specs) if route.admits(s)] if route.block else []
+    if rows:
+        for i, result in zip(rows, route.block([specs[i] for i in rows], tol)):
+            column[i] = result
+    return column
 
 
-def _report(spec: IntegrandSpec, tol: float, quad, series, pf=None) -> EvalReport:
-    """verify_point's body; ``quad()`` and ``series()`` give the quadrature
-    and series routes' values, and ``pf`` the partial-fraction value when
-    a block has it (None: call pf_value).
+def _report(spec: IntegrandSpec, tol: float, given: tuple) -> EvalReport:
+    """verify_point's body; ``given`` holds, per route of ROUTES, a block's
+    result for the spec (a value or the route's error), or None.
 
-    A route is called only when the spec meets its preconditions, the
-    predicates that the route function itself raises from: closed and
-    series need an upper limit of 1 or inf, pf and series a real p, and
-    pf an integer n.  A route that is called may still raise (a near
-    pole, an unreachable tolerance, ...), and is then left out.
+    A route with no block result is called only when the spec meets its
+    precondition.  A route that is called may still raise (a near pole,
+    an unreachable tolerance, ...), and is then left out.
     """
     nf = normalize(spec)
     domain = classify_domain(spec)
     kind = domain.kind
     if kind is DomainKind.SINGULAR_THETA or kind is DomainKind.EXCLUDED:
-        return EvalReport(spec, nf, domain, None, None, None, None,
-                          0.0, Verdict.SKIPPED, domain.detail)
+        return EvalReport(spec, nf, domain, *_NO_RESULTS, 0.0, Verdict.SKIPPED,
+                          domain.detail)
     if kind is DomainKind.PARADOX_ONLY:
         values = _paradox_only_paths(spec, nf)
     else:
         values = {}
-        summed, real = _summed_upper(spec), _real_p(spec)
-        if summed:
-            _route(values, "closed", _closed_value, spec, nf)
-        if pf is not None:
-            values["pf"] = pf
-        elif real and _is_int(spec.n):
-            _route(values, "pf", pf_value, spec)
-        _route(values, "quad", quad)
-        if summed and real:
-            _route(values, "series", series)
+        for route, result in zip(ROUTES, given):
+            if result is None and route.admits(spec):
+                try:
+                    result = route.value(spec, nf, tol)
+                except (CoshintError, ValueError):
+                    continue
+            if result is not None and not isinstance(result, Exception):
+                values[route.name] = result
     if len(values) < 2:
         max_err, verdict = 0.0, Verdict.SKIPPED
         reason = "fewer than two evaluation routes are admissible"
@@ -306,17 +325,8 @@ def _report(spec: IntegrandSpec, tol: float, quad, series, pf=None) -> EvalRepor
         max_err = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])
         verdict = Verdict.AGREE if max_err <= tol else Verdict.DISAGREE
         reason = None
-    get = values.get
-    return EvalReport(spec, nf, domain, get("closed"), get("pf"), get("quad"),
-                      get("series"), max_err, verdict, reason)
-
-
-def _route(values: dict[str, float], name: str, path, *args) -> None:
-    """values[name] = path(*args), unless the route raises."""
-    try:
-        values[name] = path(*args)
-    except (CoshintError, ValueError):
-        pass
+    return EvalReport(spec, nf, domain, *[values.get(route.name) for route in ROUTES],
+                      max_err, verdict, reason)
 
 
 def paradox_periodicity(spec: IntegrandSpec, k: int) -> ParadoxReport:
@@ -324,8 +334,12 @@ def paradox_periodicity(spec: IntegrandSpec, k: int) -> ParadoxReport:
 
     The integrand only sees cos(theta), so the quadrature value is
     unchanged, while the formula value moves; re-canonicalizing restores
-    agreement.  The mismatch is reported, not raised on.
+    agreement.  The mismatch is reported, not raised on.  The oracle is
+    the integral up to 1, so the spec's upper limit must be 1.
     """
+    if spec.upper != 1.0:
+        raise CoshintError(f"the periodicity paradox is shown at upper limit 1, "
+                           f"got {spec.upper!r}")
     domain = classify_domain(spec)
     if domain.kind is not DomainKind.VALID:
         raise CoshintError(f"paradox needs a Valid spec, got {domain.detail}")

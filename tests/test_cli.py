@@ -16,8 +16,16 @@ from coshint.cli import (
     spec_from_dict,
     spec_to_dict,
 )
+from coshint.errors import CoshintError
 from coshint.params import DomainKind, DomainStatus, IntegrandSpec, NormalizedForm
-from coshint.verify import EvalReport, Verdict, verify_point, verify_points
+from coshint.verify import (
+    EvalReport,
+    Verdict,
+    pf_value,
+    series_value,
+    verify_point,
+    verify_points,
+)
 
 PI_STR = "3.141592653589793"
 HALF_PI = "1.5707963267948966"
@@ -126,6 +134,46 @@ def test_eval_json_report(capsys):
     assert report["verdict"] == "Agree"
     assert spec_from_dict(report["spec"]) == IntegrandSpec(2, 1.0, math.pi / 2,
                                                            math.pi / 2)
+
+
+# one spec that every route admits: n = 2, p = 1, theta = 1, zeta = 2, X = 1
+_ALL_ROUTES = ["--n", "2", "--p", "1", "--theta", "1", "--zeta", "2"]
+
+
+@pytest.mark.parametrize("method", ["closed", "pf", "quad", "series"])
+def test_eval_method_prints_the_route_value(capsys, method):
+    code, out = run_cli(capsys, ["eval", *_ALL_ROUTES, "--method", method])
+    assert code == 0
+    report = verify_point(IntegrandSpec(2.0, 1.0, 1.0, 2.0), 1e-9)
+    assert out == repr(getattr(report, method)) + "\n"
+
+
+def test_eval_method_all_lists_the_routes_then_the_verdict(capsys):
+    code, out = run_cli(capsys, ["eval", *_ALL_ROUTES, "--method", "all"])
+    assert code == 0
+    report = verify_point(IntegrandSpec(2.0, 1.0, 1.0, 2.0), 1e-9)
+    names = ("closed", "pf", "quad", "series")
+    assert None not in [getattr(report, name) for name in names]
+    assert out.splitlines() == [f"{name} {getattr(report, name)!r}" for name in names] + [
+        f"verdict {report.verdict.value} max_abs_err {report.max_abs_err!r}"]
+
+
+_ROUTE_CALLS = {"pf": pf_value, "series": lambda spec: series_value(spec, 1e-9)}
+
+
+@pytest.mark.parametrize("method,spec", [
+    ("pf", IntegrandSpec(2.5, 1.0, 1.0, 2.0)),
+    ("series", IntegrandSpec(2.0, 1.0, 1.0, 2.0, upper=0.5)),
+])
+def test_eval_method_refused_route_exits_2_with_its_message(capsys, method, spec):
+    code = main(["eval", "--n", repr(spec.n), "--p", "1", "--theta", "1", "--zeta", "2",
+                 "--upper", repr(spec.upper), "--method", method])
+    captured = capsys.readouterr()
+    with pytest.raises(CoshintError) as exc:
+        _ROUTE_CALLS[method](spec)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"domain error: {exc.value}\n"
 
 
 def test_decompose_json_fields(capsys):
@@ -342,6 +390,23 @@ def test_paradox_periodicity_cli(capsys):
         "paradox", "--kind", "periodicity", "--n", "1", "--p", "0.5",
         "--theta", HALF_PI, "--k", "0"])
     assert code == 1  # control case: no paradox to show
+
+
+def test_paradox_refuses_an_upper_limit(capsys):
+    # the periodicity paradox is shown at X = 1 only: --upper is not a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["paradox", "--kind", "periodicity", "--n", "1", "--p", "0.5",
+              "--theta", HALF_PI, "--k", "1", "--upper", "inf"])
+    assert exc.value.code == 2
+    assert "--upper" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--grid", "g.json", "--random", "5"], []])
+def test_verify_needs_exactly_one_of_grid_and_random(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_paradox_imaginary_cli(capsys):

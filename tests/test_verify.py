@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from coshint import (
     verify_point,
     verify_points,
 )
+from coshint.cli import report_to_dict
 
 PI = math.pi
 
@@ -140,6 +143,13 @@ def test_paradox_periodicity_manifests():
 def test_paradox_periodicity_control_k_zero():
     report = paradox_periodicity(IntegrandSpec(1, 0.5, PI / 2, PI / 2), k=0)
     assert report.mismatch < 1e-9
+
+
+@pytest.mark.parametrize("upper", [math.inf, 0.5])
+def test_paradox_periodicity_needs_upper_limit_one(upper):
+    # its oracle is the integral up to 1: another limit would be ignored
+    with pytest.raises(CoshintError, match="upper limit 1"):
+        paradox_periodicity(IntegrandSpec(1, 0.5, PI / 2, PI / 2, upper=upper), k=1)
 
 
 def test_paradox_periodicity_needs_valid_spec():
@@ -296,3 +306,66 @@ def test_admission_leaves_skipped_routes_uncalled(monkeypatch):
     verify_points(specs, 1e-9)
     assert called
     assert not [(name, s) for name, s in called if name in _skipped_routes(s)]
+
+
+# ---------------------------------------------------------------------------
+# the route table: one-row and block paths
+
+
+def test_routes_follow_the_report_field_and_key_order():
+    names = [route.name for route in verify.ROUTES]
+    assert names == ["closed", "pf", "quad", "series"]
+    fields = [f.name for f in dataclasses.fields(EvalReport)]
+    assert fields[3:3 + len(names)] == names
+    keys = list(report_to_dict(verify_point(IntegrandSpec(2, 1, 1.0, 2.0))))
+    assert keys[3:3 + len(names)] == names
+
+
+EXHAUSTING = IntegrandSpec(1.0, 0.5, 1e-170, 1.0)  # quadrature exhausts its budget
+
+
+def _fallback_grid() -> list[IntegrandSpec]:
+    """Specs that each route's block refuses or fails, among served ones."""
+    specs = [EXHAUSTING, replace(EXHAUSTING, upper=math.inf)]
+    for upper in (1.0, math.inf, 0.5):
+        specs += [
+            IntegrandSpec(65.0, 1.0, 1.0, 1.2, upper=upper),  # past _BLOCK_ROOTS
+            IntegrandSpec(3.0, 1.0, PI + 1e-13, 1.2, upper=upper),
+            IntegrandSpec(3.0, 1.0, PI - 1e-13, 1.2, upper=upper),
+            IntegrandSpec(3.0, 1.0, 5e-4, 1.2, upper=upper),  # within THETA_EDGE
+            IntegrandSpec(3.0, 1.0, 2 * PI - 5e-4, 1.2, upper=upper),
+            IntegrandSpec(2.5, 0.7, 2 * PI - 5e-4, 1.2, upper=upper),
+            IntegrandSpec(3.0, 0.5j, 1.0, 1.2, upper=upper),  # quad_cos_log
+            IntegrandSpec(3.0, 1.0, 2.0, 1.2, upper=upper),  # served by every block
+            IntegrandSpec(2.5, 0.7, 2.0, 1.2, upper=upper),
+        ]
+    return specs
+
+
+def test_block_fallbacks_give_the_one_row_reports():
+    specs = _fallback_grid()
+    expected = [repr(verify_point(s, 1e-9)) for s in specs]
+    assert [repr(r) for r in verify_points(specs, 1e-9)] == expected
+    assert expected == [repr(_try_every_route(s, 1e-9)) for s in specs]
+
+
+def test_fallback_grid_reaches_every_block_outcome():
+    specs = _fallback_grid()
+    outcomes = {}
+    for route in verify.ROUTES:
+        if route.block is None:
+            continue
+        admitted = [s for s in specs if route.admits(s)]
+        results = route.block(admitted, 1e-9)
+        outcomes[route.name] = {("error" if isinstance(r, Exception) else
+                                 "none" if r is None else "value") for r in results}
+    assert outcomes == {"pf": {"value", "none"}, "quad": {"value", "none", "error"},
+                        "series": {"value", "none"}}
+    # the rows a block leaves are still served where the one-row call serves them
+    reports = verify_points(specs, 1e-9)
+    by_spec = dict(zip(specs, reports))
+    assert by_spec[IntegrandSpec(65.0, 1.0, 1.0, 1.2, upper=0.5)].pf is not None
+    assert by_spec[IntegrandSpec(3.0, 1.0, PI + 1e-13, 1.2)].pf is not None
+    assert by_spec[IntegrandSpec(3.0, 0.5j, 1.0, 1.2, upper=math.inf)].quad is not None
+    assert by_spec[EXHAUSTING].quad is None
+    assert by_spec[IntegrandSpec(3.0, 1.0, 5e-4, 1.2)].series is None
