@@ -41,6 +41,13 @@ for s in random_specs(100, seed=3):
 print(f"  {worst:.3e}")
 print()
 
+# p = i*q is the same kernel at b = i*q/n: one call at any upper limit
+ispec = IntegrandSpec(n=1.5, p=0.7j, theta=1.0, zeta=2.0, upper=0.5)
+print("imaginary p = 0.7i up to X = 0.5:")
+print(f"  double exponential: {quad_x_domain(ispec, 0.5).value:.15f}")
+print(f"  gauss panels:       {quad_x_domain(ispec, 0.5, rule='gauss').value:.15f}")
+print()
+
 inf = quad_x_domain_infinite(spec).value
 print(f"infinite range, computed two-sided: {inf:.15f}")
 print(f"twice the unit value:               {2 * quad_x_domain(spec, 1.0).value:.15f}")

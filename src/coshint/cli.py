@@ -117,12 +117,11 @@ def parse_grid(text: str) -> list[float]:
 
 
 def parse_upper(text: str | float) -> float:
-    """An upper limit: the flag text "inf" or a grid file's infinite
-    number, else a finite value in (0, 1], given as text or a number."""
-    if text == "inf" or text == math.inf:
-        return math.inf
+    """An upper limit, given as text or a number: whatever float() reads
+    as +inf ("inf", "Infinity", a grid file's infinite number), else a
+    finite value in (0, 1]."""
     x = float(text)
-    if not 0.0 < x <= 1.0:
+    if not (0.0 < x <= 1.0 or x == math.inf):
         raise ValueError("finite upper limits must lie in (0, 1]")
     return x
 
@@ -353,7 +352,21 @@ def cmd_table(args) -> int:
     return 0
 
 
+# the flags that only one kind of paradox reads, with their defaults; the
+# parser leaves them None, so that the other kind can tell they were given
+_PARADOX_FLAGS = {"periodicity": {"n": 1.0, "zeta": 0.5 * math.pi, "k": 1, "tol": AGREE_TOL},
+                  "imaginary-n": {"m": 1.0}}
+
+
 def cmd_paradox(args) -> int:
+    for kind, flags in _PARADOX_FLAGS.items():
+        for name, default in flags.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif kind != args.kind:
+                return _fail(f"--{name} does not apply to --kind {args.kind}")
+    if args.kind == "imaginary-n" and args.p.imag != 0.0:
+        return _fail("--p must be real for --kind imaginary-n")
     try:
         if args.kind == "periodicity":
             spec = _spec_from_args(args)
@@ -453,13 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_par = sub.add_parser("paradox", help="demonstrate a documented formula failure")
     p_par.add_argument("--kind", choices=["periodicity", "imaginary-n"], required=True)
-    p_par.add_argument("--n", type=float, default=1.0)
+    p_par.add_argument("--n", type=float)
     p_par.add_argument("--p", type=parse_complex_literal, default=0.5)
     p_par.add_argument("--theta", type=float, required=True)
-    p_par.add_argument("--zeta", type=float, default=0.5 * math.pi)
-    p_par.add_argument("--k", type=int, default=1)
-    p_par.add_argument("--m", type=float, default=1.0)
-    p_par.add_argument("--tol", type=float, default=AGREE_TOL)
+    p_par.add_argument("--zeta", type=float)
+    p_par.add_argument("--k", type=int)
+    p_par.add_argument("--m", type=float)
+    p_par.add_argument("--tol", type=float)
     p_par.add_argument("--deg", action="store_true")
     p_par.set_defaults(upper=1.0, func=cmd_paradox)
 

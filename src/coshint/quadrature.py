@@ -25,7 +25,9 @@ against itself:
 All x-domain integrals are transformed with x**n = exp(-s) before any
 rule sees them, so the x -> 0 endpoint behaviour x**(n-|p|-1) never
 reaches a node, and the kernels' denominators are written so that they
-do not cancel near theta = 0 or 2*pi (a = pi for quad_two_sided).
+do not cancel near theta = 0 or 2*pi (a = pi for quad_two_sided).  A
+purely imaginary p = i*q is the same kernel at b = i*q/n, so the
+x-domain oracles take it as a real p, at every upper limit.
 Refinement stops at 1e-13 relative accuracy; running out of trapezoid
 levels, of panel doublings or of the panel budget (2e6 evaluations per
 call) raises instead of returning a degraded value, and so does a
@@ -36,7 +38,7 @@ One driver runs the trapezoid rule on every map over a (rows x nodes)
 block, in kernel rounds that each evaluate the nodes of one or more
 levels of h: the first round evaluates the level-3 grid, where most
 rows, near-edge ones at X = 1 among them, stop.  quad_x_domain_many and
-quad_x_domain_infinite_many run many specs as blocks, one per map, and
+quad_x_domain_infinite_many run blocks, one per map and kind of p, and
 return, bit for bit, what quad_x_domain and quad_x_domain_infinite,
 their one-row calls, return for each.
 """
@@ -182,12 +184,13 @@ def integrate_finite(f, a: float, b: float) -> QuadResult:
 
 
 def integrate_half_line(f, start: float, decay: float) -> QuadResult:
-    """Integrate f over [start, inf) given an e^(-decay*s) tail envelope."""
+    """Integrate f over [start, inf) given an e^(-decay*s) tail envelope;
+    a complex-valued f gets a complex value."""
     budget = _Budget()
     cutoff = _tail_cutoff(decay, start)
     edges = _panel_edges(start, cutoff)
     value, err = _integrate_panels(f, edges, budget)
-    return _result(float(value), err, budget.used)
+    return _result(value.item(), err, budget.used)
 
 
 def _result(value, err, evaluations: int) -> QuadResult:
@@ -495,10 +498,6 @@ def _t_kernel(b, cos_c: float, sin2_half):
     return f
 
 
-def _decay_rate(b) -> float:
-    return 1.0 - abs(complex(b).real)
-
-
 def _require_integrable(spec: IntegrandSpec) -> None:
     """Refuse a spec whose domain class is not Valid or Boundary-a."""
     status = classify_domain(spec)
@@ -512,30 +511,35 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     ``X`` is the finite upper limit, or None for the range (0, inf).
     Returns (b, cos_c, sin2_half, s_X, decay): the _t_kernel arguments, the
     lower end s_X = -n*log(X) of the s-range (None when X is None) and
-    the kernel's tail decay rate.
+    the kernel's tail decay rate.  b = p/n is a float for a real p and
+    the complex i*q/n for p = i*q, whose tails decay as e^(-s); a p with
+    both parts nonzero raises DomainError.
     """
     if X is not None and not 0.0 < X <= 1.0:
         raise ValueError(f"X must lie in (0, 1], got {X}")
     p = complex(spec.p)
-    if p.imag != 0.0:
-        raise DomainError("p must be real here; imaginary p goes through quad_cos_log")
-    p = p.real
-    if abs(p) >= spec.n:
+    if p.real != 0.0 and p.imag != 0.0:
+        raise DomainError("p must be real or purely imaginary here")
+    if abs(p.real) >= spec.n:
         where = "an endpoint" if X is None else "the lower endpoint"
         raise NonIntegrableError(
-            f"|p| = {abs(p)} >= n = {spec.n}: divergent at {where}"
+            f"|p| = {abs(p.real)} >= n = {spec.n}: divergent at {where}"
         )
-    # with |p| < n, classify_domain refuses exactly a theta outside (0, 2*pi)
+    # with |Re p| < n, classify_domain refuses exactly a theta outside (0, 2*pi)
     if not 0.0 < spec.theta < 2.0 * math.pi:
         _require_integrable(spec)
-    b = p / spec.n
+    b = p.real / spec.n
+    decay = 1.0 - abs(b)
+    if p.imag != 0.0:
+        b = 1j * p.imag / spec.n  # cos(q*s/n) = cosh(b*s); the tails decay as e^(-s)
     s_x = None if X is None else -spec.n * math.log(X)
-    return b, -math.cos(spec.zeta), math.sin(0.5 * spec.theta) ** 2, s_x, _decay_rate(b)
+    return b, -math.cos(spec.zeta), math.sin(0.5 * spec.theta) ** 2, s_x, decay
 
 
 def _per_n(res: QuadResult, n: float) -> QuadResult:
-    """The s-domain result scaled by the substitution's factor 1/n."""
-    return QuadResult(value=res.value / n, abs_err_estimate=res.abs_err_estimate / n,
+    """The s-domain result scaled by the substitution's factor 1/n, real:
+    for an imaginary b, e^((1 -+ b)*s) are conjugates."""
+    return QuadResult(value=res.value.real / n, abs_err_estimate=res.abs_err_estimate / n,
                       evaluations=res.evaluations)
 
 
@@ -549,7 +553,9 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
 
     Substituting x**n = exp(-s) maps the range to [s_X, inf) with
     s_X = -n*log(X) and integrand (cosh(b*s) - cos(zeta)) /
-    (cosh(s) - cos(theta)) / n, which has no endpoint singularity.
+    (cosh(s) - cos(theta)) / n, which has no endpoint singularity; b =
+    p/n is real, or i*q/n for p = i*q (cosh(b*s) = cos(q*s/n)), and the
+    value is real either way.
     ``rule="tanh-sinh"`` integrates it with the sinh map folded at s = 0
     when s_X = 0 (X = 1), whose nodes resolve the kernel's peak there,
     and with the double-exponential half-line map when s_X > 0;
@@ -570,71 +576,59 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     return _per_n(res, spec.n)
 
 
-def _x_domain_block(specs: list[IntegrandSpec], infinite: bool,
-                    run) -> list[QuadResult | Exception]:
-    """Run the block driver ``run(args, accepted)`` on the kernel
-    arguments of every spec that _x_kernel_args accepts, with X =
-    spec.upper or, if ``infinite``, the range (0, inf), and on those
-    specs.
+def _x_domain_block(specs: list[IntegrandSpec], infinite: bool) -> list[QuadResult | Exception]:
+    """quad_x_domain(spec, spec.upper), or if ``infinite``
+    quad_x_domain_infinite(spec), for every spec, as one block per map
+    and kind of p: a complex b column would change the rounding of real
+    rows.
 
-    Returns, in input order, each spec's result scaled by 1/n, or the
-    error that _x_kernel_args or the driver gave for it.
+    Returns, in input order, each spec's QuadResult or the error that the
+    one-row call would raise for it.
     """
     out: list[QuadResult | Exception | None] = [None] * len(specs)
-    rows, args = [], []
+    blocks: dict[tuple[bool, bool], list] = {}  # (sinh map, imaginary p): rows
     for i, spec in enumerate(specs):
         try:
-            args.append(_x_kernel_args(spec, None if infinite else spec.upper))
-            rows.append(i)
+            args = _x_kernel_args(spec, None if infinite else spec.upper)
         except (CoshintError, ValueError) as exc:
             out[i] = exc
-    if rows:
-        for i, res in zip(rows, run(args, [specs[i] for i in rows])):
+        else:
+            key = (infinite or args[3] == 0.0, isinstance(args[0], complex))
+            blocks.setdefault(key, []).append((i, args))
+    for (sinh, _), block in blocks.items():
+        rows, args = zip(*block)
+        b, cos_c, sin2_half, s_x, decay = zip(*args)
+        params = [np.array(col)[:, None] for col in (b, cos_c, sin2_half)]
+        if sinh:
+            geometry = [_t_sinh_geometry(specs[i].theta, d) for i, d in zip(rows, decay)]
+            lines = _sinh_lines if infinite else _folded_lines
+            results = lines(_t_kernel, params, np.array(geometry).T[:, :, None])
+        else:
+            results = _de_half_lines(params, np.array(s_x)[:, None], np.array(decay)[:, None])
+        for i, res in zip(rows, results):
             out[i] = res if isinstance(res, Exception) else _per_n(res, specs[i].n)
     return out
 
 
-def _t_sinh_columns(args, accepted) -> tuple[np.ndarray, np.ndarray]:
-    """The _t_kernel columns and the sinh maps' (scale, span) columns of
-    a block's rows, from their _x_kernel_args and specs."""
-    cols = np.array([a[:3] for a in args], dtype=float).T[:, :, None]
-    geometry = [_t_sinh_geometry(spec.theta, a[4]) for spec, a in zip(accepted, args)]
-    return cols, np.array(geometry).T[:, :, None]
-
-
 def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
-    """quad_x_domain(spec, spec.upper) for every spec, as two blocks: the
-    rows with s_X = 0 on the folded sinh map, the others on the DE map.
+    """quad_x_domain(spec, spec.upper) for every spec, as blocks: the rows
+    with s_X = 0 on the folded sinh map, the others on the DE map, each
+    with its real-p and imaginary-p rows apart.
 
     Returns, in input order, each spec's QuadResult or the error that
     quad_x_domain would raise for it (CoshintError or ValueError).
     Values, error estimates and evaluation counts are bit-identical to
     the per-spec calls, whatever the other specs in the block.
     """
-
-    def run(args, accepted):
-        out = [None] * len(args)
-        folded = [i for i, a in enumerate(args) if a[3] == 0.0]
-        de = [i for i, a in enumerate(args) if a[3] != 0.0]
-        if folded:
-            cols = _t_sinh_columns([args[i] for i in folded], [accepted[i] for i in folded])
-            for i, res in zip(folded, _folded_lines(_t_kernel, *cols)):
-                out[i] = res
-        if de:
-            cols = np.array([args[i] for i in de], dtype=float).T[:, :, None]
-            for i, res in zip(de, _de_half_lines(cols[:3], cols[3], cols[4])):
-                out[i] = res
-        return out
-
-    return _x_domain_block(specs, False, run)
+    return _x_domain_block(specs, False)
 
 
 def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
     """Oracle for the x-domain integral over (0, inf).
 
-    Computed as a genuine two-sided s-integral with the sinh-map rule,
-    not by doubling the (0, 1] value.  This is the one-row call of
-    quad_x_domain_infinite_many's block.
+    Computed as a genuine two-sided s-integral of quad_x_domain's kernel
+    with the sinh-map rule, not by doubling the (0, 1] value.  This is
+    the one-row call of quad_x_domain_infinite_many's blocks.
     """
     b, cos_c, sin2_half, _, rate = _x_kernel_args(spec, None)
     res = _one_row(_sinh_lines(_t_kernel, [b, cos_c, sin2_half],
@@ -643,7 +637,7 @@ def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
 
 
 def quad_x_domain_infinite_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
-    """quad_x_domain_infinite(spec) for every spec, as one sinh-map block.
+    """quad_x_domain_infinite(spec) for every spec, as a sinh-map block per kind of p.
 
     Returns, in input order, each spec's QuadResult or the error that
     quad_x_domain_infinite would raise for it (CoshintError or
@@ -651,11 +645,7 @@ def quad_x_domain_infinite_many(specs: list[IntegrandSpec]) -> list[QuadResult |
     bit-identical to the per-spec calls, whatever the other specs in the
     block.
     """
-
-    def run(args, accepted):
-        return _sinh_lines(_t_kernel, *_t_sinh_columns(args, accepted))
-
-    return _x_domain_block(specs, True, run)
+    return _x_domain_block(specs, True)
 
 
 def quad_t_domain(a, b, c: float) -> QuadResult:
@@ -683,7 +673,7 @@ def quad_t_domain(a, b, c: float) -> QuadResult:
     # theta = pi - a, so sin(theta/2)**2 = cos(a/2)**2, and the scale
     # min(1, theta, 2*pi - theta) is min(1, pi - |Re a|)
     return _one_row(_folded_lines(_t_kernel, [b, math.cos(c), np.cos(0.5 * a) ** 2],
-                                  _t_sinh_geometry(math.pi - abs(a.real), _decay_rate(b))))
+                                  _t_sinh_geometry(math.pi - abs(a.real), 1.0 - abs(b.real))))
 
 
 def quad_two_sided(a: float, b: float) -> QuadResult:

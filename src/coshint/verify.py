@@ -46,7 +46,6 @@ from .partial_fractions import (
     pf_value_many,
 )
 from .quadrature import (
-    quad_cos_log,
     quad_x_domain,
     quad_x_domain_infinite,
     quad_x_domain_infinite_many,
@@ -140,18 +139,12 @@ def pf_value(spec: IntegrandSpec) -> float:
 
 
 def quad_value(spec: IntegrandSpec) -> float:
-    """Quadrature route; for p = i*q, twice the cos(q*log x) oracle less
-    2*cos(zeta) times the same oracle at q = 0 (the middle term)."""
-    p = complex(spec.p)
-    if p.imag == 0.0:
-        if spec.upper == math.inf:
-            return quad_x_domain_infinite(spec).value
-        return quad_x_domain(spec, spec.upper).value
-    if p.real != 0.0:
-        raise CoshintError("quadrature path needs a real or purely imaginary p")
-    cos_part = quad_cos_log(spec).value
-    middle = quad_cos_log(replace(spec, p=0j)).value
-    return 2.0 * (cos_part - math.cos(spec.zeta) * middle)
+    """Quadrature route: quad_x_domain_infinite at an infinite upper
+    limit, else quad_x_domain up to it, for a real or purely imaginary p
+    (one kernel call at b = p/n either way)."""
+    if spec.upper == math.inf:
+        return quad_x_domain_infinite(spec).value
+    return quad_x_domain(spec, spec.upper).value
 
 
 def series_value(spec: IntegrandSpec, tol: float = AGREE_TOL) -> float:
@@ -207,11 +200,11 @@ def _pf_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
 
 
 def _quad_block(specs: list[IntegrandSpec], tol: float) -> list:
-    """The real-p specs' oracles, one block per kind of upper limit."""
+    """quad_value of every spec, as its value or error: one block per kind
+    of upper limit, each running its real-p and imaginary-p rows apart."""
     out: list = [None] * len(specs)
-    real = [i for i, s in enumerate(specs) if _real_p(s)]
     for infinite in (False, True):
-        rows = [i for i in real if (specs[i].upper == math.inf) is infinite]
+        rows = [i for i, s in enumerate(specs) if (s.upper == math.inf) is infinite]
         if rows:
             many = quad_x_domain_infinite_many if infinite else quad_x_domain_many
             for i, result in zip(rows, many([specs[i] for i in rows])):
@@ -276,6 +269,7 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
     series_contracted_many, pf_value_many) is bit-identical to its
     one-row call on the rows it serves, and leaves the others to
     verify_point's own code, so each report equals verify_point(spec, tol).
+    The quadrature blocks serve every spec, imaginary p included.
     """
     columns = [_block_column(route, specs, tol) for route in ROUTES]
     return [_report(s, tol, given) for s, given in zip(specs, zip(*columns))]

@@ -73,6 +73,23 @@ def _peak_widths(count: int, seed: int) -> list[IntegrandSpec]:
     return specs
 
 
+def _mixed_p(count: int, seed: int) -> list[IntegrandSpec]:
+    """Real p (|b| <= 0.95) and imaginary p = i*q (|q| <= 5n) in turn,
+    theta log-uniform 1e-10 to pi from either edge, X = 1 or in (0.05, 0.95)."""
+    rng = Lcg64(seed)
+    specs = []
+    for k in range(count):
+        n = rng.uniform(0.5, 4.0)
+        p = rng.uniform(-5.0, 5.0) * n * 1j if k % 2 else rng.uniform(-0.95, 0.95) * n
+        dist = math.exp(rng.uniform(math.log(1e-10), math.log(math.pi)))
+        specs.append(IntegrandSpec(n=n, p=p,
+                                   theta=dist if rng.next_float() < 0.5 else TWO_PI - dist,
+                                   zeta=rng.uniform(0.05, math.pi - 0.05),
+                                   upper=1.0 if rng.next_float() < 0.5 else
+                                   rng.uniform(0.05, 0.95)))
+    return specs
+
+
 # sin(theta/2)**2 underflows to 0 at theta = 1e-170, so the kernel is inf
 # at s = 0, where the folded sinh map has a node: the oracle runs out of
 # levels
@@ -95,6 +112,8 @@ GRIDS = {
     # X = 1 rows whose kernel peaks at s = 0 with widths from 1e-12 to pi
     "peak_widths": _peak_widths(120, 23) + [EXHAUSTING],
     "edges": _edges(),
+    # real and imaginary p in one block, each kind on both maps
+    "mixed_p": _mixed_p(120, 31) + [replace(EXHAUSTING, p=0.5j)],
 }
 
 
@@ -247,6 +266,7 @@ def _slow_tails_infinite(count: int, seed: int) -> list[IntegrandSpec]:
 INFINITE_GRIDS = {
     "integer_inf": [replace(s, upper=math.inf) for s in _integer_finite_x(150, 5)],
     "slow_tails_inf": _slow_tails_infinite(100, 13),
+    "mixed_p_inf": [replace(s, upper=math.inf) for s in _mixed_p(120, 31)],
 }
 
 # sin(theta/2)**2 underflows to 0 at theta = 1e-170, so the kernel is inf
@@ -297,15 +317,16 @@ def test_infinite_failure_sets_equal():
 def test_infinite_invalid_specs_raise_the_single_spec_errors():
     specs = [
         IntegrandSpec(1, 1.5, 1.0, 1.0, upper=math.inf),  # |p| >= n
-        IntegrandSpec(1, 0.2j, 1.0, 1.0, upper=math.inf),  # imaginary p
+        IntegrandSpec(1, 0.5 + 0.2j, 1.0, 1.0, upper=math.inf),  # complex p
         IntegrandSpec(1, 0.5, 1.0 + TWO_PI, 1.0, upper=math.inf),  # paradox-only theta
+        IntegrandSpec(1, 0.2j, 1.0, 1.0, upper=math.inf),  # imaginary p: served
         IntegrandSpec(1, 0.5, 1.0, 1.0, upper=math.inf),
     ]
     got = quad_x_domain_infinite_many(specs)
     for spec, result in zip(specs, got):
         assert _same(_single_infinite(spec), result)
-    assert all(isinstance(r, Exception) for r in got[:-1])
-    assert not isinstance(got[-1], Exception)
+    assert all(isinstance(r, Exception) for r in got[:-2])
+    assert not any(isinstance(r, Exception) for r in got[-2:])
     assert quad_x_domain_infinite_many([]) == []
 
 
@@ -348,6 +369,28 @@ def test_verify_points_equals_verify_point_at_infinity():
              ])
     assert sum(s.upper == math.inf for s in specs) >= 20
     assert verify_points(specs, 1e-9) == [verify_point(s, 1e-9) for s in specs]
+
+
+def test_mixed_p_grid_covers_both_kinds_of_p_and_both_maps(singles):
+    specs = GRIDS["mixed_p"]
+    imaginary = [isinstance(s.p, complex) for s in specs]
+    for kind in (False, True):
+        uppers = {s.upper == 1.0 for s, im in zip(specs, imaginary) if im is kind}
+        assert uppers == {False, True}
+    assert max(abs(s.p) / s.n for s in specs) > 4.5
+    assert min(min(s.theta, TWO_PI - s.theta) for s in specs) < 1e-8
+    failed = [s for s, r in zip(specs, singles["mixed_p"]) if isinstance(r, Exception)]
+    assert failed == [specs[-1]]
+    assert all(type(r.value) is float for r in singles["mixed_p"][:-1])
+
+
+@pytest.mark.parametrize("upper", [1.0, math.inf, 0.5])
+def test_verify_points_equals_verify_point_on_mixed_p(upper):
+    specs = [replace(s, upper=upper) for s in GRIDS["mixed_p"][:60] + GRIDS["mixed_p"][-1:]]
+    reports = verify_points(specs, 1e-9)
+    assert [repr(r) for r in reports] == [repr(verify_point(s, 1e-9)) for s in specs]
+    assert all(r.quad is not None for r in reports[:-1] if isinstance(r.spec.p, complex))
+    assert (reports[-1].quad is None) is (upper != 0.5)  # s_X > 0 leaves the peak out
 
 
 @pytest.mark.parametrize("tol", [1e-9, 2e-10])

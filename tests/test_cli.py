@@ -90,6 +90,19 @@ def test_parse_upper():
         parse_upper("2.0")
 
 
+@pytest.mark.parametrize("text", ["Inf", "INF", "infinity", "+inf", " inf\n", math.inf])
+def test_parse_upper_reads_infinity_as_float_does(text, capsys):
+    assert parse_upper(text) == math.inf
+    if isinstance(text, str):
+        argv = ["eval", "--n", "2", "--p", "1", "--theta", "1", "--zeta", "2",
+                "--method", "quad"]
+        assert run_cli(capsys, argv + ["--upper", text]) == run_cli(
+            capsys, argv + ["--upper", "inf"])
+    for bad in ("-inf", "nan", "0", "1.5"):
+        with pytest.raises(ValueError, match="finite upper limits must lie in"):
+            parse_upper(bad)
+
+
 def test_spec_dict_roundtrip():
     spec = IntegrandSpec(2.0, 0.5 + 0.25j, 1.0, 2.0, upper=math.inf)
     assert spec_from_dict(spec_to_dict(spec)) == spec
@@ -415,6 +428,58 @@ def test_paradox_imaginary_cli(capsys):
         "--theta", HALF_PI])
     assert code == 0
     assert "pole_location" in out
+
+
+def test_paradox_periodicity_takes_an_imaginary_p(capsys):
+    code, out = run_cli(capsys, [
+        "paradox", "--kind", "periodicity", "--p", "0.5i", "--theta", HALF_PI, "--k", "1"])
+    assert code == 0
+    assert "oracle_value" in out
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("imaginary-n", ["--n", "7"]),
+    ("imaginary-n", ["--zeta", "0.1"]),
+    ("imaginary-n", ["--k", "5"]),
+    ("imaginary-n", ["--tol", "1e-3"]),
+    ("periodicity", ["--m", "5"]),
+])
+def test_paradox_refuses_the_other_kinds_flags(capsys, kind, flag):
+    code = main(["paradox", "--kind", kind, "--p", "0.5", "--theta", HALF_PI, *flag])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"{flag[0]} does not apply to --kind {kind}\n"
+
+
+def test_paradox_imaginary_n_refuses_a_complex_p(capsys):
+    code = main(["paradox", "--kind", "imaginary-n", "--p", "0.5+3i", "--theta", HALF_PI])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--p" in captured.err
+
+
+@pytest.mark.parametrize("kind, defaults", [
+    ("periodicity", ["--n", "1", "--zeta", HALF_PI, "--k", "1", "--tol", "1e-9"]),
+    ("imaginary-n", ["--m", "1"]),
+])
+def test_paradox_flags_keep_their_defaults(capsys, kind, defaults):
+    argv = ["paradox", "--kind", kind, "--p", "0.5", "--theta", HALF_PI]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert run_cli(capsys, argv + defaults) == (0, out)
+
+
+def test_imaginary_p_at_finite_x_gets_a_quadrature_value(capsys):
+    argv = ["eval", "--n", "1.5", "--p", "0.7i", "--theta", "1", "--zeta", "2",
+            "--upper", "0.5"]
+    code, out = run_cli(capsys, argv + ["--method", "quad"])
+    assert code == 0
+    value = float(out)
+    code, out = run_cli(capsys, argv + ["--json"])
+    report = json.loads(out)
+    assert report["quad"] == value
+    assert [report[k] for k in ("closed", "pf", "series")] == [None, None, None]
+    assert report["verdict"] == "Skipped"  # quadrature is its only route
 
 
 def test_table_upper_inf(capsys):

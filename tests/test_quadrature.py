@@ -68,7 +68,7 @@ def test_x_domain_errors():
     with pytest.raises(DomainError):
         quad_x_domain(IntegrandSpec(1, 0.5, PI / 2 + 2 * PI, PI / 2), 1.0)
     with pytest.raises(DomainError):
-        quad_x_domain(IntegrandSpec(1, 0.2j, PI / 2, PI / 2), 1.0)
+        quad_x_domain(IntegrandSpec(1, 0.5 + 0.2j, PI / 2, PI / 2), 1.0)
 
 
 def test_two_rules_agree_on_random_specs():
@@ -366,6 +366,54 @@ def test_infinite_upper_near_edges_against_mpmath():
     for args, res, want in results:
         assert abs(res.value - want) <= 1e-12 * (1.0 + abs(want)), (args, res, want)
         assert res.evaluations <= 2049, (args, res)
+
+
+def _imaginary_finite_x_specs() -> list[IntegrandSpec]:
+    rng = np.random.RandomState(71)
+    specs = []
+    for _ in range(30):
+        n = float(rng.uniform(0.5, 4.0))
+        q = float(rng.uniform(-5.0, 5.0)) * n
+        specs.append(IntegrandSpec(n, q * 1j, float(rng.uniform(0.05, 2 * PI - 0.05)),
+                                   float(rng.uniform(0.05, PI - 0.05)),
+                                   upper=float(rng.uniform(0.05, 0.95))))
+    return specs
+
+
+def test_imaginary_p_at_finite_x_against_mpmath():
+    # p = i*q is the kernel at b = i*q/n: (cos(q*s/n) - cos(zeta)) /
+    # (cosh(s) - cos(theta)) / n on [s_X, inf), on the DE map
+    mp = pytest.importorskip("mpmath")
+    for spec in _imaginary_finite_x_specs():
+        got = quad_x_domain(spec, spec.upper).value
+        assert type(got) is float
+        with mp.workdps(30):
+            n, q = mp.mpf(spec.n), mp.mpf(spec.p.imag)
+            cos_t, cos_z = mp.cos(mp.mpf(spec.theta)), mp.cos(mp.mpf(spec.zeta))
+            s_x = -n * mp.log(mp.mpf(spec.upper))
+            want = mp.quad(lambda s: (mp.cos(q * s / n) - cos_z) / (mp.cosh(s) - cos_t) / n,
+                           [s_x + k for k in range(0, 46, 5)])
+        assert abs(got - want) <= 1e-12 * (1 + abs(want)), (spec, got, want)
+
+
+def test_gauss_rule_agrees_for_imaginary_p():
+    specs = _imaginary_finite_x_specs()[:10]
+    specs += [replace(s, upper=1.0) for s in specs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a complex value cast to float warns
+        for spec in specs:
+            ts = quad_x_domain(spec, spec.upper)
+            gl = quad_x_domain(spec, spec.upper, rule="gauss")
+            assert type(gl.value) is float and type(gl.abs_err_estimate) is float
+            assert abs(ts.value - gl.value) <= 1e-12 * (1.0 + abs(ts.value)), spec
+
+
+def test_x_kernel_args_takes_a_purely_imaginary_p():
+    # b = i*q/n, whose tails decay as e^(-s); theta must still lie inside the turn
+    b, cos_c, sin2_half, s_x, decay = _x_kernel_args(IntegrandSpec(2, -3j, 1.0, 0.5), 0.5)
+    assert b == -1.5j and decay == 1.0 and s_x == -2 * math.log(0.5)
+    with pytest.raises(DomainError):
+        quad_x_domain(IntegrandSpec(1, 0.2j, PI / 2 + 2 * PI, PI / 2), 1.0)
 
 
 @pytest.mark.parametrize("theta", [1e-170, 1e-200, 5e-324])
