@@ -34,13 +34,16 @@ call) raises instead of returning a degraded value, and so does a
 trapezoid sum that is inf or NaN.
 
 Sums run in a fixed order, so results are bit-identical across runs.
-One driver runs the trapezoid rule on every map over a (rows x nodes)
-block, in kernel rounds that each evaluate the nodes of one or more
-levels of h: the first round evaluates the level-3 grid, where most
-rows, near-edge ones at X = 1 among them, stop.  quad_x_domain_many and
-quad_x_domain_infinite_many run blocks, one per map and kind of p, and
-return, bit for bit, what quad_x_domain and quad_x_domain_infinite,
-their one-row calls, return for each.
+One driver runs the trapezoid rule on every map, in kernel rounds that
+each evaluate the nodes of one or more levels of h: the first round
+evaluates the level-3 grid, where most rows, near-edge ones at X = 1
+among them, stop.  It takes a lone row (quad_x_domain,
+quad_x_domain_infinite and the other one-row oracles), which pays only
+its own numpy calls on 1-D arrays, or a (rows x nodes) block in chunks of
+rows: quad_x_domain_many and quad_x_domain_infinite_many run one block
+per map and kind of p and return, bit for bit, what the one-row calls
+return for each.  Each map hands the even kernel -|s| directly, exactly
+(IEEE negation is exact), so the kernel takes no absolute value.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,27 +186,40 @@ def integrate_finite(f, a: float, b: float) -> QuadResult:
                       evaluations=budget.used)
 
 
-def integrate_half_line(f, start: float, decay: float) -> QuadResult:
-    """Integrate f over [start, inf) given an e^(-decay*s) tail envelope;
-    a complex-valued f gets a complex value."""
+def _half_line(f, start: float, decay: float) -> tuple:
+    """Gauss-Legendre panels for f over [start, inf) given an e^(-decay*s)
+    tail envelope: the value (complex for a complex-valued f), the
+    summed panel differences and the evaluations."""
     budget = _Budget()
     cutoff = _tail_cutoff(decay, start)
     edges = _panel_edges(start, cutoff)
     value, err = _integrate_panels(f, edges, budget)
-    return _result(value.item(), err, budget.used)
+    return value.item(), err, budget.used
 
 
-def _result(value, err, evaluations: int) -> QuadResult:
-    return QuadResult(value=value, abs_err_estimate=float(err + 1e-16 * abs(value)),
-                      evaluations=evaluations)
+def integrate_half_line(f, start: float, decay: float) -> QuadResult:
+    """Integrate f over [start, inf) given an e^(-decay*s) tail envelope;
+    a complex-valued f gets a complex value."""
+    return _result(*_half_line(f, start, decay))
 
 
-def _one_row(results: list[QuadResult | BudgetExceededError]) -> QuadResult:
-    """The result of a block driver's one row, or its error raised."""
-    (res,) = results
-    if isinstance(res, BudgetExceededError):
-        raise res
-    return res
+def _result(value, err, evaluations: int, n: float | None = None) -> QuadResult:
+    """The QuadResult of a rule's value and level difference ``err``; given
+    n, of the x-domain integral: the s-domain one scaled by the
+    substitution's factor 1/n, real (for an imaginary b, e^((1 -+ b)*s)
+    are conjugates)."""
+    err = float(err + 1e-16 * abs(value))
+    if n is not None:
+        value, err = value.real / n, err / n
+    return QuadResult(value=value, abs_err_estimate=err, evaluations=evaluations)
+
+
+def _one_row(rows: list, n: float | None = None) -> QuadResult:
+    """The _result of a trapezoid driver's one row, or its error raised."""
+    (row,) = rows
+    if isinstance(row, BudgetExceededError):
+        raise row
+    return _result(*row, n)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +243,11 @@ _MIN_LEVEL = 2  # the first level tested
 # kernel call costs its dispatch more than its nodes (_t_kernel took
 # 13.7 us at 85 nodes, 16.7 at 169; one core, numpy 2.4).
 _FIRST_ROUND_LEVEL = 3
-# Elements per kernel call of a block.  Rows split into chunks of this
-# size keep every temporary at 64 KiB: at 16 384 elements the kernel took
-# 14 ns per node instead of 5.4 (one core, numpy 2.4).  A row's round is
-# never split, so one call holds at most a row's deepest level.
+# Elements per kernel call.  Rows split into chunks of this size, and a
+# round of more nodes into slices of it, keep every temporary at 64 KiB:
+# at 16 384 elements the kernel took 14 ns per node instead of 5.4, and
+# 23.9 at the DE map's 10 752-node last round against 13.3 at 8192 (one
+# core, numpy 2.4).
 _CHUNK = 8192
 
 
@@ -256,84 +273,116 @@ def _grid_stage(lo: float, hi: float, h0: float, level: int) -> tuple[np.ndarray
     return nodes, (0, *ends[_MIN_LEVEL - 1:-1]) if first else (0,)
 
 
+@functools.cache
+def _round_plan(starts: tuple, h0: float, last: int) -> tuple:
+    """For the kernel round that ends at level ``last`` with segment
+    starts ``starts``: the reduceat indices of its segment sums and of its
+    magnitude sums (one per tested level, the first level's with the
+    coarse grids'), the t steps h0/2**L of its tested levels, and 1 where
+    the coarse grids lead, else 0."""
+    levels = range(_MIN_LEVEL if last == _FIRST_ROUND_LEVEL else last, last + 1)
+    coarse = len(starts) - len(levels)
+    bounds = (0, *starts[coarse + 1:])
+    return (np.array(starts, dtype=np.intp), np.array(bounds, dtype=np.intp),
+            tuple(h0 / (1 << lev) for lev in levels), coarse)
+
+
+def _samples(f, place, geometry, table) -> tuple:
+    """The samples w*f at a round's nodes, by slices of at most _CHUNK
+    nodes, and the rows' factor; place and kernel work element by
+    element, so the slices give the bits of one call."""
+    size = table[0].size
+    if size <= _CHUNK:
+        ns, w, factor = place(*geometry, *table)
+        return w * f(ns), factor
+    parts = []
+    for at in range(0, size, _CHUNK):
+        ns, w, factor = place(*geometry, *(t[at:at + _CHUNK] for t in table))
+        parts.append(w * f(ns))
+    return np.concatenate(parts, axis=-1), factor
+
+
+def _round_sums(kernel, params, place, geometry, table, starts, bounds) -> list:
+    """Per row of a block, the sums of a round's samples over each
+    segment, of their magnitudes over each tested level, and the row's
+    factor.  A lone row is sampled in one piece; a block by chunks of
+    rows that keep each call within _CHUNK elements."""
+    if not isinstance(geometry[0], np.ndarray):  # a lone row
+        g, factor = _samples(kernel(*params), place, geometry, table)
+        return [(np.add.reduceat(g, starts).tolist(),
+                 np.add.reduceat(np.abs(g), bounds).tolist(), factor)]
+    step = max(1, _CHUNK // table[0].size)
+    sums = []
+    for lo in range(0, len(geometry[0]), step):
+        g, factor = _samples(kernel(*[c[lo:lo + step] for c in params]), place,
+                             [c[lo:lo + step] for c in geometry], table)
+        sums += zip(np.add.reduceat(g, starts, axis=1).tolist(),
+                    np.add.reduceat(np.abs(g), bounds, axis=1).tolist(),
+                    np.ravel(factor).tolist())
+    return sums
+
+
+@np.errstate(all="ignore")  # inf or NaN sums stay quiet: the stopping test refuses them
 def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
-                    last_level: int) -> list[QuadResult | BudgetExceededError]:
+                    last_level: int) -> list[tuple | BudgetExceededError]:
     """The trapezoid rule on nested halvings of h for each row of a block.
 
     Row r integrates kernel(*params_r) over its map's s-range.  Each
     kernel round ends at a level, the first at _FIRST_ROUND_LEVEL and
-    each later one a level further; ``stage(level)`` is the cached table
-    of the round's nodes with their segment starts last, and
-    ``place(*geometry_r, *table)`` gives the abscissae s, the weights
-    ds/dt there (times a trapezoid weight the table may carry) divided
-    by the row's factor, and that factor, which the Python side applies; the t step of level L is h0/2**L.  ``params`` and
-    ``geometry`` are per-row columns of shape (rows, 1), or for a lone row
-    the values themselves, which round as its columns would and spare its
-    kernel the broadcasting: it gets 1-D arrays.
+    each later one a level further; the t step of level L is h0/2**L.
+    ``stage(level)`` is the cached table of the round's nodes with their
+    segment starts last.  ``place(*geometry_r, *table)`` gives the
+    kernel's argument at the nodes (-|s| for the even _t_kernel, s for
+    integrate_real_line's f), the weights ds/dt there (times a trapezoid
+    weight the table may carry) divided by the row's factor, and that
+    factor, which the stopping test applies.  ``params`` and
+    ``geometry`` are per-row columns of shape (rows, 1), or for a lone
+    row the values themselves, which round as its columns would: its
+    kernel gets 1-D arrays and the row skips the block's chunking.
 
     Row r stops at the first level from _MIN_LEVEL on where |S_h - S_2h|
     <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*A_h), with A_h the
-    rule's sum for the integrand's magnitude, and both are finite, and
-    gets a QuadResult whose evaluations count the nodes evaluated for it,
-    every node of its last round included; a row still open after
-    last_level gets a BudgetExceededError.  The test runs on
-    Python floats, which round as float64 does, and a block returns bit
-    for bit what each row does alone.
+    rule's sum for the integrand's magnitude, and both are finite.  It
+    gets (S_h, |S_h - S_2h|, evaluations), the evaluations counting the
+    nodes evaluated for it, every node of its last round included; a row
+    still open after last_level gets a BudgetExceededError.  The test
+    runs on Python floats, which round as float64 does, and a block
+    returns bit for bit what each row does alone.
     """
     rows = len(geometry[0]) if isinstance(geometry[0], np.ndarray) else 1
-    out: list[QuadResult | BudgetExceededError | None] = [None] * rows
+    out: list = [None] * rows
     left = list(range(rows))
     state = []  # per row left: the sum of its samples so far, and of their magnitudes
     used = 0
-    # a kernel too large or too peaked to sample gives inf or NaN sums:
-    # numpy stays quiet, and the stopping test refuses them
-    with np.errstate(all="ignore"):
-        for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
-            first = last == _FIRST_ROUND_LEVEL
-            *table, starts = stage(last)
-            size = table[0].size
-            used += size
-            levels = range(_MIN_LEVEL if first else last, last + 1)
-            steps = [h0 / (1 << lev) for lev in levels]
-            coarse = len(starts) - len(levels)  # 1 where the coarse grids lead
-            # each level's magnitudes are one sum, the first level's with
-            # the coarse grids' included
-            bounds = [0, *starts[coarse + 1:]]
-            step = max(1, _CHUNK // size)
-            chunks = [(params, geometry)] if len(left) <= step else [
-                ([c[lo:lo + step] for c in params], [c[lo:lo + step] for c in geometry])
-                for lo in range(0, len(left), step)]
-            sums = []
-            for chunk_params, chunk_geometry in chunks:
-                s, w, factor = place(*chunk_geometry, *table)
-                g = (w * kernel(*chunk_params)(s)).reshape(-1, size)
-                sums += zip(np.add.reduceat(g, starts, axis=1).tolist(),
-                            np.add.reduceat(np.abs(g), bounds, axis=1).tolist(),
-                            np.ravel(factor).tolist())
-            keep, kept = [], []
-            for i, (parts, absums, factor) in enumerate(sums):
-                total, mass = (parts[0], 0.0) if coarse else state[i]
-                for h, new, absum in zip(steps, parts[coarse:], absums):
-                    h *= factor  # each sample weighs h*factor*w
-                    err = abs(new - total) * h  # S_h - S_2h: the new nodes against the old
-                    total += new
-                    mass += absum
-                    value = total * h
-                    if ((err <= 0.25 * REL_TOL * (1.0 + abs(value))
-                         or err <= _ROUNDOFF_FLOOR * h * mass)
-                            and math.isfinite(err) and cmath.isfinite(value)):
-                        out[left[i]] = _result(value, err, used)
-                        break
-                else:
-                    keep.append(i)
-                    kept.append((total, mass))
-            if not keep:
-                return out
-            if len(keep) < len(left):
-                left = [left[i] for i in keep]
-                params = [c[keep] for c in params]
-                geometry = [c[keep] for c in geometry]
-            state = kept
+    for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
+        *table, starts = stage(last)
+        starts, bounds, steps, coarse = _round_plan(starts, h0, last)
+        used += table[0].size
+        keep, kept = [], []
+        sums = _round_sums(kernel, params, place, geometry, table, starts, bounds)
+        for i, (parts, absums, factor) in enumerate(sums):
+            total, mass = (parts[0], 0.0) if coarse else state[i]
+            for h, new, absum in zip(steps, parts[coarse:], absums):
+                h *= factor  # each sample weighs h*factor*w
+                err = abs(new - total) * h  # S_h - S_2h: the new nodes against the old
+                total += new
+                mass += absum
+                value = total * h
+                if ((err <= 0.25 * REL_TOL * (1.0 + abs(value))
+                     or err <= _ROUNDOFF_FLOOR * h * mass)
+                        and math.isfinite(err) and cmath.isfinite(value)):
+                    out[left[i]] = (value, err, used)
+                    break
+            else:
+                keep.append(i)
+                kept.append((total, mass))
+        if not keep:
+            return out
+        if len(keep) < len(left):
+            left = [left[i] for i in keep]
+            params = [c[keep] for c in params]
+            geometry = [c[keep] for c in geometry]
+        state = kept
     for r in left:
         out[r] = BudgetExceededError(f"trapezoid levels exhausted after {used} "
                                      f"evaluations without reaching tolerance")
@@ -365,13 +414,14 @@ def _de_stage(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     return u, (1.0 + em) * u, starts
 
 
-def _de_place(s_x, lam, u, w):
-    return s_x + u / lam, w, 1.0 / lam
+def _de_place(ns_x, lam, u, w):
+    # -s = -s_X - u/lam exactly: IEEE negation commutes with rounding
+    return ns_x - u / lam, w, 1.0 / lam
 
 
-def _de_half_lines(params, s_x, lam) -> list[QuadResult | BudgetExceededError]:
+def _de_half_lines(params, s_x, lam) -> list[tuple | BudgetExceededError]:
     """The DE map's rule for _t_kernel(*params) on [s_x, inf), per row."""
-    return _trapezoid_rows(_t_kernel, params, _de_place, [s_x, lam], _de_stage, _DE_H0,
+    return _trapezoid_rows(_t_kernel, params, _de_place, [-s_x, lam], _de_stage, _DE_H0,
                            _DE_MAX_LEVEL)
 
 
@@ -416,23 +466,31 @@ def _folded_stage(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
 
 
 def _sinh_place(scale, span, tau):
+    """s itself, for integrate_real_line's f, which need not be even."""
     u = span * tau
     return scale * np.sinh(u), np.cosh(u), scale * span
 
 
+def _line_place(scale, span, tau):
+    # -|s| = (-scale)*|sinh(u)| exactly, scale being positive
+    u = span * tau
+    return (-scale) * np.abs(np.sinh(u)), np.cosh(u), scale * span
+
+
 def _folded_place(scale, span, tau, weight):
-    s, w, factor = _sinh_place(scale, span, tau)
-    return s, weight * w, factor
+    # tau >= 0, so -s = (-scale)*sinh(u) exactly
+    u = span * tau
+    return (-scale) * np.sinh(u), weight * np.cosh(u), scale * span
 
 
-def _sinh_lines(kernel, params, geometry) -> list[QuadResult | BudgetExceededError]:
-    """The sinh map's rule for kernel(*params) over the real line, per row;
-    ``geometry`` is (scale, span)."""
-    return _trapezoid_rows(kernel, params, _sinh_place, geometry, _sinh_stage,
+def _sinh_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
+    """The sinh map's rule for the even kernel(*params) over the real
+    line, per row; ``geometry`` is (scale, span)."""
+    return _trapezoid_rows(kernel, params, _line_place, geometry, _sinh_stage,
                            _SINH_H0, _SINH_LEVELS)
 
 
-def _folded_lines(kernel, params, geometry) -> list[QuadResult | BudgetExceededError]:
+def _folded_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
     """The folded sinh map's rule for the even kernel(*params) over
     [0, inf), per row; ``geometry`` is (scale, span)."""
     return _trapezoid_rows(kernel, params, _folded_place, geometry, _folded_stage,
@@ -467,7 +525,9 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float, scale: float) -> 
     wanted.
     """
     cutoff = max(_tail_cutoff(decay_pos), _tail_cutoff(decay_neg))
-    return _one_row(_sinh_lines(lambda: f, [], [scale, _sinh_span(cutoff, scale)]))
+    return _one_row(_trapezoid_rows(lambda: f, [], _sinh_place,
+                                    [scale, _sinh_span(cutoff, scale)], _sinh_stage,
+                                    _SINH_H0, _SINH_LEVELS))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +535,8 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float, scale: float) -> 
 
 
 def _t_kernel(b, cos_c: float, sin2_half):
-    """(cosh(b*s) + cos_c) / (cosh(s) - cos(theta)) as a vectorized callable.
+    """(cosh(b*s) + cos_c) / (cosh(s) - cos(theta)) as a vectorized
+    callable of ns = -|s|, which the maps' places give.
 
     ``sin2_half`` is sin(theta/2)**2.  Both sides are divided by e^|s| so
     the hyperbolic cosines never overflow, and the denominator is written
@@ -487,8 +548,7 @@ def _t_kernel(b, cos_c: float, sin2_half):
     The kernel is even in s, so -|s| may replace -s throughout.
     """
 
-    def f(s: np.ndarray):
-        ns = -np.abs(s)
+    def f(ns: np.ndarray):
         x = np.expm1(ns)
         em = np.exp(ns)
         num = np.exp((1.0 - b) * ns) + np.exp((b + 1.0) * ns) + 2.0 * cos_c * em
@@ -536,13 +596,6 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     return b, -math.cos(spec.zeta), math.sin(0.5 * spec.theta) ** 2, s_x, decay
 
 
-def _per_n(res: QuadResult, n: float) -> QuadResult:
-    """The s-domain result scaled by the substitution's factor 1/n, real:
-    for an imaginary b, e^((1 -+ b)*s) are conjugates."""
-    return QuadResult(value=res.value.real / n, abs_err_estimate=res.abs_err_estimate / n,
-                      evaluations=res.evaluations)
-
-
 # ---------------------------------------------------------------------------
 # public oracle operations
 
@@ -565,15 +618,15 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "tanh-sinh":
         if s_x == 0.0:
-            res = _one_row(_folded_lines(_t_kernel, [b, cos_c, sin2_half],
-                                         _t_sinh_geometry(spec.theta, decay)))
+            rows = _folded_lines(_t_kernel, [b, cos_c, sin2_half],
+                                 _t_sinh_geometry(spec.theta, decay))
         else:
-            res = _one_row(_de_half_lines([b, cos_c, sin2_half], s_x, decay))
-    elif rule == "gauss":
-        res = integrate_half_line(_t_kernel(b, cos_c, sin2_half), s_x, decay)
-    else:
-        raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
-    return _per_n(res, spec.n)
+            rows = _de_half_lines([b, cos_c, sin2_half], s_x, decay)
+        return _one_row(rows, spec.n)
+    if rule == "gauss":
+        f = _t_kernel(b, cos_c, sin2_half)
+        return _result(*_half_line(lambda s: f(-s), s_x, decay), spec.n)  # nodes s > 0
+    raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
 
 
 def _x_domain_block(specs: list[IntegrandSpec], infinite: bool) -> list[QuadResult | Exception]:
@@ -606,7 +659,7 @@ def _x_domain_block(specs: list[IntegrandSpec], infinite: bool) -> list[QuadResu
         else:
             results = _de_half_lines(params, np.array(s_x)[:, None], np.array(decay)[:, None])
         for i, res in zip(rows, results):
-            out[i] = res if isinstance(res, Exception) else _per_n(res, specs[i].n)
+            out[i] = res if isinstance(res, Exception) else _result(*res, specs[i].n)
     return out
 
 
@@ -631,9 +684,8 @@ def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
     the one-row call of quad_x_domain_infinite_many's blocks.
     """
     b, cos_c, sin2_half, _, rate = _x_kernel_args(spec, None)
-    res = _one_row(_sinh_lines(_t_kernel, [b, cos_c, sin2_half],
-                               _t_sinh_geometry(spec.theta, rate)))
-    return _per_n(res, spec.n)
+    return _one_row(_sinh_lines(_t_kernel, [b, cos_c, sin2_half],
+                                _t_sinh_geometry(spec.theta, rate)), spec.n)
 
 
 def quad_x_domain_infinite_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
@@ -713,9 +765,9 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
     if spec.upper not in (1.0, math.inf):
         raise ValueError("upper must be 1 or infinity for this oracle")
     lines = _sinh_lines if spec.upper == math.inf else _folded_lines
-    res = _one_row(lines(_t_kernel, [b, 0.0, sin2_half], _t_sinh_geometry(spec.theta, 1.0)))
     # the kernel's imaginary parts cancel exactly: e^((1 -+ b)*s) are conjugates
-    return _per_n(replace(res, value=res.value.real), 2.0 * spec.n)
+    return _one_row(lines(_t_kernel, [b, 0.0, sin2_half], _t_sinh_geometry(spec.theta, 1.0)),
+                    2.0 * spec.n)
 
 
 def quad_sec_antiderivative_check(m: float, Z: float) -> tuple[float, float]:

@@ -30,9 +30,10 @@ MAX_TERMS terms is refused without summing.
 
 series_contracted_many is series_contracted for a block of rows, as
 numpy columns; verify.verify_points runs a grid's series route through
-it.  It serves every row whose K - 1 terms fit in _WIDTH, whether the
-driver sums them in its plain loop or in one numpy chunk, equal to the
-scalar call bit for bit, and leaves every other row to the scalar call.
+it when the grid has verify._SERIES_BLOCK_ROWS series rows or more.  It
+serves every row whose K - 1 terms fit in _WIDTH, whether the driver
+sums them in its plain loop or in one numpy chunk, equal to the scalar
+call bit for bit, and leaves every other row to the scalar call.
 """
 
 from __future__ import annotations

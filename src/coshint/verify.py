@@ -212,8 +212,19 @@ def _quad_block(specs: list[IntegrandSpec], tol: float) -> list:
     return out
 
 
+# Blocks below this many rows go to series_value row by row: a block's
+# fixed cost (about 115 us for one row, 215 for a near_edge row of 24
+# terms or more) is that of 8 to 15 scalar calls (7-23 us each), and the
+# two broke even at 16 to 20 rows of random_unit, near_edge and
+# integer_inf specs (min of 60 runs, one core, numpy 2.4).
+_SERIES_BLOCK_ROWS = 16
+
+
 def _series_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
-    """series_value from series_contracted_many's sums."""
+    """series_value from series_contracted_many's sums, for a block of
+    _SERIES_BLOCK_ROWS rows or more; None (call series_value) below."""
+    if len(specs) < _SERIES_BLOCK_ROWS:
+        return [None] * len(specs)
     block = series_contracted_many([s.n for s in specs],
                                    [abs(complex(s.p).real) for s in specs],
                                    [s.theta for s in specs], _series_tol(tol))

@@ -96,6 +96,39 @@ def _mixed_p(count: int, seed: int) -> list[IntegrandSpec]:
 EXHAUSTING = IntegrandSpec(1.0, 0.5, 1e-170, 1.0)
 
 
+# theta = 6e-253 makes sin(theta/2)**2 0, so the kernel grows like 1/s**2
+# down to s_X = 8e-13: the DE map runs out of levels, and its last round
+# holds 10 752 nodes, more than one kernel call takes
+DE_EXHAUSTING = IntegrandSpec(0.5657970664045806, 0.5632730087006228,
+                              5.952019849354575e-253, 0.00021524280251170567,
+                              upper=0.9999999999985351)
+
+
+def _rounds() -> list[IntegrandSpec]:
+    """On the DE map (X < 1) and the folded sinh map (X = 1), for real and
+    imaginary p: rows that stop at level 2, at level 3 (the first round's
+    last), in a later round, and rows that run out of levels."""
+    return [
+        IntegrandSpec(1.0, 0.5, 2.0, 1.0, upper=0.5),  # DE: level 2
+        IntegrandSpec(1.0, 0.5, 1e-3, 1.0, upper=0.5),  # 3
+        IntegrandSpec(1.0, -0.99, 2.0, 1.0, upper=0.5),  # 4
+        IntegrandSpec(1.0, -0.99, 1e-9, 1.0, upper=1.0 - 1e-12),  # 7
+        DE_EXHAUSTING,
+        IntegrandSpec(2.0, 0.25j, 2.0, 1.0, upper=0.5),  # 2
+        IntegrandSpec(1.0, 0.5j, 2.0, 1.0, upper=0.5),  # 3
+        IntegrandSpec(1.0, -12j, 2.0, 1.0, upper=0.5),  # 6
+        replace(DE_EXHAUSTING, p=0.5632730087006228j),
+        IntegrandSpec(1.0, 0.5, 2.0, 1.0),  # folded: level 2
+        IntegrandSpec(1.0, 0.5, 1e-3, 1.0),  # 3
+        IntegrandSpec(1.0, 0.5, 1e-9, 1.0),  # 4
+        EXHAUSTING,
+        IntegrandSpec(1.0, 0.5j, 2.0, 1.0),  # 2
+        IntegrandSpec(1.0, 0.5j, 1e-3, 1.0),  # 3
+        IntegrandSpec(1.0, -12j, 1e-3, 1.0),  # 7
+        replace(EXHAUSTING, p=0.5j),
+    ]
+
+
 def _edges() -> list[IntegrandSpec]:
     """X = 1, theta 1e-2 to 1e-16 from either edge, |b| up to 0.999."""
     return [IntegrandSpec(n, b * n, theta, 1.0)
@@ -114,6 +147,8 @@ GRIDS = {
     "edges": _edges(),
     # real and imaginary p in one block, each kind on both maps
     "mixed_p": _mixed_p(120, 31) + [replace(EXHAUSTING, p=0.5j)],
+    # each map's and kind of p's rows, by the round they stop in
+    "rounds": _rounds(),
 }
 
 
@@ -222,6 +257,12 @@ def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
     # single round
     assert block_calls <= 16
     assert block_calls * 8 < len(sizes)
+    # the DE map's last round runs in slices of _CHUNK nodes
+    for run in (_single, lambda spec: quad_x_domain_many([spec])[0]):
+        sizes.clear()
+        assert str(run(DE_EXHAUSTING)) == ("trapezoid levels exhausted after 21505 "
+                                           "evaluations without reaching tolerance")
+        assert max(sizes) == cap == quadrature._CHUNK
 
 
 def test_verify_points_equals_verify_point():
@@ -267,6 +308,11 @@ INFINITE_GRIDS = {
     "integer_inf": [replace(s, upper=math.inf) for s in _integer_finite_x(150, 5)],
     "slow_tails_inf": _slow_tails_infinite(100, 13),
     "mixed_p_inf": [replace(s, upper=math.inf) for s in _mixed_p(120, 31)],
+    # real p, then imaginary: rows that stop at level 2, at level 3 (the
+    # first round's last) and in later rounds
+    "rounds_inf": [IntegrandSpec(1.0, p, theta, 1.0, upper=math.inf)
+                   for p, theta in ((0.0, 2.0), (0.5, 2.0), (0.5, 1e-3), (0.5, 1e-9),
+                                    (0.01j, 2.0), (0.5j, 2.0), (0.5j, 1e-3), (-12j, 1e-3))],
 }
 
 # sin(theta/2)**2 underflows to 0 at theta = 1e-170, so the kernel is inf
@@ -305,13 +351,14 @@ def test_infinite_batch_bit_identical_to_single(infinite_singles, name, size):
 
 def test_infinite_failure_sets_equal():
     grid = INFINITE_GRIDS["slow_tails_inf"]
-    specs = grid[:10] + [EXHAUSTING_INF] + grid[10:20]
-    got = quad_x_domain_infinite_many(specs)
-    expected = [_single_infinite(s) for s in specs]
-    assert isinstance(expected[10], BudgetExceededError)
-    assert {i for i, r in enumerate(expected) if isinstance(r, Exception)} == {10}
-    assert {i for i, r in enumerate(got) if isinstance(r, Exception)} == {10}
-    assert all(_same(e, g) for e, g in zip(expected, got))
+    for p in (0.5, 0.5j):  # real and imaginary p
+        specs = grid[:10] + [replace(EXHAUSTING_INF, p=p)] + grid[10:20]
+        got = quad_x_domain_infinite_many(specs)
+        expected = [_single_infinite(s) for s in specs]
+        assert isinstance(expected[10], BudgetExceededError)
+        assert {i for i, r in enumerate(expected) if isinstance(r, Exception)} == {10}
+        assert {i for i, r in enumerate(got) if isinstance(r, Exception)} == {10}
+        assert all(_same(e, g) for e, g in zip(expected, got))
 
 
 def test_infinite_invalid_specs_raise_the_single_spec_errors():
