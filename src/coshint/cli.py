@@ -88,6 +88,8 @@ def parse_complex_literal(text: str) -> float | complex:
 
 
 def format_complex(value: complex | float) -> str:
+    if type(value) is float:  # complex(value) would print its real part
+        return repr(value)
     z = complex(value)
     if z.imag == 0.0:
         return repr(z.real)

@@ -16,6 +16,12 @@ switch to short Taylor polynomials near zero); the returned flag
 records, at the 1e-8 threshold, which limit branch applied.  The named
 special cases are thin wrappers over the master value wherever that is
 exact.
+
+eval_master evaluates real arguments (a and b both exact floats, as
+verify's closed route passes them) with math, and complex ones with
+cmath.  The two give the same bits: with zero imaginary parts, CPython's
+complex products, quotients and cmath.sin round their real parts as the
+float operations do.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ def _sinhc(z: complex | float) -> complex | float:
     return math.sinh(z) / z
 
 
-def _limit_flag(a: complex, b: complex) -> LimitApplied:
+def _limit_flag(a: complex | float, b: complex | float) -> LimitApplied:
     small_a = abs(a) < EPS_LIMIT
     small_b = abs(b) < EPS_LIMIT
     if small_a and small_b:
@@ -78,18 +84,21 @@ def _limit_flag(a: complex, b: complex) -> LimitApplied:
     return LimitApplied.NONE
 
 
-def _check_strip(a: complex, b: complex) -> None:
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        raise DomainError(f"a and b must be finite, got a = {a}, b = {b}")
+def _check_strip(a: complex | float, b: complex | float) -> None:
+    """Refuse a and b outside the strip; both complex, or both floats."""
+    isfinite, sin = (math.isfinite, math.sin) if type(a) is float else (cmath.isfinite, cmath.sin)
+    if not (isfinite(a) and isfinite(b)):
+        raise DomainError(f"a and b must be finite, got a = {complex(a)}, b = {complex(b)}")
     if not abs(a.real) < math.pi:
         raise DomainError(f"|Re a| = {abs(a.real)} outside the strip |Re a| < pi")
     if not abs(b.real) < 1.0:
         raise DomainError(f"|Re b| = {abs(b.real)} outside the strip |Re b| < 1")
-    if abs(cmath.sin(math.pi * b)) < EPS_POLE and abs(b) >= EPS_LIMIT:
-        raise NearPoleError(f"b = {b} is too close to the poles at b = +-1")
+    if abs(sin(math.pi * b)) < EPS_POLE and abs(b) >= EPS_LIMIT:
+        raise NearPoleError(f"b = {complex(b)} is too close to the poles at b = +-1")
 
 
-def _master_raw(a: complex, b: complex, c: float, theta: float | None = None) -> complex:
+def _master_raw(a: complex | float, b: complex | float, c: float,
+                theta: float | None = None) -> complex | float:
     """The master formula with no domain checks (paradox demonstrations).
 
     ``theta``, when given, is the angle with a = pi - theta.  Away from
@@ -109,14 +118,16 @@ def eval_master(a: complex | float, b: complex | float, c: float, *,
     """Master closed form for (cosh(b*t) + cos c)/(cosh t + cos a) on [0, inf).
 
     Pass ``theta`` (real, a = pi - theta) where the caller still has it,
-    to keep full precision as theta nears 0 or 2*pi.
+    to keep full precision as theta nears 0 or 2*pi.  Exact float a and b
+    stay floats (see the module docstring); other inputs become complex.
     """
-    a = complex(a)
-    b = complex(b)
+    if not (type(a) is float and type(b) is float):
+        a = complex(a)
+        b = complex(b)
     _check_strip(a, b)
     if not math.isfinite(c):
         raise DomainError(f"c must be finite, got {c}")
-    return ClosedValue(value=_master_raw(a, b, c, theta),
+    return ClosedValue(value=complex(_master_raw(a, b, c, theta)),
                        limit_applied=_limit_flag(a, b))
 
 

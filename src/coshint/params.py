@@ -25,6 +25,16 @@ from .errors import SingularThetaError
 TWO_PI = 2.0 * math.pi
 
 
+def _real_or_complex(x) -> float | complex:
+    """complex(x), as a float when x is an exact float or int.
+
+    Both have complex(x)'s .real and .imag, bit for bit; the float skips
+    building a complex.  bool and numpy scalars (np.complex128 is a
+    complex subclass) take complex().
+    """
+    return float(x) if type(x) is float or type(x) is int else complex(x)
+
+
 @dataclass(frozen=True)
 class IntegrandSpec:
     """Raw x-domain parameters.
@@ -43,7 +53,7 @@ class IntegrandSpec:
     def __post_init__(self) -> None:
         if not (self.n > 0 and math.isfinite(self.n)):
             raise ValueError(f"n must be a positive finite real, got {self.n}")
-        p = complex(self.p)
+        p = _real_or_complex(self.p)
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
             raise ValueError(f"p must be finite, got {self.p}")
         if not math.isfinite(self.theta):
@@ -173,7 +183,7 @@ def classify_domain(spec: IntegrandSpec) -> DomainStatus:
             DomainKind.SINGULAR_THETA,
             f"theta={spec.theta!r} is congruent to 0 mod 2*pi; value is infinite",
         )
-    re_p = complex(spec.p).real
+    re_p = _real_or_complex(spec.p).real
     if abs(re_p) >= spec.n:
         return DomainStatus(
             DomainKind.EXCLUDED,

@@ -29,19 +29,20 @@ from .errors import (
     NotIntegerExponentsError,
     SingularThetaError,
 )
-from .params import _THETA_PI_TOL, TWO_PI, IntegrandSpec, canonicalize_theta
+from .params import (_THETA_PI_TOL, TWO_PI, IntegrandSpec, _real_or_complex,
+                     canonicalize_theta)
 from .quadrature import integrate_half_line
 from .trig_sums import assemble
 
 
 def _is_int(x) -> bool:
     """Whether x, real or complex, is an integer (_as_int's test)."""
-    xc = complex(x)
+    xc = _real_or_complex(x)
     return xc.imag == 0.0 and xc.real == round(xc.real)
 
 
 def _as_int(x, name: str) -> int:
-    xc = complex(x)  # converted once; the test is _is_int's
+    xc = _real_or_complex(x)  # converted once; the test is _is_int's
     if xc.imag == 0.0 and xc.real == (r := round(xc.real)):
         return r
     raise NotIntegerExponentsError(f"{name} = {x!r} is not an integer")

@@ -62,7 +62,7 @@ from .errors import (
     NonIntegrableError,
     PoleTooCloseError,
 )
-from .params import DomainKind, IntegrandSpec, classify_domain
+from .params import DomainKind, IntegrandSpec, _real_or_complex, classify_domain
 
 REL_TOL = 1e-13
 EVAL_BUDGET = 2_000_000
@@ -577,7 +577,7 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     """
     if X is not None and not 0.0 < X <= 1.0:
         raise ValueError(f"X must lie in (0, 1], got {X}")
-    p = complex(spec.p)
+    p = _real_or_complex(spec.p)
     if p.real != 0.0 and p.imag != 0.0:
         raise DomainError("p must be real or purely imaginary here")
     if abs(p.real) >= spec.n:

@@ -46,6 +46,7 @@ import numpy as np
 from .errors import SlowConvergenceError, ToleranceUnreachableError
 
 MAX_TERMS = 100_000
+_LAST_K = float(MAX_TERMS + 1)  # the k of the last tail bound a sum may need
 TOL_FLOOR = 1e-10
 THETA_EDGE = 1e-3
 _BLOCK = 8192
@@ -192,8 +193,9 @@ def _sine_sum(theta: float, c_of_k, stop: int) -> float:
     """
     total = 0.0
     if stop <= _LOOP_TERMS:
-        for k in range(1, stop):
-            total += math.sin(k * theta) * c_of_k(float(k))
+        sin = math.sin
+        for k in map(float, range(1, stop)):
+            total += sin(k * theta) * c_of_k(k)
         return total
     for start in range(1, stop, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, stop), dtype=float)
@@ -217,11 +219,9 @@ def _accelerated_sum(theta: float, prefactor: float, anchored: float,
     target = 0.1 * tol
     budget = target - rounding
     scale = abs(prefactor * weight) / abs(math.sin(0.5 * theta))
-
-    def tail(k: int) -> float:
-        return scale * c_of_k(float(k))
-
-    last = tail(MAX_TERMS + 1)
+    # tail(k), the bound after k - 1 terms, is scale * c_of_k(float(k)),
+    # written out at each probe; ``tail`` ends as tail(hi)
+    last = scale * c_of_k(_LAST_K)
     if not last <= budget:
         raise ToleranceUnreachableError(
             f"tail bound {last + rounding} still above {target} after {MAX_TERMS} terms"
@@ -230,17 +230,17 @@ def _accelerated_sum(theta: float, prefactor: float, anchored: float,
     if decay is not None and scale:
         lo = max(1, math.ceil((scale / budget) ** (1.0 / decay)) - 1)
     hi, step = lo, 1
-    while tail(hi) > budget:
+    while (tail := scale * c_of_k(float(hi))) > budget:
         lo, hi, step = hi + 1, min(hi + step, MAX_TERMS + 1), 2 * step
     while lo < hi:
         mid = (lo + hi) // 2
-        if tail(mid) <= budget:
-            hi = mid
+        if (probe := scale * c_of_k(float(mid))) <= budget:
+            hi, tail = mid, probe
         else:
             lo = mid + 1
     value = prefactor * (anchored + weight * _sine_sum(theta, c_of_k, hi))
     return SeriesResult(value=value, terms_used=hi - 1,
-                        tail_estimate=tail(hi) + rounding, accelerated=True)
+                        tail_estimate=tail + rounding, accelerated=True)
 
 
 def series_one_sided(n: float, p: float, theta: float, tol: float) -> SeriesResult:
@@ -322,7 +322,6 @@ _WIDTH = 1024
 _K = np.arange(1.0, _WIDTH + 2.0)
 _K_POW = np.array([k ** (_DECAY - 2) for k in _K.tolist()])
 _TERM_POW = _K[:_WIDTH] ** (_DECAY - 2)
-_LAST_K = float(MAX_TERMS + 1)
 # columns of the window in which _far_stops looks for K
 _WINDOW = 5
 

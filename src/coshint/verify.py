@@ -33,6 +33,7 @@ from .params import (
     DomainStatus,
     IntegrandSpec,
     NormalizedForm,
+    _real_or_complex,
     _theta_mod,
     classify_domain,
     normalize,
@@ -101,7 +102,7 @@ def _summed_upper(spec: IntegrandSpec) -> bool:
 
 def _real_p(spec: IntegrandSpec) -> bool:
     """The partial-fraction and series routes' precondition: a real p."""
-    return complex(spec.p).imag == 0.0
+    return _real_or_complex(spec.p).imag == 0.0
 
 
 def _upper_factor(spec: IntegrandSpec) -> float:
@@ -126,7 +127,7 @@ def pf_value(spec: IntegrandSpec) -> float:
     """Partial-fraction route (integer exponents; finite X via arctangents)."""
     if not _real_p(spec):
         raise CoshintError("partial fractions need a real integer p")
-    p = complex(spec.p).real
+    p = _real_or_complex(spec.p).real
     if p < 0.0:
         # refuse a non-integer n as both routes below do (integral_at
         # refuses an X above 1 first) without rebuilding the spec
@@ -152,7 +153,7 @@ def series_value(spec: IntegrandSpec, tol: float = AGREE_TOL) -> float:
     factor = _upper_factor(spec)
     if not _real_p(spec):
         raise CoshintError("series path needs a real p")
-    contracted = series_contracted(spec.n, abs(complex(spec.p).real), spec.theta,
+    contracted = series_contracted(spec.n, abs(_real_or_complex(spec.p).real), spec.theta,
                                    _series_tol(tol))
     return _series_total(spec, factor, contracted)
 
@@ -226,7 +227,7 @@ def _series_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
     if len(specs) < _SERIES_BLOCK_ROWS:
         return [None] * len(specs)
     block = series_contracted_many([s.n for s in specs],
-                                   [abs(complex(s.p).real) for s in specs],
+                                   [abs(_real_or_complex(s.p).real) for s in specs],
                                    [s.theta for s in specs], _series_tol(tol))
     return [None if res is None else _series_total(s, _upper_factor(s), res)
             for s, res in zip(specs, block)]
@@ -300,9 +301,13 @@ def _report(spec: IntegrandSpec, tol: float, given: tuple) -> EvalReport:
     """verify_point's body; ``given`` holds, per route of ROUTES, a block's
     result for the spec (a value or the route's error), or None.
 
-    A route with no block result is called only when the spec meets its
-    precondition.  A route that is called may still raise (a near pole,
-    an unreachable tolerance, ...), and is then left out.
+    One pass over ROUTES collects each route's value, or None, in a list
+    in the report's field order.  A route with no block result is called
+    only when the spec meets its precondition, checked once.  A route
+    that is called may still raise (a near pole, an unreachable
+    tolerance, ...), and is then left out.  max_abs_err is the largest
+    pairwise difference; when the values and their sum are finite it is
+    max - min, the same bits, since rounding is monotone.
     """
     nf = normalize(spec)
     domain = classify_domain(spec)
@@ -311,27 +316,29 @@ def _report(spec: IntegrandSpec, tol: float, given: tuple) -> EvalReport:
         return EvalReport(spec, nf, domain, *_NO_RESULTS, 0.0, Verdict.SKIPPED,
                           domain.detail)
     if kind is DomainKind.PARADOX_ONLY:
-        values = _paradox_only_paths(spec, nf)
+        paths = _paradox_only_paths(spec, nf)
+        results = [paths.get(route.name) for route in ROUTES]
     else:
-        values = {}
+        results = []
         for route, result in zip(ROUTES, given):
             if result is None and route.admits(spec):
                 try:
                     result = route.value(spec, nf, tol)
                 except (CoshintError, ValueError):
-                    continue
-            if result is not None and not isinstance(result, Exception):
-                values[route.name] = result
-    if len(values) < 2:
+                    pass
+            results.append(None if isinstance(result, Exception) else result)
+    vals = [x for x in results if x is not None]
+    if len(vals) < 2:
         max_err, verdict = 0.0, Verdict.SKIPPED
         reason = "fewer than two evaluation routes are admissible"
     else:
-        vals = list(values.values())
-        max_err = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])
+        if math.isfinite(sum(vals)):
+            max_err = max(vals) - min(vals)
+        else:
+            max_err = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])
         verdict = Verdict.AGREE if max_err <= tol else Verdict.DISAGREE
         reason = None
-    return EvalReport(spec, nf, domain, *[values.get(route.name) for route in ROUTES],
-                      max_err, verdict, reason)
+    return EvalReport(spec, nf, domain, *results, max_err, verdict, reason)
 
 
 def paradox_periodicity(spec: IntegrandSpec, k: int) -> ParadoxReport:
