@@ -2,7 +2,8 @@
 
 Angles are radians unless --deg is given.  Complex literals use the
 form RE, RE+IMi, RE-IMi or IMi with no spaces (e.g. 0.5, 1+2i, -0.3i);
-grid ranges use start:step:stop, inclusive of stop within half a step.
+grid ranges use start:step:stop, inclusive of stop within half a step,
+and a table sweep holds at most MAX_SWEEP_SPECS specs.
 Exit codes: 0 success or agreement, 1 verification disagreement or a
 paradox that failed to manifest, 2 usage or domain errors.
 
@@ -31,6 +32,7 @@ fresh parser on every call.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import functools
 import json
@@ -61,6 +63,9 @@ from .verify import (
 )
 
 _USAGE_ERROR = 2
+# The most specs one `coshint table` sweep may hold; a larger sweep exits
+# 2 before any list is built.  A million specs' reports take about 1.5 GB.
+MAX_SWEEP_SPECS = 1_000_000
 
 
 def parse_complex_literal(text: str) -> float | complex:
@@ -99,9 +104,16 @@ def format_complex(value: complex | float) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-def parse_grid(text: str) -> list[float]:
-    if ":" not in text:
-        return [float(text)]
+def _grid_range(text: str) -> tuple[float, float, int]:
+    """The start, step and value count of a start:step:stop range, whose
+    values are start + k*step for k below the count; a count above
+    MAX_SWEEP_SPECS reads MAX_SWEEP_SPECS + 1.
+
+    The values grow with k (rounding is monotone), so a binary search
+    over k finds the count of those within stop + step/2, the count that
+    stepping k one by one gives, in at most 21 steps however many values
+    the range holds.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid ranges are start:step:stop, got {text!r}")
@@ -110,12 +122,20 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid ranges need finite start, step and stop, got {text!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
-    values = []
-    k = 0
-    while start + k * step <= stop + 0.5 * step:
-        values.append(start + k * step)
-        k += 1
-    return values
+    count = bisect.bisect_right(range(MAX_SWEEP_SPECS + 1), stop + 0.5 * step,
+                                key=lambda k: start + k * step)
+    return start, step, count
+
+
+def parse_grid(text: str) -> list[float]:
+    """A grid value, or the values of a start:step:stop range (at most
+    MAX_SWEEP_SPECS of them)."""
+    if ":" not in text:
+        return [float(text)]
+    start, step, count = _grid_range(text)
+    if count > MAX_SWEEP_SPECS:
+        raise ValueError(f"grid range {text!r} holds more than {MAX_SWEEP_SPECS} values")
+    return [start + k * step for k in range(count)]
 
 
 def parse_upper(text: str | float) -> float:
@@ -260,6 +280,8 @@ def cmd_verify(args) -> int:
             specs = [spec_from_dict(d) for d in raw]
         except (OSError, ValueError, KeyError, TypeError) as exc:
             return _fail(f"bad grid file: {exc}")
+    elif args.random < 0:
+        return _fail(f"bad --random: the spec count must be nonnegative, got {args.random}")
     else:
         specs = random_specs(args.random, args.seed)
     reports = verify_points(specs, args.tol)
@@ -319,8 +341,12 @@ def _csv_cell(value: float | None) -> str:
 
 def cmd_table(args) -> int:
     try:
+        counts = [_grid_range(text)[2] if ":" in text else 1
+                  for text in (args.p, args.n, args.theta, args.zeta)]
+        if math.prod(counts) > MAX_SWEEP_SPECS:
+            raise ValueError(f"the sweep holds more than {MAX_SWEEP_SPECS} specs")
         p_values = ([parse_complex_literal(args.p)] if ":" not in args.p
-                    else list(parse_grid(args.p)))
+                    else parse_grid(args.p))
         n_values = parse_grid(args.n)
         thetas = [math.radians(t) if args.deg else t for t in parse_grid(args.theta)]
         zetas = [math.radians(z) if args.deg else z for z in parse_grid(args.zeta)]

@@ -7,14 +7,15 @@ against itself:
   kernels, on maps that make them decay double exponentially: the sinh
   map s = eps*sinh(U*tau), with eps the width of the kernel's peak at
   s = 0 (capped at 1), for every integral over the whole real line
-  (quad_x_domain_infinite, quad_two_sided, and quad_cos_log at an
-  infinite upper limit) and, folded at s = 0, for every integral of the
-  even kernel over [0, inf) (quad_x_domain at X = 1, quad_t_domain, and
-  quad_cos_log at upper limit 1); and the DE half-line map s = s_X +
+  (quad_x_domain at X = inf, quad_two_sided) and, folded at s = 0, for
+  every integral of the even kernel over [0, inf) (quad_x_domain at
+  X = 1, quad_t_domain); and the DE half-line map s = s_X +
   exp(t - e^(-t))/lam, with lam the kernel's tail decay rate, for every
-  integral over [s_X, inf) with s_X > 0 (quad_x_domain at X < 1).  The
-  sinh map clusters its nodes where a near-edge kernel peaks, so X = 1
-  and X = inf are served near the edges;
+  integral over [s_X, inf) with s_X > 0 (quad_x_domain at X < 1).  One
+  function, _x_rule, picks the map of an x-domain range, for
+  quad_x_domain, its blocks and quad_cos_log.  The sinh map clusters
+  its nodes where a near-edge kernel peaks, so X = 1 and X = inf are
+  served near the edges;
 * a doubling-panel Gauss-Legendre rule on geometrically growing panels
   for every other integrand (integrate_finite, integrate_half_line) and
   as the independent check of the trapezoid maps (quad_x_domain's
@@ -37,13 +38,14 @@ Sums run in a fixed order, so results are bit-identical across runs.
 One driver runs the trapezoid rule on every map, in kernel rounds that
 each evaluate the nodes of one or more levels of h: the first round
 evaluates the level-3 grid, where most rows, near-edge ones at X = 1
-among them, stop.  It takes a lone row (quad_x_domain,
-quad_x_domain_infinite and the other one-row oracles), which pays only
-its own numpy calls on 1-D arrays, or a (rows x nodes) block in chunks of
-rows: quad_x_domain_many and quad_x_domain_infinite_many run one block
-per map and kind of p and return, bit for bit, what the one-row calls
-return for each.  Each map hands the even kernel -|s| directly, exactly
-(IEEE negation is exact), so the kernel takes no absolute value.
+among them, stop.  It takes a lone row (quad_x_domain and the other
+one-row oracles), which pays only its own numpy calls on 1-D arrays, or
+a (rows x nodes) block in chunks of rows: quad_x_domain_many runs one
+block per map and kind of p over each spec's own range
+(quad_x_domain_infinite_many over (0, inf)) and returns, bit for bit,
+what the one-row calls return for each.  Each map hands the even kernel
+-|s| directly, exactly (IEEE negation is exact), so the kernel takes no
+absolute value.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ class _Budget:
 # Gauss-Legendre doubling-panel rule
 
 @functools.cache
-def _gl_rule(order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
 def _gauss_fixed(f, a: float, b: float, panels: int, budget: _Budget):
@@ -155,9 +157,9 @@ def _tail_cutoff(decay: float, start: float = 0.0) -> float:
     return max(start + 8.0, math.log(1e17 / decay) / decay)
 
 
-def _panel_edges(start: float, cutoff: float, first: float = 4.0) -> list[float]:
+def _panel_edges(start: float, cutoff: float) -> list[float]:
     edges = [start]
-    length = first
+    length = 4.0
     while edges[-1] < cutoff:
         edges.append(min(edges[-1] + length, cutoff))
         length *= 2.0
@@ -419,9 +421,10 @@ def _de_place(ns_x, lam, u, w):
     return ns_x - u / lam, w, 1.0 / lam
 
 
-def _de_half_lines(params, s_x, lam) -> list[tuple | BudgetExceededError]:
-    """The DE map's rule for _t_kernel(*params) on [s_x, inf), per row."""
-    return _trapezoid_rows(_t_kernel, params, _de_place, [-s_x, lam], _de_stage, _DE_H0,
+def _de_half_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
+    """The DE map's rule for the even kernel(*params) over [s_X, inf), per
+    row; ``geometry`` is (-s_X, lam)."""
+    return _trapezoid_rows(kernel, params, _de_place, geometry, _de_stage, _DE_H0,
                            _DE_MAX_LEVEL)
 
 
@@ -596,108 +599,96 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     return b, -math.cos(spec.zeta), math.sin(0.5 * spec.theta) ** 2, s_x, decay
 
 
+def _x_rule(spec: IntegrandSpec, X: float) -> tuple:
+    """(rule, _t_kernel arguments, geometry) of the x-domain integral from
+    0 to X, X in (0, 1] or inf: the one place that picks a range's map.
+    Raises what _x_kernel_args raises."""
+    b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, None if X == math.inf else X)
+    if s_x is None:  # the whole line
+        rule = _sinh_lines
+    elif s_x == 0.0:  # [0, inf), folded at the kernel's peak
+        rule = _folded_lines
+    else:  # s_X > 0 leaves the peak outside
+        return _de_half_lines, [b, cos_c, sin2_half], (-s_x, decay)
+    return rule, [b, cos_c, sin2_half], _t_sinh_geometry(spec.theta, decay)
+
+
 # ---------------------------------------------------------------------------
 # public oracle operations
 
 
 def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
                   rule: str = "tanh-sinh") -> QuadResult:
-    """Oracle for the x-domain integral from 0 to X (0 < X <= 1).
+    """Oracle for the x-domain integral from 0 to X (0 < X <= 1, or inf).
 
     Substituting x**n = exp(-s) maps the range to [s_X, inf) with
-    s_X = -n*log(X) and integrand (cosh(b*s) - cos(zeta)) /
-    (cosh(s) - cos(theta)) / n, which has no endpoint singularity; b =
-    p/n is real, or i*q/n for p = i*q (cosh(b*s) = cos(q*s/n)), and the
-    value is real either way.
-    ``rule="tanh-sinh"`` integrates it with the sinh map folded at s = 0
-    when s_X = 0 (X = 1), whose nodes resolve the kernel's peak there,
-    and with the double-exponential half-line map when s_X > 0;
-    ``rule="gauss"`` integrates it with Gauss-Legendre panels.  This is
-    the one-row call of quad_x_domain_many's blocks.
+    s_X = -n*log(X), or to the whole line for X = inf, and integrand
+    (cosh(b*s) - cos(zeta)) / (cosh(s) - cos(theta)) / n, which has no
+    endpoint singularity; b = p/n is real, or i*q/n for p = i*q
+    (cosh(b*s) = cos(q*s/n)), and the value is real either way.
+    ``rule="tanh-sinh"`` integrates it with the sinh map over the whole
+    line for X = inf (two-sided, not the (0, 1] value doubled), folded at
+    s = 0 for X = 1, whose nodes resolve the kernel's peak there, and
+    with the double-exponential half-line map for s_X > 0;
+    ``rule="gauss"`` integrates it with Gauss-Legendre panels, for X in
+    (0, 1].  This is the one-row call of quad_x_domain_many's blocks.
     """
-    b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "tanh-sinh":
-        if s_x == 0.0:
-            rows = _folded_lines(_t_kernel, [b, cos_c, sin2_half],
-                                 _t_sinh_geometry(spec.theta, decay))
-        else:
-            rows = _de_half_lines([b, cos_c, sin2_half], s_x, decay)
-        return _one_row(rows, spec.n)
+        lines, params, geometry = _x_rule(spec, X)
+        return _one_row(lines(_t_kernel, params, geometry), spec.n)
+    b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "gauss":
         f = _t_kernel(b, cos_c, sin2_half)
         return _result(*_half_line(lambda s: f(-s), s_x, decay), spec.n)  # nodes s > 0
     raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
 
 
-def _x_domain_block(specs: list[IntegrandSpec], infinite: bool) -> list[QuadResult | Exception]:
-    """quad_x_domain(spec, spec.upper), or if ``infinite``
-    quad_x_domain_infinite(spec), for every spec, as one block per map
-    and kind of p: a complex b column would change the rounding of real
-    rows.
-
-    Returns, in input order, each spec's QuadResult or the error that the
-    one-row call would raise for it.
-    """
+def _x_domain_block(specs: list[IntegrandSpec],
+                    uppers: list[float]) -> list[QuadResult | Exception]:
+    """quad_x_domain(spec, X) for every spec and its X in ``uppers``, as
+    one block per rule and kind of p (a complex b column would change the
+    rounding of real rows): each spec's QuadResult or error, in order."""
     out: list[QuadResult | Exception | None] = [None] * len(specs)
-    blocks: dict[tuple[bool, bool], list] = {}  # (sinh map, imaginary p): rows
-    for i, spec in enumerate(specs):
+    blocks: dict[tuple, list] = {}  # (rule, imaginary p): rows
+    for i, (spec, X) in enumerate(zip(specs, uppers)):
         try:
-            args = _x_kernel_args(spec, None if infinite else spec.upper)
+            lines, params, geometry = _x_rule(spec, X)
         except (CoshintError, ValueError) as exc:
             out[i] = exc
         else:
-            key = (infinite or args[3] == 0.0, isinstance(args[0], complex))
-            blocks.setdefault(key, []).append((i, args))
-    for (sinh, _), block in blocks.items():
-        rows, args = zip(*block)
-        b, cos_c, sin2_half, s_x, decay = zip(*args)
-        params = [np.array(col)[:, None] for col in (b, cos_c, sin2_half)]
-        if sinh:
-            geometry = [_t_sinh_geometry(specs[i].theta, d) for i, d in zip(rows, decay)]
-            lines = _sinh_lines if infinite else _folded_lines
-            results = lines(_t_kernel, params, np.array(geometry).T[:, :, None])
-        else:
-            results = _de_half_lines(params, np.array(s_x)[:, None], np.array(decay)[:, None])
+            key = (lines, isinstance(params[0], complex))
+            blocks.setdefault(key, []).append((i, *params, *geometry))
+    for (lines, _), block in blocks.items():
+        rows, *cols = zip(*block)
+        cols = [np.array(col)[:, None] for col in cols]
+        results = lines(_t_kernel, cols[:3], cols[3:])
         for i, res in zip(rows, results):
             out[i] = res if isinstance(res, Exception) else _result(*res, specs[i].n)
     return out
 
 
 def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
-    """quad_x_domain(spec, spec.upper) for every spec, as blocks: the rows
-    with s_X = 0 on the folded sinh map, the others on the DE map, each
-    with its real-p and imaginary-p rows apart.
+    """quad_x_domain(spec, spec.upper) for every spec, as one block per
+    map (sinh, folded sinh, DE) and kind of p.
 
     Returns, in input order, each spec's QuadResult or the error that
     quad_x_domain would raise for it (CoshintError or ValueError).
     Values, error estimates and evaluation counts are bit-identical to
     the per-spec calls, whatever the other specs in the block.
     """
-    return _x_domain_block(specs, False)
+    return _x_domain_block(specs, [spec.upper for spec in specs])
 
 
 def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
-    """Oracle for the x-domain integral over (0, inf).
-
-    Computed as a genuine two-sided s-integral of quad_x_domain's kernel
-    with the sinh-map rule, not by doubling the (0, 1] value.  This is
-    the one-row call of quad_x_domain_infinite_many's blocks.
-    """
-    b, cos_c, sin2_half, _, rate = _x_kernel_args(spec, None)
-    return _one_row(_sinh_lines(_t_kernel, [b, cos_c, sin2_half],
-                                _t_sinh_geometry(spec.theta, rate)), spec.n)
+    """quad_x_domain(spec, math.inf), whatever spec.upper is: the one-row
+    call of quad_x_domain_infinite_many's blocks."""
+    return quad_x_domain(spec, math.inf)
 
 
 def quad_x_domain_infinite_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
-    """quad_x_domain_infinite(spec) for every spec, as a sinh-map block per kind of p.
-
-    Returns, in input order, each spec's QuadResult or the error that
-    quad_x_domain_infinite would raise for it (CoshintError or
-    ValueError).  Values, error estimates and evaluation counts are
-    bit-identical to the per-spec calls, whatever the other specs in the
-    block.
-    """
-    return _x_domain_block(specs, True)
+    """quad_x_domain_infinite(spec) for every spec, as a sinh-map block per
+    kind of p: quad_x_domain_many's contract on (0, inf)."""
+    return _x_domain_block(specs, [math.inf] * len(specs))
 
 
 def quad_t_domain(a, b, c: float) -> QuadResult:
@@ -752,22 +743,20 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
 
     In the s-domain the integrand becomes cos(q*s/n) / (2*(cosh s -
     cos theta)) / n, and cos(q*s/n) = cosh(b*s) for b = i*q/n: it is
-    _t_kernel(b, 0, sin(theta/2)**2) / (2*n), on the sinh map folded at
-    s = 0 over [0, inf) for upper 1, and on the sinh map over the whole
+    _t_kernel(b, 0, sin(theta/2)**2) / (2*n), on quad_x_domain's map: the
+    sinh map folded at s = 0 for upper 1, and the sinh map over the whole
     line for upper infinity (computed two-sided, not by doubling).
     """
     p = complex(spec.p)
     if p.real != 0.0:
         raise DomainError("quad_cos_log needs a purely imaginary p = i*q")
     _require_integrable(spec)
-    b = 1j * p.imag / spec.n
-    sin2_half = math.sin(0.5 * spec.theta) ** 2
     if spec.upper not in (1.0, math.inf):
         raise ValueError("upper must be 1 or infinity for this oracle")
-    lines = _sinh_lines if spec.upper == math.inf else _folded_lines
+    lines, (_, _, sin2_half), geometry = _x_rule(spec, spec.upper)  # decay 1
+    b = 1j * p.imag / spec.n  # complex at q = 0 too, as _x_kernel_args' b is not
     # the kernel's imaginary parts cancel exactly: e^((1 -+ b)*s) are conjugates
-    return _one_row(lines(_t_kernel, [b, 0.0, sin2_half], _t_sinh_geometry(spec.theta, 1.0)),
-                    2.0 * spec.n)
+    return _one_row(lines(_t_kernel, [b, 0.0, sin2_half], geometry), 2.0 * spec.n)
 
 
 def quad_sec_antiderivative_check(m: float, Z: float) -> tuple[float, float]:

@@ -46,12 +46,7 @@ from .partial_fractions import (
     middle_term_integral,
     pf_value_many,
 )
-from .quadrature import (
-    quad_x_domain,
-    quad_x_domain_infinite,
-    quad_x_domain_infinite_many,
-    quad_x_domain_many,
-)
+from .quadrature import quad_x_domain, quad_x_domain_many
 from .series import TOL_FLOOR, SeriesResult, series_contracted, series_contracted_many
 
 
@@ -140,11 +135,9 @@ def pf_value(spec: IntegrandSpec) -> float:
 
 
 def quad_value(spec: IntegrandSpec) -> float:
-    """Quadrature route: quad_x_domain_infinite at an infinite upper
-    limit, else quad_x_domain up to it, for a real or purely imaginary p
-    (one kernel call at b = p/n either way)."""
-    if spec.upper == math.inf:
-        return quad_x_domain_infinite(spec).value
+    """Quadrature route: quad_x_domain up to the spec's upper limit,
+    infinite or not, for a real or purely imaginary p (one kernel call at
+    b = p/n either way)."""
     return quad_x_domain(spec, spec.upper).value
 
 
@@ -201,16 +194,10 @@ def _pf_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
 
 
 def _quad_block(specs: list[IntegrandSpec], tol: float) -> list:
-    """quad_value of every spec, as its value or error: one block per kind
-    of upper limit, each running its real-p and imaginary-p rows apart."""
-    out: list = [None] * len(specs)
-    for infinite in (False, True):
-        rows = [i for i, s in enumerate(specs) if (s.upper == math.inf) is infinite]
-        if rows:
-            many = quad_x_domain_infinite_many if infinite else quad_x_domain_many
-            for i, result in zip(rows, many([specs[i] for i in rows])):
-                out[i] = result if isinstance(result, Exception) else result.value
-    return out
+    """quad_value of every spec, as its value or error, from one
+    quad_x_domain_many call, which picks each row's map."""
+    return [result if isinstance(result, Exception) else result.value
+            for result in quad_x_domain_many(specs)]
 
 
 # Blocks below this many rows go to series_value row by row: a block's
@@ -277,11 +264,11 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
     """verify_point for every spec, in input order, with each route's
     block run once over the specs that the route admits.
 
-    Each block (quad_x_domain_many, quad_x_domain_infinite_many,
-    series_contracted_many, pf_value_many) is bit-identical to its
-    one-row call on the rows it serves, and leaves the others to
-    verify_point's own code, so each report equals verify_point(spec, tol).
-    The quadrature blocks serve every spec, imaginary p included.
+    Each block (quad_x_domain_many, series_contracted_many,
+    pf_value_many) is bit-identical to its one-row call on the rows it
+    serves, and leaves the others to verify_point's own code, so each
+    report equals verify_point(spec, tol).  The quadrature block serves
+    every spec over its own upper limit, imaginary p included.
     """
     columns = [_block_column(route, specs, tol) for route in ROUTES]
     return [_report(s, tol, given) for s, given in zip(specs, zip(*columns))]

@@ -1,9 +1,10 @@
 """The row-block quadrature path against the per-spec oracle.
 
-quad_x_domain_many must reproduce quad_x_domain, and
-quad_x_domain_infinite_many quad_x_domain_infinite, bit for bit (value,
-error estimate, evaluation count, and the error raised) whatever the
-block size, and verify_points must reproduce verify_point.
+quad_x_domain_many must reproduce quad_x_domain(spec, spec.upper), at
+every upper limit, and quad_x_domain_infinite_many
+quad_x_domain_infinite, which is quad_x_domain at X = inf, bit for bit
+(value, error estimate, evaluation count, and the error raised) whatever
+the block size, and verify_points must reproduce verify_point.
 """
 
 import json
@@ -16,8 +17,10 @@ import pytest
 import coshint.quadrature as quadrature
 from coshint import (
     BudgetExceededError,
+    DomainError,
     IntegrandSpec,
     Lcg64,
+    NonIntegrableError,
     quad_x_domain,
     quad_x_domain_infinite,
     quad_x_domain_infinite_many,
@@ -138,6 +141,23 @@ def _edges() -> list[IntegrandSpec]:
             for theta in (dist, TWO_PI - dist)]
 
 
+def _mixed_uppers() -> list[IntegrandSpec]:
+    """_mixed_p's real and imaginary p at upper 0.3, 1 and infinity in
+    turn, each kind of p on each map, with rows that run out of levels on
+    the folded sinh map and on the sinh map, and the refused specs of
+    test_invalid_specs_raise_the_single_spec_errors."""
+    return [replace(s, upper=(0.3, 1.0, math.inf)[k % 3])
+            for k, s in enumerate(_mixed_p(90, 37))] + [
+        EXHAUSTING, replace(EXHAUSTING, upper=math.inf, p=0.5j),
+        IntegrandSpec(1, 1.5, 1.0, 1.0),  # |p| >= n
+        IntegrandSpec(1, 0.5, 1.0, 1.0, upper=1.5),  # X outside (0, 1]
+        IntegrandSpec(1, 0.5, 1.0, 1.0, upper=math.inf),
+        IntegrandSpec(1, 0.2j, 1.0, 1.0),  # imaginary p
+        IntegrandSpec(1, 0.5, 1.0 + TWO_PI, 1.0),  # paradox-only theta
+        IntegrandSpec(1, 0.5, 1.0, 1.0),
+    ]
+
+
 GRIDS = {
     "random": random_specs(200, 42),
     "integer_x": _integer_finite_x(150, 7),
@@ -149,6 +169,8 @@ GRIDS = {
     "mixed_p": _mixed_p(120, 31) + [replace(EXHAUSTING, p=0.5j)],
     # each map's and kind of p's rows, by the round they stop in
     "rounds": _rounds(),
+    # every spec over its own range: upper 0.3, 1 and inf in one block
+    "mixed_uppers": _mixed_uppers(),
 }
 
 
@@ -230,6 +252,27 @@ def test_invalid_specs_raise_the_single_spec_errors():
     assert quad_x_domain_many([]) == []
 
 
+def test_mixed_uppers_grid_covers_every_map_and_kind_of_p(singles):
+    specs, results = GRIDS["mixed_uppers"], singles["mixed_uppers"]
+    served = {(s.upper if s.upper in (1.0, math.inf) else "X < 1", type(s.p))
+              for s, r in zip(specs, results) if not isinstance(r, Exception)}
+    assert served == {(upper, kind) for upper in (1.0, math.inf, "X < 1")
+                      for kind in (float, complex)}
+    failed = [type(r) for r in results if isinstance(r, Exception)]
+    assert failed == [BudgetExceededError, BudgetExceededError, NonIntegrableError,
+                      ValueError, DomainError]
+
+
+def test_many_matches_the_infinite_block_on_its_infinite_rows(singles):
+    specs = GRIDS["mixed_uppers"]
+    rows = [i for i, s in enumerate(specs) if s.upper == math.inf]
+    assert len(rows) >= 30
+    got = quad_x_domain_many(specs)
+    infinite = quad_x_domain_infinite_many([specs[i] for i in rows])
+    assert all(_same(one, got[i]) for i, one in zip(rows, infinite))
+    assert all(_same(singles["mixed_uppers"][i], got[i]) for i in rows)
+
+
 def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
     cap = quadrature._folded_stage(quadrature._SINH_LEVELS)[0].size
     sizes = []
@@ -275,6 +318,15 @@ def test_verify_points_equals_verify_point():
         IntegrandSpec(2, 1, math.pi, 1.0),  # boundary-a
     ]
     assert verify_points(specs, 1e-9) == [verify_point(s, 1e-9) for s in specs]
+
+
+def test_verify_points_equals_verify_point_on_mixed_uppers():
+    specs = GRIDS["mixed_uppers"]
+    reports = verify_points(specs, 1e-9)
+    assert [repr(r) for r in reports] == [repr(verify_point(s, 1e-9)) for s in specs]
+    # four rows get no quadrature value; the paradox-only row gets its
+    # canonical angle's
+    assert sum(r.quad is not None for r in reports) == len(specs) - 4
 
 
 def test_cli_verify_matches_verify_point(capsys):
@@ -345,6 +397,23 @@ def test_infinite_batch_bit_identical_to_single(infinite_singles, name, size):
     assert len(got) == len(specs)
     expected = infinite_singles[name]
     assert not any(isinstance(e, Exception) for e in expected)
+    mismatched = [i for i, (e, g) in enumerate(zip(expected, got)) if not _same(e, g)]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_GRIDS) + ["random"])
+def test_quad_x_domain_at_inf_is_quad_x_domain_infinite(name):
+    # quad_x_domain_infinite integrates over (0, inf) whatever spec.upper
+    # is; the random grid's upper limits are 1
+    specs = INFINITE_GRIDS.get(name, GRIDS["random"][:40]) + [EXHAUSTING_INF]
+    expected = [_single_infinite(s) for s in specs]
+    got = []
+    for spec in specs:
+        try:
+            got.append(quad_x_domain(spec, math.inf))
+        except Exception as exc:  # compared by type and message
+            got.append(exc)
+    assert isinstance(expected[-1], BudgetExceededError)
     mismatched = [i for i, (e, g) in enumerate(zip(expected, got)) if not _same(e, g)]
     assert mismatched == []
 

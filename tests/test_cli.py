@@ -1,11 +1,13 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 import coshint.cli as cli
 from coshint.cli import (
+    MAX_SWEEP_SPECS,
     build_parser,
     format_complex,
     main,
@@ -20,6 +22,7 @@ from coshint.errors import CoshintError
 from coshint.params import DomainKind, DomainStatus, IntegrandSpec, NormalizedForm
 from coshint.verify import (
     EvalReport,
+    Lcg64,
     Verdict,
     pf_value,
     series_value,
@@ -81,6 +84,87 @@ def test_table_non_finite_sweep_exits_2(capsys):
     code = main(["table", "--n", "1", "--p", "nan:0.1:0.5", "--theta", "1", "--zeta", "1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("bad sweep: grid ranges need finite")
+
+
+def _walk(text):
+    """The values parse_grid gave by stepping k until start + k*step
+    passed stop + step/2; run only on ranges of a few thousand values."""
+    start, step, stop = (float(x) for x in text.split(":"))
+    values, k = [], 0
+    while start + k * step <= stop + 0.5 * step:
+        values.append(start + k * step)
+        k += 1
+    return values
+
+
+def _ranges() -> list[str]:
+    rng = Lcg64(17)
+    texts = ["0:0.1:0.3", "0:0.1:0.9", "-0.0:1:2", "5:1:4", "5:1:4.5", "1:1:1",
+             "0.1:0.1:0.30000000000000004", "1e20:1:1e20", "1e16:1:1e16+4",
+             "-3:0.7:3", "1e-300:1e-300:1e-297"]
+    for _ in range(300):
+        start = rng.uniform(-10.0, 10.0)
+        step = (0.1, 0.3, 0.25, 1e-3, 0.333, 2.5, 7.0)[int(rng.next_float() * 7)]
+        stop = start + step * rng.uniform(-2.0, 3000.0)
+        texts.append(f"{start!r}:{step!r}:{stop!r}")
+    return [t.replace("1e16+4", repr(1e16 + 4)) for t in texts]
+
+
+def test_parse_grid_counts_the_values_the_walk_gave():
+    for text in _ranges():
+        got, want = parse_grid(text), _walk(text)
+        assert [x.hex() for x in got] == [x.hex() for x in want], text
+    assert len(parse_grid("1e20:1:1e20")) == 8193  # 1e20 + k rounds to 1e20
+
+
+@pytest.mark.parametrize("text", ["0:1e-9:1", "1:1e-300:2", "1e20:1e-10:1e20",
+                                  "0:1:1e6", "-1e308:1:1e308"])
+def test_parse_grid_refuses_a_range_above_the_sweep_limit(text):
+    with pytest.raises(ValueError, match="holds more than 1000000 values"):
+        parse_grid(text)
+    assert len(parse_grid("1:1:1e6")) == MAX_SWEEP_SPECS
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "0:1e-9:1", "--p", "0", "--theta", "1", "--zeta", "1"],
+    ["--n", "1:1e-300:2", "--p", "0.5", "--theta", "1", "--zeta", "1"],
+    ["--n", "1", "--p", "0:1e-12:0.5", "--theta", "1", "--zeta", "1"],
+    # each range is below the limit, the sweep is not: 1001 * 1000 specs
+    ["--n", "1:1:1001", "--p", "0", "--theta", "0.001:0.001:1", "--zeta", "1"],
+])
+def test_table_refuses_a_sweep_above_the_limit(capsys, argv):
+    start = time.perf_counter()
+    code = main(["table", *argv])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("bad sweep: ")
+    assert "more than 1000000" in captured.err
+
+
+def test_table_takes_a_sweep_of_the_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SWEEP_SPECS", 6)
+    argv = ["table", "--n", "1:1:2", "--p", "0:0.2:0.4", "--theta", "1", "--zeta", "1"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+    assert main(argv[:-1] + ["1:1:2"]) == 2
+    assert capsys.readouterr().err == "bad sweep: the sweep holds more than 6 specs\n"
+    # an empty range makes an empty sweep, but a range above the limit is refused
+    assert main(argv[:-2] + ["--zeta", "1:1:0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [",".join(cli._CSV_HEADER)]
+    assert main(["table", "--n", "1:1:7", "--p", "0", "--theta", "1", "--zeta", "1:1:0"]) == 2
+    assert "holds more than 6 values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-1", "-1000000000"])
+def test_verify_random_refuses_a_negative_count(capsys, count):
+    assert main(["verify", "--random", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bad --random: the spec count must be nonnegative, got {count}\n"
+    assert main(["verify", "--random", "0"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_parse_upper():

@@ -231,6 +231,32 @@ def test_unknown_rule_refused():
         quad_x_domain(spec, 1.0, rule="tanh_sinh")
 
 
+@pytest.mark.parametrize("rule", ["tanh-sinh", "gauss"])
+@pytest.mark.parametrize("X", [math.inf, 1.5, 0.0, -1.0, math.nan])
+def test_x_outside_each_rules_range_refused(rule, X):
+    # the trapezoid maps take X in (0, 1] and X = inf, the Gauss-Legendre
+    # panels (0, 1] only
+    spec = IntegrandSpec(1, 0.5, PI / 2, PI / 2)
+    if X == math.inf and rule == "tanh-sinh":
+        assert quad_x_domain(spec, X) == quad_x_domain_infinite(spec)
+        return
+    with pytest.raises(ValueError) as info:
+        quad_x_domain(spec, X, rule=rule)
+    assert str(info.value) == f"X must lie in (0, 1], got {X}"
+
+
+def test_quad_cos_log_keeps_a_complex_b_at_q_zero(monkeypatch):
+    # _x_kernel_args' b is the float 0.0 at q = 0; quad_cos_log passes the
+    # kernel b = i*q/n, complex for every q, so its values keep their bits
+    seen = []
+    original = quadrature._t_kernel
+    monkeypatch.setattr(quadrature, "_t_kernel",
+                        lambda b, cos_c, sin2_half: seen.append(b) or original(b, cos_c, sin2_half))
+    for upper in (1.0, math.inf):
+        quad_cos_log(IntegrandSpec(2.0, 0j, 1.0, 1.0, upper=upper))
+    assert [type(b) for b in seen] == [complex, complex] and seen == [0j, 0j]
+
+
 def test_results_are_builtin_floats():
     spec = IntegrandSpec(1.5, 0.6, 2.0, 1.0)
     results = [quad_x_domain(spec, 1.0), quad_x_domain(spec, 0.5, rule="gauss"),
