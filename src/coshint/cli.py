@@ -3,23 +3,30 @@
 Angles are radians unless --deg is given.  Complex literals use the
 form RE, RE+IMi, RE-IMi or IMi with no spaces (e.g. 0.5, 1+2i, -0.3i);
 grid ranges use start:step:stop, inclusive of stop within half a step,
-and a table sweep holds at most MAX_SWEEP_SPECS specs.
+and a table sweep or a verify --random run holds at most MAX_SWEEP_SPECS
+specs.
 Exit codes: 0 success or agreement, 1 verification disagreement or a
 paradox that failed to manifest, 2 usage or domain errors.
 
 The routes, their names and when each applies come from
 coshint.verify.ROUTES: eval --method, the report keys and the table
-columns follow it.  Sweeps (verify, table) evaluate the whole grid in
-one process with coshint.verify.verify_points, which runs each route
-that has a block form as one block.  Output rows follow input order and
-each equals the single-spec report, so identical flags and seed give
-byte-identical output.  --threads is still accepted but has no effect.
+columns follow it.  Sweeps evaluate the whole grid in one process,
+each route that has a block form as one block: table with
+coshint.verify.verify_points, and verify with coshint.verify.verify_rows,
+which gives each spec's report values as a plain row, so that verify
+builds no report per spec (nor a normalized form or domain status for
+a Valid spec with a float p).  Output rows follow input order
+and each equals the single-spec report, so identical flags and seed
+give byte-identical output.  --threads is still accepted but has no
+effect.
 
-verify and eval --json write each report with report_line: one
-f-string in report_to_dict's key order, byte for byte equal to
-json.dumps(report_to_dict(report)), without building the dicts or
-running the json encoder.  report_to_dict stays the dict form of a
-report and the reference that report_line is tested against.
+One writer holds the report line's key layout: _line, one f-string over
+a row's values in report_to_dict's key order, byte for byte equal to
+json.dumps(report_to_dict(report)) without building the dicts or
+running the json encoder.  verify writes each row with it, and
+report_line, which eval --json uses, is its one-row call.
+report_to_dict stays the dict form of a report and the reference that
+the writer is tested against.
 
 main() parses with one parser per process, built on its first call:
 building it costs about 2 ms (53 add_argument calls), so a caller that
@@ -60,11 +67,13 @@ from .verify import (
     random_specs,
     verify_point,
     verify_points,
+    verify_rows,
 )
 
 _USAGE_ERROR = 2
-# The most specs one `coshint table` sweep may hold; a larger sweep exits
-# 2 before any list is built.  A million specs' reports take about 1.5 GB.
+# The most specs one `coshint table` sweep or `coshint verify --random`
+# run may hold; a larger one exits 2 before any list is built.  A million
+# specs' reports take about 1.5 GB.
 MAX_SWEEP_SPECS = 1_000_000
 
 
@@ -202,25 +211,32 @@ def _json_num(x) -> str:
 
 
 def report_line(report: EvalReport) -> str:
-    """json.dumps(report_to_dict(report)), byte for byte, written directly.
+    """json.dumps(report_to_dict(report)), byte for byte: the one-row
+    call of the verify writer."""
+    spec, nf, domain = report.spec, report.normalized, report.domain
+    return _line(spec.n, spec.p, spec.theta, spec.zeta, spec.upper, nf.a, nf.b, nf.c, nf.scale,
+                 domain.kind.value, domain.detail, report.closed, report.pf, report.quad,
+                 report.series, report.max_abs_err, report.verdict.value, report.reason)
+
+
+def _line(n, p, theta, zeta, upper, a, b, c, scale, kind, detail,
+          closed, pf, quad, series, max_abs_err, verdict, reason) -> str:
+    """The report line of one verify_rows row, written directly.
 
     The keys come in report_to_dict's order; the complex and upper-limit
     strings are reprs of numbers, which JSON needs no escapes for.
     """
-    spec, nf, domain = report.spec, report.normalized, report.domain
-    reason = "null" if report.reason is None else _json_str(report.reason)
     return (
-        f'{{"spec": {{"n": {_json_num(spec.n)}, "p": "{format_complex(spec.p)}", '
-        f'"theta": {_json_num(spec.theta)}, "zeta": {_json_num(spec.zeta)}, '
-        f'"upper": "{format_upper(spec.upper)}"}}, '
-        f'"normalized": {{"a": "{format_complex(nf.a)}", "b": "{format_complex(nf.b)}", '
-        f'"c": {_json_num(nf.c)}, "scale": {_json_num(nf.scale)}}}, '
-        f'"domain": {{"kind": {_json_str(domain.kind.value)}, '
-        f'"detail": {_json_str(domain.detail)}}}, '
-        f'"closed": {_json_num(report.closed)}, "pf": {_json_num(report.pf)}, '
-        f'"quad": {_json_num(report.quad)}, "series": {_json_num(report.series)}, '
-        f'"max_abs_err": {_json_num(report.max_abs_err)}, '
-        f'"verdict": {_json_str(report.verdict.value)}, "reason": {reason}}}'
+        f'{{"spec": {{"n": {_json_num(n)}, "p": "{format_complex(p)}", '
+        f'"theta": {_json_num(theta)}, "zeta": {_json_num(zeta)}, '
+        f'"upper": "{format_upper(upper)}"}}, '
+        f'"normalized": {{"a": "{format_complex(a)}", "b": "{format_complex(b)}", '
+        f'"c": {_json_num(c)}, "scale": {_json_num(scale)}}}, '
+        f'"domain": {{"kind": {_json_str(kind)}, "detail": {_json_str(detail)}}}, '
+        f'"closed": {_json_num(closed)}, "pf": {_json_num(pf)}, '
+        f'"quad": {_json_num(quad)}, "series": {_json_num(series)}, '
+        f'"max_abs_err": {_json_num(max_abs_err)}, "verdict": {_json_str(verdict)}, '
+        f'"reason": {"null" if reason is None else _json_str(reason)}}}'
     )
 
 
@@ -263,7 +279,8 @@ def cmd_eval(args) -> int:
         return 0
     route = next(r for r in ROUTES if r.name == args.method)
     try:
-        value = route.value(spec, normalize(spec), tol)
+        nf = normalize(spec)
+        value = route.value(spec, (nf.a, nf.b, nf.c, nf.scale), tol)
     except (CoshintError, ValueError) as exc:
         return _fail(f"domain error: {exc}")
     print(repr(value))
@@ -282,17 +299,20 @@ def cmd_verify(args) -> int:
             return _fail(f"bad grid file: {exc}")
     elif args.random < 0:
         return _fail(f"bad --random: the spec count must be nonnegative, got {args.random}")
+    elif args.random > MAX_SWEEP_SPECS:
+        return _fail(f"bad --random: the spec count must be at most {MAX_SWEEP_SPECS}, "
+                     f"got {args.random}")
     else:
         specs = random_specs(args.random, args.seed)
-    reports = verify_points(specs, args.tol)
-    lines = [report_line(r) for r in reports]
-    text = "\n".join(lines) + ("\n" if lines else "")
+    rows = verify_rows(specs, args.tol)
+    text = "".join([_line(*row) + "\n" for row in rows])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 1 if any(r.verdict is Verdict.DISAGREE for r in reports) else 0
+    disagree = Verdict.DISAGREE.value
+    return 1 if any(row[-2] == disagree for row in rows) else 0  # row[-2]: the verdict
 
 
 def cmd_decompose(args) -> int:

@@ -17,11 +17,11 @@ records, at the 1e-8 threshold, which limit branch applied.  The named
 special cases are thin wrappers over the master value wherever that is
 exact.
 
-eval_master evaluates real arguments (a and b both exact floats, as
-verify's closed route passes them) with math, and complex ones with
-cmath.  The two give the same bits: with zero imaginary parts, CPython's
-complex products, quotients and cmath.sin round their real parts as the
-float operations do.
+eval_master and master_value evaluate real arguments (a and b both
+exact floats, as verify's closed route passes them) with math, and
+complex ones with cmath.  The two give the same bits: with zero
+imaginary parts, CPython's complex products, quotients and cmath.sin
+round their real parts as the float operations do.
 """
 
 from __future__ import annotations
@@ -113,6 +113,19 @@ def _master_raw(a: complex | float, b: complex | float, c: float,
     return top / _sinc(a)
 
 
+def master_value(a: complex | float, b: complex | float, c: float, *,
+                 theta: float | None = None) -> complex | float:
+    """eval_master's value, without its ClosedValue and limit flag: a
+    float when a and b are exact floats, else a complex."""
+    if not (type(a) is float and type(b) is float):
+        a = complex(a)
+        b = complex(b)
+    _check_strip(a, b)
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
+    return _master_raw(a, b, c, theta)
+
+
 def eval_master(a: complex | float, b: complex | float, c: float, *,
                 theta: float | None = None) -> ClosedValue:
     """Master closed form for (cosh(b*t) + cos c)/(cosh t + cos a) on [0, inf).
@@ -121,13 +134,7 @@ def eval_master(a: complex | float, b: complex | float, c: float, *,
     to keep full precision as theta nears 0 or 2*pi.  Exact float a and b
     stay floats (see the module docstring); other inputs become complex.
     """
-    if not (type(a) is float and type(b) is float):
-        a = complex(a)
-        b = complex(b)
-    _check_strip(a, b)
-    if not math.isfinite(c):
-        raise DomainError(f"c must be finite, got {c}")
-    return ClosedValue(value=complex(_master_raw(a, b, c, theta)),
+    return ClosedValue(value=complex(master_value(a, b, c, theta=theta)),
                        limit_applied=_limit_flag(a, b))
 
 

@@ -107,6 +107,7 @@ class ScaleCheck:
 
 
 _THETA_PI_TOL = 1e-12
+_VALID_DETAIL = "inside the validity region"  # classify_domain's detail of a Valid spec
 
 
 def _theta_mod(theta: float) -> tuple[float, bool]:
@@ -199,7 +200,7 @@ def classify_domain(spec: IntegrandSpec) -> DomainStatus:
             DomainKind.BOUNDARY_A,
             "theta = pi: repeated denominator roots, use the limit formula",
         )
-    return DomainStatus(DomainKind.VALID, "inside the validity region")
+    return DomainStatus(DomainKind.VALID, _VALID_DETAIL)
 
 
 def rescale(spec: IntegrandSpec, lam: float) -> ScaleCheck:

@@ -602,7 +602,10 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
 def _x_rule(spec: IntegrandSpec, X: float) -> tuple:
     """(rule, _t_kernel arguments, geometry) of the x-domain integral from
     0 to X, X in (0, 1] or inf: the one place that picks a range's map.
-    Raises what _x_kernel_args raises."""
+    Raises what _x_kernel_args raises, and ValueError for X = None
+    (which _x_kernel_args takes as the whole line)."""
+    if X is None:
+        raise ValueError("X must lie in (0, 1] or be inf, got None")
     b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, None if X == math.inf else X)
     if s_x is None:  # the whole line
         rule = _sinh_lines
@@ -627,15 +630,20 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     endpoint singularity; b = p/n is real, or i*q/n for p = i*q
     (cosh(b*s) = cos(q*s/n)), and the value is real either way.
     ``rule="tanh-sinh"`` integrates it with the sinh map over the whole
-    line for X = inf (two-sided, not the (0, 1] value doubled), folded at
-    s = 0 for X = 1, whose nodes resolve the kernel's peak there, and
-    with the double-exponential half-line map for s_X > 0;
+    line for X = inf, folded at s = 0 for X = 1, whose nodes resolve the
+    kernel's peak there, and with the double-exponential half-line map
+    for s_X > 0.  The whole line's nodes on either side of s = 0 are the
+    folded map's |s| values, so the X = inf value is twice a folded sum
+    added in another order, not a check of the X = 1 value independent
+    of it;
     ``rule="gauss"`` integrates it with Gauss-Legendre panels, for X in
     (0, 1].  This is the one-row call of quad_x_domain_many's blocks.
     """
     if rule == "tanh-sinh":
         lines, params, geometry = _x_rule(spec, X)
         return _one_row(lines(_t_kernel, params, geometry), spec.n)
+    if X is None:  # _x_kernel_args' whole line, which the Gauss panels do not cover
+        raise ValueError("X must lie in (0, 1], got None")
     b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "gauss":
         f = _t_kernel(b, cos_c, sin2_half)
@@ -745,7 +753,8 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
     cos theta)) / n, and cos(q*s/n) = cosh(b*s) for b = i*q/n: it is
     _t_kernel(b, 0, sin(theta/2)**2) / (2*n), on quad_x_domain's map: the
     sinh map folded at s = 0 for upper 1, and the sinh map over the whole
-    line for upper infinity (computed two-sided, not by doubling).
+    line for upper infinity, which samples the folded map's |s| values on
+    both sides (so not independently of upper 1).
     """
     p = complex(spec.p)
     if p.real != 0.0:

@@ -3,8 +3,10 @@
 verify_point evaluates one spec by every admissible route of ROUTES
 (closed form, partial fractions, quadrature, accelerated series) and
 reports the worst pairwise disagreement; verify_points does the same for
-a grid, with each route's block form run once over the grid.  A route
-whose precondition (ROUTES) fails is not called at all: the route
+a grid, with each route's block form run once over the grid, and
+verify_rows gives its reports' values as plain rows, which the CLI
+writes without building the reports.  All three wrap one row core.  A
+route whose precondition (ROUTES) fails is not called at all: the route
 function raises from the same predicate, so the report is the one that
 trying it would give.  Disagreements never raise: callers and the test
 suite decide what counts as failure.
@@ -26,9 +28,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .closed_form import _master_raw, eval_master
+from .closed_form import _master_raw, eval_master, master_value
 from .errors import CoshintError
 from .params import (
+    _THETA_PI_TOL,
+    _VALID_DETAIL,
+    TWO_PI,
     DomainKind,
     DomainStatus,
     IntegrandSpec,
@@ -108,14 +113,16 @@ def _upper_factor(spec: IntegrandSpec) -> float:
 
 def closed_value(spec: IntegrandSpec) -> float:
     """Closed-form route: master value scaled back to the x-domain."""
-    return _closed_value(spec, normalize(spec))
+    nf = normalize(spec)
+    return _closed_value(spec, (nf.a, nf.b, nf.c, nf.scale))
 
 
-def _closed_value(spec: IntegrandSpec, nf: NormalizedForm) -> float:
-    """closed_value, given the spec's normalized form ``nf``."""
+def _closed_value(spec: IntegrandSpec, form: tuple) -> float:
+    """closed_value, given the spec's normalized values form = (a, b, c, scale)."""
+    a, b, c, scale = form
     factor = _upper_factor(spec)
-    theta_c, _ = _theta_mod(spec.theta)  # nf.a = pi - theta_c, rounded
-    return factor * nf.scale * eval_master(nf.a, nf.b, nf.c, theta=theta_c).value.real
+    theta_c, _ = _theta_mod(spec.theta)  # a = pi - theta_c, rounded
+    return factor * scale * master_value(a, b, c, theta=theta_c).real
 
 
 def pf_value(spec: IntegrandSpec) -> float:
@@ -225,7 +232,8 @@ class Route:
     """An evaluation route, reported in EvalReport's field ``name``.
 
     ``admits(spec)`` is the predicate that the route function raises
-    from; ``value(spec, nf, tol)`` is its value, given normalize(spec).
+    from; ``value(spec, form, tol)`` is its value, given normalize(spec)'s
+    values form = (a, b, c, scale).
     ``block(specs, tol)``, for specs it admits, gives per spec the value,
     the error the route would raise, or None (call ``value``).  Each looks
     its functions up in this module at call time.
@@ -233,17 +241,17 @@ class Route:
 
     name: str
     admits: Callable[[IntegrandSpec], bool]
-    value: Callable[[IntegrandSpec, NormalizedForm, float], float]
+    value: Callable[[IntegrandSpec, tuple, float], float]
     block: Callable[[list[IntegrandSpec], float], list] | None = None
 
 
 ROUTES = (
-    Route("closed", _summed_upper, lambda spec, nf, tol: _closed_value(spec, nf)),
+    Route("closed", _summed_upper, lambda spec, form, tol: _closed_value(spec, form)),
     Route("pf", lambda spec: _real_p(spec) and _is_int(spec.n),
-          lambda spec, nf, tol: pf_value(spec), _pf_block),
-    Route("quad", lambda spec: True, lambda spec, nf, tol: quad_value(spec), _quad_block),
+          lambda spec, form, tol: pf_value(spec), _pf_block),
+    Route("quad", lambda spec: True, lambda spec, form, tol: quad_value(spec), _quad_block),
     Route("series", lambda spec: _summed_upper(spec) and _real_p(spec),
-          lambda spec, nf, tol: series_value(spec, tol), _series_block),
+          lambda spec, form, tol: series_value(spec, tol), _series_block),
 )
 _NO_RESULTS = (None,) * len(ROUTES)
 
@@ -257,7 +265,7 @@ def verify_point(spec: IntegrandSpec, tol: float = AGREE_TOL) -> EvalReport:
     lies outside (0, 2*pi) keep their raw angle in the closed route and
     therefore Disagree with the oracle (the periodicity failure).
     """
-    return _report(spec, tol, _NO_RESULTS)
+    return _report(spec, _row(spec, tol, _NO_RESULTS))
 
 
 def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[EvalReport]:
@@ -270,39 +278,78 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
     report equals verify_point(spec, tol).  The quadrature block serves
     every spec over its own upper limit, imaginary p included.
     """
+    return [_report(s, row) for s, row in zip(specs, verify_rows(specs, tol))]
+
+
+def verify_rows(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[tuple]:
+    """verify_points' reports as plain rows, without building them.
+
+    A row holds, in EvalReport's field order with the spec, normalized
+    form and domain status taken apart: n, p, theta, zeta, upper, a, b,
+    c, scale, the domain kind's value and detail, the closed, pf, quad
+    and series values (None where absent), max_abs_err, the verdict's
+    value and the reason.
+    """
     columns = [_block_column(route, specs, tol) for route in ROUTES]
-    return [_report(s, tol, given) for s, given in zip(specs, zip(*columns))]
+    return [_row(s, tol, given) for s, given in zip(specs, zip(*columns))]
+
+
+# A block column's entry for a spec that the route does not admit, which
+# _row leaves out as it does a route's error, without testing again.
+_NOT_ADMITTED = CoshintError("the route's precondition fails")
 
 
 def _block_column(route: Route, specs: list[IntegrandSpec], tol: float) -> list:
-    """route.block's result for each spec that the route admits, else None."""
-    column: list = [None] * len(specs)
-    rows = [i for i, s in enumerate(specs) if route.admits(s)] if route.block else []
+    """route.block's result for each spec that the route admits, else
+    _NOT_ADMITTED; all None for a route without a block."""
+    if route.block is None:
+        return [None] * len(specs)
+    column: list = [_NOT_ADMITTED] * len(specs)
+    rows = [i for i, s in enumerate(specs) if route.admits(s)]
     if rows:
         for i, result in zip(rows, route.block([specs[i] for i in rows], tol)):
             column[i] = result
     return column
 
 
-def _report(spec: IntegrandSpec, tol: float, given: tuple) -> EvalReport:
-    """verify_point's body; ``given`` holds, per route of ROUTES, a block's
-    result for the spec (a value or the route's error), or None.
+_VALID = DomainKind.VALID.value
+_PARADOX_ONLY = DomainKind.PARADOX_ONLY.value
+_UNEVALUATED = (DomainKind.SINGULAR_THETA.value, DomainKind.EXCLUDED.value)
+_AGREE, _DISAGREE, _SKIPPED = Verdict.AGREE.value, Verdict.DISAGREE.value, Verdict.SKIPPED.value
+_KINDS = {kind.value: kind for kind in DomainKind}
+_VERDICTS = {verdict.value: verdict for verdict in Verdict}
 
-    One pass over ROUTES collects each route's value, or None, in a list
-    in the report's field order.  A route with no block result is called
-    only when the spec meets its precondition, checked once.  A route
-    that is called may still raise (a near pole, an unreachable
-    tolerance, ...), and is then left out.  max_abs_err is the largest
-    pairwise difference; when the values and their sum are finite it is
-    max - min, the same bits, since rounding is monotone.
+
+def _row(spec: IntegrandSpec, tol: float, given: tuple) -> tuple:
+    """verify_point's values as one row of verify_rows; ``given`` holds,
+    per route of ROUTES, a block's result for the spec (a value or the
+    route's error), or None.
+
+    A spec with a float p that classify_domain would call Valid (theta
+    in (0, 2*pi) and off pi, |p| < n), the common row, gets normalize's
+    values here by the same operations; any other spec takes normalize
+    and classify_domain.  One pass over ROUTES then collects each
+    route's value, or None.  A route with no result yet is called only
+    when the spec meets its precondition, checked once.  A route that is
+    called may still raise (a near pole, an unreachable tolerance, ...),
+    and is then left out.  max_abs_err is the largest pairwise
+    difference; when the values and their sum are finite it is max -
+    min, the same bits, since rounding is monotone.
     """
-    nf = normalize(spec)
-    domain = classify_domain(spec)
-    kind = domain.kind
-    if kind is DomainKind.SINGULAR_THETA or kind is DomainKind.EXCLUDED:
-        return EvalReport(spec, nf, domain, *_NO_RESULTS, 0.0, Verdict.SKIPPED,
-                          domain.detail)
-    if kind is DomainKind.PARADOX_ONLY:
+    n, p, theta, zeta, upper = spec.n, spec.p, spec.theta, spec.zeta, spec.upper
+    if (type(p) is float and 0.0 < theta < TWO_PI and abs(p) < n
+            and abs(theta - math.pi) > _THETA_PI_TOL):
+        form = (math.pi - theta, p / n, math.pi - zeta, 1.0 / n)
+        kind, detail = _VALID, _VALID_DETAIL
+    else:
+        nf = normalize(spec)
+        domain = classify_domain(spec)
+        form = (nf.a, nf.b, nf.c, nf.scale)
+        kind, detail = domain.kind.value, domain.detail
+        if kind in _UNEVALUATED:
+            return (n, p, theta, zeta, upper, *form, kind, detail,
+                    *_NO_RESULTS, 0.0, _SKIPPED, detail)
+    if kind == _PARADOX_ONLY:
         paths = _paradox_only_paths(spec, nf)
         results = [paths.get(route.name) for route in ROUTES]
     else:
@@ -310,22 +357,29 @@ def _report(spec: IntegrandSpec, tol: float, given: tuple) -> EvalReport:
         for route, result in zip(ROUTES, given):
             if result is None and route.admits(spec):
                 try:
-                    result = route.value(spec, nf, tol)
+                    result = route.value(spec, form, tol)
                 except (CoshintError, ValueError):
                     pass
             results.append(None if isinstance(result, Exception) else result)
     vals = [x for x in results if x is not None]
     if len(vals) < 2:
-        max_err, verdict = 0.0, Verdict.SKIPPED
+        max_err, verdict = 0.0, _SKIPPED
         reason = "fewer than two evaluation routes are admissible"
     else:
         if math.isfinite(sum(vals)):
             max_err = max(vals) - min(vals)
         else:
             max_err = max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1:])
-        verdict = Verdict.AGREE if max_err <= tol else Verdict.DISAGREE
+        verdict = _AGREE if max_err <= tol else _DISAGREE
         reason = None
-    return EvalReport(spec, nf, domain, *results, max_err, verdict, reason)
+    return (n, p, theta, zeta, upper, *form, kind, detail, *results, max_err, verdict, reason)
+
+
+def _report(spec: IntegrandSpec, row: tuple) -> EvalReport:
+    """The EvalReport of a spec's row (see verify_rows)."""
+    *_, a, b, c, scale, kind, detail, closed, pf, quad, series, max_err, verdict, reason = row
+    return EvalReport(spec, NormalizedForm(a, b, c, scale), DomainStatus(_KINDS[kind], detail),
+                      closed, pf, quad, series, max_err, _VERDICTS[verdict], reason)
 
 
 def paradox_periodicity(spec: IntegrandSpec, k: int) -> ParadoxReport:

@@ -122,7 +122,7 @@ def test_criterion_03_middle_term_reduction():
 def test_criterion_04_infinite_upper_doubles(master_grid):
     bad = []
     for spec, one, _ in master_grid:
-        inf = quad_x_domain_infinite(spec).value  # independent two-sided rule
+        inf = quad_x_domain_infinite(spec).value  # whole line: the folded map's |s| nodes
         err = abs(inf - 2.0 * one)
         if err > 1e-10 * (1.0 + abs(inf)):
             bad.append((spec, err))

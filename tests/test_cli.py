@@ -167,6 +167,22 @@ def test_verify_random_refuses_a_negative_count(capsys, count):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_random_refuses_a_count_above_the_limit(monkeypatch, capsys):
+    def refuse(count, seed):
+        raise AssertionError(f"random_specs({count}, {seed}) was called")
+
+    monkeypatch.setattr(cli, "random_specs", refuse)
+    assert main(["verify", "--random", str(MAX_SWEEP_SPECS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"bad --random: the spec count must be at most {MAX_SWEEP_SPECS}, "
+                            f"got {MAX_SWEEP_SPECS + 1}\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_SWEEP_SPECS", 3)  # a run of the limit is taken
+    assert main(["verify", "--random", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def test_parse_upper():
     assert parse_upper("inf") == math.inf
     assert parse_upper("1") == 1.0
@@ -608,6 +624,23 @@ def test_report_line_equals_json_dumps_on_every_domain_kind():
     assert kinds == set(DomainKind)
     for report in reports:
         assert cli.report_line(report) == json.dumps(report_to_dict(report))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_verify_writes_the_report_lines_of_every_domain_kind(tmp_path, capsys, tol):
+    # cmd_verify writes its lines from verify_rows, without the reports
+    rows = [(s, verify_point(s, tol)) for s in _edge_grid()]
+    agreeing = [(s, r) for s, r in rows if r.verdict is not Verdict.DISAGREE]
+    grid = tmp_path / "grid.json"
+    for part, disagrees in ((rows, 1), (agreeing, 0)):
+        grid.write_text(json.dumps([spec_to_dict(s) for s, _ in part]))
+        code, out = run_cli(capsys, ["verify", "--grid", str(grid), "--tol", repr(tol)])
+        assert out == "".join(cli.report_line(r) + "\n" for _, r in part)
+        assert code == disagrees
+    code, out = run_cli(capsys, ["verify", "--random", "20", "--seed", "3",
+                                 "--tol", repr(tol)])
+    specs = cli.random_specs(20, 3)
+    assert out == "".join(cli.report_line(verify_point(s, tol)) + "\n" for s in specs)
 
 
 _SPEC = IntegrandSpec(n=3.0, p=1.0, theta=1.0, zeta=1.0)

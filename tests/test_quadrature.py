@@ -245,6 +245,14 @@ def test_x_outside_each_rules_range_refused(rule, X):
     assert str(info.value) == f"X must lie in (0, 1], got {X}"
 
 
+@pytest.mark.parametrize("rule", ["tanh-sinh", "gauss"])
+@pytest.mark.parametrize("X", [None, 0.0, -1.0, 1.5, math.nan])
+def test_x_domain_refuses_an_upper_limit_outside_its_range(X, rule):
+    # None is _x_kernel_args' whole-line sentinel, not an upper limit
+    with pytest.raises(ValueError, match="X must lie in"):
+        quad_x_domain(IntegrandSpec(1, 0.5, PI / 2, PI / 2), X, rule=rule)
+
+
 def test_quad_cos_log_keeps_a_complex_b_at_q_zero(monkeypatch):
     # _x_kernel_args' b is the float 0.0 at q = 0; quad_cos_log passes the
     # kernel b = i*q/n, complex for every q, so its values keep their bits
