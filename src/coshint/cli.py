@@ -14,11 +14,10 @@ columns follow it.  Sweeps evaluate the whole grid in one process,
 each route that has a block form as one block: table with
 coshint.verify.verify_points, and verify with coshint.verify.verify_rows,
 which gives each spec's report values as a plain row, so that verify
-builds no report per spec (nor a normalized form or domain status for
-a Valid spec with a float p).  Output rows follow input order
-and each equals the single-spec report, so identical flags and seed
-give byte-identical output.  --threads is still accepted but has no
-effect.
+builds no report, normalized form or domain status per spec.  Output
+rows follow input order and each equals the single-spec report, so
+identical flags and seed give byte-identical output.  --threads is
+still accepted but has no effect.
 
 One writer holds the report line's key layout: _line, one f-string over
 a row's values in report_to_dict's key order, byte for byte equal to
@@ -61,19 +60,20 @@ from .verify import (
     AGREE_TOL,
     ROUTES,
     EvalReport,
-    Verdict,
     paradox_imaginary_n,
     paradox_periodicity,
     random_specs,
     verify_point,
     verify_points,
+    rows_disagree,
     verify_rows,
 )
 
 _USAGE_ERROR = 2
 # The most specs one `coshint table` sweep or `coshint verify --random`
-# run may hold; a larger one exits 2 before any list is built.  A million
-# specs' reports take about 1.5 GB.
+# run may hold; a larger one exits 2 before any list is built.  A run
+# holds every spec at once, with its report (table) or its row and
+# output line (verify).
 MAX_SWEEP_SPECS = 1_000_000
 
 
@@ -311,8 +311,7 @@ def cmd_verify(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    disagree = Verdict.DISAGREE.value
-    return 1 if any(row[-2] == disagree for row in rows) else 0  # row[-2]: the verdict
+    return 1 if rows_disagree(rows) else 0
 
 
 def cmd_decompose(args) -> int:

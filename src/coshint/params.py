@@ -107,7 +107,6 @@ class ScaleCheck:
 
 
 _THETA_PI_TOL = 1e-12
-_VALID_DETAIL = "inside the validity region"  # classify_domain's detail of a Valid spec
 
 
 def _theta_mod(theta: float) -> tuple[float, bool]:
@@ -141,19 +140,11 @@ def canonicalize_theta(theta: float) -> tuple[float, bool]:
 def normalize(spec: IntegrandSpec) -> NormalizedForm:
     """Map a spec to its t-domain form (a, b, c, scale).
 
-    Purely arithmetic: theta is reduced mod 2*pi but no domain check is
-    applied (a spec with theta = 0 normalizes to the boundary a = pi).
+    Purely arithmetic: theta is reduced mod 2*pi and no spec is refused
+    (a spec with theta = 0 normalizes to the boundary a = pi).
     """
-    theta_c, _ = _theta_mod(spec.theta)
-    b = spec.p / spec.n
-    if isinstance(b, complex) and b.imag == 0.0:
-        b = b.real
-    return NormalizedForm(
-        a=math.pi - theta_c,
-        b=b,
-        c=math.pi - spec.zeta,
-        scale=1.0 / spec.n,
-    )
+    a, b, c, scale, _, _ = form_and_kind(spec)
+    return NormalizedForm(a=a, b=b, c=c, scale=scale)
 
 
 def denormalize(form: NormalizedForm, upper: float = 1.0) -> IntegrandSpec:
@@ -178,29 +169,40 @@ def classify_domain(spec: IntegrandSpec) -> DomainStatus:
     canonicalization), then BOUNDARY_A (theta = pi, served by the
     repeated-root limit), else VALID.
     """
+    *_, kind, detail = form_and_kind(spec)
+    return DomainStatus(DomainKind(kind), detail)
+
+
+_SINGULAR_THETA, _EXCLUDED, _PARADOX_ONLY, _BOUNDARY_A, _VALID = (
+    kind.value for kind in (DomainKind.SINGULAR_THETA, DomainKind.EXCLUDED,
+                            DomainKind.PARADOX_ONLY, DomainKind.BOUNDARY_A, DomainKind.VALID))
+
+
+def form_and_kind(spec: IntegrandSpec) -> tuple:
+    """normalize's and classify_domain's values as one plain tuple
+    (a, b, c, scale, kind, detail), kind being the DomainKind's value:
+    the one copy of both, which the verify rows use without building
+    the NormalizedForm or the DomainStatus.
+    """
     theta_c, shifted = _theta_mod(spec.theta)
+    b = spec.p / spec.n
+    if isinstance(b, complex) and b.imag == 0.0:
+        b = b.real
+    form = (math.pi - theta_c, b, math.pi - spec.zeta, 1.0 / spec.n)
     if theta_c == 0.0:
-        return DomainStatus(
-            DomainKind.SINGULAR_THETA,
-            f"theta={spec.theta!r} is congruent to 0 mod 2*pi; value is infinite",
-        )
+        return (*form, _SINGULAR_THETA,
+                f"theta={spec.theta!r} is congruent to 0 mod 2*pi; value is infinite")
     re_p = _real_or_complex(spec.p).real
     if abs(re_p) >= spec.n:
-        return DomainStatus(
-            DomainKind.EXCLUDED,
-            f"Re(p)-n = {abs(re_p) - spec.n!r} >= 0: improper fraction, divergent at x=0",
-        )
+        return (*form, _EXCLUDED,
+                f"Re(p)-n = {abs(re_p) - spec.n!r} >= 0: improper fraction, divergent at x=0")
     if shifted:
-        return DomainStatus(
-            DomainKind.PARADOX_ONLY,
-            f"theta={spec.theta!r} lies outside (0, 2*pi); canonicalize before evaluating",
-        )
+        return (*form, _PARADOX_ONLY,
+                f"theta={spec.theta!r} lies outside (0, 2*pi); canonicalize before evaluating")
     if abs(theta_c - math.pi) <= _THETA_PI_TOL:
-        return DomainStatus(
-            DomainKind.BOUNDARY_A,
-            "theta = pi: repeated denominator roots, use the limit formula",
-        )
-    return DomainStatus(DomainKind.VALID, _VALID_DETAIL)
+        return (*form, _BOUNDARY_A,
+                "theta = pi: repeated denominator roots, use the limit formula")
+    return (*form, _VALID, "inside the validity region")
 
 
 def rescale(spec: IntegrandSpec, lam: float) -> ScaleCheck:

@@ -602,10 +602,7 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
 def _x_rule(spec: IntegrandSpec, X: float) -> tuple:
     """(rule, _t_kernel arguments, geometry) of the x-domain integral from
     0 to X, X in (0, 1] or inf: the one place that picks a range's map.
-    Raises what _x_kernel_args raises, and ValueError for X = None
-    (which _x_kernel_args takes as the whole line)."""
-    if X is None:
-        raise ValueError("X must lie in (0, 1] or be inf, got None")
+    Raises what _x_kernel_args raises."""
     b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, None if X == math.inf else X)
     if s_x is None:  # the whole line
         rule = _sinh_lines
@@ -639,11 +636,11 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     ``rule="gauss"`` integrates it with Gauss-Legendre panels, for X in
     (0, 1].  This is the one-row call of quad_x_domain_many's blocks.
     """
+    if X is None:  # _x_kernel_args' whole-line sentinel, not an upper limit
+        raise ValueError("X must lie in (0, 1], got None")
     if rule == "tanh-sinh":
         lines, params, geometry = _x_rule(spec, X)
         return _one_row(lines(_t_kernel, params, geometry), spec.n)
-    if X is None:  # _x_kernel_args' whole line, which the Gauss panels do not cover
-        raise ValueError("X must lie in (0, 1], got None")
     b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "gauss":
         f = _t_kernel(b, cos_c, sin2_half)

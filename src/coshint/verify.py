@@ -31,9 +31,6 @@ from enum import Enum
 from .closed_form import _master_raw, eval_master, master_value
 from .errors import CoshintError
 from .params import (
-    _THETA_PI_TOL,
-    _VALID_DETAIL,
-    TWO_PI,
     DomainKind,
     DomainStatus,
     IntegrandSpec,
@@ -41,6 +38,7 @@ from .params import (
     _real_or_complex,
     _theta_mod,
     classify_domain,
+    form_and_kind,
     normalize,
 )
 from .partial_fractions import (
@@ -92,7 +90,7 @@ class ParadoxReport:
 
 
 # Route preconditions.  Each route function raises when its own fails,
-# and _report does not call a route whose precondition fails.
+# and _row does not call a route whose precondition fails.
 
 
 def _summed_upper(spec: IntegrandSpec) -> bool:
@@ -294,6 +292,11 @@ def verify_rows(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[tupl
     return [_row(s, tol, given) for s, given in zip(specs, zip(*columns))]
 
 
+def rows_disagree(rows: list[tuple]) -> bool:
+    """Whether some row of verify_rows has the verdict Disagree."""
+    return any(row[-2] == _DISAGREE for row in rows)  # row[-2]: the verdict's value
+
+
 # A block column's entry for a spec that the route does not admit, which
 # _row leaves out as it does a route's error, without testing again.
 _NOT_ADMITTED = CoshintError("the route's precondition fails")
@@ -312,7 +315,6 @@ def _block_column(route: Route, specs: list[IntegrandSpec], tol: float) -> list:
     return column
 
 
-_VALID = DomainKind.VALID.value
 _PARADOX_ONLY = DomainKind.PARADOX_ONLY.value
 _UNEVALUATED = (DomainKind.SINGULAR_THETA.value, DomainKind.EXCLUDED.value)
 _AGREE, _DISAGREE, _SKIPPED = Verdict.AGREE.value, Verdict.DISAGREE.value, Verdict.SKIPPED.value
@@ -325,11 +327,9 @@ def _row(spec: IntegrandSpec, tol: float, given: tuple) -> tuple:
     per route of ROUTES, a block's result for the spec (a value or the
     route's error), or None.
 
-    A spec with a float p that classify_domain would call Valid (theta
-    in (0, 2*pi) and off pi, |p| < n), the common row, gets normalize's
-    values here by the same operations; any other spec takes normalize
-    and classify_domain.  One pass over ROUTES then collects each
-    route's value, or None.  A route with no result yet is called only
+    The normalized form and the domain come from form_and_kind, as
+    plain values.  One pass over ROUTES then collects each route's
+    value, or None.  A route with no result yet is called only
     when the spec meets its precondition, checked once.  A route that is
     called may still raise (a near pole, an unreachable tolerance, ...),
     and is then left out.  max_abs_err is the largest pairwise
@@ -337,20 +337,13 @@ def _row(spec: IntegrandSpec, tol: float, given: tuple) -> tuple:
     min, the same bits, since rounding is monotone.
     """
     n, p, theta, zeta, upper = spec.n, spec.p, spec.theta, spec.zeta, spec.upper
-    if (type(p) is float and 0.0 < theta < TWO_PI and abs(p) < n
-            and abs(theta - math.pi) > _THETA_PI_TOL):
-        form = (math.pi - theta, p / n, math.pi - zeta, 1.0 / n)
-        kind, detail = _VALID, _VALID_DETAIL
-    else:
-        nf = normalize(spec)
-        domain = classify_domain(spec)
-        form = (nf.a, nf.b, nf.c, nf.scale)
-        kind, detail = domain.kind.value, domain.detail
-        if kind in _UNEVALUATED:
-            return (n, p, theta, zeta, upper, *form, kind, detail,
-                    *_NO_RESULTS, 0.0, _SKIPPED, detail)
+    a, b, c, scale, kind, detail = form_and_kind(spec)
+    form = (a, b, c, scale)
+    if kind in _UNEVALUATED:
+        return (n, p, theta, zeta, upper, *form, kind, detail,
+                *_NO_RESULTS, 0.0, _SKIPPED, detail)
     if kind == _PARADOX_ONLY:
-        paths = _paradox_only_paths(spec, nf)
+        paths = _paradox_only_paths(spec, NormalizedForm(*form))
         results = [paths.get(route.name) for route in ROUTES]
     else:
         results = []

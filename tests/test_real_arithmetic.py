@@ -3,8 +3,7 @@
 eval_master evaluates exact float a and b with math, and the real-p
 predicates answer an exact float or int without complex().  Each test
 here compares such a fast path against the complex() form of the same
-arguments, verify._row's common row against normalize, classify_domain
-and closed_value, and its max - min verdict against the pairwise
+arguments, and verify._row's max - min verdict against the pairwise
 maximum it stands for.
 """
 
@@ -208,44 +207,6 @@ def test_max_abs_err_on_random_route_values(monkeypatch):
         report = verify.verify_point(SPEC, 1e-9)
         expected = _pairwise(values)
         assert repr(report.max_abs_err) == repr(expected), values
-
-
-# ---------------------------------------------------------------------------
-# the row core's common row against normalize, classify_domain and closed_value
-
-_LEFT_OUT = CoshintError("left out")  # a block's error: _row calls no route but closed
-
-
-def _core_grid():
-    specs = []
-    for n in (1.0, 2.5, 3.0):
-        for p in (0.0, -0.0, 0.7, -n, n, math.nextafter(n, 0.0), 1, np.float64(0.7),
-                  0.5j, 0.3 + 0.1j):
-            for theta in (1e-3, 1.0, 3, PI - 2e-12, PI - 1e-12, PI, PI + 1e-12, PI + 2e-12,
-                          5.0, math.nextafter(2 * PI, 0.0), 2 * PI, 0.0, -1.0, 7.0):
-                for upper in (1.0, math.inf, 0.5):
-                    specs.append(IntegrandSpec(n, p, theta, 1.2, upper))
-    return specs + [IntegrandSpec(np.float64(2.0), 0.5, 1.0, 1.2),
-                    IntegrandSpec(2, 0.5, 1.0, 1.2),
-                    IntegrandSpec(2.0, 0.5, np.float64(1.0), np.float64(1.2)),
-                    IntegrandSpec(2.0, True, 1.0, 1.2)]
-
-
-@pytest.mark.parametrize("name", [*WORKLOADS, "edge"])
-def test_row_core_gives_normalize_classify_domain_and_closed_value(workload, name):
-    specs = _core_grid() if name == "edge" else workload(name, 1)
-    kinds = set()
-    for spec in specs:
-        row = verify._row(spec, 1e-9, (None, _LEFT_OUT, _LEFT_OUT, _LEFT_OUT))
-        report = verify._report(spec, row)
-        assert repr(report.normalized) == repr(normalize(spec))
-        assert report.domain == classify_domain(spec)
-        kinds.add(report.domain.kind.value)
-        if report.domain.kind.value in ("valid", "boundary-a"):
-            closed = _outcome(verify.closed_value, spec)
-            assert repr(report.closed) == (closed if isinstance(closed, str) else "None")
-    if name == "edge":
-        assert kinds == {"valid", "boundary-a", "singular-theta", "excluded", "paradox-only"}
 
 
 # ---------------------------------------------------------------------------
