@@ -10,14 +10,14 @@ paradox that failed to manifest, 2 usage or domain errors.
 
 The routes, their names and when each applies come from
 coshint.verify.ROUTES: eval --method, the report keys and the table
-columns follow it.  Sweeps evaluate the whole grid in one process,
-each route that has a block form as one block: table with
-coshint.verify.verify_points, and verify with coshint.verify.verify_rows,
-which gives each spec's report values as a plain row, so that verify
-builds no report, normalized form or domain status per spec.  Output
-rows follow input order and each equals the single-spec report, so
-identical flags and seed give byte-identical output.  --threads is
-still accepted but has no effect.
+columns follow it.  Sweeps evaluate the whole grid in one process, with
+every route's block form run once over it, through
+coshint.verify.verify_rows, which gives each spec's report values as a
+plain row, so that neither table nor verify builds a report,
+normalized form or domain status per spec.  Output rows follow input
+order and each equals the single-spec report, so identical flags and
+seed give byte-identical output.  --threads is still accepted but has
+no effect.
 
 One writer holds the report line's key layout: _line, one f-string over
 a row's values in report_to_dict's key order, byte for byte equal to
@@ -25,7 +25,8 @@ json.dumps(report_to_dict(report)) without building the dicts or
 running the json encoder.  verify writes each row with it, and
 report_line, which eval --json uses, is its one-row call.
 report_to_dict stays the dict form of a report and the reference that
-the writer is tested against.
+the writer is tested against.  table writes each row's CSV cells with
+_csv_row, which takes the row as _line does.
 
 main() parses with one parser per process, built on its first call:
 building it costs about 2 ms (53 add_argument calls), so a caller that
@@ -64,7 +65,6 @@ from .verify import (
     paradox_periodicity,
     random_specs,
     verify_point,
-    verify_points,
     rows_disagree,
     verify_rows,
 )
@@ -358,6 +358,17 @@ def _csv_cell(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
+def _csv_row(n, p, theta, zeta, upper, a, b, c, scale, kind, detail,
+             closed, pf, quad, series, max_abs_err, verdict, reason) -> list[str]:
+    """The table's CSV cells of one verify_rows row (_line's signature)."""
+    p = complex(p)
+    if reason is not None:
+        verdict = f"{verdict}: {reason}"
+    return [repr(n), repr(p.real), repr(p.imag), repr(theta), repr(zeta),
+            format_upper(upper), kind, _csv_cell(closed), _csv_cell(pf), _csv_cell(quad),
+            _csv_cell(series), repr(max_abs_err), verdict]
+
+
 def cmd_table(args) -> int:
     try:
         counts = [_grid_range(text)[2] if ":" in text else 1
@@ -376,23 +387,12 @@ def cmd_table(args) -> int:
                  for zeta in zetas]
     except (CoshintError, ValueError) as exc:
         return _fail(f"bad sweep: {exc}")
-    reports = verify_points(specs, args.tol)
+    rows = verify_rows(specs, args.tol)
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(_CSV_HEADER)
-        for r in reports:
-            p = complex(r.spec.p)
-            verdict = r.verdict.value
-            if r.reason is not None:
-                verdict = f"{verdict}: {r.reason}"
-            writer.writerow([
-                repr(r.spec.n), repr(p.real), repr(p.imag),
-                repr(r.spec.theta), repr(r.spec.zeta),
-                format_upper(r.spec.upper), r.domain.kind.value,
-                *(_csv_cell(getattr(r, route.name)) for route in ROUTES),
-                repr(r.max_abs_err), verdict,
-            ])
+        writer.writerows(_csv_row(*row) for row in rows)
     finally:
         if args.out:
             out.close()

@@ -21,7 +21,9 @@ eval_master and master_value evaluate real arguments (a and b both
 exact floats, as verify's closed route passes them) with math, and
 complex ones with cmath.  The two give the same bits: with zero
 imaginary parts, CPython's complex products, quotients and cmath.sin
-round their real parts as the float operations do.
+round their real parts as the float operations do.  master_value_many
+is master_value's real path for a block of rows, as numpy columns,
+bit for bit: verify's closed route runs a grid through it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import DomainError, NearPoleError
 
@@ -60,6 +64,13 @@ def _sinc(z: complex | float) -> complex | float:
     if isinstance(z, complex):
         return cmath.sin(z) / z
     return math.sin(z) / z
+
+
+def _sinc_many(z: np.ndarray) -> np.ndarray:
+    """_sinc, elementwise on real z."""
+    z2 = z * z
+    return np.where(np.abs(z) < _TAYLOR_RADIUS, 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0),
+                    np.sin(z) / z)
 
 
 def _sinhc(z: complex | float) -> complex | float:
@@ -124,6 +135,27 @@ def master_value(a: complex | float, b: complex | float, c: float, *,
     if not math.isfinite(c):
         raise DomainError(f"c must be finite, got {c}")
     return _master_raw(a, b, c, theta)
+
+
+def master_value_many(a, b, c, theta) -> tuple[np.ndarray, np.ndarray]:
+    """master_value(a[i], b[i], c[i], theta=theta[i]) for rows of real
+    floats, and whether _check_strip admits each row.
+
+    The values of refused rows are meaningless; the caller passes those
+    rows to master_value, which raises for them.  An admitted row's value
+    equals master_value's bit for bit: each step is _master_raw's IEEE
+    operation in its order on the float path, both of its branches taken
+    by np.where, and np.sin and np.cos are libm's on these arguments
+    (tests/test_series.py pins that).
+    """
+    with np.errstate(all="ignore"):  # refused rows and the branch np.where drops
+        pi_b = math.pi * b
+        ok = (np.isfinite(a) & np.isfinite(b) & (np.abs(a) < math.pi) & (np.abs(b) < 1.0)
+              & ~((np.abs(np.sin(pi_b)) < EPS_POLE) & (np.abs(b) >= EPS_LIMIT))
+              & np.isfinite(c))
+        top = _sinc_many(a * b) / _sinc_many(pi_b) + np.cos(c)
+        value = np.where(np.abs(a) >= 1.0, top * a / np.sin(theta), top / _sinc_many(a))
+    return value, ok
 
 
 def eval_master(a: complex | float, b: complex | float, c: float, *,

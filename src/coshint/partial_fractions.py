@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import _TAYLOR_RADIUS, _sinc, eval_theta_pi_limit
+from .closed_form import _sinc, _sinc_many, eval_theta_pi_limit
 from .errors import (
     BranchError,
     DomainError,
@@ -281,13 +281,6 @@ def _closed_many(n, p, theta, zeta, upper) -> np.ndarray:
     return np.where(upper == math.inf, 2.0, 1.0) * value
 
 
-def _sinc_many(z: np.ndarray) -> np.ndarray:
-    """closed_form._sinc, elementwise on real z."""
-    z2 = z * z
-    return np.where(np.abs(z) < _TAYLOR_RADIUS, 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0),
-                    np.sin(z) / z)
-
-
 def middle_term_integral(n: float, theta: float) -> float:
     """Integral of x**(n-1)/(x**(2n) - 2*x**n*cos(theta) + 1) from 0 to 1.
 
@@ -305,6 +298,16 @@ def middle_term_integral(n: float, theta: float) -> float:
     # sin(a) would lose the digits that rounding pi - theta drops as theta
     # nears 0 or 2*pi (a relative error of about 3e-16/theta)
     return a / (2.0 * n * math.sin(theta))
+
+
+def _middle_term_many(n: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """middle_term_integral, elementwise, for rows that it does not refuse:
+    its two branches by np.where, each with the scalar's operations in
+    their order."""
+    a = math.pi - theta
+    with np.errstate(all="ignore"):  # sinc's 0/0 on the branch np.where drops
+        return np.where(np.abs(a) < 1.0, 1.0 / (2.0 * n * _sinc_many(a)),
+                        a / (2.0 * n * np.sin(theta)))
 
 
 def squared_denominator_identity(n: float, p: float, X: float) -> tuple[float, float]:

@@ -43,9 +43,11 @@ one-row oracles), which pays only its own numpy calls on 1-D arrays, or
 a (rows x nodes) block in chunks of rows: quad_x_domain_many runs one
 block per map and kind of p over each spec's own range
 (quad_x_domain_infinite_many over (0, inf)) and returns, bit for bit,
-what the one-row calls return for each.  Each map hands the even kernel
--|s| directly, exactly (IEEE negation is exact), so the kernel takes no
-absolute value.
+what the one-row calls return for each; its row core, _x_domain_rows,
+gives each row's fields as a plain tuple, which verify reads.  Each map
+hands the even kernel -|s| directly, exactly (IEEE negation is exact),
+so the kernel takes no absolute value, and the whole line's map, whose
+samples at s and -s are equal, runs the kernel once per |s|.
 """
 
 from __future__ import annotations
@@ -205,15 +207,20 @@ def integrate_half_line(f, start: float, decay: float) -> QuadResult:
     return _result(*_half_line(f, start, decay))
 
 
-def _result(value, err, evaluations: int, n: float | None = None) -> QuadResult:
-    """The QuadResult of a rule's value and level difference ``err``; given
-    n, of the x-domain integral: the s-domain one scaled by the
-    substitution's factor 1/n, real (for an imaginary b, e^((1 -+ b)*s)
-    are conjugates)."""
+def _values(value, err, evaluations: int, n: float | None = None) -> tuple:
+    """QuadResult's fields, as a plain tuple, of a rule's value and level
+    difference ``err``; given n, of the x-domain integral: the s-domain
+    one scaled by the substitution's factor 1/n, real (for an imaginary b,
+    e^((1 -+ b)*s) are conjugates)."""
     err = float(err + 1e-16 * abs(value))
     if n is not None:
         value, err = value.real / n, err / n
-    return QuadResult(value=value, abs_err_estimate=err, evaluations=evaluations)
+    return value, err, evaluations
+
+
+def _result(*rule) -> QuadResult:
+    """The QuadResult of _values(*rule)."""
+    return QuadResult(*_values(*rule))
 
 
 def _one_row(rows: list, n: float | None = None) -> QuadResult:
@@ -289,35 +296,40 @@ def _round_plan(starts: tuple, h0: float, last: int) -> tuple:
             tuple(h0 / (1 << lev) for lev in levels), coarse)
 
 
-def _samples(f, place, geometry, table) -> tuple:
+def _samples(f, place, geometry, table, order) -> tuple:
     """The samples w*f at a round's nodes, by slices of at most _CHUNK
-    nodes, and the rows' factor; place and kernel work element by
-    element, so the slices give the bits of one call."""
+    nodes, in table order (taken by ``order`` when it is not None), and
+    the rows' factor; place and kernel work element by element, so the
+    slices give the bits of one call."""
     size = table[0].size
     if size <= _CHUNK:
         ns, w, factor = place(*geometry, *table)
-        return w * f(ns), factor
-    parts = []
-    for at in range(0, size, _CHUNK):
-        ns, w, factor = place(*geometry, *(t[at:at + _CHUNK] for t in table))
-        parts.append(w * f(ns))
-    return np.concatenate(parts, axis=-1), factor
+        g = w * f(ns)
+    else:
+        parts = []
+        for at in range(0, size, _CHUNK):
+            ns, w, factor = place(*geometry, *(t[at:at + _CHUNK] for t in table))
+            parts.append(w * f(ns))
+        g = np.concatenate(parts, axis=-1)
+    return (g if order is None else g.take(order, axis=-1)), factor
 
 
-def _round_sums(kernel, params, place, geometry, table, starts, bounds) -> list:
+def _round_sums(kernel, params, place, geometry, table, order, nodes, starts,
+                bounds) -> list:
     """Per row of a block, the sums of a round's samples over each
     segment, of their magnitudes over each tested level, and the row's
     factor.  A lone row is sampled in one piece; a block by chunks of
-    rows that keep each call within _CHUNK elements."""
+    rows that keep each table of the round's ``nodes`` samples within
+    _CHUNK elements."""
     if not isinstance(geometry[0], np.ndarray):  # a lone row
-        g, factor = _samples(kernel(*params), place, geometry, table)
+        g, factor = _samples(kernel(*params), place, geometry, table, order)
         return [(np.add.reduceat(g, starts).tolist(),
                  np.add.reduceat(np.abs(g), bounds).tolist(), factor)]
-    step = max(1, _CHUNK // table[0].size)
+    step = max(1, _CHUNK // nodes)
     sums = []
     for lo in range(0, len(geometry[0]), step):
         g, factor = _samples(kernel(*[c[lo:lo + step] for c in params]), place,
-                             [c[lo:lo + step] for c in geometry], table)
+                             [c[lo:lo + step] for c in geometry], table, order)
         sums += zip(np.add.reduceat(g, starts, axis=1).tolist(),
                     np.add.reduceat(np.abs(g), bounds, axis=1).tolist(),
                     np.ravel(factor).tolist())
@@ -325,8 +337,8 @@ def _round_sums(kernel, params, place, geometry, table, starts, bounds) -> list:
 
 
 @np.errstate(all="ignore")  # inf or NaN sums stay quiet: the stopping test refuses them
-def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
-                    last_level: int) -> list[tuple | BudgetExceededError]:
+def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, last_level: int,
+                    order=None) -> list[tuple | BudgetExceededError]:
     """The trapezoid rule on nested halvings of h for each row of a block.
 
     Row r integrates kernel(*params_r) over its map's s-range.  Each
@@ -337,7 +349,12 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
     kernel's argument at the nodes (-|s| for the even _t_kernel, s for
     integrate_real_line's f), the weights ds/dt there (times a trapezoid
     weight the table may carry) divided by the row's factor, and that
-    factor, which the stopping test applies.  ``params`` and
+    factor, which the stopping test applies.  ``order(level)``, when
+    given, is the index into the stage's nodes of each node of the rule's
+    table: the stage then holds each distinct sample once (the whole
+    line's, whose samples at tau and -tau are equal), and the samples are
+    taken into table order before they are summed, so the sums are the
+    full table's, bit for bit.  ``params`` and
     ``geometry`` are per-row columns of shape (rows, 1), or for a lone
     row the values themselves, which round as its columns would: its
     kernel gets 1-D arrays and the row skips the block's chunking.
@@ -346,7 +363,8 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
     <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*A_h), with A_h the
     rule's sum for the integrand's magnitude, and both are finite.  It
     gets (S_h, |S_h - S_2h|, evaluations), the evaluations counting the
-    nodes evaluated for it, every node of its last round included; a row
+    nodes of the rule's table up to its last round, each node of that
+    round included (a node the stage holds once for two counts twice); a row
     still open after last_level gets a BudgetExceededError.  The test
     runs on Python floats, which round as float64 does, and a block
     returns bit for bit what each row does alone.
@@ -359,9 +377,12 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
     for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
         *table, starts = stage(last)
         starts, bounds, steps, coarse = _round_plan(starts, h0, last)
-        used += table[0].size
+        take = None if order is None else order(last)
+        nodes = table[0].size if take is None else take.size
+        used += nodes
         keep, kept = [], []
-        sums = _round_sums(kernel, params, place, geometry, table, starts, bounds)
+        sums = _round_sums(kernel, params, place, geometry, table, take, nodes, starts,
+                           bounds)
         for i, (parts, absums, factor) in enumerate(sums):
             total, mass = (parts[0], 0.0) if coarse else state[i]
             for h, new, absum in zip(steps, parts[coarse:], absums):
@@ -460,6 +481,23 @@ def _sinh_stage(level: int) -> tuple[np.ndarray, tuple]:
 
 
 @functools.cache
+def _line_stage(level: int) -> tuple[np.ndarray, tuple]:
+    """The distinct offsets |tau| of _sinh_stage(level)'s nodes, ascending,
+    and that stage's segment starts, which hold for the samples once they
+    are taken into its order (_line_order).  The stage's tau are exact
+    multiples of its step, so tau and -tau are exact negatives."""
+    tau, starts = _sinh_stage(level)
+    return np.array(sorted(set(np.abs(tau).tolist()))), starts
+
+
+@functools.cache
+def _line_order(level: int) -> np.ndarray:
+    """The index in _line_stage(level)'s offsets of each node of
+    _sinh_stage(level)."""
+    return np.searchsorted(_line_stage(level)[0], np.abs(_sinh_stage(level)[0]))
+
+
+@functools.cache
 def _folded_stage(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Unit offsets tau in [0, 1] of the nodes of the folded map's kernel
     round ending at ``level``, their trapezoid weights (1/2 at tau = 0, 1
@@ -475,9 +513,12 @@ def _sinh_place(scale, span, tau):
 
 
 def _line_place(scale, span, tau):
-    # -|s| = (-scale)*|sinh(u)| exactly, scale being positive
+    # tau = |tau| >= 0, so -|s| = (-scale)*sinh(u) exactly, scale being
+    # positive; at -tau, u = span*(-tau) is -u exactly, and numpy's sinh is
+    # odd and its cosh even there (tests/test_series.py pins both), so
+    # -|s| and the weight are the same bits on both sides
     u = span * tau
-    return (-scale) * np.abs(np.sinh(u)), np.cosh(u), scale * span
+    return (-scale) * np.sinh(u), np.cosh(u), scale * span
 
 
 def _folded_place(scale, span, tau, weight):
@@ -488,9 +529,18 @@ def _folded_place(scale, span, tau, weight):
 
 def _sinh_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
     """The sinh map's rule for the even kernel(*params) over the real
-    line, per row; ``geometry`` is (scale, span)."""
-    return _trapezoid_rows(kernel, params, _line_place, geometry, _sinh_stage,
-                           _SINH_H0, _SINH_LEVELS)
+    line, per row; ``geometry`` is (scale, span).
+
+    The map is odd in tau and the kernel even in s, so the samples at tau
+    and -tau are the same bits: each round places its nodes and runs the
+    kernel once per |tau| (_line_stage), 65 nodes in the first round, and
+    takes the samples into _sinh_stage's order (_line_order) before its
+    sums, which add the same samples in the same order as the full table.
+    The evaluations still count the full table's nodes, 129 in the first
+    round: the rule's work, not the kernel's.
+    """
+    return _trapezoid_rows(kernel, params, _line_place, geometry, _line_stage,
+                           _SINH_H0, _SINH_LEVELS, _line_order)
 
 
 def _folded_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
@@ -632,7 +682,9 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     for s_X > 0.  The whole line's nodes on either side of s = 0 are the
     folded map's |s| values, so the X = inf value is twice a folded sum
     added in another order, not a check of the X = 1 value independent
-    of it;
+    of it.  At X = inf the kernel runs once per |s| (_sinh_lines), and
+    ``evaluations`` counts the rule's nodes on both sides, each sample
+    it adds;
     ``rule="gauss"`` integrates it with Gauss-Legendre panels, for X in
     (0, 1].  This is the one-row call of quad_x_domain_many's blocks.
     """
@@ -648,12 +700,14 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
 
 
-def _x_domain_block(specs: list[IntegrandSpec],
-                    uppers: list[float]) -> list[QuadResult | Exception]:
+def _x_domain_rows(specs: list[IntegrandSpec], uppers: list[float]) -> list[tuple | Exception]:
     """quad_x_domain(spec, X) for every spec and its X in ``uppers``, as
     one block per rule and kind of p (a complex b column would change the
-    rounding of real rows): each spec's QuadResult or error, in order."""
-    out: list[QuadResult | Exception | None] = [None] * len(specs)
+    rounding of real rows): in order, each spec's error, or its
+    QuadResult's fields (value, abs_err_estimate, evaluations) as a plain
+    tuple, which verify's quadrature block reads without building the
+    QuadResult."""
+    out: list[tuple | Exception | None] = [None] * len(specs)
     blocks: dict[tuple, list] = {}  # (rule, imaginary p): rows
     for i, (spec, X) in enumerate(zip(specs, uppers)):
         try:
@@ -668,8 +722,15 @@ def _x_domain_block(specs: list[IntegrandSpec],
         cols = [np.array(col)[:, None] for col in cols]
         results = lines(_t_kernel, cols[:3], cols[3:])
         for i, res in zip(rows, results):
-            out[i] = res if isinstance(res, Exception) else _result(*res, specs[i].n)
+            out[i] = res if isinstance(res, Exception) else _values(*res, specs[i].n)
     return out
+
+
+def _x_domain_block(specs: list[IntegrandSpec],
+                    uppers: list[float]) -> list[QuadResult | Exception]:
+    """_x_domain_rows with a QuadResult for each row it serves."""
+    return [row if isinstance(row, Exception) else QuadResult(*row)
+            for row in _x_domain_rows(specs, uppers)]
 
 
 def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:

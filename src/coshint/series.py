@@ -29,11 +29,14 @@ cannot honestly beat that, and a tolerance the bound cannot meet within
 MAX_TERMS terms is refused without summing.
 
 series_contracted_many is series_contracted for a block of rows, as
-numpy columns; verify.verify_points runs a grid's series route through
-it when the grid has verify._SERIES_BLOCK_ROWS series rows or more.  It
-serves every row whose K - 1 terms fit in _WIDTH, whether the driver
-sums them in its plain loop or in one numpy chunk, equal to the scalar
-call bit for bit, and leaves every other row to the scalar call.
+numpy columns.  It serves every row whose K - 1 terms fit in _WIDTH,
+whether the driver sums them in its plain loop or in one numpy chunk,
+equal to the scalar call bit for bit, and leaves every other row to the
+scalar call.  verify.verify_points runs a grid's series route through
+its row core, _contracted_rows, which gives the served rows as columns,
+when the grid has verify._SERIES_BLOCK_ROWS series rows or more, and
+leaves the rows past the loop to the scalar call when there are fewer
+than verify._SERIES_FAR_ROWS of them.
 """
 
 from __future__ import annotations
@@ -451,15 +454,31 @@ def series_contracted_many(n, p, theta, tol: float) -> list[SeriesResult | None]
     from a zero column; from there each row's terms are one pairwise
     numpy sum (_pairwise_sums).
     """
-    n, p, theta = (np.asarray(x, dtype=float) for x in (n, p, theta))
     out: list[SeriesResult | None] = [None] * len(n)
+    for i, v, k, t in zip(*(x.tolist() for x in _contracted_rows(n, p, theta, tol))):
+        out[i] = SeriesResult(value=v, terms_used=k, tail_estimate=t, accelerated=True)
+    return out
+
+
+_NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0))
+
+
+def _contracted_rows(n, p, theta, tol: float, far_rows: int = 1) -> tuple:
+    """series_contracted_many's rows as columns: the index of each row it
+    serves, and their values, terms_used and tail_estimates.
+
+    Rows past the loop are served only where there are ``far_rows`` of
+    them or more: their search and sums (_far_stops, _pairwise_sums) cost
+    a block about as much as some scalar calls.
+    """
+    n, p, theta = (np.asarray(x, dtype=float) for x in (n, p, theta))
     if not tol >= TOL_FLOOR:
-        return out
+        return _NO_ROWS
     p_abs = np.abs(p)
     rows = np.flatnonzero((n > 0) & (THETA_EDGE < theta)
                           & (theta < 2.0 * math.pi - THETA_EDGE) & (p_abs < n))
     if not len(rows):
-        return out
+        return _NO_ROWS
     n, p, p_abs, theta = n[rows], p[rows], p_abs[rows], theta[rows]
     with np.errstate(all="ignore"):
         b = p / n
@@ -498,17 +517,15 @@ def series_contracted_many(n, p, theta, tol: float) -> list[SeriesResult | None]
         terms[:, 1:] = np.sin(k[:-1] * theta[loop, None]) * c[loop, :-1]
         total[loop] = np.cumsum(terms, axis=1)[np.arange(len(loop)), stop[loop] - 1]
         far = np.flatnonzero(ok & ~near)
-        if len(far):  # rows past the loop are rare away from the theta edges
+        if len(far) >= far_rows:  # rows past the loop are rare away from the theta edges
             stop[far], tail[far] = _far_stops(scale[far], budget[far], n[far],
                                               p_abs[far], b_abs[far])
             far = far[stop[far] > 0]
             total[far] = _pairwise_sums(stop[far], theta[far], n[far], p_abs[far], b_abs[far])
-        keep = np.flatnonzero(ok & (stop > 0))
+        keep = np.flatnonzero(ok & (stop > 0))  # a far row left has stop 0
         value = prefactor[keep] * (anchors[keep] + weight[keep] * total[keep])
         tail = tail[keep] + rounding[keep]
-    for i, v, k, t in zip(rows[keep].tolist(), value.tolist(), stop[keep].tolist(), tail.tolist()):
-        out[i] = SeriesResult(value=v, terms_used=k - 1, tail_estimate=t, accelerated=True)
-    return out
+    return rows[keep], value, stop[keep] - 1, tail
 
 
 def series_imaginary(n: float, q: float, theta: float, tol: float) -> SeriesResult:

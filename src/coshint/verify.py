@@ -3,9 +3,11 @@
 verify_point evaluates one spec by every admissible route of ROUTES
 (closed form, partial fractions, quadrature, accelerated series) and
 reports the worst pairwise disagreement; verify_points does the same for
-a grid, with each route's block form run once over the grid, and
+a grid, with every route's block form run once over the grid, and
 verify_rows gives its reports' values as plain rows, which the CLI
-writes without building the reports.  All three wrap one row core.  A
+writes without building the reports.  All three wrap one row core.
+The blocks hand back plain values: the quadrature and series blocks
+read their modules' row cores, not QuadResult or SeriesResult objects.  A
 route whose precondition (ROUTES) fails is not called at all: the route
 function raises from the same predicate, so the report is the one that
 trying it would give.  Disagreements never raise: callers and the test
@@ -28,9 +30,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .closed_form import _master_raw, eval_master, master_value
+import numpy as np
+
+from .closed_form import _master_raw, eval_master, master_value, master_value_many
 from .errors import CoshintError
 from .params import (
+    TWO_PI,
     DomainKind,
     DomainStatus,
     IntegrandSpec,
@@ -43,14 +48,15 @@ from .params import (
 )
 from .partial_fractions import (
     _as_int,
+    _middle_term_many,
     _is_int,
     integral_at,
     integral_closed,
     middle_term_integral,
     pf_value_many,
 )
-from .quadrature import quad_x_domain, quad_x_domain_many
-from .series import TOL_FLOOR, SeriesResult, series_contracted, series_contracted_many
+from .quadrature import _x_domain_rows, quad_x_domain
+from .series import TOL_FLOOR, SeriesResult, _contracted_rows, series_contracted
 
 
 # default largest route difference that counts as agreement (CLI --tol too)
@@ -191,6 +197,26 @@ def _paradox_only_paths(spec: IntegrandSpec, nf: NormalizedForm) -> dict[str, fl
     return values
 
 
+def _closed_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
+    """_closed_value of the specs from one master_value_many call, for
+    the specs whose b = p/n is a float and whose theta lies in (0, 2*pi)
+    (so theta is its own reduced angle); None (call _closed_value) for the
+    others and for the rows that the strip refuses, which it raises for.
+    Each step is _closed_value's IEEE operation in its order."""
+    out: list[float | None] = [None] * len(specs)
+    served = [(i, s.n, b, s.theta, s.zeta, s.upper) for i, s in enumerate(specs)
+              if type(b := s.p / s.n) is float and 0.0 < s.theta < TWO_PI]
+    if not served:
+        return out
+    rows, n, b, theta, zeta, upper = (np.array(col) for col in zip(*served))
+    value, ok = master_value_many(math.pi - theta, b, math.pi - zeta, theta)
+    with np.errstate(all="ignore"):  # a refused row's value may be inf or NaN
+        value = (np.where(upper == 1.0, 1.0, 2.0) * (1.0 / n)) * value
+    for i, v in zip(rows[ok].tolist(), value[ok].tolist()):
+        out[i] = v
+    return out
+
+
 def _pf_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
     """pf_value_many over the specs; see verify_points."""
     return pf_value_many([s.n for s in specs], [s.p for s in specs],
@@ -199,10 +225,10 @@ def _pf_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
 
 
 def _quad_block(specs: list[IntegrandSpec], tol: float) -> list:
-    """quad_value of every spec, as its value or error, from one
-    quad_x_domain_many call, which picks each row's map."""
-    return [result if isinstance(result, Exception) else result.value
-            for result in quad_x_domain_many(specs)]
+    """quad_value of every spec, as its value or error, from the rows of
+    quad_x_domain_many, which picks each row's map."""
+    return [row if isinstance(row, Exception) else row[0]
+            for row in _x_domain_rows(specs, [s.upper for s in specs])]
 
 
 # Blocks below this many rows go to series_value row by row: a block's
@@ -211,18 +237,34 @@ def _quad_block(specs: list[IntegrandSpec], tol: float) -> list:
 # two broke even at 16 to 20 rows of random_unit, near_edge and
 # integer_inf specs (min of 60 runs, one core, numpy 2.4).
 _SERIES_BLOCK_ROWS = 16
+# A block's rows of 24 terms or more go to series_value too when it has
+# fewer than this many: their search and sums (_far_stops, _pairwise_sums)
+# added 74-103 us to a 125-row random_unit block for 1 to 10 such rows
+# (near_edge rows of 26 to 64 terms), while series_value took 15-18 us
+# for each, so the two broke even at 6 rows (min of 25 runs, one core,
+# numpy 2.4).
+_SERIES_FAR_ROWS = 6
 
 
 def _series_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
-    """series_value from series_contracted_many's sums, for a block of
-    _SERIES_BLOCK_ROWS rows or more; None (call series_value) below."""
+    """series_value from the sums of series_contracted_many's rows, for a
+    block of _SERIES_BLOCK_ROWS rows or more, with _series_total's
+    epilogue as columns; None (call series_value) below, and for a row
+    that the block leaves.  A block serves its rows of 24 terms or more
+    only when it has _SERIES_FAR_ROWS of them."""
     if len(specs) < _SERIES_BLOCK_ROWS:
         return [None] * len(specs)
-    block = series_contracted_many([s.n for s in specs],
-                                   [abs(_real_or_complex(s.p).real) for s in specs],
-                                   [s.theta for s in specs], _series_tol(tol))
-    return [None if res is None else _series_total(s, _upper_factor(s), res)
-            for s, res in zip(specs, block)]
+    n, theta, zeta, upper = (np.array([getattr(s, name) for s in specs], dtype=float)
+                             for name in ("n", "theta", "zeta", "upper"))
+    p = [abs(_real_or_complex(s.p).real) for s in specs]
+    rows, contracted, _, _ = _contracted_rows(n, p, theta, _series_tol(tol), _SERIES_FAR_ROWS)
+    middle = _middle_term_many(n[rows], theta[rows])
+    value = (np.where(upper[rows] == 1.0, 1.0, 2.0)
+             * (contracted - 2.0 * np.cos(zeta[rows]) * middle))  # _series_total's operations
+    out: list[float | None] = [None] * len(specs)
+    for i, v in zip(rows.tolist(), value.tolist()):
+        out[i] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,18 +275,20 @@ class Route:
     from; ``value(spec, form, tol)`` is its value, given normalize(spec)'s
     values form = (a, b, c, scale).
     ``block(specs, tol)``, for specs it admits, gives per spec the value,
-    the error the route would raise, or None (call ``value``).  Each looks
-    its functions up in this module at call time.
+    the error the route would raise, or None (call ``value``); every
+    route of ROUTES has one.  Each looks its functions up in this module
+    at call time.
     """
 
     name: str
     admits: Callable[[IntegrandSpec], bool]
     value: Callable[[IntegrandSpec, tuple, float], float]
-    block: Callable[[list[IntegrandSpec], float], list] | None = None
+    block: Callable[[list[IntegrandSpec], float], list]
 
 
 ROUTES = (
-    Route("closed", _summed_upper, lambda spec, form, tol: _closed_value(spec, form)),
+    Route("closed", _summed_upper, lambda spec, form, tol: _closed_value(spec, form),
+          _closed_block),
     Route("pf", lambda spec: _real_p(spec) and _is_int(spec.n),
           lambda spec, form, tol: pf_value(spec), _pf_block),
     Route("quad", lambda spec: True, lambda spec, form, tol: quad_value(spec), _quad_block),
@@ -270,11 +314,12 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
     """verify_point for every spec, in input order, with each route's
     block run once over the specs that the route admits.
 
-    Each block (quad_x_domain_many, series_contracted_many,
-    pf_value_many) is bit-identical to its one-row call on the rows it
-    serves, and leaves the others to verify_point's own code, so each
-    report equals verify_point(spec, tol).  The quadrature block serves
-    every spec over its own upper limit, imaginary p included.
+    Each block (master_value_many, pf_value_many, quad_x_domain_many's
+    rows, series_contracted_many's rows) is bit-identical to its one-row
+    call on the rows it serves, and leaves the others to verify_point's
+    own code, so each report equals verify_point(spec, tol).  The
+    quadrature block serves every spec over its own upper limit,
+    imaginary p included; the closed block leaves a complex p.
     """
     return [_report(s, row) for s, row in zip(specs, verify_rows(specs, tol))]
 
@@ -304,9 +349,7 @@ _NOT_ADMITTED = CoshintError("the route's precondition fails")
 
 def _block_column(route: Route, specs: list[IntegrandSpec], tol: float) -> list:
     """route.block's result for each spec that the route admits, else
-    _NOT_ADMITTED; all None for a route without a block."""
-    if route.block is None:
-        return [None] * len(specs)
+    _NOT_ADMITTED."""
     column: list = [_NOT_ADMITTED] * len(specs)
     rows = [i for i, s in enumerate(specs) if route.admits(s)]
     if rows:

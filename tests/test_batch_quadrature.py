@@ -12,6 +12,7 @@ import math
 import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import coshint.quadrature as quadrature
@@ -447,7 +448,10 @@ def test_infinite_invalid_specs_raise_the_single_spec_errors():
 
 
 def test_infinite_kernel_calls_stay_within_the_deepest_level(monkeypatch):
-    cap = quadrature._sinh_stage(quadrature._SINH_LEVELS)[0].size
+    # the whole line's kernel runs once per |tau|: the deepest level's 8192
+    # new nodes are 4096 distinct |tau|
+    cap = quadrature._line_stage(quadrature._SINH_LEVELS)[0].size
+    assert 2 * cap == quadrature._sinh_stage(quadrature._SINH_LEVELS)[0].size
     sizes = []
     original = quadrature._t_kernel
 
@@ -472,6 +476,83 @@ def test_infinite_kernel_calls_stay_within_the_deepest_level(monkeypatch):
     assert block_max <= cap
     assert max(sizes) == cap  # the failing spec reaches the deepest level
     assert block_calls * 10 < len(sizes)
+
+
+def _full_line_place(scale, span, tau):
+    # the whole line's place on its full table, tau of either sign
+    u = span * tau
+    return (-scale) * np.abs(np.sinh(u)), np.cosh(u), scale * span
+
+
+def _line_columns(specs):
+    """The _t_kernel parameters and sinh-map geometry of the specs at
+    X = inf, as the (rows, 1) columns of one block."""
+    rules = [quadrature._x_rule(s, math.inf) for s in specs]
+    return ([np.array(col)[:, None] for col in zip(*(params for _, params, _ in rules))],
+            [np.array(col)[:, None] for col in zip(*(geometry for _, _, geometry in rules))])
+
+
+def _full_line(params, geometry):
+    """The whole line's rule with the kernel run at every node of its table."""
+    return quadrature._trapezoid_rows(quadrature._t_kernel, params, _full_line_place, geometry,
+                                      quadrature._sinh_stage, quadrature._SINH_H0,
+                                      quadrature._SINH_LEVELS)
+
+
+def _outcomes(rows):
+    # repr round-trips every float, the sign of zero included
+    return [(type(r), str(r)) if isinstance(r, Exception) else repr(r) for r in rows]
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_GRIDS) + ["exhausting"])
+def test_mirrored_line_equals_the_full_table(name):
+    # the sinh map samples each |tau| once and takes the samples into the
+    # full table's order: value, error and evaluations must be the full
+    # table's, for a block and for each lone row, and a row that exhausts
+    # the levels must fail alike
+    specs = INFINITE_GRIDS.get(name, [EXHAUSTING_INF, replace(EXHAUSTING_INF, p=0.5j)])
+    for imaginary in (False, True):
+        group = [s for s in specs if isinstance(quadrature._x_rule(s, math.inf)[1][0], complex)
+                 is imaginary]
+        if not group:
+            continue
+        params, geometry = _line_columns(group)
+        want = _full_line(params, geometry)
+        assert _outcomes(quadrature._sinh_lines(quadrature._t_kernel, params, geometry)) == \
+            _outcomes(want)
+        for spec, row in zip(group, want):
+            _, params, geometry = quadrature._x_rule(spec, math.inf)
+            assert _outcomes(quadrature._sinh_lines(quadrature._t_kernel, params, geometry)) == \
+                _outcomes(_full_line(params, geometry)) == _outcomes([row])
+        if name == "exhausting":
+            assert all(isinstance(r, BudgetExceededError) for r in want)
+
+
+def test_mirrored_rounds_equal_the_full_table_at_every_level(monkeypatch):
+    # no served row reaches the deepest levels, so each round's sums are
+    # compared directly, up to level 10 (8192 new nodes, 4096 |tau|), for
+    # a block and a lone row; at a _CHUNK below the half table the
+    # mirrored samples are placed in slices and the block in more chunks
+    specs = INFINITE_GRIDS["rounds_inf"][:4] + INFINITE_GRIDS["slow_tails_inf"][:6]
+    block = _line_columns(specs)
+    lone = quadrature._x_rule(specs[2], math.inf)[1:]
+    sliced = False
+    for chunk in (quadrature._CHUNK, 1000):
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        for level in range(quadrature._FIRST_ROUND_LEVEL, quadrature._SINH_LEVELS + 1):
+            tau, starts = quadrature._sinh_stage(level)
+            half, _ = quadrature._line_stage(level)
+            order = quadrature._line_order(level)
+            sliced |= half.size > chunk
+            starts, bounds, _, _ = quadrature._round_plan(starts, quadrature._SINH_H0, level)
+            for params, geometry in (block, lone):
+                want = quadrature._round_sums(quadrature._t_kernel, params, _full_line_place,
+                                              geometry, (tau,), None, tau.size, starts, bounds)
+                got = quadrature._round_sums(quadrature._t_kernel, params,
+                                             quadrature._line_place, geometry, (half,), order,
+                                             tau.size, starts, bounds)
+                assert repr(got) == repr(want), (chunk, level)
+    assert sliced and half.size == 4096 and order.size == 8192
 
 
 def test_verify_points_equals_verify_point_at_infinity():

@@ -524,6 +524,72 @@ def test_numpy_sin_and_cos_are_libm_on_the_pf_block_arguments():
     same(np.concatenate([np.linspace(-1e3, 1e3, 20_001), [1e10, -3e15, 1e300]]))
 
 
+def _same_libm(args, fns=("sin", "cos")):
+    """numpy's functions in ``fns`` equal math's on every argument."""
+    args = np.asarray(args, dtype=float).ravel()
+    listed = args.tolist()
+    for name in fns:
+        assert getattr(np, name)(args).tolist() == list(map(getattr(math, name), listed)), name
+
+
+def test_numpy_sin_and_cos_are_libm_on_the_closed_block_arguments():
+    # verify's closed block (closed_form.master_value_many) takes np.sin of
+    # pi*b, a*b, a and theta, and np.cos of c = pi - zeta, where
+    # _closed_value takes math's, with a = pi - theta
+    rng = np.random.default_rng(2027)
+    b = np.concatenate([rng.uniform(-1.0, 1.0, 20_000),
+                        [0.0, -0.0, 1e-9, 1e-8, 0.999999, 1.0 - 1e-11, -(1.0 - 1e-11)]])
+    theta = np.concatenate([rng.uniform(0.0, 2 * PI, 20_000), np.linspace(0.0, 2 * PI, 20_001),
+                            [5e-324, 1e-17, 1e-13, 1e-12, PI - 1e-13, PI + 1e-13,
+                             2 * PI - 1e-12, math.nextafter(2 * PI, 0.0)]])
+    a = PI - theta
+    zeta = np.concatenate([rng.uniform(-50.0, 50.0, 20_000), np.linspace(0.0, PI, 2001)])
+    _same_libm(PI * b)
+    _same_libm(a[:b.size] * b)
+    _same_libm(a[:b.size] * b[::-1])
+    _same_libm(a)
+    _same_libm(theta)
+    _same_libm(PI - zeta)
+
+
+def test_numpy_sin_and_cos_are_libm_on_the_series_epilogue_arguments():
+    # verify's series block adds series_value's epilogue as columns:
+    # np.cos(zeta) and middle_term_integral's np.sin of theta and of
+    # a = pi - theta, for theta inside the series' edges
+    rng = np.random.default_rng(2028)
+    theta = np.concatenate([rng.uniform(series.THETA_EDGE, 2 * PI - series.THETA_EDGE, 20_000),
+                            np.linspace(series.THETA_EDGE, 2 * PI - series.THETA_EDGE, 20_001)])
+    _same_libm(theta)
+    _same_libm(PI - theta)
+    _same_libm(np.concatenate([rng.uniform(-50.0, 50.0, 20_000), np.linspace(0.0, PI, 2001)]))
+
+
+def test_numpy_sinh_is_odd_and_cosh_even_on_the_whole_line_arguments():
+    # the whole line's rule places its nodes once per |tau| and takes the
+    # samples back into table order; that equals placing every node, bit
+    # for bit, because numpy's sinh(-u) is -sinh(u) and cosh(-u) cosh(u)
+    # at u = span*tau, and the half table's values are the full table's
+    from coshint import quadrature as q
+
+    spans = {q._sinh_span(q._tail_cutoff(decay), scale)
+             for decay in (1.0, 0.5, 0.1, 0.05, 0.01, 1e-3)
+             for scale in (1.0, 0.3, 1e-3, 1e-6, 1e-12, 1e-16, 1e-100, 1e-170)}
+    spans |= set(np.random.default_rng(2029).uniform(1.0, 400.0, 40).tolist())
+    for level in range(q._FIRST_ROUND_LEVEL, q._SINH_LEVELS + 1):
+        tau = q._sinh_stage(level)[0]
+        half, order = q._line_stage(level)[0], q._line_order(level)
+        assert (half[order] == np.abs(tau)).all() and (half >= 0.0).all()
+        for span in spans:
+            u = span * tau
+            assert (np.sinh(-u).view(np.uint64) == (-np.sinh(u)).view(np.uint64)).all()
+            assert (np.cosh(-u).view(np.uint64) == np.cosh(u).view(np.uint64)).all()
+            u_half = span * half
+            assert (np.abs(np.sinh(u)).view(np.uint64)
+                    == np.sinh(u_half)[order].view(np.uint64)).all(), (level, span)
+            assert (np.cosh(u).view(np.uint64)
+                    == np.cosh(u_half)[order].view(np.uint64)).all(), (level, span)
+
+
 def test_anchor_columns_equal_anchor_sums():
     # both regions' borders, the edges and a dense grid; numpy's w**m would
     # move some of the theta form's even terms by an ulp

@@ -23,6 +23,7 @@ from coshint import (
     quad_t_domain,
     quad_value,
     random_specs,
+    series_contracted,
     series_value,
     verify_point,
     verify_points,
@@ -349,19 +350,86 @@ def test_block_fallbacks_give_the_one_row_reports():
     assert expected == [repr(_try_every_route(s, 1e-9)) for s in specs]
 
 
+def _closed_corners() -> list[IntegrandSpec]:
+    """Specs at the closed route's corners: b = 0 and near the poles at
+    +-1, theta near 0, pi and 2*pi, both branches of |a| >= 1, upper 1
+    and inf, and p that is imaginary or a complex with no imaginary part."""
+    bs = [0.0, -0.0, 1e-9, 0.3, -0.7, 0.999999, 1.0 - 1e-11, -(1.0 - 1e-11)]
+    thetas = [1e-17, 1e-13, 5e-13, 1e-12, 0.5, 2.0, PI - 1e-13, PI, PI + 1e-13, 4.5,
+              2 * PI - 1e-12, 2 * PI - 1e-13, math.nextafter(2 * PI, 0.0)]
+    specs = []
+    for upper in (1.0, math.inf):
+        for n in (1.0, 2.5):
+            for p in [b * n for b in bs] + [0.5j, -2j, complex(0.5, 0.0)]:
+                for theta in thetas:
+                    specs.append(IntegrandSpec(n, p, theta, 2.9 if theta > 1 else 0.3, upper))
+    return specs
+
+
+def test_closed_block_equals_closed_value_bit_for_bit():
+    specs = _closed_corners()
+    block = verify._closed_block(specs, 1e-9)
+    errors, branches = set(), set()
+    for spec, got in zip(specs, block):
+        try:
+            want = closed_value(spec)
+        except CoshintError as exc:
+            errors.add(type(exc).__name__)
+            assert got is None, spec  # a refused row is left to the scalar's error
+            continue
+        if isinstance(spec.p, complex):
+            assert got is None, spec  # complex p: the one-row call
+            continue
+        assert type(got) is float and got.hex() == want.hex(), spec
+        branches.add(abs(PI - spec.theta) >= 1.0)
+    # near the poles, and at theta = 1e-17, where pi - theta rounds to pi;
+    # theta within 1e-12 of 0 or 2*pi is served
+    assert errors == {"NearPoleError", "DomainError"}
+    assert branches == {False, True}
+    reports = verify_points(specs, 1e-9)
+    assert [repr(r) for r in reports] == [repr(verify_point(s, 1e-9)) for s in specs]
+
+
+def test_series_block_leaves_a_few_long_rows_to_series_value(workload):
+    # rows past the series loop (24 terms or more) are left to series_value
+    # unless the block has _SERIES_FAR_ROWS of them
+    def terms(spec):
+        try:
+            return series_contracted(spec.n, abs(spec.p), spec.theta, 0.25e-9).terms_used
+        except CoshintError:
+            return None
+
+    short = [s for s in workload("random_unit", 1)[:60] if terms(s) is not None
+             and terms(s) < 24][:30]
+    far = verify._SERIES_FAR_ROWS
+    long = [replace(s, upper=upper) for s, upper in zip(
+        (s for s in workload("near_edge", 1) if (terms(s) or 0) >= 24), [1.0, math.inf] * far)]
+    assert len(short) == 30 and len(long) == 2 * far
+    for count in (1, far - 1, far, len(long)):
+        specs = short + long[:count]
+        block = verify._series_block(specs, 1e-9)
+        assert None not in block[:len(short)]
+        assert all((got is None) is (count < far) for got in block[len(short):])
+        for spec, got in zip(specs, block):
+            if got is not None:
+                assert got.hex() == series_value(spec, 1e-9).hex(), spec
+        reports = verify_points(specs, 1e-9)
+        assert [repr(r) for r in reports] == [repr(verify_point(s, 1e-9)) for s in specs]
+
+
 def test_fallback_grid_reaches_every_block_outcome():
     specs = _fallback_grid()
     outcomes = {}
     for route in verify.ROUTES:
-        if route.block is None:
-            continue
         admitted = [s for s in specs if route.admits(s)]
         results = route.block(admitted, 1e-9)
         outcomes[route.name] = {("error" if isinstance(r, Exception) else
                                  "none" if r is None else "value") for r in results}
-    # the quadrature blocks serve imaginary p too, so they leave no row
-    assert outcomes == {"pf": {"value", "none"}, "quad": {"value", "error"},
-                        "series": {"value", "none"}}
+    # the quadrature blocks serve imaginary p too, so they leave no row;
+    # the closed block leaves imaginary p and the rows the strip refuses
+    # (theta = 1e-170 rounds a = pi - theta to pi)
+    assert outcomes == {"closed": {"value", "none"}, "pf": {"value", "none"},
+                        "quad": {"value", "error"}, "series": {"value", "none"}}
     # the rows a block leaves are still served where the one-row call serves them
     reports = verify_points(specs, 1e-9)
     by_spec = dict(zip(specs, reports))
