@@ -7,11 +7,12 @@ against itself:
   kernels, on maps that make them decay double exponentially: the sinh
   map s = eps*sinh(U*tau), with eps the width of the kernel's peak at
   s = 0 (capped at 1), for every integral over the whole real line
-  (quad_x_domain at X = inf, quad_two_sided) and, folded at s = 0, for
-  every integral of the even kernel over [0, inf) (quad_x_domain at
-  X = 1, quad_t_domain); and the DE half-line map s = s_X +
-  exp(t - e^(-t))/lam, with lam the kernel's tail decay rate, for every
-  integral over [s_X, inf) with s_X > 0 (quad_x_domain at X < 1).  One
+  (quad_two_sided) and, folded at s = 0, for every integral of the even
+  kernel over [0, inf) (quad_x_domain at X = 1, quad_t_domain) or over
+  the whole line (quad_x_domain at X = inf); and the DE half-line map
+  s = s_X + exp(t - e^(-t))/lam, with lam the kernel's tail decay rate,
+  for every integral over [s_X, inf) with s_X > 0 (quad_x_domain at
+  X < 1).  One
   function, _x_rule, picks the map of an x-domain range, for
   quad_x_domain, its blocks and quad_cos_log.  The sinh map clusters
   its nodes where a near-edge kernel peaks, so X = 1 and X = inf are
@@ -46,8 +47,9 @@ block per map and kind of p over each spec's own range
 what the one-row calls return for each; its row core, _x_domain_rows,
 gives each row's fields as a plain tuple, which verify reads.  Each map
 hands the even kernel -|s| directly, exactly (IEEE negation is exact),
-so the kernel takes no absolute value, and the whole line's map, whose
-samples at s and -s are equal, runs the kernel once per |s|.
+so the kernel takes no absolute value, and the even kernel's sum over
+the whole line is the folded map's at the whole line's steps, which
+runs the kernel once per |s|.
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ _GL_MAX_DOUBLINGS = 14
 
 @dataclass(frozen=True)
 class QuadResult:
+    """A rule's value, its error estimate and ``evaluations``, the number
+    of integrand samples it took, on every map and rule."""
+
     value: complex | float
     abs_err_estimate: float
     evaluations: int
@@ -238,7 +243,8 @@ def _one_row(rows: list, n: float | None = None) -> QuadResult:
 # exponentially in the node variable t, so the trapezoid rule over a fixed
 # t window converges geometrically as h halves (Takahasi & Mori 1974;
 # Mori & Sugihara 2001); the integrand is negligible at the window's ends,
-# so every node weighs h (the folded sinh map's node at s = 0, h/2).
+# so every node weighs h (the folded sinh map's table carries its own
+# weights).
 # Every row of a block shares one cached table of t nodes per kernel round
 # and only its map's parameters differ, so one kernel call per round
 # serves a chunk of rows, and no row's arithmetic depends on the other
@@ -296,40 +302,36 @@ def _round_plan(starts: tuple, h0: float, last: int) -> tuple:
             tuple(h0 / (1 << lev) for lev in levels), coarse)
 
 
-def _samples(f, place, geometry, table, order) -> tuple:
+def _samples(f, place, geometry, table) -> tuple:
     """The samples w*f at a round's nodes, by slices of at most _CHUNK
-    nodes, in table order (taken by ``order`` when it is not None), and
-    the rows' factor; place and kernel work element by element, so the
-    slices give the bits of one call."""
+    nodes, and the rows' factor; place and kernel work element by
+    element, so the slices give the bits of one call."""
     size = table[0].size
     if size <= _CHUNK:
         ns, w, factor = place(*geometry, *table)
-        g = w * f(ns)
-    else:
-        parts = []
-        for at in range(0, size, _CHUNK):
-            ns, w, factor = place(*geometry, *(t[at:at + _CHUNK] for t in table))
-            parts.append(w * f(ns))
-        g = np.concatenate(parts, axis=-1)
-    return (g if order is None else g.take(order, axis=-1)), factor
+        return w * f(ns), factor
+    parts = []
+    for at in range(0, size, _CHUNK):
+        ns, w, factor = place(*geometry, *(t[at:at + _CHUNK] for t in table))
+        parts.append(w * f(ns))
+    return np.concatenate(parts, axis=-1), factor
 
 
-def _round_sums(kernel, params, place, geometry, table, order, nodes, starts,
-                bounds) -> list:
+def _round_sums(kernel, params, place, geometry, table, starts, bounds) -> list:
     """Per row of a block, the sums of a round's samples over each
     segment, of their magnitudes over each tested level, and the row's
     factor.  A lone row is sampled in one piece; a block by chunks of
-    rows that keep each table of the round's ``nodes`` samples within
-    _CHUNK elements."""
+    rows that keep each table of the round's samples within _CHUNK
+    elements."""
     if not isinstance(geometry[0], np.ndarray):  # a lone row
-        g, factor = _samples(kernel(*params), place, geometry, table, order)
+        g, factor = _samples(kernel(*params), place, geometry, table)
         return [(np.add.reduceat(g, starts).tolist(),
                  np.add.reduceat(np.abs(g), bounds).tolist(), factor)]
-    step = max(1, _CHUNK // nodes)
+    step = max(1, _CHUNK // table[0].size)
     sums = []
     for lo in range(0, len(geometry[0]), step):
         g, factor = _samples(kernel(*[c[lo:lo + step] for c in params]), place,
-                             [c[lo:lo + step] for c in geometry], table, order)
+                             [c[lo:lo + step] for c in geometry], table)
         sums += zip(np.add.reduceat(g, starts, axis=1).tolist(),
                     np.add.reduceat(np.abs(g), bounds, axis=1).tolist(),
                     np.ravel(factor).tolist())
@@ -337,8 +339,8 @@ def _round_sums(kernel, params, place, geometry, table, order, nodes, starts,
 
 
 @np.errstate(all="ignore")  # inf or NaN sums stay quiet: the stopping test refuses them
-def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, last_level: int,
-                    order=None) -> list[tuple | BudgetExceededError]:
+def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
+                    last_level: int) -> list[tuple | BudgetExceededError]:
     """The trapezoid rule on nested halvings of h for each row of a block.
 
     Row r integrates kernel(*params_r) over its map's s-range.  Each
@@ -349,12 +351,7 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, last_leve
     kernel's argument at the nodes (-|s| for the even _t_kernel, s for
     integrate_real_line's f), the weights ds/dt there (times a trapezoid
     weight the table may carry) divided by the row's factor, and that
-    factor, which the stopping test applies.  ``order(level)``, when
-    given, is the index into the stage's nodes of each node of the rule's
-    table: the stage then holds each distinct sample once (the whole
-    line's, whose samples at tau and -tau are equal), and the samples are
-    taken into table order before they are summed, so the sums are the
-    full table's, bit for bit.  ``params`` and
+    factor, which the stopping test applies.  ``params`` and
     ``geometry`` are per-row columns of shape (rows, 1), or for a lone
     row the values themselves, which round as its columns would: its
     kernel gets 1-D arrays and the row skips the block's chunking.
@@ -363,11 +360,11 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, last_leve
     <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*A_h), with A_h the
     rule's sum for the integrand's magnitude, and both are finite.  It
     gets (S_h, |S_h - S_2h|, evaluations), the evaluations counting the
-    nodes of the rule's table up to its last round, each node of that
-    round included (a node the stage holds once for two counts twice); a row
-    still open after last_level gets a BudgetExceededError.  The test
-    runs on Python floats, which round as float64 does, and a block
-    returns bit for bit what each row does alone.
+    kernel's samples up to its last round, each node of that round
+    included; a row still open after last_level gets a
+    BudgetExceededError.  The test runs on Python floats, which round as
+    float64 does, and a block returns bit for bit what each row does
+    alone.
     """
     rows = len(geometry[0]) if isinstance(geometry[0], np.ndarray) else 1
     out: list = [None] * rows
@@ -377,12 +374,9 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float, last_leve
     for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
         *table, starts = stage(last)
         starts, bounds, steps, coarse = _round_plan(starts, h0, last)
-        take = None if order is None else order(last)
-        nodes = table[0].size if take is None else take.size
-        used += nodes
+        used += table[0].size
         keep, kept = [], []
-        sums = _round_sums(kernel, params, place, geometry, table, take, nodes, starts,
-                           bounds)
+        sums = _round_sums(kernel, params, place, geometry, table, starts, bounds)
         for i, (parts, absums, factor) in enumerate(sums):
             total, mass = (parts[0], 0.0) if coarse else state[i]
             for h, new, absum in zip(steps, parts[coarse:], absums):
@@ -464,12 +458,15 @@ def _de_half_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError
 # tau in [0, 1] with the node at tau = 0 weighted 1/2: the folded map,
 # whose stage table carries that weight as a column.  Its steps are half
 # the full line's, so a level has as many nodes on [0, 1] as the full
-# line's on [-1, 1].
+# line's on [-1, 1].  Over the whole line the map is odd in tau and the
+# kernel even in s, so the even kernel's sum is the folded one at the
+# full line's steps, with the node at tau = 0 weighted 1 and every other
+# node 2: the kernel runs once per |s|.
 
 _SINH_H0 = 0.125
-# 16 385 evaluations at most: the deepest round's 8192 new nodes fit one
-# _CHUNK, on the full line and folded.  Served rows need at most 2049
-# (theta down to 1e-16 from either edge, |b| up to 0.999).
+# 16 385 evaluations at most (8193 on the whole line): the deepest round's
+# 8192 new nodes fit one _CHUNK.  Served rows need at most 2049 (theta
+# down to 1e-16 from either edge, |b| up to 0.999).
 _SINH_LEVELS = 10
 
 
@@ -481,44 +478,21 @@ def _sinh_stage(level: int) -> tuple[np.ndarray, tuple]:
 
 
 @functools.cache
-def _line_stage(level: int) -> tuple[np.ndarray, tuple]:
-    """The distinct offsets |tau| of _sinh_stage(level)'s nodes, ascending,
-    and that stage's segment starts, which hold for the samples once they
-    are taken into its order (_line_order).  The stage's tau are exact
-    multiples of its step, so tau and -tau are exact negatives."""
-    tau, starts = _sinh_stage(level)
-    return np.array(sorted(set(np.abs(tau).tolist()))), starts
-
-
-@functools.cache
-def _line_order(level: int) -> np.ndarray:
-    """The index in _line_stage(level)'s offsets of each node of
-    _sinh_stage(level)."""
-    return np.searchsorted(_line_stage(level)[0], np.abs(_sinh_stage(level)[0]))
-
-
-@functools.cache
-def _folded_stage(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _folded_stage(level: int, line: bool = False) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Unit offsets tau in [0, 1] of the nodes of the folded map's kernel
-    round ending at ``level``, their trapezoid weights (1/2 at tau = 0, 1
-    elsewhere) and their segment starts."""
-    tau, starts = _grid_stage(0.0, 1.0, 0.5 * _SINH_H0, level)
-    return tau, np.where(tau == 0.0, 0.5, 1.0), starts
+    round ending at ``level``, their trapezoid weights and their segment
+    starts: at half the whole line's steps with weights 1/2 at tau = 0 and
+    1 elsewhere, or, for the whole ``line``, at its steps with weights 1
+    and 2."""
+    edge = 1.0 if line else 0.5
+    tau, starts = _grid_stage(0.0, 1.0, edge * _SINH_H0, level)
+    return tau, np.where(tau == 0.0, edge, 2.0 * edge), starts
 
 
 def _sinh_place(scale, span, tau):
     """s itself, for integrate_real_line's f, which need not be even."""
     u = span * tau
     return scale * np.sinh(u), np.cosh(u), scale * span
-
-
-def _line_place(scale, span, tau):
-    # tau = |tau| >= 0, so -|s| = (-scale)*sinh(u) exactly, scale being
-    # positive; at -tau, u = span*(-tau) is -u exactly, and numpy's sinh is
-    # odd and its cosh even there (tests/test_series.py pins both), so
-    # -|s| and the weight are the same bits on both sides
-    u = span * tau
-    return (-scale) * np.sinh(u), np.cosh(u), scale * span
 
 
 def _folded_place(scale, span, tau, weight):
@@ -529,18 +503,11 @@ def _folded_place(scale, span, tau, weight):
 
 def _sinh_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
     """The sinh map's rule for the even kernel(*params) over the real
-    line, per row; ``geometry`` is (scale, span).
-
-    The map is odd in tau and the kernel even in s, so the samples at tau
-    and -tau are the same bits: each round places its nodes and runs the
-    kernel once per |tau| (_line_stage), 65 nodes in the first round, and
-    takes the samples into _sinh_stage's order (_line_order) before its
-    sums, which add the same samples in the same order as the full table.
-    The evaluations still count the full table's nodes, 129 in the first
-    round: the rule's work, not the kernel's.
-    """
-    return _trapezoid_rows(kernel, params, _line_place, geometry, _line_stage,
-                           _SINH_H0, _SINH_LEVELS, _line_order)
+    line, per row; ``geometry`` is (scale, span).  It is the folded rule
+    at the whole line's steps and weights (_folded_stage's ``line``), 65
+    kernel samples in the first round."""
+    return _trapezoid_rows(kernel, params, _folded_place, geometry,
+                           functools.partial(_folded_stage, line=True), _SINH_H0, _SINH_LEVELS)
 
 
 def _folded_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
@@ -679,12 +646,9 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     ``rule="tanh-sinh"`` integrates it with the sinh map over the whole
     line for X = inf, folded at s = 0 for X = 1, whose nodes resolve the
     kernel's peak there, and with the double-exponential half-line map
-    for s_X > 0.  The whole line's nodes on either side of s = 0 are the
-    folded map's |s| values, so the X = inf value is twice a folded sum
-    added in another order, not a check of the X = 1 value independent
-    of it.  At X = inf the kernel runs once per |s| (_sinh_lines), and
-    ``evaluations`` counts the rule's nodes on both sides, each sample
-    it adds;
+    for s_X > 0.  The X = inf value is the folded rule at twice the X = 1
+    steps and weights (_sinh_lines), so it is not a check of the X = 1
+    value independent of it;
     ``rule="gauss"`` integrates it with Gauss-Legendre panels, for X in
     (0, 1].  This is the one-row call of quad_x_domain_many's blocks.
     """
@@ -811,8 +775,8 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
     cos theta)) / n, and cos(q*s/n) = cosh(b*s) for b = i*q/n: it is
     _t_kernel(b, 0, sin(theta/2)**2) / (2*n), on quad_x_domain's map: the
     sinh map folded at s = 0 for upper 1, and the sinh map over the whole
-    line for upper infinity, which samples the folded map's |s| values on
-    both sides (so not independently of upper 1).
+    line for upper infinity, which is the folded rule at twice the steps
+    (so not independent of upper 1).
     """
     p = complex(spec.p)
     if p.real != 0.0:

@@ -33,14 +33,12 @@ numpy columns.  It serves every row whose K - 1 terms fit in _WIDTH,
 whether the driver sums them in its plain loop or in one numpy chunk,
 equal to the scalar call bit for bit, and leaves every other row to the
 scalar call.  verify.verify_points runs a grid's series route through
-its row core, _contracted_rows, which gives the served rows as columns,
-when the grid has verify._SERIES_BLOCK_ROWS series rows or more, and
-leaves the rows past the loop to the scalar call when there are fewer
-than verify._SERIES_FAR_ROWS of them.
+its row core, _contracted_rows, which gives the served rows as columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +52,8 @@ TOL_FLOOR = 1e-10
 THETA_EDGE = 1e-3
 _BLOCK = 8192
 # _sine_sum sums stop - 1 terms in a plain loop when stop <= _LOOP_TERMS,
-# with numpy above; series_contracted_many copies the loop's sum below this
-# bound and numpy's pairwise one from it up to _WIDTH terms
+# with numpy above; series_contracted_many finds K below this bound in one
+# table of tails, and beyond it with _far_stops
 _LOOP_TERMS = 24
 
 # J: the Bernoulli-polynomial anchors series_contracted subtracts beyond
@@ -81,9 +79,9 @@ def _zeta_even(j: int) -> tuple[int, int]:
     return (-1) ** (j + 1) * num * 4 ** j, 2 * den * math.factorial(2 * j)
 
 
-def _horner_table(odd: list[float], even: float, m: int):
-    """(c, |c|) pairs from the highest power down, then e, |e| and m."""
-    return tuple((c, abs(c)) for c in reversed(odd)), even, abs(even), m
+def _horner_table(odd: list[float], even: float):
+    """(c, |c|) pairs from the highest power down, then e and |e|."""
+    return tuple((c, abs(c)) for c in reversed(odd)), even, abs(even)
 
 
 def _theta_form(m: int):
@@ -97,7 +95,7 @@ def _theta_form(m: int):
         num, den = _zeta_even(m - i)
         odd.append((-1) ** i * num / (den * math.factorial(2 * i + 1))
                    * math.pi ** (2 * (m - i)))
-    return _horner_table(odd, (-1) ** m / (2 * math.factorial(2 * m)) * math.pi, m)
+    return _horner_table(odd, (-1) ** m / (2 * math.factorial(2 * m)) * math.pi)
 
 
 def _pi_form(m: int):
@@ -112,7 +110,7 @@ def _pi_form(m: int):
         num, den = _zeta_even(j)
         odd.append((-1) ** i * num * (4 ** j - 2)
                    / (den * 4 ** j * math.factorial(2 * i + 1)) * math.pi ** (2 * j))
-    return _horner_table(odd, 0.0, m)
+    return _horner_table(odd, 0.0)
 
 
 _THETA_FORMS = tuple(_theta_form(m) for m in range(EXTRA_ANCHORS + 1))
@@ -167,6 +165,8 @@ def anchor_sums(theta: float) -> tuple[list[float], list[float]]:
     the sum does: theta near 0, y = pi - theta near pi, and 2*pi - theta
     near 2*pi (by S(theta) = -S(2*pi - theta)).  pi - theta and
     2*pi - theta carry the low part of pi, so each is exact to one rounding.
+    The even term's w**m, w = z**2, is a running product, which numpy
+    repeats bit for bit.
     """
     if theta < 0.5 * math.pi:
         z, sign, forms = theta, 1.0, _THETA_FORMS
@@ -176,14 +176,15 @@ def anchor_sums(theta: float) -> tuple[list[float], list[float]]:
         z, sign, forms = (2.0 * math.pi - theta) + 2.0 * _PI_LO, -1.0, _THETA_FORMS
     w, az = z * z, abs(z)
     sums, sizes = [], []
-    for odd, even, even_abs, m in forms:
+    z_even = 1.0  # w**m
+    for odd, even, even_abs in forms:
         poly = size = 0.0
         for c, c_abs in odd:
             poly = poly * w + c
             size = size * w + c_abs
-        z_even = w ** m
         sums.append(sign * (z * poly + even * z_even))
         sizes.append(az * size + even_abs * z_even)
+        z_even *= w
     return sums, sizes
 
 
@@ -192,7 +193,8 @@ def _sine_sum(theta: float, c_of_k, stop: int) -> float:
 
     A plain loop below _LOOP_TERMS terms, where numpy's fixed cost per
     call (about 10 us, the cost of some 24 loop terms) dominates; numpy
-    chunks of at most _BLOCK terms above.
+    chunks of at most _BLOCK terms above, added left to right as the loop
+    adds them: each chunk's running sums, seeded with the total so far.
     """
     total = 0.0
     if stop <= _LOOP_TERMS:
@@ -202,7 +204,9 @@ def _sine_sum(theta: float, c_of_k, stop: int) -> float:
         return total
     for start in range(1, stop, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, stop), dtype=float)
-        total += float((np.sin(k * theta) * c_of_k(k)).sum())
+        terms = np.sin(k * theta) * c_of_k(k)
+        terms[0] += total
+        total = float(np.add.accumulate(terms, out=terms)[-1])
     return total
 
 
@@ -296,12 +300,7 @@ def series_contracted(n: float, p: float, theta: float, tol: float) -> SeriesRes
         size += weight * size_j
         weight *= b2
 
-    p_abs, b_abs = abs(p), abs(b)
-
-    def c_of_k(k):
-        # k - b as (k*n - p)/n: near |b| = 1 the c_1 term carries the
-        # value's 1/(1 - b**2), and 1 - b would lose the digits of p/n
-        return n / (k ** (_DECAY - 2) * (k * n - p_abs) * (k + b_abs))
+    c_of_k = functools.partial(_coefficients, n, abs(p), abs(b))
 
     # the remainder's terms: |sin(k*theta)*c_k| summed is at most
     # c_1*|sin(theta)| + _COEF_SUM, and rounding k*theta moves them by at
@@ -318,15 +317,22 @@ def series_contracted(n: float, p: float, theta: float, tol: float) -> SeriesRes
 # Natural rows need at most about 150; more arise only where the rounding
 # allowance leaves almost none of the target, and those take the scalar call.
 _WIDTH = 1024
-# k = 1.._WIDTH + 1 and k**(2J+1) twice over: by Python's pow, as the tails
-# the scalar's search compares (tail(k) passes a Python float), and by
-# numpy's **, as _sine_sum's numpy chunk computes its terms; the two differ
-# in the last bit for some k
 _K = np.arange(1.0, _WIDTH + 2.0)
-_K_POW = np.array([k ** (_DECAY - 2) for k in _K.tolist()])
-_TERM_POW = _K[:_WIDTH] ** (_DECAY - 2)
 # columns of the window in which _far_stops looks for K
 _WINDOW = 5
+
+
+def _coefficients(n, p_abs, b_abs, k):
+    """series_contracted's c_k = n/(k**(2J+1)*(k*n - |p|)*(k + |b|)) at k,
+    on Python floats or broadcast numpy arrays alike.
+
+    k**7 (J = 3) is a product, which numpy repeats bit for bit and which
+    equals libm's pow exactly for k <= 190 (k**7 < 2**53).  k - b is
+    (k*n - p)/n: near |b| = 1 the c_1 term carries the value's
+    1/(1 - b**2), and 1 - b would lose the digits of p/n.
+    """
+    k2 = k * k
+    return n / (k * k2 * k2 * k2 * (k * n - p_abs) * (k + b_abs))
 
 
 def _padded(odd, i: int) -> list[float]:
@@ -348,9 +354,7 @@ def _anchor_columns(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """anchor_sums for a column of theta: (rows x anchors) sums and sizes.
 
     Each row takes the region, z and polynomial that anchor_sums picks for
-    its theta, and the same operations in the same order; w**m is 1 and w
-    for m = 0 and 1, which are exact, and Python's pow per row from m = 2
-    (libm's pow(w, 2) is not known to equal w*w, nor numpy's power libm's).
+    its theta, and the same operations in the same order, w**m included.
     """
     mid = (theta >= 0.5 * math.pi) & (theta <= 1.5 * math.pi)
     high = theta > 1.5 * math.pi
@@ -359,10 +363,8 @@ def _anchor_columns(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = z * z
     z_even = np.empty((len(w), EXTRA_ANCHORS + 1))
     z_even[:, 0] = 1.0
-    z_even[:, 1] = w
-    w_list = w.tolist()
-    for m in range(2, EXTRA_ANCHORS + 1):
-        z_even[:, m] = [x ** m for x in w_list]
+    for m in range(1, EXTRA_ANCHORS + 1):
+        z_even[:, m] = z_even[:, m - 1] * w
     region = mid.astype(np.intp)
     odd, even = _ANCHOR_ODD[region], _ANCHOR_EVEN[region]
     poly = 0.0  # value and magnitude polynomials side by side
@@ -372,13 +374,6 @@ def _anchor_columns(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sums = sign * (z[:, None] * poly[:, 0] + even[:, 0] * z_even)
     sizes = np.abs(z)[:, None] * poly[:, 1] + even[:, 1] * z_even
     return sums, sizes
-
-
-def _coefficients(k, k_pow, n, p_abs, b_abs):
-    """series_contracted's c_k for each row (n, p_abs, b_abs) at the columns
-    k, with k**(2J+1) given as k_pow, in c_of_k's order of operations."""
-    n, p_abs, b_abs = n[:, None], p_abs[:, None], b_abs[:, None]
-    return n / (k_pow * (k * n - p_abs) * (k + b_abs))
 
 
 def _far_stops(scale, budget, n, p_abs, b_abs):
@@ -394,7 +389,7 @@ def _far_stops(scale, budget, n, p_abs, b_abs):
     y = (scale / budget) ** (1.0 / _DECAY)
     first = np.clip(np.ceil(y) - 2.0, _LOOP_TERMS, _WIDTH + 2 - _WINDOW)
     k = first[:, None] + np.arange(_WINDOW)
-    tails = scale[:, None] * _coefficients(k, _K_POW[k.astype(np.intp) - 1], n, p_abs, b_abs)
+    tails = scale[:, None] * _coefficients(n[:, None], p_abs[:, None], b_abs[:, None], k)
     fits = tails <= budget[:, None]
     col = fits.argmax(axis=1)
     rows = np.arange(len(col))
@@ -402,31 +397,28 @@ def _far_stops(scale, budget, n, p_abs, b_abs):
     return stop, tails[rows, col]
 
 
-def _pairwise_sums(stop, theta, n, p_abs, b_abs):
-    """0.0 + sum_{k<stop} sin(k*theta)*c_k per row, as _sine_sum's numpy chunk
-    adds it: numpy's k**(2J+1) (_TERM_POW), and one pairwise sum over each
-    row's contiguous terms.
+def _left_sums(theta, c, stop):
+    """0.0 + sum_{k<stop} sin(k*theta)*c_k per row, given the row's c_k at
+    k = 1, 2, ... as c: the terms added left to right, as _sine_sum adds
+    them, by one cumsum along the row from a zero column."""
+    terms = np.zeros((len(stop), c.shape[1] + 1))
+    terms[:, 1:] = np.sin(_K[:c.shape[1]] * theta[:, None]) * c
+    return np.cumsum(terms, axis=1)[np.arange(len(stop)), stop - 1]
 
-    The rows run widest first, in chunks of at most _BLOCK terms (_WIDTH
-    <= _BLOCK), so temporaries stay as small as _sine_sum's.  Within a
-    chunk, the rows of one K are adjacent and sum as one (rows x (K - 1))
-    slice.
-    """
+
+def _far_sums(stop, theta, n, p_abs, b_abs):
+    """_left_sums for rows past the loop, widest first, in chunks of rows
+    whose tables stay within _BLOCK elements (_WIDTH < _BLOCK), as
+    _sine_sum's do."""
     total = np.empty(len(stop))
     order = np.argsort(-stop, kind="stable")
-    stop, theta, n, p_abs, b_abs = (x[order] for x in (stop, theta, n, p_abs, b_abs))
     start = 0
-    while start < len(stop):
-        width = int(stop[start]) - 1
-        chunk = slice(start, min(len(stop), start + _BLOCK // width))
-        k = _K[:width]
-        terms = np.sin(k * theta[chunk, None]) * _coefficients(
-            k, _TERM_POW[:width], n[chunk], p_abs[chunk], b_abs[chunk])
-        ends = stop[chunk]
-        cuts = [0, *(np.flatnonzero(ends[1:] != ends[:-1]) + 1).tolist(), len(ends)]
-        total[order[chunk]] = 0.0 + np.concatenate(
-            [np.add.reduce(terms[lo:hi, :ends[lo] - 1], axis=1) for lo, hi in zip(cuts, cuts[1:])])
-        start = chunk.stop
+    while start < len(order):
+        rows = order[start:start + _BLOCK // int(stop[order[start]])]
+        c = _coefficients(n[rows, None], p_abs[rows, None], b_abs[rows, None],
+                          _K[:stop[rows[0]] - 1])
+        total[rows] = _left_sums(theta[rows], c, stop[rows])
+        start += len(rows)
     return total
 
 
@@ -443,16 +435,15 @@ def series_contracted_many(n, p, theta, tol: float) -> list[SeriesResult | None]
     series_contracted, which returns or raises for it as it does alone.
 
     The bits match because every step is the scalar's IEEE operation in
-    the scalar's order, with the scalar's powers (w**m per row, and
-    k**(2J+1) by Python's pow in the tails and by numpy's in the numpy
-    chunk's terms), and np.sin is libm's sin on the loop's arguments
-    (tests/test_series.py checks both).  K is the first k whose tail meets
-    the budget, which is where the scalar's gallop and bisection land,
-    since the tail falls with k: a (rows x _LOOP_TERMS) table of tails
-    finds it up to _LOOP_TERMS, and _far_stops beyond.  Below
-    _LOOP_TERMS the loop's left-to-right sum is a cumsum along the row
-    from a zero column; from there each row's terms are one pairwise
-    numpy sum (_pairwise_sums).
+    the scalar's order: the scalar writes its powers as products
+    (anchor_sums, _coefficients) and adds its terms left to right
+    (_sine_sum), which numpy repeats, and np.sin is libm's sin on the
+    loop's arguments (tests/test_series.py checks that and the sums).  K
+    is the first k whose tail meets the budget, which is where the
+    scalar's gallop and bisection land, since the tail falls with k: a
+    (rows x _LOOP_TERMS) table of tails finds it up to _LOOP_TERMS, and
+    _far_stops beyond.  Every row's terms are then one cumsum from a zero
+    column (_left_sums).
     """
     out: list[SeriesResult | None] = [None] * len(n)
     for i, v, k, t in zip(*(x.tolist() for x in _contracted_rows(n, p, theta, tol))):
@@ -463,14 +454,9 @@ def series_contracted_many(n, p, theta, tol: float) -> list[SeriesResult | None]
 _NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0))
 
 
-def _contracted_rows(n, p, theta, tol: float, far_rows: int = 1) -> tuple:
+def _contracted_rows(n, p, theta, tol: float) -> tuple:
     """series_contracted_many's rows as columns: the index of each row it
-    serves, and their values, terms_used and tail_estimates.
-
-    Rows past the loop are served only where there are ``far_rows`` of
-    them or more: their search and sums (_far_stops, _pairwise_sums) cost
-    a block about as much as some scalar calls.
-    """
+    serves, and their values, terms_used and tail_estimates."""
     n, p, theta = (np.asarray(x, dtype=float) for x in (n, p, theta))
     if not tol >= TOL_FLOOR:
         return _NO_ROWS
@@ -493,9 +479,8 @@ def _contracted_rows(n, p, theta, tol: float, far_rows: int = 1) -> tuple:
             anchors += weight * sums[:, j]
             size += weight * sizes[:, j]
             weight *= b2
-        k = _K[:_LOOP_TERMS]
-        c = _coefficients(k, _K_POW[:_LOOP_TERMS], n, p_abs, b_abs)
-        c_last = n / (_LAST_K ** (_DECAY - 2) * (_LAST_K * n - p_abs) * (_LAST_K + b_abs))
+        c = _coefficients(n[:, None], p_abs[:, None], b_abs[:, None], _K[:_LOOP_TERMS])
+        c_last = _coefficients(n, p_abs, b_abs, _LAST_K)
         remainder_size = c[:, 0] * np.abs(sin_theta) + _COEF_SUM
         rounding = np.abs(prefactor) * _UNIT_ROUNDOFF * (
             _ROUNDING_ULPS * (size + weight * remainder_size)
@@ -513,15 +498,13 @@ def _contracted_rows(n, p, theta, tol: float, far_rows: int = 1) -> tuple:
         total = np.empty(len(stop))
         ok = (budget > 0.0) & (scale * c_last <= budget)
         loop = np.flatnonzero(ok & near)
-        terms = np.zeros((len(loop), _LOOP_TERMS))
-        terms[:, 1:] = np.sin(k[:-1] * theta[loop, None]) * c[loop, :-1]
-        total[loop] = np.cumsum(terms, axis=1)[np.arange(len(loop)), stop[loop] - 1]
+        total[loop] = _left_sums(theta[loop], c[loop, :-1], stop[loop])
         far = np.flatnonzero(ok & ~near)
-        if len(far) >= far_rows:  # rows past the loop are rare away from the theta edges
+        if len(far):
             stop[far], tail[far] = _far_stops(scale[far], budget[far], n[far],
                                               p_abs[far], b_abs[far])
             far = far[stop[far] > 0]
-            total[far] = _pairwise_sums(stop[far], theta[far], n[far], p_abs[far], b_abs[far])
+            total[far] = _far_sums(stop[far], theta[far], n[far], p_abs[far], b_abs[far])
         keep = np.flatnonzero(ok & (stop > 0))  # a far row left has stop 0
         value = prefactor[keep] * (anchors[keep] + weight[keep] * total[keep])
         tail = tail[keep] + rounding[keep]

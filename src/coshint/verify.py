@@ -231,33 +231,14 @@ def _quad_block(specs: list[IntegrandSpec], tol: float) -> list:
             for row in _x_domain_rows(specs, [s.upper for s in specs])]
 
 
-# Blocks below this many rows go to series_value row by row: a block's
-# fixed cost (about 115 us for one row, 215 for a near_edge row of 24
-# terms or more) is that of 8 to 15 scalar calls (7-23 us each), and the
-# two broke even at 16 to 20 rows of random_unit, near_edge and
-# integer_inf specs (min of 60 runs, one core, numpy 2.4).
-_SERIES_BLOCK_ROWS = 16
-# A block's rows of 24 terms or more go to series_value too when it has
-# fewer than this many: their search and sums (_far_stops, _pairwise_sums)
-# added 74-103 us to a 125-row random_unit block for 1 to 10 such rows
-# (near_edge rows of 26 to 64 terms), while series_value took 15-18 us
-# for each, so the two broke even at 6 rows (min of 25 runs, one core,
-# numpy 2.4).
-_SERIES_FAR_ROWS = 6
-
-
 def _series_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
-    """series_value from the sums of series_contracted_many's rows, for a
-    block of _SERIES_BLOCK_ROWS rows or more, with _series_total's
-    epilogue as columns; None (call series_value) below, and for a row
-    that the block leaves.  A block serves its rows of 24 terms or more
-    only when it has _SERIES_FAR_ROWS of them."""
-    if len(specs) < _SERIES_BLOCK_ROWS:
-        return [None] * len(specs)
+    """series_value from the sums of series_contracted_many's rows, with
+    _series_total's epilogue as columns; None (call series_value) for a
+    row that the block leaves."""
     n, theta, zeta, upper = (np.array([getattr(s, name) for s in specs], dtype=float)
                              for name in ("n", "theta", "zeta", "upper"))
     p = [abs(_real_or_complex(s.p).real) for s in specs]
-    rows, contracted, _, _ = _contracted_rows(n, p, theta, _series_tol(tol), _SERIES_FAR_ROWS)
+    rows, contracted, _, _ = _contracted_rows(n, p, theta, _series_tol(tol))
     middle = _middle_term_many(n[rows], theta[rows])
     value = (np.where(upper[rows] == 1.0, 1.0, 2.0)
              * (contracted - 2.0 * np.cos(zeta[rows]) * middle))  # _series_total's operations

@@ -7,6 +7,7 @@ quad_x_domain_infinite, which is quad_x_domain at X = inf, bit for bit
 the block size, and verify_points must reproduce verify_point.
 """
 
+import functools
 import json
 import math
 import struct
@@ -448,10 +449,11 @@ def test_infinite_invalid_specs_raise_the_single_spec_errors():
 
 
 def test_infinite_kernel_calls_stay_within_the_deepest_level(monkeypatch):
-    # the whole line's kernel runs once per |tau|: the deepest level's 8192
-    # new nodes are 4096 distinct |tau|
-    cap = quadrature._line_stage(quadrature._SINH_LEVELS)[0].size
-    assert 2 * cap == quadrature._sinh_stage(quadrature._SINH_LEVELS)[0].size
+    # the whole line's kernel runs once per |tau|: a lone row's deepest
+    # round samples 4096 |tau|, and a block's chunks stay within _CHUNK
+    cap = quadrature._CHUNK
+    deepest = quadrature._folded_stage(quadrature._SINH_LEVELS, line=True)[0].size
+    assert 2 * deepest == cap
     sizes = []
     original = quadrature._t_kernel
 
@@ -474,7 +476,7 @@ def test_infinite_kernel_calls_stay_within_the_deepest_level(monkeypatch):
     for spec in specs:
         _single_infinite(spec)
     assert block_max <= cap
-    assert max(sizes) == cap  # the failing spec reaches the deepest level
+    assert max(sizes) == deepest  # the failing spec reaches the deepest level
     assert block_calls * 10 < len(sizes)
 
 
@@ -499,17 +501,26 @@ def _full_line(params, geometry):
                                       quadrature._SINH_LEVELS)
 
 
-def _outcomes(rows):
-    # repr round-trips every float, the sign of zero included
-    return [(type(r), str(r)) if isinstance(r, Exception) else repr(r) for r in rows]
+def _close(value, want) -> bool:
+    return abs(value - want) <= 1e-15 * (1.0 + abs(want))
+
+
+def _same_outcome(got, want) -> bool:
+    """The folded whole line's row against the full table's: the same
+    error, or the same stopping level and a value within 1e-15*(1 + |v|)."""
+    if isinstance(want, Exception):
+        return type(got) is type(want)
+    return (not isinstance(got, Exception) and got[2] == (want[2] + 1) // 2
+            and _close(got[0], want[0]))
 
 
 @pytest.mark.parametrize("name", sorted(INFINITE_GRIDS) + ["exhausting"])
 def test_mirrored_line_equals_the_full_table(name):
-    # the sinh map samples each |tau| once and takes the samples into the
-    # full table's order: value, error and evaluations must be the full
-    # table's, for a block and for each lone row, and a row that exhausts
-    # the levels must fail alike
+    # the sinh map mirrors the even kernel's samples at tau > 0 onto -tau,
+    # weighting them 2 (the folded rule at the whole line's steps): each
+    # row, in a block and alone, must stop where the full table does, with
+    # half its samples and its value up to rounding, and a row that
+    # exhausts the levels must fail alike
     specs = INFINITE_GRIDS.get(name, [EXHAUSTING_INF, replace(EXHAUSTING_INF, p=0.5j)])
     for imaginary in (False, True):
         group = [s for s in specs if isinstance(quadrature._x_rule(s, math.inf)[1][0], complex)
@@ -518,41 +529,51 @@ def test_mirrored_line_equals_the_full_table(name):
             continue
         params, geometry = _line_columns(group)
         want = _full_line(params, geometry)
-        assert _outcomes(quadrature._sinh_lines(quadrature._t_kernel, params, geometry)) == \
-            _outcomes(want)
-        for spec, row in zip(group, want):
+        block = quadrature._sinh_lines(quadrature._t_kernel, params, geometry)
+        assert all(_same_outcome(g, w) for g, w in zip(block, want))
+        for spec, row, full in zip(group, block, want):
             _, params, geometry = quadrature._x_rule(spec, math.inf)
-            assert _outcomes(quadrature._sinh_lines(quadrature._t_kernel, params, geometry)) == \
-                _outcomes(_full_line(params, geometry)) == _outcomes([row])
+            lone = quadrature._sinh_lines(quadrature._t_kernel, params, geometry)
+            assert repr(lone) == repr([row])  # a block's row is its lone row, bit for bit
+            assert _same_outcome(row, _full_line(params, geometry)[0]), spec
         if name == "exhausting":
             assert all(isinstance(r, BudgetExceededError) for r in want)
 
 
+def _level_values(place, table_of, params, geometry) -> list:
+    """Per level from 3 to _SINH_LEVELS, each row's trapezoid value on a
+    stage's rounds: the rounds' samples summed so far, times the step."""
+    values, totals = [], None
+    for level in range(quadrature._FIRST_ROUND_LEVEL, quadrature._SINH_LEVELS + 1):
+        *table, starts = table_of(level)
+        starts, bounds, _, _ = quadrature._round_plan(starts, quadrature._SINH_H0, level)
+        sums = quadrature._round_sums(quadrature._t_kernel, params, place, geometry, table,
+                                      starts, bounds)
+        new = [sum(parts) for parts, _, _ in sums]
+        totals = new if totals is None else [t + n for t, n in zip(totals, new)]
+        h = quadrature._SINH_H0 / (1 << level)
+        values.append([t * h * factor for t, (_, _, factor) in zip(totals, sums)])
+    return values
+
+
 def test_mirrored_rounds_equal_the_full_table_at_every_level(monkeypatch):
-    # no served row reaches the deepest levels, so each round's sums are
+    # no served row reaches the deepest levels, so each level's value is
     # compared directly, up to level 10 (8192 new nodes, 4096 |tau|), for
-    # a block and a lone row; at a _CHUNK below the half table the
-    # mirrored samples are placed in slices and the block in more chunks
+    # a block and a lone row; at a _CHUNK below the half table the mirrored
+    # samples are placed in slices and the block in more chunks
     specs = INFINITE_GRIDS["rounds_inf"][:4] + INFINITE_GRIDS["slow_tails_inf"][:6]
     block = _line_columns(specs)
     lone = quadrature._x_rule(specs[2], math.inf)[1:]
-    sliced = False
+    line_stage = functools.partial(quadrature._folded_stage, line=True)
     for chunk in (quadrature._CHUNK, 1000):
         monkeypatch.setattr(quadrature, "_CHUNK", chunk)
-        for level in range(quadrature._FIRST_ROUND_LEVEL, quadrature._SINH_LEVELS + 1):
-            tau, starts = quadrature._sinh_stage(level)
-            half, _ = quadrature._line_stage(level)
-            order = quadrature._line_order(level)
-            sliced |= half.size > chunk
-            starts, bounds, _, _ = quadrature._round_plan(starts, quadrature._SINH_H0, level)
-            for params, geometry in (block, lone):
-                want = quadrature._round_sums(quadrature._t_kernel, params, _full_line_place,
-                                              geometry, (tau,), None, tau.size, starts, bounds)
-                got = quadrature._round_sums(quadrature._t_kernel, params,
-                                             quadrature._line_place, geometry, (half,), order,
-                                             tau.size, starts, bounds)
-                assert repr(got) == repr(want), (chunk, level)
-    assert sliced and half.size == 4096 and order.size == 8192
+        for params, geometry in (block, lone):
+            want = _level_values(_full_line_place, quadrature._sinh_stage, params, geometry)
+            got = _level_values(quadrature._folded_place, line_stage, params, geometry)
+            for level, (g, w) in enumerate(zip(got, want), quadrature._FIRST_ROUND_LEVEL):
+                assert all(_close(x, y) for x, y in zip(g, w)), (chunk, level)
+    half = line_stage(quadrature._SINH_LEVELS)[0]
+    assert half.size == 4096 > 1000
 
 
 def test_verify_points_equals_verify_point_at_infinity():

@@ -533,9 +533,9 @@ def test_stage_tables_nest_into_uniform_grids(name):
 def test_first_round_evaluates_the_level_3_grid_in_one_kernel_call(monkeypatch):
     # levels 2 and 3 are both tested from the sums of one kernel call, so a
     # row that stops at either level makes one call, and evaluations count
-    # the rule's nodes: 169 on the DE map (X < 1), 129 on the sinh map and
-    # on the folded sinh map (X = 1); the sinh map's kernel runs once per
-    # |tau|, on 65 of its 129 nodes
+    # the kernel's samples: 169 on the DE map (X < 1), 129 on the folded
+    # sinh map (X = 1) and 65 on the sinh map (X = inf), whose kernel runs
+    # once per |tau| of its 129 nodes
     sizes = []
     original = quadrature._t_kernel
 
@@ -555,7 +555,7 @@ def test_first_round_evaluates_the_level_3_grid_in_one_kernel_call(monkeypatch):
              (lambda s: quad_x_domain(s, s.upper), 129, 129, [
                  IntegrandSpec(2.0, 1.9, 1e-3, 1.0),  # level 3
                  IntegrandSpec(1.5, 0.6, 2.0, 1.0)]),  # level 2
-             (quad_x_domain_infinite, 129, 65, [
+             (quad_x_domain_infinite, 65, 65, [
                  IntegrandSpec(5.0, 2.0, 2.0, 1.0, upper=math.inf),  # level 3
                  IntegrandSpec(1.0, 0.0, 2.0, 1.0, upper=math.inf)])]  # level 2
     for oracle, nodes, kernel_nodes, specs in cases:

@@ -390,9 +390,11 @@ def test_closed_block_equals_closed_value_bit_for_bit():
     assert [repr(r) for r in reports] == [repr(verify_point(s, 1e-9)) for s in specs]
 
 
-def test_series_block_leaves_a_few_long_rows_to_series_value(workload):
-    # rows past the series loop (24 terms or more) are left to series_value
-    # unless the block has _SERIES_FAR_ROWS of them
+def test_series_block_equals_series_value_at_every_size(workload):
+    # the series block runs on every grid, a one-spec grid included, and
+    # serves its rows of 24 terms or more (past the series loop) as it does
+    # the others: at every size from 1 to 20, with 0, 1 or 12 such rows,
+    # each row must be series_value's bits
     def terms(spec):
         try:
             return series_contracted(spec.n, abs(spec.p), spec.theta, 0.25e-9).terms_used
@@ -400,21 +402,18 @@ def test_series_block_leaves_a_few_long_rows_to_series_value(workload):
             return None
 
     short = [s for s in workload("random_unit", 1)[:60] if terms(s) is not None
-             and terms(s) < 24][:30]
-    far = verify._SERIES_FAR_ROWS
+             and terms(s) < 24][:20]
     long = [replace(s, upper=upper) for s, upper in zip(
-        (s for s in workload("near_edge", 1) if (terms(s) or 0) >= 24), [1.0, math.inf] * far)]
-    assert len(short) == 30 and len(long) == 2 * far
-    for count in (1, far - 1, far, len(long)):
-        specs = short + long[:count]
-        block = verify._series_block(specs, 1e-9)
-        assert None not in block[:len(short)]
-        assert all((got is None) is (count < far) for got in block[len(short):])
-        for spec, got in zip(specs, block):
-            if got is not None:
-                assert got.hex() == series_value(spec, 1e-9).hex(), spec
-        reports = verify_points(specs, 1e-9)
-        assert [repr(r) for r in reports] == [repr(verify_point(s, 1e-9)) for s in specs]
+        (s for s in workload("near_edge", 1) if (terms(s) or 0) >= 24), [1.0, math.inf] * 6)]
+    assert len(short) == 20 and len(long) == 12
+    for size in range(1, 21):
+        for count in sorted({min(count, size) for count in (0, 1, 12)}):
+            specs = short[:size - count] + long[:count]
+            block = verify._series_block(specs, 1e-9)
+            assert [got.hex() for got in block] == \
+                [series_value(spec, 1e-9).hex() for spec in specs], (size, count)
+            reports = verify_points(specs, 1e-9)
+            assert [repr(r) for r in reports] == [repr(verify_point(s, 1e-9)) for s in specs]
 
 
 def test_fallback_grid_reaches_every_block_outcome():
