@@ -32,7 +32,10 @@ series_contracted_many is series_contracted for a block of rows, as
 numpy columns.  It serves every row whose K - 1 terms fit in _WIDTH,
 whether the driver sums them in its plain loop or in one numpy chunk,
 equal to the scalar call bit for bit, and leaves every other row to the
-scalar call.  verify.verify_points runs a grid's series route through
+scalar call.  The block takes its setup from the scalar's
+_contracted_setup, and finds every row's K by one window search and sums
+its terms by one cumsum, however many terms the row needs.
+verify.verify_points runs a grid's series route through
 its row core, _contracted_rows, which gives the served rows as columns.
 """
 
@@ -52,8 +55,7 @@ TOL_FLOOR = 1e-10
 THETA_EDGE = 1e-3
 _BLOCK = 8192
 # _sine_sum sums stop - 1 terms in a plain loop when stop <= _LOOP_TERMS,
-# with numpy above; series_contracted_many finds K below this bound in one
-# table of tails, and beyond it with _far_stops
+# with numpy above
 _LOOP_TERMS = 24
 
 # J: the Bernoulli-polynomial anchors series_contracted subtracts beyond
@@ -288,29 +290,38 @@ def series_contracted(n: float, p: float, theta: float, tol: float) -> SeriesRes
     _check_series_args(n, theta, tol)
     if not abs(p) < n:
         raise ValueError(f"need |p| < n, got p={p}, n={n}")
-    b = p / n
-    b2 = b * b
-    sin_theta = math.sin(theta)
+    p_abs = abs(p)
+    b_abs = p_abs / n
+    prefactor, anchors, weight, rounding = _contracted_setup(
+        math.sin, n, p_abs, b_abs, theta, *anchor_sums(theta))
+    c_of_k = functools.partial(_coefficients, n, p_abs, b_abs)
+    return _accelerated_sum(theta, prefactor, anchors, weight, c_of_k, tol,
+                            rounding, _DECAY)
+
+
+def _contracted_setup(sin, n, p_abs, b_abs, theta, sums, sizes):
+    """series_contracted's prefactor, anchors, weight b**(2J+2) and
+    rounding allowance, on Python floats (sin = math.sin, the lists of
+    anchor_sums) or numpy columns (np.sin, _anchor_columns' columns
+    transposed) alike: the same IEEE operations in the same order.
+    """
+    b2 = b_abs * b_abs
+    sin_theta = sin(theta)
     prefactor = 2.0 / (n * sin_theta)
-    sums, sizes = anchor_sums(theta)
     anchors = size = 0.0
     weight = 1.0  # b**(2j), and b**(2J+2) after the loop
     for s_j, size_j in zip(sums, sizes):
         anchors += weight * s_j
         size += weight * size_j
         weight *= b2
-
-    c_of_k = functools.partial(_coefficients, n, abs(p), abs(b))
-
     # the remainder's terms: |sin(k*theta)*c_k| summed is at most
     # c_1*|sin(theta)| + _COEF_SUM, and rounding k*theta moves them by at
     # most theta*_ARG_SUM in all
-    remainder_size = c_of_k(1.0) * abs(sin_theta) + _COEF_SUM
+    remainder_size = _coefficients(n, p_abs, b_abs, 1.0) * abs(sin_theta) + _COEF_SUM
     rounding = abs(prefactor) * _UNIT_ROUNDOFF * (
         _ROUNDING_ULPS * (size + weight * remainder_size)
         + weight * theta * _ARG_SUM)
-    return _accelerated_sum(theta, prefactor, anchors, weight, c_of_k, tol,
-                            rounding, _DECAY)
+    return prefactor, anchors, weight, rounding
 
 
 # series_contracted_many serves rows of at most _WIDTH terms (K <= _WIDTH + 1).
@@ -318,7 +329,7 @@ def series_contracted(n: float, p: float, theta: float, tol: float) -> SeriesRes
 # allowance leaves almost none of the target, and those take the scalar call.
 _WIDTH = 1024
 _K = np.arange(1.0, _WIDTH + 2.0)
-# columns of the window in which _far_stops looks for K
+# columns of the window in which _stops looks for K
 _WINDOW = 5
 
 
@@ -376,48 +387,45 @@ def _anchor_columns(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums, sizes
 
 
-def _far_stops(scale, budget, n, p_abs, b_abs):
-    """K and tail(K) for rows whose tails exceed the budget up to _LOOP_TERMS.
+def _stops(scale, budget, n, p_abs, b_abs):
+    """K and tail(K) per row: the first k whose tail scale*c_k meets the
+    budget, which is where the scalar's gallop and bisection land, since
+    the tail falls with k.
 
     Every c_k >= k**-(2J+3) puts K at or above y = (scale/budget)**(1/(2J+3)),
-    and c_k <= 1.002*k**-(2J+3) for k >= _LOOP_TERMS puts it at most
-    ceil(y) + 1 for y <= _WIDTH.  So K lies in the _WINDOW columns from
-    ceil(y) - 2, however numpy's ** rounds y.  A row's K is the first
-    column there whose tail meets the budget, when the first column's does
-    not; for any other row (y past _WIDTH, say) K is 0.
+    and c_k <= (4/3)*k**-(2J+3) for k >= 2 (1.002*k**-(2J+3) for k >= 24)
+    puts it at most ceil(y) + 2 for y <= _WIDTH.  So K lies in the _WINDOW
+    columns from ceil(y) - 2, clipped at k = 1, however numpy's ** rounds
+    y.  A row's K is the first column there whose tail meets the budget,
+    when the first column's does not or the first column is k = 1; for any
+    other row (y past _WIDTH, or no budget) K is 0.
     """
     y = (scale / budget) ** (1.0 / _DECAY)
-    first = np.clip(np.ceil(y) - 2.0, _LOOP_TERMS, _WIDTH + 2 - _WINDOW)
+    first = np.clip(np.ceil(y) - 2.0, 1.0, _WIDTH + 2 - _WINDOW)
     k = first[:, None] + np.arange(_WINDOW)
     tails = scale[:, None] * _coefficients(n[:, None], p_abs[:, None], b_abs[:, None], k)
     fits = tails <= budget[:, None]
     col = fits.argmax(axis=1)
     rows = np.arange(len(col))
-    stop = np.where(fits[rows, col] & ~fits[:, 0], k[rows, col], 0.0).astype(np.intp)
-    return stop, tails[rows, col]
+    found = fits[rows, col] & ((first == 1.0) | ~fits[:, 0])
+    return np.where(found, k[rows, col], 0.0).astype(np.intp), tails[rows, col]
 
 
-def _left_sums(theta, c, stop):
-    """0.0 + sum_{k<stop} sin(k*theta)*c_k per row, given the row's c_k at
-    k = 1, 2, ... as c: the terms added left to right, as _sine_sum adds
-    them, by one cumsum along the row from a zero column."""
-    terms = np.zeros((len(stop), c.shape[1] + 1))
-    terms[:, 1:] = np.sin(_K[:c.shape[1]] * theta[:, None]) * c
-    return np.cumsum(terms, axis=1)[np.arange(len(stop)), stop - 1]
-
-
-def _far_sums(stop, theta, n, p_abs, b_abs):
-    """_left_sums for rows past the loop, widest first, in chunks of rows
-    whose tables stay within _BLOCK elements (_WIDTH < _BLOCK), as
-    _sine_sum's do."""
+def _sums(stop, theta, n, p_abs, b_abs):
+    """0.0 + sum_{k<stop} sin(k*theta)*c_k per row: the terms added left to
+    right, as _sine_sum adds them, by one cumsum along the row from a zero
+    column.  The rows run widest first, in chunks whose tables stay within
+    _BLOCK elements (_WIDTH < _BLOCK), as _sine_sum's do."""
     total = np.empty(len(stop))
     order = np.argsort(-stop, kind="stable")
     start = 0
     while start < len(order):
         rows = order[start:start + _BLOCK // int(stop[order[start]])]
-        c = _coefficients(n[rows, None], p_abs[rows, None], b_abs[rows, None],
-                          _K[:stop[rows[0]] - 1])
-        total[rows] = _left_sums(theta[rows], c, stop[rows])
+        k = _K[:stop[rows[0]] - 1]
+        terms = np.zeros((len(rows), len(k) + 1))
+        terms[:, 1:] = np.sin(k * theta[rows, None]) * _coefficients(
+            n[rows, None], p_abs[rows, None], b_abs[rows, None], k)
+        total[rows] = np.cumsum(terms, axis=1)[np.arange(len(rows)), stop[rows] - 1]
         start += len(rows)
     return total
 
@@ -435,15 +443,13 @@ def series_contracted_many(n, p, theta, tol: float) -> list[SeriesResult | None]
     series_contracted, which returns or raises for it as it does alone.
 
     The bits match because every step is the scalar's IEEE operation in
-    the scalar's order: the scalar writes its powers as products
-    (anchor_sums, _coefficients) and adds its terms left to right
-    (_sine_sum), which numpy repeats, and np.sin is libm's sin on the
-    loop's arguments (tests/test_series.py checks that and the sums).  K
-    is the first k whose tail meets the budget, which is where the
-    scalar's gallop and bisection land, since the tail falls with k: a
-    (rows x _LOOP_TERMS) table of tails finds it up to _LOOP_TERMS, and
-    _far_stops beyond.  Every row's terms are then one cumsum from a zero
-    column (_left_sums).
+    the scalar's order: both take their setup from _contracted_setup, the
+    scalar writes its powers as products (anchor_sums, _coefficients) and
+    adds its terms left to right (_sine_sum), which numpy repeats, and
+    np.sin is libm's sin on the loop's arguments (tests/test_series.py
+    checks that and the sums).  Every row, however many terms it needs,
+    finds K by one window search (_stops) and sums its terms by one
+    cumsum from a zero column (_sums).
     """
     out: list[SeriesResult | None] = [None] * len(n)
     for i, v, k, t in zip(*(x.tolist() for x in _contracted_rows(n, p, theta, tol))):
@@ -465,48 +471,18 @@ def _contracted_rows(n, p, theta, tol: float) -> tuple:
                           & (theta < 2.0 * math.pi - THETA_EDGE) & (p_abs < n))
     if not len(rows):
         return _NO_ROWS
-    n, p, p_abs, theta = n[rows], p[rows], p_abs[rows], theta[rows]
+    n, p_abs, theta = n[rows], p_abs[rows], theta[rows]
     with np.errstate(all="ignore"):
-        b = p / n
-        b2 = b * b
-        b_abs = np.abs(b)
-        sin_theta = np.sin(theta)
-        prefactor = 2.0 / (n * sin_theta)
-        sums, sizes = _anchor_columns(theta)
-        anchors = size = 0.0
-        weight = 1.0
-        for j in range(EXTRA_ANCHORS + 1):
-            anchors += weight * sums[:, j]
-            size += weight * sizes[:, j]
-            weight *= b2
-        c = _coefficients(n[:, None], p_abs[:, None], b_abs[:, None], _K[:_LOOP_TERMS])
-        c_last = _coefficients(n, p_abs, b_abs, _LAST_K)
-        remainder_size = c[:, 0] * np.abs(sin_theta) + _COEF_SUM
-        rounding = np.abs(prefactor) * _UNIT_ROUNDOFF * (
-            _ROUNDING_ULPS * (size + weight * remainder_size)
-            + weight * theta * _ARG_SUM)
+        b_abs = p_abs / n
+        prefactor, anchors, weight, rounding = _contracted_setup(
+            np.sin, n, p_abs, b_abs, theta, *(x.T for x in _anchor_columns(theta)))
         budget = 0.1 * tol - rounding
         scale = np.abs(prefactor * weight) / np.abs(np.sin(0.5 * theta))
-        tails = scale[:, None] * c
-        fits = tails <= budget[:, None]
-        # the scalar's search starts at lo = ceil((scale/budget)**(1/(2J+3))) - 1,
-        # below the first k that meets the budget (every c_k >= k**-(2J+3)),
-        # so its K is that k
-        near = fits.any(axis=1)
-        stop = np.where(near, fits.argmax(axis=1) + 1, 0)
-        tail = tails[np.arange(len(stop)), stop - 1]
-        total = np.empty(len(stop))
-        ok = (budget > 0.0) & (scale * c_last <= budget)
-        loop = np.flatnonzero(ok & near)
-        total[loop] = _left_sums(theta[loop], c[loop, :-1], stop[loop])
-        far = np.flatnonzero(ok & ~near)
-        if len(far):
-            stop[far], tail[far] = _far_stops(scale[far], budget[far], n[far],
-                                              p_abs[far], b_abs[far])
-            far = far[stop[far] > 0]
-            total[far] = _far_sums(stop[far], theta[far], n[far], p_abs[far], b_abs[far])
-        keep = np.flatnonzero(ok & (stop > 0))  # a far row left has stop 0
-        value = prefactor[keep] * (anchors[keep] + weight[keep] * total[keep])
+        stop, tail = _stops(scale, budget, n, p_abs, b_abs)
+        keep = np.flatnonzero((budget > 0.0) & (stop > 0)
+                              & (scale * _coefficients(n, p_abs, b_abs, _LAST_K) <= budget))
+        total = _sums(stop[keep], theta[keep], n[keep], p_abs[keep], b_abs[keep])
+        value = prefactor[keep] * (anchors[keep] + weight[keep] * total)
         tail = tail[keep] + rounding[keep]
     return rows[keep], value, stop[keep] - 1, tail
 

@@ -357,7 +357,9 @@ def _block_against_scalar(rows, tol=BLOCK_TOL):
 
 @pytest.mark.parametrize("name, seed, served", [
     ("random_unit", 1, 1000), ("integer_inf", 1, 2000),
-    ("near_edge", 1, 712), ("near_edge", 2, 713), ("near_edge", 9001, 712)])
+    ("near_edge", 1, 712), ("near_edge", 2, 713), ("near_edge", 9001, 712),
+    ("random_unit", 2, 1000), ("random_unit", 9001, 1000),
+    ("integer_inf", 2, 2000), ("integer_inf", 9001, 2000)])
 def test_block_equals_scalar_on_workload(workload, name, seed, served):
     rows = [(s.n, abs(s.p), s.theta) for s in workload(name, seed)]
     seen = _block_against_scalar(rows)
@@ -385,9 +387,9 @@ def test_block_equals_scalar_in_every_anchor_region():
     rows = [(n, b * n, theta) for theta in REGION_THETAS for b in BLOCK_BS
             for n in (0.5, 2.0)]
     seen = _block_against_scalar(rows)
-    # most rows sum in the loop; b near 1 needs more terms, which sum in
-    # numpy, and theta = pi leaves no budget (see
-    # test_contracted_refused_at_pi_before_summing)
+    # most rows the scalar sums in its loop; b near 1 needs more terms,
+    # which it sums in numpy, and the block sums both alike; theta = pi
+    # leaves no budget (see test_contracted_refused_at_pi_before_summing)
     assert sum(v for k, v in seen.items() if isinstance(k, int) and k < 24) > 0.8 * len(rows)
     assert sum(v for k, v in seen.items() if isinstance(k, int) and k >= 24) >= 1
     assert seen[ToleranceUnreachableError] >= 1
@@ -395,8 +397,8 @@ def test_block_equals_scalar_in_every_anchor_region():
 
 def test_block_around_the_loop_boundary(workload):
     # near_edge seed-1 spec 16 sums 24 terms, the fewest that the scalar sums
-    # with numpy instead of its loop: the block must switch from its table
-    # of tails to _far_stops' search right there
+    # with numpy instead of its loop: the block's one search and one sum
+    # must equal both sides of that switch
     spec16 = workload("near_edge", 1)[16]
     assert spec16 == IntegrandSpec(n=2.177539212903693, p=1.9924219091495128,
                                    theta=6.183374845796147, zeta=0.6343056039034375)
@@ -436,24 +438,27 @@ def test_block_around_its_width(monkeypatch):
     assert {width - 1, width, width + 1} <= set(seen)
 
 
-def test_far_search_lands_where_the_scalars_tail_meets_the_budget():
+@pytest.mark.parametrize("n, b_abs, scale", [(0.7, 0.0, 3.0e7), (0.7, 0.9, 3.0e7),
+                                          (2.5, 0.999999, 0.02)])
+def test_search_lands_where_the_scalars_tail_meets_the_budget(n, b_abs, scale):
     # with the budget set to the scalar's own tail(k) (Python floats, as
     # _accelerated_sum's tail passes them), K must be k and tail(K) its bits,
-    # for every k past the loop; k**7 is a product there, which differs from
-    # pow's k**7 past k = 190 and would move K past k or change the tail's
-    # last bit if the search took the other
-    n, p_abs, scale = 0.7, 0.63, 3.0e7
-    b_abs = p_abs / n
-    ks = range(series._LOOP_TERMS + 1, series._WIDTH + 2)
+    # for every k the block serves, k = 1 (the window's first column) and
+    # |b| near 1 (c_1 about 5e5) among them; k**7 is a product there, which
+    # differs from pow's k**7 past k = 190 and would move K past k or change
+    # the tail's last bit if the search took the other
+    p_abs = b_abs * n
+    b_abs = p_abs / n  # as series_contracted takes it
+    ks = range(1, series._WIDTH + 2)
     def power(k):  # k**7 as series._coefficients writes it
         k2 = k * k
         return k * k2 * k2 * k2
 
-    budget = [scale * (n / (power(k) * (k * n - p_abs) * (k + b_abs))) for k in map(float, ks)]
+    budget = [scale * series._coefficients(n, p_abs, b_abs, k) for k in map(float, ks)]
     assert any(power(k) != k ** 7 for k in map(float, ks))
     column = np.ones(len(budget))
-    stop, tail = series._far_stops(scale * column, np.array(budget), n * column,
-                                   p_abs * column, b_abs * column)
+    stop, tail = series._stops(scale * column, np.array(budget), n * column,
+                               p_abs * column, b_abs * column)
     assert stop.tolist() == list(ks)
     assert tail.tolist() == budget
 
