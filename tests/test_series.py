@@ -454,7 +454,7 @@ def test_search_lands_where_the_scalars_tail_meets_the_budget(n, b_abs, scale):
         k2 = k * k
         return k * k2 * k2 * k2
 
-    budget = [scale * series._coefficients(n, p_abs, b_abs, k) for k in map(float, ks)]
+    budget = [scale * (n / (power(k) * (k * n - p_abs) * (k + b_abs))) for k in map(float, ks)]
     assert any(power(k) != k ** 7 for k in map(float, ks))
     column = np.ones(len(budget))
     stop, tail = series._stops(scale * column, np.array(budget), n * column,
