@@ -12,12 +12,16 @@ The routes, their names and when each applies come from
 coshint.verify.ROUTES: eval --method, the report keys and the table
 columns follow it.  Sweeps evaluate the whole grid in one process, with
 every route's block form run once over it, through
-coshint.verify.verify_rows, which gives each spec's report values as a
-plain row, so that neither table nor verify builds a report,
-normalized form or domain status per spec.  Output rows follow input
-order and each equals the single-spec report, so identical flags and
-seed give byte-identical output.  --threads is still accepted but has
-no effect.
+coshint.verify.verify_columns, which takes the grid as the five lists of
+its specs' fields and gives each spec's report values as a plain row,
+so that neither table nor verify builds a report, normalized form or
+domain status per spec.  verify --grid builds no spec either:
+grid_columns reads the file into the five lists with spec_from_dict's
+conversions and IntegrandSpec's checks run on columns, and reads it row
+by row only to report a bad file's first bad row.  Output rows follow
+input order and each equals the single-spec report, so identical flags
+and seed give byte-identical output.  --threads is still accepted but
+has no effect.
 
 One writer holds the report line's key layout: _line, one f-string over
 a row's values in report_to_dict's key order, byte for byte equal to
@@ -54,18 +58,22 @@ from .params import (
     canonicalize_theta,
     classify_domain,
     normalize,
+    valid_fields,
 )
 from .partial_fractions import decompose
 from .series import series_contracted, series_imaginary, series_one_sided
 from .verify import (
     AGREE_TOL,
+    P_TYPES,
     ROUTES,
     EvalReport,
+    _fields,
     paradox_imaginary_n,
     paradox_periodicity,
     random_specs,
-    verify_point,
     rows_disagree,
+    verify_columns,
+    verify_point,
     verify_rows,
 )
 
@@ -182,6 +190,29 @@ def spec_from_dict(d: dict) -> IntegrandSpec:
                          zeta=float(d["zeta"]), upper=parse_upper(d.get("upper", 1.0)))
 
 
+def grid_columns(raw: list) -> list[list]:
+    """The lists n, p, theta, zeta and upper of the specs of a grid
+    file's JSON array, which verify_columns takes, without building the
+    specs: each field converted as spec_from_dict converts it, and
+    IntegrandSpec's checks run on the columns at once (valid_fields).
+
+    If a conversion raises or a row fails the checks, the fields come
+    from [spec_from_dict(d) for d in raw], which raises the first bad
+    row's error, as a row-by-row parse finds it, with its own message.
+    """
+    try:
+        n = [float(d["n"]) for d in raw]
+        p = [parse_complex_literal(x) if isinstance(x, str) else x for x in [d["p"] for d in raw]]
+        theta = [float(d["theta"]) for d in raw]
+        zeta = [float(d["zeta"]) for d in raw]
+        upper = [parse_upper(d.get("upper", 1.0)) for d in raw]
+        if set(map(type, p)) <= P_TYPES and valid_fields(n, p, theta, zeta, upper):
+            return [n, p, theta, zeta, upper]
+    except Exception:  # any error: the row-by-row parse below gives the one to report
+        pass
+    return _fields([spec_from_dict(d) for d in raw])
+
+
 def report_to_dict(report: EvalReport) -> dict:
     nf = report.normalized
     return {
@@ -260,7 +291,7 @@ def _fail(message: str) -> int:
 def cmd_eval(args) -> int:
     try:
         spec = _spec_from_args(args)
-    except CoshintError as exc:
+    except (CoshintError, ValueError) as exc:
         return _fail(f"domain error: {exc}")
     status = classify_domain(spec)
     if status.kind not in (DomainKind.VALID, DomainKind.BOUNDARY_A):
@@ -294,8 +325,8 @@ def cmd_verify(args) -> int:
                 raw = json.load(fh)
             if not isinstance(raw, list):
                 raise ValueError("grid file must hold a JSON array of specs")
-            specs = [spec_from_dict(d) for d in raw]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            columns = grid_columns(raw)
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             return _fail(f"bad grid file: {exc}")
     elif args.random < 0:
         return _fail(f"bad --random: the spec count must be nonnegative, got {args.random}")
@@ -303,8 +334,8 @@ def cmd_verify(args) -> int:
         return _fail(f"bad --random: the spec count must be at most {MAX_SWEEP_SPECS}, "
                      f"got {args.random}")
     else:
-        specs = random_specs(args.random, args.seed)
-    rows = verify_rows(specs, args.tol)
+        columns = _fields(random_specs(args.random, args.seed))
+    rows = verify_columns(*columns, tol=args.tol)
     text = "".join([_line(*row) + "\n" for row in rows])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

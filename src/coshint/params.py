@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import SingularThetaError
 
 TWO_PI = 2.0 * math.pi
@@ -62,6 +64,16 @@ class IntegrandSpec:
             raise ValueError("zeta must be finite")
         if not self.upper > 0:
             raise ValueError(f"upper limit must be positive, got {self.upper}")
+
+
+def valid_fields(n, p, theta, zeta, upper) -> bool:
+    """Whether IntegrandSpec takes every row of the lists of a grid's
+    fields (p a float, int, bool or complex): __post_init__'s checks run
+    on numpy columns at once.  Raises OverflowError where
+    IntegrandSpec's conversions do: for an int beyond float range."""
+    n, theta, zeta, upper = (np.array(x, dtype=float) for x in (n, theta, zeta, upper))
+    return bool(((n > 0) & np.isfinite(n) & np.isfinite(np.array(p, dtype=complex))
+                 & np.isfinite(theta) & np.isfinite(zeta) & (upper > 0)).all())
 
 
 @dataclass(frozen=True)
@@ -143,7 +155,7 @@ def normalize(spec: IntegrandSpec) -> NormalizedForm:
     Purely arithmetic: theta is reduced mod 2*pi and no spec is refused
     (a spec with theta = 0 normalizes to the boundary a = pi).
     """
-    a, b, c, scale, _, _ = form_and_kind(spec)
+    a, b, c, scale, _, _ = form_and_kind(spec.n, spec.p, spec.theta, spec.zeta)
     return NormalizedForm(a=a, b=b, c=c, scale=scale)
 
 
@@ -169,40 +181,62 @@ def classify_domain(spec: IntegrandSpec) -> DomainStatus:
     canonicalization), then BOUNDARY_A (theta = pi, served by the
     repeated-root limit), else VALID.
     """
-    *_, kind, detail = form_and_kind(spec)
+    *_, kind, detail = form_and_kind(spec.n, spec.p, spec.theta, spec.zeta)
     return DomainStatus(DomainKind(kind), detail)
 
 
 _SINGULAR_THETA, _EXCLUDED, _PARADOX_ONLY, _BOUNDARY_A, _VALID = (
     kind.value for kind in (DomainKind.SINGULAR_THETA, DomainKind.EXCLUDED,
                             DomainKind.PARADOX_ONLY, DomainKind.BOUNDARY_A, DomainKind.VALID))
+# the kind and detail of a Valid and of a Boundary-a spec, which hold no value
+_VALID_KIND = (_VALID, "inside the validity region")
+_BOUNDARY_KIND = (_BOUNDARY_A, "theta = pi: repeated denominator roots, use the limit formula")
 
 
-def form_and_kind(spec: IntegrandSpec) -> tuple:
-    """normalize's and classify_domain's values as one plain tuple
-    (a, b, c, scale, kind, detail), kind being the DomainKind's value:
-    the one copy of both, which the verify rows use without building
-    the NormalizedForm or the DomainStatus.
+def form_and_kind(n, p, theta, zeta) -> tuple:
+    """normalize's and classify_domain's values for a spec's fields as
+    one plain tuple (a, b, c, scale, kind, detail), kind being the
+    DomainKind's value: the one copy of both, which the verify rows use
+    without building the NormalizedForm or the DomainStatus.
     """
-    theta_c, shifted = _theta_mod(spec.theta)
-    b = spec.p / spec.n
+    theta_c, shifted = _theta_mod(theta)
+    b = p / n
     if isinstance(b, complex) and b.imag == 0.0:
         b = b.real
-    form = (math.pi - theta_c, b, math.pi - spec.zeta, 1.0 / spec.n)
+    form = (math.pi - theta_c, b, math.pi - zeta, 1.0 / n)
     if theta_c == 0.0:
         return (*form, _SINGULAR_THETA,
-                f"theta={spec.theta!r} is congruent to 0 mod 2*pi; value is infinite")
-    re_p = _real_or_complex(spec.p).real
-    if abs(re_p) >= spec.n:
+                f"theta={theta!r} is congruent to 0 mod 2*pi; value is infinite")
+    re_p = _real_or_complex(p).real
+    if abs(re_p) >= n:
         return (*form, _EXCLUDED,
-                f"Re(p)-n = {abs(re_p) - spec.n!r} >= 0: improper fraction, divergent at x=0")
+                f"Re(p)-n = {abs(re_p) - n!r} >= 0: improper fraction, divergent at x=0")
     if shifted:
         return (*form, _PARADOX_ONLY,
-                f"theta={spec.theta!r} lies outside (0, 2*pi); canonicalize before evaluating")
+                f"theta={theta!r} lies outside (0, 2*pi); canonicalize before evaluating")
     if abs(theta_c - math.pi) <= _THETA_PI_TOL:
-        return (*form, _BOUNDARY_A,
-                "theta = pi: repeated denominator roots, use the limit formula")
-    return (*form, _VALID, "inside the validity region")
+        return (*form, *_BOUNDARY_KIND)
+    return (*form, *_VALID_KIND)
+
+
+def form_and_kind_many(n, p, theta, zeta) -> tuple:
+    """form_and_kind for rows of floats given as columns, p real (the
+    real part of a complex one): the columns a, b, c and scale, the mask
+    of the rows that are Valid or Boundary-a, and per row the kind and
+    detail of such a row, or None.
+
+    Each column is form_and_kind's IEEE operation on the rows of those
+    two kinds, b only where p is a float, since a complex p divides as
+    a complex.  A row whose theta lies in (0, 2*pi) is its own reduced
+    angle, so it is Valid or Boundary-a unless |p| >= n; the others
+    (singular, excluded and paradox-only) are None, for form_and_kind,
+    whose details hold reprs.
+    """
+    inside = (0.0 < theta) & (theta < TWO_PI) & (np.abs(p) < n)
+    at_pi = (np.abs(theta - math.pi) <= _THETA_PI_TOL).tolist()
+    kinds = [(_BOUNDARY_KIND if edge else _VALID_KIND) if ok else None
+             for ok, edge in zip(inside.tolist(), at_pi)]
+    return math.pi - theta, p / n, math.pi - zeta, 1.0 / n, inside, kinds
 
 
 def rescale(spec: IntegrandSpec, lam: float) -> ScaleCheck:

@@ -35,14 +35,9 @@ from .quadrature import integrate_half_line
 from .trig_sums import assemble
 
 
-def _is_int(x) -> bool:
-    """Whether x, real or complex, is an integer (_as_int's test)."""
-    xc = _real_or_complex(x)
-    return xc.imag == 0.0 and xc.real == round(xc.real)
-
-
 def _as_int(x, name: str) -> int:
-    xc = _real_or_complex(x)  # converted once; the test is _is_int's
+    """x, real or complex, as an int, if it is an integer."""
+    xc = _real_or_complex(x)
     if xc.imag == 0.0 and xc.real == (r := round(xc.real)):
         return r
     raise NotIntegerExponentsError(f"{name} = {x!r} is not an integer")

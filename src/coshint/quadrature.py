@@ -12,9 +12,10 @@ against itself:
   the whole line (quad_x_domain at X = inf); and the DE half-line map
   s = s_X + exp(t - e^(-t))/lam, with lam the kernel's tail decay rate,
   for every integral over [s_X, inf) with s_X > 0 (quad_x_domain at
-  X < 1).  One
-  function, _x_rule, picks the map of an x-domain range, for
-  quad_x_domain, its blocks and quad_cos_log.  The sinh map clusters
+  X < 1).  One function, _x_rule, picks the map of an x-domain range
+  and its kernel arguments, for quad_x_domain and quad_cos_log; its
+  column form, _x_columns, does so for the blocks, with the same bits
+  (tests/test_grid_columns.py pins it).  The sinh map clusters
   its nodes where a near-edge kernel peaks, so X = 1 and X = inf are
   served near the edges;
 * a doubling-panel Gauss-Legendre rule on geometrically growing panels
@@ -44,8 +45,10 @@ one-row oracles), which pays only its own numpy calls on 1-D arrays, or
 a (rows x nodes) block in chunks of rows: quad_x_domain_many runs one
 block per map and kind of p over each spec's own range
 (quad_x_domain_infinite_many over (0, inf)) and returns, bit for bit,
-what the one-row calls return for each; its row core, _x_domain_rows,
-gives each row's fields as a plain tuple, which verify reads.  Each map
+what the one-row calls return for each; its column core,
+_x_domain_columns, takes the rows as float columns, builds no spec, and
+gives each row's fields as a plain tuple, which verify's grid path
+reads.  Each map
 hands the even kernel -|s| directly, exactly (IEEE negation is exact),
 so the kernel takes no absolute value, and the even kernel's sum over
 the whole line is the folded map's at the whole line's steps, which
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -611,7 +615,7 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     b = p.real / spec.n
     decay = 1.0 - abs(b)
     if p.imag != 0.0:
-        b = 1j * p.imag / spec.n  # cos(q*s/n) = cosh(b*s); the tails decay as e^(-s)
+        b = _imaginary_b(p.imag, spec.n)  # the tails decay as e^(-s)
     s_x = None if X is None else -spec.n * math.log(X)
     return b, -math.cos(spec.zeta), math.sin(0.5 * spec.theta) ** 2, s_x, decay
 
@@ -664,37 +668,117 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
 
 
-def _x_domain_rows(specs: list[IntegrandSpec], uppers: list[float]) -> list[tuple | Exception]:
-    """quad_x_domain(spec, X) for every spec and its X in ``uppers``, as
-    one block per rule and kind of p (a complex b column would change the
-    rounding of real rows): in order, each spec's error, or its
-    QuadResult's fields (value, abs_err_estimate, evaluations) as a plain
-    tuple, which verify's quadrature block reads without building the
-    QuadResult."""
-    out: list[tuple | Exception | None] = [None] * len(specs)
-    blocks: dict[tuple, list] = {}  # (rule, imaginary p): rows
-    for i, (spec, X) in enumerate(zip(specs, uppers)):
-        try:
-            lines, params, geometry = _x_rule(spec, X)
-        except (CoshintError, ValueError) as exc:
-            out[i] = exc
-        else:
-            key = (lines, isinstance(params[0], complex))
-            blocks.setdefault(key, []).append((i, *params, *geometry))
-    for (lines, _), block in blocks.items():
-        rows, *cols = zip(*block)
-        cols = [np.array(col)[:, None] for col in cols]
-        results = lines(_t_kernel, cols[:3], cols[3:])
-        for i, res in zip(rows, results):
-            out[i] = res if isinstance(res, Exception) else _values(*res, specs[i].n)
+def _x_domain_columns(n, p, q, theta, zeta, upper) -> list[tuple | Exception | None]:
+    """quad_x_domain(spec, X) for rows of floats given as columns, p and q
+    being the real and imaginary parts of the spec's p and upper its X:
+    as _x_domain_rows gives it, per kind of p, for a row that _x_rule
+    serves (_x_served), and None for a row that it refuses, for
+    quad_x_domain to raise for."""
+    out: list = [None] * len(n)
+    served = np.flatnonzero(_x_served(n, p, q, theta, upper))
+    if not len(served):
+        return out
+    n, q = n[served], q[served]
+    b, *args = _x_columns(n, p[served], theta[served], zeta[served], upper[served])
+    for imaginary in (False, True):
+        rows = np.flatnonzero((q != 0.0) == imaginary)
+        if len(rows):
+            b_rows = (np.array(list(map(_imaginary_b, q[rows].tolist(), n[rows].tolist())))
+                      if imaginary else b[rows])
+            for i, row in zip(served[rows].tolist(),
+                              _x_domain_rows(n[rows], b_rows, *(c[rows] for c in args))):
+                out[i] = row
+    return out
+
+
+def _x_served(n, p, q, theta, upper):
+    """The rows of columns that _x_rule serves, as a mask: p real or
+    imaginary (q its imaginary part), |p| < n, theta in (0, 2*pi) and
+    an upper limit in (0, 1] or inf."""
+    return (((p == 0.0) | (q == 0.0)) & (np.abs(p) < n) & (0.0 < theta)
+            & (theta < 2.0 * math.pi) & (((0.0 < upper) & (upper <= 1.0)) | (upper == math.inf)))
+
+
+def _imaginary_b(q: float, n: float) -> complex:
+    """The kernel's b = i*q/n for p = i*q: cos(q*s/n) = cosh(b*s)."""
+    return 1j * q / n
+
+
+def _x_columns(n, p, theta, zeta, upper) -> tuple:
+    """_x_rule's values for rows of floats given as columns, each with a
+    real p (the real part 0 of an imaginary one), |p| < n, theta in
+    (0, 2*pi) and an upper limit X in (0, 1] or inf, which _x_rule
+    serves: the columns b = p/n, cos_c and sin2_half of the _t_kernel
+    arguments, s_X = -n*log(X), which is -inf on the whole line, the
+    tail decay rate, and the sinh map's scale and span (NaN on the DE
+    map's rows, s_X > 0, whose geometry is (-s_X, decay)).
+
+    Each is the scalar's IEEE operation in its order.  numpy's sin and
+    cos are libm's on these arguments, but its arcsinh and its square are
+    not always, so sin2_half is squared, and the logs and arcsinh are
+    taken, per row on Python floats, as _x_rule takes them.
+    """
+    b = p / n
+    decay = 1.0 - np.abs(b)
+    sin2_half = _per_row(pow, np.sin(0.5 * theta), itertools.repeat(2))  # s ** 2
+    s_x = -n * _per_row(math.log, upper)
+    scale = np.minimum(np.minimum(1.0, theta), 2.0 * math.pi - theta)
+    span = np.full(len(n), math.nan)
+    line = np.flatnonzero(s_x <= 0.0)  # the whole line (-inf) or [0, inf) (-0.0)
+    if len(line):
+        d = decay[line]
+        cutoff = np.maximum(8.0, _per_row(math.log, 1e17 / d) / d)
+        with np.errstate(over="ignore"):  # inf at theta = 5e-324, as the scalar's is
+            ratio = cutoff / scale[line]
+        span[line] = _per_row(math.asinh, ratio) + 0.5
+    return b, -np.cos(zeta), sin2_half, s_x, decay, scale, span
+
+
+def _per_row(f, column, *args):
+    """f(x, *args) for each x of a float column, on Python floats."""
+    return np.fromiter(map(f, column.tolist(), *args), float, len(column))
+
+
+def _x_domain_rows(n, b, cos_c, sin2_half, s_x, decay, scale, span) -> list[tuple]:
+    """quad_x_domain for rows given as _x_columns' columns, b all real or
+    all complex (a complex b column would change the rounding of real
+    rows), as one block per map: the sinh map where s_X = -inf, the
+    folded sinh map where s_X = 0 and the DE map where s_X > 0.  Each
+    row's error, or its QuadResult's fields (value, abs_err_estimate,
+    evaluations) as a plain tuple, which verify's quadrature block reads
+    without building the QuadResult."""
+    out: list = [None] * len(n)
+    n = n.tolist()
+    for lines, mask, geometry in ((_sinh_lines, s_x == -math.inf, (scale, span)),
+                                  (_folded_lines, s_x == 0.0, (scale, span)),
+                                  (_de_half_lines, s_x > 0.0, (-s_x, decay))):
+        rows = np.flatnonzero(mask)
+        if len(rows):
+            results = lines(_t_kernel, [c[rows, None] for c in (b, cos_c, sin2_half)],
+                            [c[rows, None] for c in geometry])
+            for i, res in zip(rows.tolist(), results):
+                out[i] = res if isinstance(res, Exception) else _values(*res, n[i])
     return out
 
 
 def _x_domain_block(specs: list[IntegrandSpec],
                     uppers: list[float]) -> list[QuadResult | Exception]:
-    """_x_domain_rows with a QuadResult for each row it serves."""
-    return [row if isinstance(row, Exception) else QuadResult(*row)
-            for row in _x_domain_rows(specs, uppers)]
+    """quad_x_domain(spec, X) for every spec and its X in ``uppers``: each
+    spec's QuadResult from _x_domain_columns, or, for a row that it
+    leaves, the one-row call's result or error."""
+    n, theta, zeta, upper = (np.array(x, dtype=float) for x in (
+        [s.n for s in specs], [s.theta for s in specs], [s.zeta for s in specs], uppers))
+    p = np.array([s.p for s in specs], dtype=complex)
+    out: list = []
+    for spec, X, row in zip(specs, uppers,
+                            _x_domain_columns(n, p.real, p.imag, theta, zeta, upper)):
+        if row is None:
+            try:
+                row = quad_x_domain(spec, X)
+            except (CoshintError, ValueError) as exc:
+                row = exc
+        out.append(row if isinstance(row, (Exception, QuadResult)) else QuadResult(*row))
+    return out
 
 
 def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
@@ -785,7 +869,7 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
     if spec.upper not in (1.0, math.inf):
         raise ValueError("upper must be 1 or infinity for this oracle")
     lines, (_, _, sin2_half), geometry = _x_rule(spec, spec.upper)  # decay 1
-    b = 1j * p.imag / spec.n  # complex at q = 0 too, as _x_kernel_args' b is not
+    b = _imaginary_b(p.imag, spec.n)  # complex at q = 0 too, as _x_kernel_args' b is not
     # the kernel's imaginary parts cancel exactly: e^((1 -+ b)*s) are conjugates
     return _one_row(lines(_t_kernel, [b, 0.0, sin2_half], geometry), 2.0 * spec.n)
 

@@ -6,12 +6,16 @@ reports the worst pairwise disagreement; verify_points does the same for
 a grid, with every route's block form run once over the grid, and
 verify_rows gives its reports' values as plain rows, which the CLI
 writes without building the reports.  All three wrap one row core.
-The blocks hand back plain values: the quadrature and series blocks
-read their modules' row cores, not QuadResult or SeriesResult objects.  A
-route whose precondition (ROUTES) fails is not called at all: the route
-function raises from the same predicate, so the report is the one that
-trying it would give.  Disagreements never raise: callers and the test
-suite decide what counts as failure.
+The grid core, verify_columns, takes a grid as the lists of its specs'
+fields and builds no spec for a row that the blocks serve: the
+normalized form and kind come as columns, each route's admission is one
+mask, and the blocks take float columns and hand back plain values (the
+quadrature and series blocks read their modules' column cores, not
+QuadResult or SeriesResult objects).  A route whose precondition
+(ROUTES) fails is not called at all: the route function raises from the
+same predicate, one expression on floats and columns alike, so the
+report is the one that trying it would give.  Disagreements never
+raise: callers and the test suite decide what counts as failure.
 
 The paradox demonstrators are assertable artifacts of where the closed
 forms stop being valid: shifting theta by a full turn changes the
@@ -29,6 +33,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,18 +49,18 @@ from .params import (
     _theta_mod,
     classify_domain,
     form_and_kind,
+    form_and_kind_many,
     normalize,
 )
 from .partial_fractions import (
     _as_int,
     _middle_term_many,
-    _is_int,
     integral_at,
     integral_closed,
     middle_term_integral,
     pf_value_many,
 )
-from .quadrature import _x_domain_rows, quad_x_domain
+from .quadrature import _x_domain_columns, quad_x_domain
 from .series import TOL_FLOOR, SeriesResult, _contracted_rows, series_contracted
 
 
@@ -95,22 +100,30 @@ class ParadoxReport:
     explanation: str
 
 
-# Route preconditions.  Each route function raises when its own fails,
-# and _row does not call a route whose precondition fails.
+# Route preconditions.  Each is one expression on a spec's fields that
+# runs alike on floats, on the one-row path, and on a grid's numpy
+# columns, as its admission mask.  Each route function raises when its
+# own fails, and _row does not call a route whose precondition fails.
 
 
-def _summed_upper(spec: IntegrandSpec) -> bool:
+def _summed_upper(upper):
     """The closed and series routes' precondition: upper limit 1 or inf."""
-    return spec.upper == 1.0 or spec.upper == math.inf
+    return (upper == 1.0) | (upper == math.inf)
 
 
-def _real_p(spec: IntegrandSpec) -> bool:
-    """The partial-fraction and series routes' precondition: a real p."""
-    return _real_or_complex(spec.p).imag == 0.0
+def _real_p(p_imag):
+    """The partial-fraction and series routes' precondition: a real p,
+    given p's imaginary part."""
+    return p_imag == 0.0
+
+
+def _integer_n(n):
+    """The partial-fraction route's precondition on n: an integer."""
+    return n % 1.0 == 0.0
 
 
 def _upper_factor(spec: IntegrandSpec) -> float:
-    if not _summed_upper(spec):
+    if not _summed_upper(spec.upper):
         raise CoshintError("closed and series routes cover upper limits 1 and inf only")
     return 1.0 if spec.upper == 1.0 else 2.0
 
@@ -131,9 +144,10 @@ def _closed_value(spec: IntegrandSpec, form: tuple) -> float:
 
 def pf_value(spec: IntegrandSpec) -> float:
     """Partial-fraction route (integer exponents; finite X via arctangents)."""
-    if not _real_p(spec):
+    p = _real_or_complex(spec.p)
+    if not _real_p(p.imag):
         raise CoshintError("partial fractions need a real integer p")
-    p = _real_or_complex(spec.p).real
+    p = p.real
     if p < 0.0:
         # refuse a non-integer n as both routes below do (integral_at
         # refuses an X above 1 first) without rebuilding the spec
@@ -155,10 +169,10 @@ def quad_value(spec: IntegrandSpec) -> float:
 def series_value(spec: IntegrandSpec, tol: float = AGREE_TOL) -> float:
     """Series route: accelerated contracted sum plus the middle-term value."""
     factor = _upper_factor(spec)
-    if not _real_p(spec):
+    p = _real_or_complex(spec.p)
+    if not _real_p(p.imag):
         raise CoshintError("series path needs a real p")
-    contracted = series_contracted(spec.n, abs(_real_or_complex(spec.p).real), spec.theta,
-                                   _series_tol(tol))
+    contracted = series_contracted(spec.n, abs(p.real), spec.theta, _series_tol(tol))
     return _series_total(spec, factor, contracted)
 
 
@@ -187,7 +201,7 @@ def _paradox_only_paths(spec: IntegrandSpec, nf: NormalizedForm) -> dict[str, fl
         factor = _upper_factor(spec)
         values["closed"] = factor * nf.scale * complex(
             _master_raw(complex(raw_a), complex(nf.b), nf.c)).real
-    except (CoshintError, ValueError, ZeroDivisionError):
+    except (CoshintError, ValueError, ArithmeticError):  # overflow at a huge theta too
         pass
     theta_c = math.pi - complex(nf.a).real  # nf.a already uses the reduced angle
     try:
@@ -197,19 +211,48 @@ def _paradox_only_paths(spec: IntegrandSpec, nf: NormalizedForm) -> dict[str, fl
     return values
 
 
-def _closed_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
-    """_closed_value of the specs from one master_value_many call, for
-    the specs whose b = p/n is a float and whose theta lies in (0, 2*pi)
-    (so theta is its own reduced angle); None (call _closed_value) for the
+class _Columns(NamedTuple):
+    """Rows of specs as the float columns that the route blocks take: n,
+    the real and imaginary parts p and q of p, theta, zeta and upper, and
+    whether b = p/n is a float (p real, not a complex)."""
+
+    n: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    theta: np.ndarray
+    zeta: np.ndarray
+    upper: np.ndarray
+    real_b: np.ndarray
+
+    def take(self, rows) -> _Columns:
+        return _Columns(*(column[rows] for column in self))
+
+
+def _columns(n, p, theta, zeta, upper) -> _Columns:
+    """The _Columns of rows given as lists of their fields, n, theta,
+    zeta and upper floats, p a float, int, bool or complex."""
+    try:
+        p_re, q, real_b = np.array(p, dtype=float), np.zeros(len(p)), np.ones(len(p), dtype=bool)
+    except TypeError:  # a complex p
+        z = np.array(p, dtype=complex)
+        p_re, q = z.real.copy(), z.imag.copy()
+        real_b = np.array([type(x) is not complex for x in p])
+    return _Columns(np.array(n, dtype=float), p_re, q, np.array(theta, dtype=float),
+                    np.array(zeta, dtype=float), np.array(upper, dtype=float), real_b)
+
+
+def _closed_block(g: _Columns, tol: float) -> list[float | None]:
+    """_closed_value of the rows from one master_value_many call, for the
+    rows whose b = p/n is a float and whose theta lies in (0, 2*pi) (so
+    theta is its own reduced angle); None (call _closed_value) for the
     others and for the rows that the strip refuses, which it raises for.
     Each step is _closed_value's IEEE operation in its order."""
-    out: list[float | None] = [None] * len(specs)
-    served = [(i, s.n, b, s.theta, s.zeta, s.upper) for i, s in enumerate(specs)
-              if type(b := s.p / s.n) is float and 0.0 < s.theta < TWO_PI]
-    if not served:
+    out: list[float | None] = [None] * len(g.n)
+    rows = np.flatnonzero(g.real_b & (0.0 < g.theta) & (g.theta < TWO_PI))
+    if not len(rows):
         return out
-    rows, n, b, theta, zeta, upper = (np.array(col) for col in zip(*served))
-    value, ok = master_value_many(math.pi - theta, b, math.pi - zeta, theta)
+    n, theta, upper = g.n[rows], g.theta[rows], g.upper[rows]
+    value, ok = master_value_many(math.pi - theta, g.p[rows] / n, math.pi - g.zeta[rows], theta)
     with np.errstate(all="ignore"):  # a refused row's value may be inf or NaN
         value = (np.where(upper == 1.0, 1.0, 2.0) * (1.0 / n)) * value
     for i, v in zip(rows[ok].tolist(), value[ok].tolist()):
@@ -217,32 +260,29 @@ def _closed_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
     return out
 
 
-def _pf_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
-    """pf_value_many over the specs; see verify_points."""
-    return pf_value_many([s.n for s in specs], [s.p for s in specs],
-                         [s.theta for s in specs], [s.zeta for s in specs],
-                         [s.upper for s in specs])
+def _pf_block(g: _Columns, tol: float) -> list[float | None]:
+    """pf_value_many over the rows, whose p is real; see verify_points."""
+    return pf_value_many(g.n, g.p, g.theta, g.zeta, g.upper)
 
 
-def _quad_block(specs: list[IntegrandSpec], tol: float) -> list:
-    """quad_value of every spec, as its value or error, from the rows of
-    quad_x_domain_many, which picks each row's map."""
-    return [row if isinstance(row, Exception) else row[0]
-            for row in _x_domain_rows(specs, [s.upper for s in specs])]
+def _quad_block(g: _Columns, tol: float) -> list:
+    """quad_value of every row, as its value or error, from the rows of
+    quad_x_domain's blocks, which pick each row's map; None (call
+    quad_value) for a row that _x_rule refuses."""
+    return [row if row is None or isinstance(row, Exception) else row[0]
+            for row in _x_domain_columns(g.n, g.p, g.q, g.theta, g.zeta, g.upper)]
 
 
-def _series_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
+def _series_block(g: _Columns, tol: float) -> list[float | None]:
     """series_value from the sums of series_contracted_many's rows, with
     _series_total's epilogue as columns; None (call series_value) for a
     row that the block leaves."""
-    n, theta, zeta, upper = (np.array([getattr(s, name) for s in specs], dtype=float)
-                             for name in ("n", "theta", "zeta", "upper"))
-    p = [abs(_real_or_complex(s.p).real) for s in specs]
-    rows, contracted, _, _ = _contracted_rows(n, p, theta, _series_tol(tol))
+    n, theta = g.n, g.theta
+    rows, contracted, _, _ = _contracted_rows(n, np.abs(g.p), theta, _series_tol(tol))
     middle = _middle_term_many(n[rows], theta[rows])
-    value = (np.where(upper[rows] == 1.0, 1.0, 2.0)
-             * (contracted - 2.0 * np.cos(zeta[rows]) * middle))  # _series_total's operations
-    out: list[float | None] = [None] * len(specs)
+    value = (np.where(g.upper[rows] == 1.0, 1.0, 2.0)
+             * (contracted - 2.0 * np.cos(g.zeta[rows]) * middle))  # _series_total's operations
+    out: list[float | None] = [None] * len(n)
     for i, v in zip(rows.tolist(), value.tolist()):
         out[i] = v
     return out
@@ -252,28 +292,30 @@ def _series_block(specs: list[IntegrandSpec], tol: float) -> list[float | None]:
 class Route:
     """An evaluation route, reported in EvalReport's field ``name``.
 
-    ``admits(spec)`` is the predicate that the route function raises
-    from; ``value(spec, form, tol)`` is its value, given normalize(spec)'s
-    values form = (a, b, c, scale).
-    ``block(specs, tol)``, for specs it admits, gives per spec the value,
-    the error the route would raise, or None (call ``value``); every
-    route of ROUTES has one.  Each looks its functions up in this module
-    at call time.
+    ``admits(n, q, upper)`` is the predicate that the route function
+    raises from, on a spec's n, imaginary part q of p and upper limit,
+    as floats or as columns (then a mask); ``value(spec, form, tol)`` is
+    its value, given normalize(spec)'s values form = (a, b, c, scale).
+    ``block(columns, tol)``, for the rows of a _Columns that it admits,
+    gives per row the value, the error the route would raise, or None
+    (call ``value``); every route of ROUTES has one.  Each looks its
+    functions up in this module at call time.
     """
 
     name: str
-    admits: Callable[[IntegrandSpec], bool]
+    admits: Callable
     value: Callable[[IntegrandSpec, tuple, float], float]
-    block: Callable[[list[IntegrandSpec], float], list]
+    block: Callable[[_Columns, float], list]
 
 
 ROUTES = (
-    Route("closed", _summed_upper, lambda spec, form, tol: _closed_value(spec, form),
-          _closed_block),
-    Route("pf", lambda spec: _real_p(spec) and _is_int(spec.n),
+    Route("closed", lambda n, q, upper: _summed_upper(upper),
+          lambda spec, form, tol: _closed_value(spec, form), _closed_block),
+    Route("pf", lambda n, q, upper: _real_p(q) & _integer_n(n),
           lambda spec, form, tol: pf_value(spec), _pf_block),
-    Route("quad", lambda spec: True, lambda spec, form, tol: quad_value(spec), _quad_block),
-    Route("series", lambda spec: _summed_upper(spec) and _real_p(spec),
+    Route("quad", lambda n, q, upper: True, lambda spec, form, tol: quad_value(spec),
+          _quad_block),
+    Route("series", lambda n, q, upper: _summed_upper(upper) & _real_p(q),
           lambda spec, form, tol: series_value(spec, tol), _series_block),
 )
 _NO_RESULTS = (None,) * len(ROUTES)
@@ -288,7 +330,7 @@ def verify_point(spec: IntegrandSpec, tol: float = AGREE_TOL) -> EvalReport:
     lies outside (0, 2*pi) keep their raw angle in the closed route and
     therefore Disagree with the oracle (the periodicity failure).
     """
-    return _report(spec, _row(spec, tol, _NO_RESULTS))
+    return _report(spec, _spec_row(spec, tol))
 
 
 def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[EvalReport]:
@@ -305,8 +347,14 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
     return [_report(s, row) for s, row in zip(specs, verify_rows(specs, tol))]
 
 
+# the types of p that verify_columns takes; n, theta, zeta and upper are floats
+P_TYPES = {float, int, bool, complex}
+
+
 def verify_rows(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[tuple]:
-    """verify_points' reports as plain rows, without building them.
+    """verify_points' reports as plain rows, without building them:
+    verify_columns on the specs' fields.  A spec with a field of another
+    type (a numpy scalar, say) takes verify_point's own row.
 
     A row holds, in EvalReport's field order with the spec, normalized
     form and domain status taken apart: n, p, theta, zeta, upper, a, b,
@@ -314,8 +362,42 @@ def verify_rows(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[tupl
     and series values (None where absent), max_abs_err, the verdict's
     value and the reason.
     """
-    columns = [_block_column(route, specs, tol) for route in ROUTES]
-    return [_row(s, tol, given) for s, given in zip(specs, zip(*columns))]
+    plain = [{type(s.n), type(s.theta), type(s.zeta), type(s.upper)} == {float}
+             and type(s.p) in P_TYPES for s in specs]
+    rows = iter(verify_columns(*_fields([s for s, ok in zip(specs, plain) if ok]), tol))
+    return [next(rows) if ok else _spec_row(s, tol) for s, ok in zip(specs, plain)]
+
+
+def _fields(specs: list[IntegrandSpec]) -> list[list]:
+    """The lists of the specs' n, p, theta, zeta and upper."""
+    return [[getattr(s, name) for s in specs] for name in ("n", "p", "theta", "zeta", "upper")]
+
+
+def verify_columns(n: list, p: list, theta: list, zeta: list, upper: list,
+                   tol: float = AGREE_TOL) -> list[tuple]:
+    """verify_rows for a grid given as the five lists of its specs'
+    fields, each row a valid IntegrandSpec's (n, theta, zeta and upper
+    floats; p a float, int, bool or complex), without building the specs.
+
+    The normalized form and kind of a Valid or Boundary-a row with a
+    real p come from form_and_kind_many's columns, the others' from
+    form_and_kind.  Each route's admission is one mask over the rows of
+    those two kinds, and its block runs once over the rows it admits.
+    _row then assembles each row; a row that a block leaves, and a
+    paradox-only row, builds its IntegrandSpec there for the one-row call.
+    """
+    if not n:
+        return []
+    g = _columns(n, p, theta, zeta, upper)
+    a, b, c, scale, inside, kinds = form_and_kind_many(g.n, g.p, g.theta, g.zeta)
+    columns = [_block_column(route, g, inside, tol) for route in ROUTES]
+    rows = []
+    for values, real_b, form, kind, given in zip(
+            zip(n, p, theta, zeta, upper), g.real_b.tolist(),
+            zip(a.tolist(), b.tolist(), c.tolist(), scale.tolist()), kinds, zip(*columns)):
+        form = (*form, *kind) if kind is not None and real_b else form_and_kind(*values[:4])
+        rows.append(_row(*values, *form, tol, given))
+    return rows
 
 
 def rows_disagree(rows: list[tuple]) -> bool:
@@ -323,18 +405,19 @@ def rows_disagree(rows: list[tuple]) -> bool:
     return any(row[-2] == _DISAGREE for row in rows)  # row[-2]: the verdict's value
 
 
-# A block column's entry for a spec that the route does not admit, which
-# _row leaves out as it does a route's error, without testing again.
+# A block column's entry for a row that the route does not admit, or that
+# is not Valid or Boundary-a, which _row leaves out as it does a route's
+# error, without testing again.
 _NOT_ADMITTED = CoshintError("the route's precondition fails")
 
 
-def _block_column(route: Route, specs: list[IntegrandSpec], tol: float) -> list:
-    """route.block's result for each spec that the route admits, else
-    _NOT_ADMITTED."""
-    column: list = [_NOT_ADMITTED] * len(specs)
-    rows = [i for i, s in enumerate(specs) if route.admits(s)]
-    if rows:
-        for i, result in zip(rows, route.block([specs[i] for i in rows], tol)):
+def _block_column(route: Route, g: _Columns, inside: np.ndarray, tol: float) -> list:
+    """route.block's result for each row in ``inside`` that the route
+    admits, else _NOT_ADMITTED."""
+    column: list = [_NOT_ADMITTED] * len(g.n)
+    rows = np.flatnonzero(inside & route.admits(g.n, g.q, g.upper))
+    if len(rows):
+        for i, result in zip(rows.tolist(), route.block(g.take(rows), tol)):
             column[i] = result
     return column
 
@@ -346,37 +429,49 @@ _KINDS = {kind.value: kind for kind in DomainKind}
 _VERDICTS = {verdict.value: verdict for verdict in Verdict}
 
 
-def _row(spec: IntegrandSpec, tol: float, given: tuple) -> tuple:
-    """verify_point's values as one row of verify_rows; ``given`` holds,
-    per route of ROUTES, a block's result for the spec (a value or the
-    route's error), or None.
+def _spec_row(spec: IntegrandSpec, tol: float) -> tuple:
+    """verify_point's row: every route by its one-row call."""
+    n, p, theta, zeta = spec.n, spec.p, spec.theta, spec.zeta
+    return _row(n, p, theta, zeta, spec.upper, *form_and_kind(n, p, theta, zeta), tol,
+                _NO_RESULTS, spec)
 
-    The normalized form and the domain come from form_and_kind, as
-    plain values.  One pass over ROUTES then collects each route's
-    value, or None.  A route with no result yet is called only
-    when the spec meets its precondition, checked once.  A route that is
-    called may still raise (a near pole, an unreachable tolerance, ...),
-    and is then left out.  max_abs_err is the largest pairwise
-    difference; when the values and their sum are finite it is max -
-    min, the same bits, since rounding is monotone.
+
+def _row(n, p, theta, zeta, upper, a, b, c, scale, kind, detail, tol: float, given: tuple,
+         spec: IntegrandSpec | None = None) -> tuple:
+    """One row of verify_rows from a spec's fields, its form_and_kind
+    values and ``given``, which holds, per route of ROUTES, a block's
+    result for the spec (a value or the route's error), or None.
+
+    One pass over ROUTES collects each route's value, or None.  A route
+    with no result yet is called only when the spec meets its
+    precondition, checked once, with ``spec``, or the IntegrandSpec of
+    the fields, built then.  A route that is called may still raise (a
+    near pole, an unreachable tolerance, ...), and is then left out.
+    max_abs_err is the largest pairwise difference; when the values and
+    their sum are finite it is max - min, the same bits, since rounding
+    is monotone.
     """
-    n, p, theta, zeta, upper = spec.n, spec.p, spec.theta, spec.zeta, spec.upper
-    a, b, c, scale, kind, detail = form_and_kind(spec)
     form = (a, b, c, scale)
     if kind in _UNEVALUATED:
         return (n, p, theta, zeta, upper, *form, kind, detail,
                 *_NO_RESULTS, 0.0, _SKIPPED, detail)
     if kind == _PARADOX_ONLY:
+        spec = spec or IntegrandSpec(n, p, theta, zeta, upper)
         paths = _paradox_only_paths(spec, NormalizedForm(*form))
         results = [paths.get(route.name) for route in ROUTES]
     else:
         results = []
+        q = None
         for route, result in zip(ROUTES, given):
-            if result is None and route.admits(spec):
-                try:
-                    result = route.value(spec, form, tol)
-                except (CoshintError, ValueError):
-                    pass
+            if result is None:
+                if q is None:
+                    q = _real_or_complex(p).imag
+                if route.admits(n, q, upper):
+                    spec = spec or IntegrandSpec(n, p, theta, zeta, upper)
+                    try:
+                        result = route.value(spec, form, tol)
+                    except (CoshintError, ValueError):
+                        pass
             results.append(None if isinstance(result, Exception) else result)
     vals = [x for x in results if x is not None]
     if len(vals) < 2:

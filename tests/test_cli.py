@@ -677,3 +677,37 @@ def test_eval_json_prints_the_report_line(capsys):
     assert code == 0
     spec = IntegrandSpec(n=2.0, p=0.5, theta=1.0, zeta=1.0)
     assert out == json.dumps(report_to_dict(verify_point(spec, 1e-9))) + "\n"
+
+
+HUGE = 10 ** 400  # an integer literal beyond float range
+
+
+@pytest.mark.parametrize("key", ["n", "p", "theta", "zeta", "upper"])
+def test_verify_grid_refuses_an_integer_beyond_float_range(tmp_path, capsys, key):
+    row = {"n": 2, "p": 0.5, "theta": 1, "zeta": 1, "upper": 1, key: HUGE}
+    with pytest.raises(OverflowError):
+        spec_from_dict(row)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([{"n": 2, "p": 0.5, "theta": 1, "zeta": 1}, row]))
+    assert f'"{key}": 1{"0" * 400}' in path.read_text()
+    code = main(["verify", "--grid", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "bad grid file: int too large to convert to float\n"
+
+
+@pytest.mark.parametrize("flags", [["--n", "-1"], ["--n", "inf"], ["--p", "nan"]])
+def test_eval_refuses_an_invalid_spec_as_decompose_does(capsys, flags):
+    values = {"--n": "2", "--p": "0.5", "--theta": "1", "--zeta": "1"}
+    values.update([flags])
+    argv = [x for item in values.items() for x in item]
+    with pytest.raises(ValueError) as exc:
+        IntegrandSpec(n=float(values["--n"]), p=parse_complex_literal(values["--p"]),
+                      theta=1.0, zeta=1.0)
+    for command in ("eval", "decompose"):
+        code = main([command, *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"domain error: {exc.value}\n"

@@ -366,9 +366,14 @@ def _closed_corners() -> list[IntegrandSpec]:
     return specs
 
 
+def _columns(specs):
+    """The route blocks' columns of the specs."""
+    return verify._columns(*verify._fields(specs))
+
+
 def test_closed_block_equals_closed_value_bit_for_bit():
     specs = _closed_corners()
-    block = verify._closed_block(specs, 1e-9)
+    block = verify._closed_block(_columns(specs), 1e-9)
     errors, branches = set(), set()
     for spec, got in zip(specs, block):
         try:
@@ -409,7 +414,7 @@ def test_series_block_equals_series_value_at_every_size(workload):
     for size in range(1, 21):
         for count in sorted({min(count, size) for count in (0, 1, 12)}):
             specs = short[:size - count] + long[:count]
-            block = verify._series_block(specs, 1e-9)
+            block = verify._series_block(_columns(specs), 1e-9)
             assert [got.hex() for got in block] == \
                 [series_value(spec, 1e-9).hex() for spec in specs], (size, count)
             reports = verify_points(specs, 1e-9)
@@ -419,9 +424,10 @@ def test_series_block_equals_series_value_at_every_size(workload):
 def test_fallback_grid_reaches_every_block_outcome():
     specs = _fallback_grid()
     outcomes = {}
+    g = _columns(specs)
     for route in verify.ROUTES:
-        admitted = [s for s in specs if route.admits(s)]
-        results = route.block(admitted, 1e-9)
+        admitted = np.flatnonzero(np.broadcast_to(route.admits(g.n, g.q, g.upper), len(specs)))
+        results = route.block(g.take(admitted), 1e-9)
         outcomes[route.name] = {("error" if isinstance(r, Exception) else
                                  "none" if r is None else "value") for r in results}
     # the quadrature blocks serve imaginary p too, so they leave no row;
@@ -437,3 +443,31 @@ def test_fallback_grid_reaches_every_block_outcome():
     assert by_spec[IntegrandSpec(3.0, 0.5j, 1.0, 1.2, upper=math.inf)].quad is not None
     assert by_spec[EXHAUSTING].quad is None
     assert by_spec[IntegrandSpec(3.0, 1.0, 5e-4, 1.2)].series is None
+
+
+def test_a_paradox_only_row_whose_formula_overflows_leaves_the_closed_route_out():
+    # theta = 2**70 puts (pi - theta)*b beyond cmath.sin's range
+    spec = IntegrandSpec(2.0, 0.5j, float(2 ** 70), 1.0)
+    report = verify_point(spec, 1e-9)
+    assert report.domain.kind is DomainKind.PARADOX_ONLY
+    assert report.closed is None and report.quad is not None
+    assert verify_points([spec], 1e-9) == [report]
+
+
+def test_route_admission_is_one_expression_on_floats_and_columns():
+    specs = _admission_grid() + [IntegrandSpec(3.0, 1.0, 1.0, 1.2, upper=u) for u in (0.25, 2.0)]
+    g = _columns(specs)
+    for route in verify.ROUTES:
+        mask = np.broadcast_to(route.admits(g.n, g.q, g.upper), len(specs))
+        assert mask.tolist() == [bool(route.admits(s.n, complex(s.p).imag, s.upper))
+                                 for s in specs], route.name
+
+
+def test_verify_points_takes_specs_of_any_number_type_as_verify_point_does():
+    # numpy scalars take the one-row path; ints and floats the columns
+    specs = [IntegrandSpec(np.float64(3.0), np.float64(1.0), np.float64(1.0), np.float64(1.2)),
+             IntegrandSpec(3.0, np.float64(1.0), 1.0, 1.2, upper=math.inf),
+             IntegrandSpec(3, 1, 1, 1, upper=math.inf), IntegrandSpec(3.0, True, 1.0, 1.2),
+             IntegrandSpec(3.0, 1.0, 1.0, 1.2)]
+    assert [repr(r) for r in verify_points(specs, 1e-9)] == \
+        [repr(verify_point(s, 1e-9)) for s in specs]
