@@ -64,7 +64,6 @@ from .partial_fractions import decompose
 from .series import series_contracted, series_imaginary, series_one_sided
 from .verify import (
     AGREE_TOL,
-    P_TYPES,
     ROUTES,
     EvalReport,
     _fields,
@@ -202,11 +201,12 @@ def grid_columns(raw: list) -> list[list]:
     """
     try:
         n = [float(d["n"]) for d in raw]
-        p = [parse_complex_literal(x) if isinstance(x, str) else x for x in [d["p"] for d in raw]]
+        p = [parse_complex_literal(x) if isinstance(x, str) else float(x)
+             for x in [d["p"] for d in raw]]
         theta = [float(d["theta"]) for d in raw]
         zeta = [float(d["zeta"]) for d in raw]
         upper = [parse_upper(d.get("upper", 1.0)) for d in raw]
-        if set(map(type, p)) <= P_TYPES and valid_fields(n, p, theta, zeta, upper):
+        if valid_fields(n, p, theta, zeta, upper):
             return [n, p, theta, zeta, upper]
     except Exception:  # any error: the row-by-row parse below gives the one to report
         pass

@@ -17,6 +17,7 @@ and decides, for a given spec, which evaluation routes are admissible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,13 +29,14 @@ TWO_PI = 2.0 * math.pi
 
 
 def _real_or_complex(x) -> float | complex:
-    """complex(x), as a float when x is an exact float or int.
-
-    Both have complex(x)'s .real and .imag, bit for bit; the float skips
-    building a complex.  bool and numpy scalars (np.complex128 is a
-    complex subclass) take complex().
-    """
-    return float(x) if type(x) is float or type(x) is int else complex(x)
+    """A spec's p as IntegrandSpec stores it: a float for a real number
+    (int, bool and numpy reals included), else complex(x).  A str, which
+    complex() would parse, is refused."""
+    if type(x) is float:
+        return x
+    if isinstance(x, str):
+        raise ValueError(f"p must be a number, got {x!r}")
+    return float(x) if isinstance(x, numbers.Real) else complex(x)
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,9 @@ class IntegrandSpec:
 
     ``p`` may be complex; a purely imaginary p = i*q encodes the
     cos(q*log x) numerator.  ``upper`` is the integration limit: 1.0,
-    a finite positive X, or math.inf.
+    a finite positive X, or math.inf.  The fields are stored as Python
+    floats, p as a float or complex (_real_or_complex), whatever number
+    types they are given as, so every spec computes in float64.
     """
 
     n: float
@@ -64,13 +68,17 @@ class IntegrandSpec:
             raise ValueError("zeta must be finite")
         if not self.upper > 0:
             raise ValueError(f"upper limit must be positive, got {self.upper}")
+        if p is not self.p:
+            object.__setattr__(self, "p", p)
+        for name in ("n", "theta", "zeta", "upper"):
+            if type(getattr(self, name)) is not float:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def valid_fields(n, p, theta, zeta, upper) -> bool:
     """Whether IntegrandSpec takes every row of the lists of a grid's
-    fields (p a float, int, bool or complex): __post_init__'s checks run
-    on numpy columns at once.  Raises OverflowError where
-    IntegrandSpec's conversions do: for an int beyond float range."""
+    fields (p a float or complex, the others floats): __post_init__'s
+    checks run on numpy columns at once."""
     n, theta, zeta, upper = (np.array(x, dtype=float) for x in (n, theta, zeta, upper))
     return bool(((n > 0) & np.isfinite(n) & np.isfinite(np.array(p, dtype=complex))
                  & np.isfinite(theta) & np.isfinite(zeta) & (upper > 0)).all())
@@ -207,10 +215,9 @@ def form_and_kind(n, p, theta, zeta) -> tuple:
     if theta_c == 0.0:
         return (*form, _SINGULAR_THETA,
                 f"theta={theta!r} is congruent to 0 mod 2*pi; value is infinite")
-    re_p = _real_or_complex(p).real
-    if abs(re_p) >= n:
+    if abs(p.real) >= n:
         return (*form, _EXCLUDED,
-                f"Re(p)-n = {abs(re_p) - n!r} >= 0: improper fraction, divergent at x=0")
+                f"Re(p)-n = {abs(p.real) - n!r} >= 0: improper fraction, divergent at x=0")
     if shifted:
         return (*form, _PARADOX_ONLY,
                 f"theta={theta!r} lies outside (0, 2*pi); canonicalize before evaluating")

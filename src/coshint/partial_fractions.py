@@ -221,11 +221,20 @@ def pf_value_many(n, p, theta, zeta, upper) -> list[float | None]:
     Each row's terms are added from 0.0 one root at a time, as
     integral_at's loop adds them; a pairwise sum would round differently.
     """
-    n, theta, zeta, upper = (np.asarray(x, dtype=float) for x in (n, theta, zeta, upper))
     p = np.asarray(p, dtype=complex)
-    out: list[float | None] = [None] * len(n)
-    p_abs = np.abs(p.real)
-    ok = ((p.imag == 0.0) & (n == np.rint(n)) & (n <= _BLOCK_ROOTS)
+    rows, values = _pf_columns(*(np.asarray(x, dtype=float) for x in (n, p.real, theta, zeta,
+                                                                       upper)), p.imag)
+    out = np.full(len(p), None)
+    out[rows] = values
+    return out.tolist()
+
+
+def _pf_columns(n, p, theta, zeta, upper, q) -> tuple[np.ndarray, np.ndarray]:
+    """pf_value_many for rows of floats given as columns, p and q being
+    the real and imaginary parts of the spec's p: the rows that it
+    serves, and their values."""
+    p_abs = np.abs(p)
+    ok = ((q == 0.0) & (n == np.rint(n)) & (n <= _BLOCK_ROOTS)
           & (p_abs == np.rint(p_abs)) & (p_abs < n)
           & (0.0 < theta) & (theta < TWO_PI) & (np.abs(theta - math.pi) > _THETA_PI_TOL))
     closed = np.flatnonzero(ok & ((upper == 1.0) | (upper == math.inf)))
@@ -236,12 +245,10 @@ def pf_value_many(n, p, theta, zeta, upper) -> list[float | None]:
     # silent, as the scalar's float arithmetic is, where a value overflows
     # (theta = 5e-324) and at sinc's 0/0 on the side that np.where drops
     with np.errstate(all="ignore"):
-        for rows, route in ((closed, _closed_many), (finite, _integral_at_many)):
-            if len(rows):
-                values = route(n[rows], p_abs[rows], theta[rows], zeta[rows], upper[rows])
-                for i, v in zip(rows.tolist(), values.tolist()):
-                    out[i] = v
-    return out
+        values = [route(n[rows], p_abs[rows], theta[rows], zeta[rows], upper[rows])
+                  for rows, route in ((closed, _closed_many), (finite, _integral_at_many))
+                  if len(rows)]
+    return np.concatenate((closed, finite)), np.concatenate([np.zeros(0), *values])
 
 
 def _root_angle(theta, k, n):

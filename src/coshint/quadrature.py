@@ -72,7 +72,7 @@ from .errors import (
     NonIntegrableError,
     PoleTooCloseError,
 )
-from .params import DomainKind, IntegrandSpec, _real_or_complex, classify_domain
+from .params import DomainKind, IntegrandSpec, classify_domain
 
 REL_TOL = 1e-13
 EVAL_BUDGET = 2_000_000
@@ -321,25 +321,56 @@ def _samples(f, place, geometry, table) -> tuple:
     return np.concatenate(parts, axis=-1), factor
 
 
-def _round_sums(kernel, params, place, geometry, table, starts, bounds) -> list:
-    """Per row of a block, the sums of a round's samples over each
-    segment, of their magnitudes over each tested level, and the row's
-    factor.  A lone row is sampled in one piece; a block by chunks of
-    rows that keep each table of the round's samples within _CHUNK
+def _round_columns(kernel, params, place, geometry, table, starts, bounds) -> tuple:
+    """A block's round: per row, the sums of its samples over each segment
+    and of their magnitudes over each tested level, as (rows x segments)
+    and (rows x levels) tables, and the rows' factors.  The rows run in
+    chunks that keep each table of the round's samples within _CHUNK
     elements."""
+    step = max(1, _CHUNK // table[0].size)
+    parts, absums, factors = [], [], []
+    for lo in range(0, len(geometry[0]), step):
+        g, factor = _samples(kernel(*[c[lo:lo + step] for c in params]), place,
+                             [c[lo:lo + step] for c in geometry], table)
+        parts.append(np.add.reduceat(g, starts, axis=1))
+        absums.append(np.add.reduceat(np.abs(g), bounds, axis=1))
+        factors.append(np.ravel(factor))
+    return np.concatenate(parts), np.concatenate(absums), np.concatenate(factors)
+
+
+def _round_sums(kernel, params, place, geometry, table, starts, bounds) -> list:
+    """_round_columns per row, as plain (segment sums, magnitude sums,
+    factor) tuples; a lone row is sampled in one piece."""
     if not isinstance(geometry[0], np.ndarray):  # a lone row
         g, factor = _samples(kernel(*params), place, geometry, table)
         return [(np.add.reduceat(g, starts).tolist(),
                  np.add.reduceat(np.abs(g), bounds).tolist(), factor)]
-    step = max(1, _CHUNK // table[0].size)
-    sums = []
-    for lo in range(0, len(geometry[0]), step):
-        g, factor = _samples(kernel(*[c[lo:lo + step] for c in params]), place,
-                             [c[lo:lo + step] for c in geometry], table)
-        sums += zip(np.add.reduceat(g, starts, axis=1).tolist(),
-                    np.add.reduceat(np.abs(g), bounds, axis=1).tolist(),
-                    np.ravel(factor).tolist())
-    return sums
+    parts, absums, factors = _round_columns(kernel, params, place, geometry, table, starts,
+                                            bounds)
+    return list(zip(parts.tolist(), absums.tolist(), factors.tolist()))
+
+
+def _passes(h, err, value, mass, absolute, finite):
+    """The stopping test of a level of step h (times the row's factor):
+    |S_h - S_2h| = err <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*A_h),
+    with A_h = h*mass the rule's sum for the integrand's magnitude, and
+    err and S_h = value finite.  One expression on a lone row's Python
+    floats (absolute = abs, finite = cmath.isfinite) and on a block's
+    columns (_modulus, np.isfinite), with the same IEEE operations."""
+    return (((err <= 0.25 * REL_TOL * (1.0 + absolute(value)))
+             | (err <= _ROUNDOFF_FLOOR * h * mass)) & finite(err) & finite(value))
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """abs of each entry of a float or complex column, as Python's abs
+    takes it: np.abs on complex128 is not libm's hypot in the last bit."""
+    return np.hypot(z.real, z.imag) if z.dtype.kind == "c" else np.abs(z)
+
+
+def _exhausted(used: int) -> BudgetExceededError:
+    """The error of a row still open after the last level."""
+    return BudgetExceededError(f"trapezoid levels exhausted after {used} "
+                               f"evaluations without reaching tolerance")
 
 
 @np.errstate(all="ignore")  # inf or NaN sums stay quiet: the stopping test refuses them
@@ -360,54 +391,82 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
     row the values themselves, which round as its columns would: its
     kernel gets 1-D arrays and the row skips the block's chunking.
 
-    Row r stops at the first level from _MIN_LEVEL on where |S_h - S_2h|
-    <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*A_h), with A_h the
-    rule's sum for the integrand's magnitude, and both are finite.  It
+    Row r stops at the first level from _MIN_LEVEL on that _passes.  It
     gets (S_h, |S_h - S_2h|, evaluations), the evaluations counting the
     kernel's samples up to its last round, each node of that round
     included; a row still open after last_level gets a
-    BudgetExceededError.  The test runs on Python floats, which round as
-    float64 does, and a block returns bit for bit what each row does
-    alone.
+    BudgetExceededError.  A lone row runs the test on Python floats, a
+    block on its columns (_trapezoid_columns), and a block returns bit
+    for bit what each row does alone.
     """
-    rows = len(geometry[0]) if isinstance(geometry[0], np.ndarray) else 1
-    out: list = [None] * rows
-    left = list(range(rows))
-    state = []  # per row left: the sum of its samples so far, and of their magnitudes
+    if isinstance(geometry[0], np.ndarray):
+        return [(v, e, used) if ok else _exhausted(used) for v, e, used, ok in zip(
+            *(x.tolist() for x in _trapezoid_columns(kernel, params, place, geometry, stage,
+                                                     h0, last_level)))]
+    total = mass = 0.0
     used = 0
     for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
         *table, starts = stage(last)
         starts, bounds, steps, coarse = _round_plan(starts, h0, last)
         used += table[0].size
-        keep, kept = [], []
-        sums = _round_sums(kernel, params, place, geometry, table, starts, bounds)
-        for i, (parts, absums, factor) in enumerate(sums):
-            total, mass = (parts[0], 0.0) if coarse else state[i]
-            for h, new, absum in zip(steps, parts[coarse:], absums):
-                h *= factor  # each sample weighs h*factor*w
-                err = abs(new - total) * h  # S_h - S_2h: the new nodes against the old
-                total += new
-                mass += absum
-                value = total * h
-                if ((err <= 0.25 * REL_TOL * (1.0 + abs(value))
-                     or err <= _ROUNDOFF_FLOOR * h * mass)
-                        and math.isfinite(err) and cmath.isfinite(value)):
-                    out[left[i]] = (value, err, used)
-                    break
-            else:
-                keep.append(i)
-                kept.append((total, mass))
-        if not keep:
-            return out
+        ((parts, absums, factor),) = _round_sums(kernel, params, place, geometry, table,
+                                                 starts, bounds)
+        if coarse:
+            total = parts[0]
+        for h, new, absum in zip(steps, parts[coarse:], absums):
+            h *= factor  # each sample weighs h*factor*w
+            err = abs(new - total) * h  # S_h - S_2h: the new nodes against the old
+            total += new
+            mass += absum
+            value = total * h
+            if _passes(h, err, value, mass, abs, cmath.isfinite):
+                return [(value, err, used)]
+    return [_exhausted(used)]
+
+
+@np.errstate(all="ignore")
+def _trapezoid_columns(kernel, params, place, geometry, stage, h0: float,
+                       last_level: int) -> tuple:
+    """_trapezoid_rows for a block, as columns: per row S_h, |S_h - S_2h|,
+    the evaluations and whether the row stopped (if not, the evaluations
+    are the ones its BudgetExceededError reports).  Each round runs
+    _passes once per tested level on the columns of the rows still open,
+    with the lone row's IEEE operations in its order."""
+    rows = len(geometry[0])
+    err, used, done = np.zeros(rows), np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=bool)
+    left = np.arange(rows)
+    spent = 0
+    for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
+        *table, starts = stage(last)
+        starts, bounds, steps, coarse = _round_plan(starts, h0, last)
+        spent += table[0].size
+        parts, absums, factor = _round_columns(kernel, params, place, geometry, table, starts,
+                                               bounds)
+        if coarse:
+            total, mass = parts[:, 0], 0.0
+            value = np.zeros(rows, dtype=parts.dtype)
+        stop = np.zeros(len(left), dtype=bool)
+        for j, h in enumerate(steps):
+            h = h * factor
+            new = parts[:, coarse + j]
+            e = _modulus(new - total) * h
+            total = total + new
+            mass = mass + absums[:, j]
+            v = total * h
+            now = _passes(h, e, v, mass, _modulus, np.isfinite) & ~stop
+            at = left[now]
+            value[at], err[at], used[at] = v[now], e[now], spent
+            stop |= now
+        done[left[stop]] = True
+        keep = np.flatnonzero(~stop)
+        if not len(keep):
+            break
         if len(keep) < len(left):
-            left = [left[i] for i in keep]
+            left, total, mass = left[keep], total[keep], mass[keep]
             params = [c[keep] for c in params]
             geometry = [c[keep] for c in geometry]
-        state = kept
-    for r in left:
-        out[r] = BudgetExceededError(f"trapezoid levels exhausted after {used} "
-                                     f"evaluations without reaching tolerance")
-    return out
+    used[~done] = spent
+    return value, err, used, done
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +552,10 @@ def _folded_stage(level: int, line: bool = False) -> tuple[np.ndarray, np.ndarra
     return tau, np.where(tau == 0.0, edge, 2.0 * edge), starts
 
 
+# the whole line's stage: the folded map's nodes at the whole line's steps
+_line_stage = functools.partial(_folded_stage, line=True)
+
+
 def _sinh_place(scale, span, tau):
     """s itself, for integrate_real_line's f, which need not be even."""
     u = span * tau
@@ -510,8 +573,8 @@ def _sinh_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
     line, per row; ``geometry`` is (scale, span).  It is the folded rule
     at the whole line's steps and weights (_folded_stage's ``line``), 65
     kernel samples in the first round."""
-    return _trapezoid_rows(kernel, params, _folded_place, geometry,
-                           functools.partial(_folded_stage, line=True), _SINH_H0, _SINH_LEVELS)
+    return _trapezoid_rows(kernel, params, _folded_place, geometry, _line_stage, _SINH_H0,
+                           _SINH_LEVELS)
 
 
 def _folded_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
@@ -601,7 +664,7 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     """
     if X is not None and not 0.0 < X <= 1.0:
         raise ValueError(f"X must lie in (0, 1], got {X}")
-    p = _real_or_complex(spec.p)
+    p = spec.p
     if p.real != 0.0 and p.imag != 0.0:
         raise DomainError("p must be real or purely imaginary here")
     if abs(p.real) >= spec.n:
@@ -668,16 +731,15 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
 
 
-def _x_domain_columns(n, p, q, theta, zeta, upper) -> list[tuple | Exception | None]:
+def _x_domain_columns(n, p, q, theta, zeta, upper) -> tuple:
     """quad_x_domain(spec, X) for rows of floats given as columns, p and q
-    being the real and imaginary parts of the spec's p and upper its X:
-    as _x_domain_rows gives it, per kind of p, for a row that _x_rule
-    serves (_x_served), and None for a row that it refuses, for
-    quad_x_domain to raise for."""
-    out: list = [None] * len(n)
+    being the real and imaginary parts of the spec's p and upper its X,
+    as columns: the rows that _x_rule serves (_x_served), and for each of
+    them _x_domain_rows' columns, run per kind of p.  quad_x_domain
+    raises for every other row."""
     served = np.flatnonzero(_x_served(n, p, q, theta, upper))
-    if not len(served):
-        return out
+    value, err = np.zeros(len(served)), np.zeros(len(served))
+    evaluations, done = np.zeros(len(served), dtype=np.intp), np.zeros(len(served), dtype=bool)
     n, q = n[served], q[served]
     b, *args = _x_columns(n, p[served], theta[served], zeta[served], upper[served])
     for imaginary in (False, True):
@@ -685,10 +747,9 @@ def _x_domain_columns(n, p, q, theta, zeta, upper) -> list[tuple | Exception | N
         if len(rows):
             b_rows = (np.array(list(map(_imaginary_b, q[rows].tolist(), n[rows].tolist())))
                       if imaginary else b[rows])
-            for i, row in zip(served[rows].tolist(),
-                              _x_domain_rows(n[rows], b_rows, *(c[rows] for c in args))):
-                out[i] = row
-    return out
+            value[rows], err[rows], evaluations[rows], done[rows] = _x_domain_rows(
+                n[rows], b_rows, *(c[rows] for c in args))
+    return served, value, err, evaluations, done
 
 
 def _x_served(n, p, q, theta, upper):
@@ -739,45 +800,50 @@ def _per_row(f, column, *args):
     return np.fromiter(map(f, column.tolist(), *args), float, len(column))
 
 
-def _x_domain_rows(n, b, cos_c, sin2_half, s_x, decay, scale, span) -> list[tuple]:
+def _x_domain_rows(n, b, cos_c, sin2_half, s_x, decay, scale, span) -> tuple:
     """quad_x_domain for rows given as _x_columns' columns, b all real or
     all complex (a complex b column would change the rounding of real
     rows), as one block per map: the sinh map where s_X = -inf, the
-    folded sinh map where s_X = 0 and the DE map where s_X > 0.  Each
-    row's error, or its QuadResult's fields (value, abs_err_estimate,
-    evaluations) as a plain tuple, which verify's quadrature block reads
-    without building the QuadResult."""
-    out: list = [None] * len(n)
-    n = n.tolist()
-    for lines, mask, geometry in ((_sinh_lines, s_x == -math.inf, (scale, span)),
-                                  (_folded_lines, s_x == 0.0, (scale, span)),
-                                  (_de_half_lines, s_x > 0.0, (-s_x, decay))):
+    folded sinh map where s_X = 0 and the DE map where s_X > 0.  Returns
+    the columns of the rows' QuadResult fields (value, abs_err_estimate,
+    evaluations), as _values scales them, and whether each row stopped
+    (_trapezoid_columns)."""
+    value, err = np.zeros(len(n)), np.zeros(len(n))
+    evaluations, done = np.zeros(len(n), dtype=np.intp), np.zeros(len(n), dtype=bool)
+    for mask, place, geometry, stage, h0, levels in (
+            (s_x == -math.inf, _folded_place, (scale, span), _line_stage, _SINH_H0, _SINH_LEVELS),
+            (s_x == 0.0, _folded_place, (scale, span), _folded_stage, 0.5 * _SINH_H0,
+             _SINH_LEVELS),
+            (s_x > 0.0, _de_place, (-s_x, decay), _de_stage, _DE_H0, _DE_MAX_LEVEL)):
         rows = np.flatnonzero(mask)
         if len(rows):
-            results = lines(_t_kernel, [c[rows, None] for c in (b, cos_c, sin2_half)],
-                            [c[rows, None] for c in geometry])
-            for i, res in zip(rows.tolist(), results):
-                out[i] = res if isinstance(res, Exception) else _values(*res, n[i])
-    return out
+            v, e, evaluations[rows], done[rows] = _trapezoid_columns(
+                _t_kernel, [c[rows, None] for c in (b, cos_c, sin2_half)], place,
+                [c[rows, None] for c in geometry], stage, h0, levels)
+            with np.errstate(all="ignore"):  # a row that did not stop
+                value[rows] = v.real / n[rows]  # _values' operations
+                err[rows] = (e + 1e-16 * _modulus(v)) / n[rows]
+    return value, err, evaluations, done
 
 
 def _x_domain_block(specs: list[IntegrandSpec],
                     uppers: list[float]) -> list[QuadResult | Exception]:
     """quad_x_domain(spec, X) for every spec and its X in ``uppers``: each
-    spec's QuadResult from _x_domain_columns, or, for a row that it
-    leaves, the one-row call's result or error."""
+    spec's QuadResult or error from _x_domain_columns, or, for a row that
+    it leaves, the one-row call's error."""
     n, theta, zeta, upper = (np.array(x, dtype=float) for x in (
         [s.n for s in specs], [s.theta for s in specs], [s.zeta for s in specs], uppers))
     p = np.array([s.p for s in specs], dtype=complex)
-    out: list = []
-    for spec, X, row in zip(specs, uppers,
-                            _x_domain_columns(n, p.real, p.imag, theta, zeta, upper)):
+    out: list = [None] * len(specs)
+    for i, value, err, used, ok in zip(*(x.tolist() for x in _x_domain_columns(
+            n, p.real, p.imag, theta, zeta, upper))):
+        out[i] = QuadResult(value, err, used) if ok else _exhausted(used)
+    for i, (spec, X, row) in enumerate(zip(specs, uppers, out)):
         if row is None:
             try:
-                row = quad_x_domain(spec, X)
+                out[i] = quad_x_domain(spec, X)
             except (CoshintError, ValueError) as exc:
-                row = exc
-        out.append(row if isinstance(row, (Exception, QuadResult)) else QuadResult(*row))
+                out[i] = exc
     return out
 
 

@@ -45,7 +45,6 @@ from .params import (
     DomainStatus,
     IntegrandSpec,
     NormalizedForm,
-    _real_or_complex,
     _theta_mod,
     classify_domain,
     form_and_kind,
@@ -55,10 +54,10 @@ from .params import (
 from .partial_fractions import (
     _as_int,
     _middle_term_many,
+    _pf_columns,
     integral_at,
     integral_closed,
     middle_term_integral,
-    pf_value_many,
 )
 from .quadrature import _x_domain_columns, quad_x_domain
 from .series import TOL_FLOOR, SeriesResult, _contracted_rows, series_contracted
@@ -144,7 +143,7 @@ def _closed_value(spec: IntegrandSpec, form: tuple) -> float:
 
 def pf_value(spec: IntegrandSpec) -> float:
     """Partial-fraction route (integer exponents; finite X via arctangents)."""
-    p = _real_or_complex(spec.p)
+    p = spec.p
     if not _real_p(p.imag):
         raise CoshintError("partial fractions need a real integer p")
     p = p.real
@@ -169,7 +168,7 @@ def quad_value(spec: IntegrandSpec) -> float:
 def series_value(spec: IntegrandSpec, tol: float = AGREE_TOL) -> float:
     """Series route: accelerated contracted sum plus the middle-term value."""
     factor = _upper_factor(spec)
-    p = _real_or_complex(spec.p)
+    p = spec.p
     if not _real_p(p.imag):
         raise CoshintError("series path needs a real p")
     contracted = series_contracted(spec.n, abs(p.real), spec.theta, _series_tol(tol))
@@ -241,51 +240,52 @@ def _columns(n, p, theta, zeta, upper) -> _Columns:
                     np.array(zeta, dtype=float), np.array(upper, dtype=float), real_b)
 
 
-def _closed_block(g: _Columns, tol: float) -> list[float | None]:
-    """_closed_value of the rows from one master_value_many call, for the
-    rows whose b = p/n is a float and whose theta lies in (0, 2*pi) (so
-    theta is its own reduced angle); None (call _closed_value) for the
-    others and for the rows that the strip refuses, which it raises for.
-    Each step is _closed_value's IEEE operation in its order."""
-    out: list[float | None] = [None] * len(g.n)
-    rows = np.flatnonzero(g.real_b & (0.0 < g.theta) & (g.theta < TWO_PI))
-    if not len(rows):
-        return out
-    n, theta, upper = g.n[rows], g.theta[rows], g.upper[rows]
-    value, ok = master_value_many(math.pi - theta, g.p[rows] / n, math.pi - g.zeta[rows], theta)
-    with np.errstate(all="ignore"):  # a refused row's value may be inf or NaN
-        value = (np.where(upper == 1.0, 1.0, 2.0) * (1.0 / n)) * value
-    for i, v in zip(rows[ok].tolist(), value[ok].tolist()):
-        out[i] = v
-    return out
-
-
-def _pf_block(g: _Columns, tol: float) -> list[float | None]:
-    """pf_value_many over the rows, whose p is real; see verify_points."""
-    return pf_value_many(g.n, g.p, g.theta, g.zeta, g.upper)
-
-
-def _quad_block(g: _Columns, tol: float) -> list:
-    """quad_value of every row, as its value or error, from the rows of
-    quad_x_domain's blocks, which pick each row's map; None (call
-    quad_value) for a row that _x_rule refuses."""
-    return [row if row is None or isinstance(row, Exception) else row[0]
-            for row in _x_domain_columns(g.n, g.p, g.q, g.theta, g.zeta, g.upper)]
-
-
-def _series_block(g: _Columns, tol: float) -> list[float | None]:
-    """series_value from the sums of series_contracted_many's rows, with
-    _series_total's epilogue as columns; None (call series_value) for a
-    row that the block leaves."""
+def _closed_block(g: _Columns, tol: float) -> tuple:
+    """_closed_value of the rows from one master_value_many call: it
+    serves the rows whose b = p/n is a float, whose theta lies in
+    (0, 2*pi) (so theta is its own reduced angle) and that the strip
+    admits, and leaves the others, for _closed_value (which raises for
+    the refused ones).  Each step is _closed_value's IEEE operation in
+    its order."""
     n, theta = g.n, g.theta
-    rows, contracted, _, _ = _contracted_rows(n, np.abs(g.p), theta, _series_tol(tol))
-    middle = _middle_term_many(n[rows], theta[rows])
-    value = (np.where(g.upper[rows] == 1.0, 1.0, 2.0)
-             * (contracted - 2.0 * np.cos(g.zeta[rows]) * middle))  # _series_total's operations
-    out: list[float | None] = [None] * len(n)
-    for i, v in zip(rows.tolist(), value.tolist()):
-        out[i] = v
-    return out
+    value, ok = master_value_many(math.pi - theta, g.p / n, math.pi - g.zeta, theta)
+    served = np.flatnonzero(ok & g.real_b & (0.0 < theta) & (theta < TWO_PI))
+    with np.errstate(all="ignore"):  # a served row's value may overflow
+        value = (np.where(g.upper[served] == 1.0, 1.0, 2.0) * (1.0 / n[served])) * value[served]
+    return served, value, _left(len(n), served)
+
+
+def _pf_block(g: _Columns, tol: float) -> tuple:
+    """pf_value_many's column core over the rows; see verify_points."""
+    served, value = _pf_columns(g.n, g.p, g.theta, g.zeta, g.upper, g.q)
+    return served, value, _left(len(g.n), served)
+
+
+def _quad_block(g: _Columns, tol: float) -> tuple:
+    """quad_value of the rows from quad_x_domain's blocks, which pick each
+    row's map: it serves the rows that stop, refuses those that run out
+    of levels, and leaves the rows that _x_rule refuses, for quad_value."""
+    rows, value, _, _, done = _x_domain_columns(g.n, g.p, g.q, g.theta, g.zeta, g.upper)
+    return rows[done], value[done], _left(len(g.n), rows)
+
+
+def _series_block(g: _Columns, tol: float) -> tuple:
+    """series_value from the sums of series_contracted_many's rows, with
+    _series_total's epilogue as columns; it leaves the other rows, for
+    series_value."""
+    n, theta = g.n, g.theta
+    served, contracted, _, _ = _contracted_rows(n, np.abs(g.p), theta, _series_tol(tol))
+    middle = _middle_term_many(n[served], theta[served])
+    value = (np.where(g.upper[served] == 1.0, 1.0, 2.0)
+             * (contracted - 2.0 * np.cos(g.zeta[served]) * middle))  # _series_total's operations
+    return served, value, _left(len(n), served)
+
+
+def _left(size: int, served: np.ndarray) -> np.ndarray:
+    """The rows of a block of ``size`` rows that ``served`` does not hold."""
+    left = np.ones(size, dtype=bool)
+    left[served] = False
+    return np.flatnonzero(left)
 
 
 @dataclass(frozen=True)
@@ -297,15 +297,16 @@ class Route:
     as floats or as columns (then a mask); ``value(spec, form, tol)`` is
     its value, given normalize(spec)'s values form = (a, b, c, scale).
     ``block(columns, tol)``, for the rows of a _Columns that it admits,
-    gives per row the value, the error the route would raise, or None
-    (call ``value``); every route of ROUTES has one.  Each looks its
-    functions up in this module at call time.
+    gives the indices of the rows it serves, their values as a column,
+    and the indices of the rows it leaves (call ``value``); a row in
+    neither is one that ``value`` raises for.  Every route of ROUTES has
+    one.  Each looks its functions up in this module at call time.
     """
 
     name: str
     admits: Callable
     value: Callable[[IntegrandSpec, tuple, float], float]
-    block: Callable[[_Columns, float], list]
+    block: Callable[[_Columns, float], tuple]
 
 
 ROUTES = (
@@ -347,14 +348,9 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
     return [_report(s, row) for s, row in zip(specs, verify_rows(specs, tol))]
 
 
-# the types of p that verify_columns takes; n, theta, zeta and upper are floats
-P_TYPES = {float, int, bool, complex}
-
-
 def verify_rows(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[tuple]:
     """verify_points' reports as plain rows, without building them:
-    verify_columns on the specs' fields.  A spec with a field of another
-    type (a numpy scalar, say) takes verify_point's own row.
+    verify_columns on the specs' fields.
 
     A row holds, in EvalReport's field order with the spec, normalized
     form and domain status taken apart: n, p, theta, zeta, upper, a, b,
@@ -362,10 +358,7 @@ def verify_rows(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[tupl
     and series values (None where absent), max_abs_err, the verdict's
     value and the reason.
     """
-    plain = [{type(s.n), type(s.theta), type(s.zeta), type(s.upper)} == {float}
-             and type(s.p) in P_TYPES for s in specs]
-    rows = iter(verify_columns(*_fields([s for s, ok in zip(specs, plain) if ok]), tol))
-    return [next(rows) if ok else _spec_row(s, tol) for s, ok in zip(specs, plain)]
+    return verify_columns(*_fields(specs), tol)
 
 
 def _fields(specs: list[IntegrandSpec]) -> list[list]:
@@ -376,28 +369,58 @@ def _fields(specs: list[IntegrandSpec]) -> list[list]:
 def verify_columns(n: list, p: list, theta: list, zeta: list, upper: list,
                    tol: float = AGREE_TOL) -> list[tuple]:
     """verify_rows for a grid given as the five lists of its specs'
-    fields, each row a valid IntegrandSpec's (n, theta, zeta and upper
-    floats; p a float, int, bool or complex), without building the specs.
+    fields, each row a valid IntegrandSpec's (p a float or complex, the
+    others floats), without building the specs.
 
     The normalized form and kind of a Valid or Boundary-a row with a
     real p come from form_and_kind_many's columns, the others' from
     form_and_kind.  Each route's admission is one mask over the rows of
-    those two kinds, and its block runs once over the rows it admits.
-    _row then assembles each row; a row that a block leaves, and a
-    paradox-only row, builds its IntegrandSpec there for the one-row call.
+    those two kinds, and its block runs once over the rows it admits;
+    a row that the block leaves builds its IntegrandSpec for that
+    route's one-row call.  The values go into one (rows x routes) array,
+    on which max_abs_err, the verdict and the reason are taken at once,
+    and one zip builds the rows.  _row builds only the rows of the other
+    kinds and those with a route value that is not finite.
     """
     if not n:
         return []
     g = _columns(n, p, theta, zeta, upper)
     a, b, c, scale, inside, kinds = form_and_kind_many(g.n, g.p, g.theta, g.zeta)
-    columns = [_block_column(route, g, inside, tol) for route in ROUTES]
-    rows = []
-    for values, real_b, form, kind, given in zip(
-            zip(n, p, theta, zeta, upper), g.real_b.tolist(),
-            zip(a.tolist(), b.tolist(), c.tolist(), scale.tolist()), kinds, zip(*columns)):
-        form = (*form, *kind) if kind is not None and real_b else form_and_kind(*values[:4])
-        rows.append(_row(*values, *form, tol, given))
-    return rows
+    a, b, c, scale = a.tolist(), b.tolist(), c.tolist(), scale.tolist()
+    for i in np.flatnonzero(~(inside & g.real_b)).tolist():
+        a[i], b[i], c[i], scale[i], *kinds[i] = form_and_kind(n[i], p[i], theta[i], zeta[i])
+    values = np.zeros((len(n), len(ROUTES)))
+    has = np.zeros(values.shape, dtype=bool)
+    specs: dict[int, IntegrandSpec] = {}
+    for j, route in enumerate(ROUTES):
+        rows = np.flatnonzero(inside & route.admits(g.n, g.q, g.upper))
+        if not len(rows):
+            continue
+        served, got, left = route.block(g.take(rows), tol)
+        values[rows[served], j] = got
+        has[rows[served], j] = True
+        for i in rows[left].tolist():
+            if i not in specs:
+                specs[i] = IntegrandSpec(n[i], p[i], theta[i], zeta[i], upper[i])
+            try:
+                values[i, j] = route.value(specs[i], (a[i], b[i], c[i], scale[i]), tol)
+                has[i, j] = True
+            except (CoshintError, ValueError):
+                pass
+    few = has.sum(axis=1) < 2
+    with np.errstate(invalid="ignore"):  # inf - inf on a row that _row redoes
+        # + 0.0: max - min of zeros of either sign is 0.0 in _row, never -0.0
+        spread = (np.where(has, values, -np.inf).max(axis=1)
+                  - np.where(has, values, np.inf).min(axis=1)) + 0.0
+    spread[few] = 0.0
+    verdict = np.where(few, _SKIPPED, np.where(spread <= tol, _AGREE, _DISAGREE))
+    results = values.astype(object)
+    results[~has] = None
+    out = list(zip(n, p, theta, zeta, upper, a, b, c, scale, *zip(*kinds), *results.T.tolist(),
+                   spread.tolist(), verdict.tolist(), np.where(few, _FEW_ROUTES, None).tolist()))
+    for i in np.flatnonzero(~inside | ~np.isfinite(values).all(axis=1)).tolist():
+        out[i] = _row(*out[i][:11], tol, out[i][11:15] if inside[i] else None, specs.get(i))
+    return out
 
 
 def rows_disagree(rows: list[tuple]) -> bool:
@@ -405,26 +428,10 @@ def rows_disagree(rows: list[tuple]) -> bool:
     return any(row[-2] == _DISAGREE for row in rows)  # row[-2]: the verdict's value
 
 
-# A block column's entry for a row that the route does not admit, or that
-# is not Valid or Boundary-a, which _row leaves out as it does a route's
-# error, without testing again.
-_NOT_ADMITTED = CoshintError("the route's precondition fails")
-
-
-def _block_column(route: Route, g: _Columns, inside: np.ndarray, tol: float) -> list:
-    """route.block's result for each row in ``inside`` that the route
-    admits, else _NOT_ADMITTED."""
-    column: list = [_NOT_ADMITTED] * len(g.n)
-    rows = np.flatnonzero(inside & route.admits(g.n, g.q, g.upper))
-    if len(rows):
-        for i, result in zip(rows.tolist(), route.block(g.take(rows), tol)):
-            column[i] = result
-    return column
-
-
 _PARADOX_ONLY = DomainKind.PARADOX_ONLY.value
 _UNEVALUATED = (DomainKind.SINGULAR_THETA.value, DomainKind.EXCLUDED.value)
 _AGREE, _DISAGREE, _SKIPPED = Verdict.AGREE.value, Verdict.DISAGREE.value, Verdict.SKIPPED.value
+_FEW_ROUTES = "fewer than two evaluation routes are admissible"
 _KINDS = {kind.value: kind for kind in DomainKind}
 _VERDICTS = {verdict.value: verdict for verdict in Verdict}
 
@@ -433,23 +440,21 @@ def _spec_row(spec: IntegrandSpec, tol: float) -> tuple:
     """verify_point's row: every route by its one-row call."""
     n, p, theta, zeta = spec.n, spec.p, spec.theta, spec.zeta
     return _row(n, p, theta, zeta, spec.upper, *form_and_kind(n, p, theta, zeta), tol,
-                _NO_RESULTS, spec)
+                None, spec)
 
 
-def _row(n, p, theta, zeta, upper, a, b, c, scale, kind, detail, tol: float, given: tuple,
-         spec: IntegrandSpec | None = None) -> tuple:
+def _row(n, p, theta, zeta, upper, a, b, c, scale, kind, detail, tol: float,
+         results: tuple | None = None, spec: IntegrandSpec | None = None) -> tuple:
     """One row of verify_rows from a spec's fields, its form_and_kind
-    values and ``given``, which holds, per route of ROUTES, a block's
-    result for the spec (a value or the route's error), or None.
+    values and its route values ``results`` (None where absent), or, if
+    those are None, every route's value by its one-row call.
 
-    One pass over ROUTES collects each route's value, or None.  A route
-    with no result yet is called only when the spec meets its
-    precondition, checked once, with ``spec``, or the IntegrandSpec of
-    the fields, built then.  A route that is called may still raise (a
-    near pole, an unreachable tolerance, ...), and is then left out.
-    max_abs_err is the largest pairwise difference; when the values and
-    their sum are finite it is max - min, the same bits, since rounding
-    is monotone.
+    A route is called only when the spec meets its precondition, with
+    ``spec``, or the IntegrandSpec of the fields, built then.  A route
+    that is called may still raise (a near pole, an unreachable
+    tolerance, ...), and is then left out.  max_abs_err is the largest
+    pairwise difference; when the values and their sum are finite it is
+    max - min, the same bits, since rounding is monotone.
     """
     form = (a, b, c, scale)
     if kind in _UNEVALUATED:
@@ -459,24 +464,20 @@ def _row(n, p, theta, zeta, upper, a, b, c, scale, kind, detail, tol: float, giv
         spec = spec or IntegrandSpec(n, p, theta, zeta, upper)
         paths = _paradox_only_paths(spec, NormalizedForm(*form))
         results = [paths.get(route.name) for route in ROUTES]
-    else:
+    elif results is None:
+        spec = spec or IntegrandSpec(n, p, theta, zeta, upper)
         results = []
-        q = None
-        for route, result in zip(ROUTES, given):
-            if result is None:
-                if q is None:
-                    q = _real_or_complex(p).imag
-                if route.admits(n, q, upper):
-                    spec = spec or IntegrandSpec(n, p, theta, zeta, upper)
-                    try:
-                        result = route.value(spec, form, tol)
-                    except (CoshintError, ValueError):
-                        pass
-            results.append(None if isinstance(result, Exception) else result)
+        for route in ROUTES:
+            value = None
+            if route.admits(n, p.imag, upper):
+                try:
+                    value = route.value(spec, form, tol)
+                except (CoshintError, ValueError):
+                    pass
+            results.append(value)
     vals = [x for x in results if x is not None]
     if len(vals) < 2:
-        max_err, verdict = 0.0, _SKIPPED
-        reason = "fewer than two evaluation routes are admissible"
+        max_err, verdict, reason = 0.0, _SKIPPED, _FEW_ROUTES
     else:
         if math.isfinite(sum(vals)):
             max_err = max(vals) - min(vals)

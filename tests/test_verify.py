@@ -371,9 +371,22 @@ def _columns(specs):
     return verify._columns(*verify._fields(specs))
 
 
+def _per_row(block, size: int) -> list:
+    """A route block's columns per row: the value of a row it serves,
+    None for a row it leaves to the one-row call, and an error for a row
+    it refuses."""
+    served, values, left = block
+    rows: list = [CoshintError("refused by the block")] * size
+    for i in left.tolist():
+        rows[i] = None
+    for i, value in zip(served.tolist(), values.tolist()):
+        rows[i] = value
+    return rows
+
+
 def test_closed_block_equals_closed_value_bit_for_bit():
     specs = _closed_corners()
-    block = verify._closed_block(_columns(specs), 1e-9)
+    block = _per_row(verify._closed_block(_columns(specs), 1e-9), len(specs))
     errors, branches = set(), set()
     for spec, got in zip(specs, block):
         try:
@@ -414,7 +427,7 @@ def test_series_block_equals_series_value_at_every_size(workload):
     for size in range(1, 21):
         for count in sorted({min(count, size) for count in (0, 1, 12)}):
             specs = short[:size - count] + long[:count]
-            block = verify._series_block(_columns(specs), 1e-9)
+            block = _per_row(verify._series_block(_columns(specs), 1e-9), len(specs))
             assert [got.hex() for got in block] == \
                 [series_value(spec, 1e-9).hex() for spec in specs], (size, count)
             reports = verify_points(specs, 1e-9)
@@ -427,7 +440,7 @@ def test_fallback_grid_reaches_every_block_outcome():
     g = _columns(specs)
     for route in verify.ROUTES:
         admitted = np.flatnonzero(np.broadcast_to(route.admits(g.n, g.q, g.upper), len(specs)))
-        results = route.block(g.take(admitted), 1e-9)
+        results = _per_row(route.block(g.take(admitted), 1e-9), len(admitted))
         outcomes[route.name] = {("error" if isinstance(r, Exception) else
                                  "none" if r is None else "value") for r in results}
     # the quadrature blocks serve imaginary p too, so they leave no row;
