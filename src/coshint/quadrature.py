@@ -219,8 +219,8 @@ def integrate_half_line(f, start: float, decay: float) -> QuadResult:
 def _values(value, err, evaluations: int, n: float | None = None) -> tuple:
     """QuadResult's fields, as a plain tuple, of a rule's value and level
     difference ``err``; given n, of the x-domain integral: the s-domain
-    one scaled by the substitution's factor 1/n, real (for an imaginary b,
-    e^((1 -+ b)*s) are conjugates)."""
+    one scaled by the substitution's factor 1/n, real (the kernel is real
+    for an imaginary b, up to the rounding of its complex arithmetic)."""
     err = float(err + 1e-16 * abs(value))
     if n is not None:
         value, err = value.real / n, err / n
@@ -621,15 +621,22 @@ def integrate_real_line(f, decay_pos: float, decay_neg: float, scale: float) -> 
 # kernels
 
 
-def _t_kernel(b, cos_c: float, sin2_half):
-    """(cosh(b*s) + cos_c) / (cosh(s) - cos(theta)) as a vectorized
-    callable of ns = -|s|, which the maps' places give.
+def _t_kernel(beta, sin2_zeta: float, sin2_half):
+    """(cosh(beta*s) - cos(zeta)) / (cosh(s) - cos(theta)) as a
+    vectorized callable of ns = -|s|, which the maps' places give.
 
-    ``sin2_half`` is sin(theta/2)**2.  Both sides are divided by e^|s| so
-    the hyperbolic cosines never overflow, and the denominator is written
-    exactly as expm1(-|s|)**2 + 4*sin(theta/2)**2*e^(-|s|): the form
+    ``beta`` is |b| for a real b (the kernel is even in b) or the complex
+    b = i*q/n, ``sin2_zeta`` is sin(zeta/2)**2 and ``sin2_half``
+    sin(theta/2)**2.  Both sides are divided by e^|s|/2 so the
+    hyperbolic cosines never overflow, and neither side cancels: the
+    numerator is written exactly as
+    (e^(-(1-beta)*|s|/2)*expm1(-beta*|s|))**2 + 4*sin(zeta/2)**2*e^(-|s|),
+    where e^(-(1-b)|s|) + e^(-(1+b)|s|) - 2*cos(zeta)*e^(-|s|) cancels to
+    zeta**2 near s = 0 at a small zeta, and the denominator as
+    expm1(-|s|)**2 + 4*sin(theta/2)**2*e^(-|s|), where
     1 + e^(-2s) - 2*cos(theta)*e^(-s) cancels when s and theta (or
-    2*pi - theta) are both small.  e^(-|s|) keeps its own exp: as
+    2*pi - theta) are both small.  Re beta >= 0 keeps expm1(-beta*|s|)
+    from overflowing far out.  e^(-|s|) keeps its own exp: as
     1 + expm1(-|s|) it would be exact only to an ulp of 1, which swamps
     a kernel of size e^(-s_X) when the range starts far out (X**n tiny).
     The kernel is even in s, so -|s| may replace -s throughout.
@@ -638,9 +645,8 @@ def _t_kernel(b, cos_c: float, sin2_half):
     def f(ns: np.ndarray):
         x = np.expm1(ns)
         em = np.exp(ns)
-        num = np.exp((1.0 - b) * ns) + np.exp((b + 1.0) * ns) + 2.0 * cos_c * em
-        den = x * x + 4.0 * sin2_half * em
-        return num / den
+        y = np.exp(0.5 * (1.0 - beta) * ns) * np.expm1(beta * ns)
+        return (y * y + 4.0 * sin2_zeta * em) / (x * x + 4.0 * sin2_half * em)
 
     return f
 
@@ -656,11 +662,11 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     """Check a spec for the x-domain oracles and return its kernel arguments.
 
     ``X`` is the finite upper limit, or None for the range (0, inf).
-    Returns (b, cos_c, sin2_half, s_X, decay): the _t_kernel arguments, the
-    lower end s_X = -n*log(X) of the s-range (None when X is None) and
-    the kernel's tail decay rate.  b = p/n is a float for a real p and
-    the complex i*q/n for p = i*q, whose tails decay as e^(-s); a p with
-    both parts nonzero raises DomainError.
+    Returns (beta, sin2_zeta, sin2_half, s_X, decay): the _t_kernel
+    arguments, the lower end s_X = -n*log(X) of the s-range (None when X
+    is None) and the kernel's tail decay rate.  beta is |p|/n for a real
+    p and the complex b = i*q/n for p = i*q, whose tails decay as e^(-s);
+    a p with both parts nonzero raises DomainError.
     """
     if X is not None and not 0.0 < X <= 1.0:
         raise ValueError(f"X must lie in (0, 1], got {X}")
@@ -675,26 +681,26 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     # with |Re p| < n, classify_domain refuses exactly a theta outside (0, 2*pi)
     if not 0.0 < spec.theta < 2.0 * math.pi:
         _require_integrable(spec)
-    b = p.real / spec.n
-    decay = 1.0 - abs(b)
+    beta = abs(p.real) / spec.n
+    decay = 1.0 - beta
     if p.imag != 0.0:
-        b = _imaginary_b(p.imag, spec.n)  # the tails decay as e^(-s)
+        beta = _imaginary_b(p.imag, spec.n)  # the tails decay as e^(-s)
     s_x = None if X is None else -spec.n * math.log(X)
-    return b, -math.cos(spec.zeta), math.sin(0.5 * spec.theta) ** 2, s_x, decay
+    return beta, math.sin(0.5 * spec.zeta) ** 2, math.sin(0.5 * spec.theta) ** 2, s_x, decay
 
 
 def _x_rule(spec: IntegrandSpec, X: float) -> tuple:
     """(rule, _t_kernel arguments, geometry) of the x-domain integral from
     0 to X, X in (0, 1] or inf: the one place that picks a range's map.
     Raises what _x_kernel_args raises."""
-    b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, None if X == math.inf else X)
+    beta, sin2_zeta, sin2_half, s_x, decay = _x_kernel_args(spec, None if X == math.inf else X)
     if s_x is None:  # the whole line
         rule = _sinh_lines
     elif s_x == 0.0:  # [0, inf), folded at the kernel's peak
         rule = _folded_lines
     else:  # s_X > 0 leaves the peak outside
-        return _de_half_lines, [b, cos_c, sin2_half], (-s_x, decay)
-    return rule, [b, cos_c, sin2_half], _t_sinh_geometry(spec.theta, decay)
+        return _de_half_lines, [beta, sin2_zeta, sin2_half], (-s_x, decay)
+    return rule, [beta, sin2_zeta, sin2_half], _t_sinh_geometry(spec.theta, decay)
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +730,9 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     if rule == "tanh-sinh":
         lines, params, geometry = _x_rule(spec, X)
         return _one_row(lines(_t_kernel, params, geometry), spec.n)
-    b, cos_c, sin2_half, s_x, decay = _x_kernel_args(spec, X)
+    beta, sin2_zeta, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "gauss":
-        f = _t_kernel(b, cos_c, sin2_half)
+        f = _t_kernel(beta, sin2_zeta, sin2_half)
         return _result(*_half_line(lambda s: f(-s), s_x, decay), spec.n)  # nodes s > 0
     raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
 
@@ -741,14 +747,14 @@ def _x_domain_columns(n, p, q, theta, zeta, upper) -> tuple:
     value, err = np.zeros(len(served)), np.zeros(len(served))
     evaluations, done = np.zeros(len(served), dtype=np.intp), np.zeros(len(served), dtype=bool)
     n, q = n[served], q[served]
-    b, *args = _x_columns(n, p[served], theta[served], zeta[served], upper[served])
+    beta, *args = _x_columns(n, p[served], theta[served], zeta[served], upper[served])
     for imaginary in (False, True):
         rows = np.flatnonzero((q != 0.0) == imaginary)
         if len(rows):
-            b_rows = (np.array(list(map(_imaginary_b, q[rows].tolist(), n[rows].tolist())))
-                      if imaginary else b[rows])
+            beta_rows = (np.array(list(map(_imaginary_b, q[rows].tolist(), n[rows].tolist())))
+                         if imaginary else beta[rows])
             value[rows], err[rows], evaluations[rows], done[rows] = _x_domain_rows(
-                n[rows], b_rows, *(c[rows] for c in args))
+                n[rows], beta_rows, *(c[rows] for c in args))
     return served, value, err, evaluations, done
 
 
@@ -769,19 +775,20 @@ def _x_columns(n, p, theta, zeta, upper) -> tuple:
     """_x_rule's values for rows of floats given as columns, each with a
     real p (the real part 0 of an imaginary one), |p| < n, theta in
     (0, 2*pi) and an upper limit X in (0, 1] or inf, which _x_rule
-    serves: the columns b = p/n, cos_c and sin2_half of the _t_kernel
-    arguments, s_X = -n*log(X), which is -inf on the whole line, the
+    serves: the columns beta = |p|/n, sin2_zeta and sin2_half of the
+    _t_kernel arguments, s_X = -n*log(X), which is -inf on the whole line, the
     tail decay rate, and the sinh map's scale and span (NaN on the DE
     map's rows, s_X > 0, whose geometry is (-s_X, decay)).
 
     Each is the scalar's IEEE operation in its order.  numpy's sin and
     cos are libm's on these arguments, but its arcsinh and its square are
-    not always, so sin2_half is squared, and the logs and arcsinh are
-    taken, per row on Python floats, as _x_rule takes them.
+    not always, so sin2_zeta and sin2_half are squared, and the logs and
+    arcsinh are taken, per row on Python floats, as _x_rule takes them.
     """
-    b = p / n
-    decay = 1.0 - np.abs(b)
-    sin2_half = _per_row(pow, np.sin(0.5 * theta), itertools.repeat(2))  # s ** 2
+    beta = np.abs(p) / n
+    decay = 1.0 - beta
+    sin2_zeta, sin2_half = (_per_row(pow, np.sin(0.5 * angle), itertools.repeat(2))  # s ** 2
+                            for angle in (zeta, theta))
     s_x = -n * _per_row(math.log, upper)
     scale = np.minimum(np.minimum(1.0, theta), 2.0 * math.pi - theta)
     span = np.full(len(n), math.nan)
@@ -792,7 +799,7 @@ def _x_columns(n, p, theta, zeta, upper) -> tuple:
         with np.errstate(over="ignore"):  # inf at theta = 5e-324, as the scalar's is
             ratio = cutoff / scale[line]
         span[line] = _per_row(math.asinh, ratio) + 0.5
-    return b, -np.cos(zeta), sin2_half, s_x, decay, scale, span
+    return beta, sin2_zeta, sin2_half, s_x, decay, scale, span
 
 
 def _per_row(f, column, *args):
@@ -800,10 +807,10 @@ def _per_row(f, column, *args):
     return np.fromiter(map(f, column.tolist(), *args), float, len(column))
 
 
-def _x_domain_rows(n, b, cos_c, sin2_half, s_x, decay, scale, span) -> tuple:
-    """quad_x_domain for rows given as _x_columns' columns, b all real or
-    all complex (a complex b column would change the rounding of real
-    rows), as one block per map: the sinh map where s_X = -inf, the
+def _x_domain_rows(n, beta, sin2_zeta, sin2_half, s_x, decay, scale, span) -> tuple:
+    """quad_x_domain for rows given as _x_columns' columns, beta all real
+    or all complex (a complex beta column would change the rounding of
+    real rows), as one block per map: the sinh map where s_X = -inf, the
     folded sinh map where s_X = 0 and the DE map where s_X > 0.  Returns
     the columns of the rows' QuadResult fields (value, abs_err_estimate,
     evaluations), as _values scales them, and whether each row stopped
@@ -818,7 +825,7 @@ def _x_domain_rows(n, b, cos_c, sin2_half, s_x, decay, scale, span) -> tuple:
         rows = np.flatnonzero(mask)
         if len(rows):
             v, e, evaluations[rows], done[rows] = _trapezoid_columns(
-                _t_kernel, [c[rows, None] for c in (b, cos_c, sin2_half)], place,
+                _t_kernel, [c[rows, None] for c in (beta, sin2_zeta, sin2_half)], place,
                 [c[rows, None] for c in geometry], stage, h0, levels)
             with np.errstate(all="ignore"):  # a row that did not stop
                 value[rows] = v.real / n[rows]  # _values' operations
@@ -893,9 +900,12 @@ def quad_t_domain(a, b, c: float) -> QuadResult:
         a = a.real
     if b.imag == 0.0:
         b = b.real
-    # theta = pi - a, so sin(theta/2)**2 = cos(a/2)**2, and the scale
-    # min(1, theta, 2*pi - theta) is min(1, pi - |Re a|)
-    return _one_row(_folded_lines(_t_kernel, [b, math.cos(c), np.cos(0.5 * a) ** 2],
+    if b.real < 0.0:  # the kernel is even in b; _t_kernel takes Re b >= 0
+        b = -b
+    # theta = pi - a and zeta = pi - c, so sin(theta/2)**2 = cos(a/2)**2,
+    # sin(zeta/2)**2 = cos(c/2)**2, and the scale min(1, theta,
+    # 2*pi - theta) is min(1, pi - |Re a|)
+    return _one_row(_folded_lines(_t_kernel, [b, math.cos(0.5 * c) ** 2, np.cos(0.5 * a) ** 2],
                                   _t_sinh_geometry(math.pi - abs(a.real), 1.0 - abs(b.real))))
 
 
@@ -923,7 +933,7 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
 
     In the s-domain the integrand becomes cos(q*s/n) / (2*(cosh s -
     cos theta)) / n, and cos(q*s/n) = cosh(b*s) for b = i*q/n: it is
-    _t_kernel(b, 0, sin(theta/2)**2) / (2*n), on quad_x_domain's map: the
+    _t_kernel(b, 1/2, sin(theta/2)**2) / (2*n) (zeta = pi/2), on quad_x_domain's map: the
     sinh map folded at s = 0 for upper 1, and the sinh map over the whole
     line for upper infinity, which is the folded rule at twice the steps
     (so not independent of upper 1).
@@ -936,8 +946,8 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
         raise ValueError("upper must be 1 or infinity for this oracle")
     lines, (_, _, sin2_half), geometry = _x_rule(spec, spec.upper)  # decay 1
     b = _imaginary_b(p.imag, spec.n)  # complex at q = 0 too, as _x_kernel_args' b is not
-    # the kernel's imaginary parts cancel exactly: e^((1 -+ b)*s) are conjugates
-    return _one_row(lines(_t_kernel, [b, 0.0, sin2_half], geometry), 2.0 * spec.n)
+    # the kernel is real for an imaginary b: _values keeps its real part
+    return _one_row(lines(_t_kernel, [b, 0.5, sin2_half], geometry), 2.0 * spec.n)
 
 
 def quad_sec_antiderivative_check(m: float, Z: float) -> tuple[float, float]:

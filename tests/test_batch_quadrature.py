@@ -102,11 +102,16 @@ EXHAUSTING = IntegrandSpec(1.0, 0.5, 1e-170, 1.0)
 
 
 # theta = 6e-253 makes sin(theta/2)**2 0, so the kernel grows like 1/s**2
-# down to s_X = 8e-13: the DE map runs out of levels, and its last round
-# holds 10 752 nodes, more than one kernel call takes
+# down to s_X = 8e-13.  The DE map ran out of levels here while the
+# kernel's numerator cancelled to zeta**2 near s = 0; written without the
+# cancellation, it is served in 1345 evaluations
 DE_EXHAUSTING = IntegrandSpec(0.5657970664045806, 0.5632730087006228,
                               5.952019849354575e-253, 0.00021524280251170567,
                               upper=0.9999999999985351)
+# cos(1000*s) oscillates across the DE map's range: the map runs out of
+# levels, and its last round holds 10 752 nodes, more than one kernel call
+# takes
+DE_OSCILLATING = IntegrandSpec(1.0, 1000j, 1.0, 1.0, upper=0.5)
 
 
 def _rounds() -> list[IntegrandSpec]:
@@ -118,11 +123,12 @@ def _rounds() -> list[IntegrandSpec]:
         IntegrandSpec(1.0, 0.5, 1e-3, 1.0, upper=0.5),  # 3
         IntegrandSpec(1.0, -0.99, 2.0, 1.0, upper=0.5),  # 4
         IntegrandSpec(1.0, -0.99, 1e-9, 1.0, upper=1.0 - 1e-12),  # 7
-        DE_EXHAUSTING,
+        DE_EXHAUSTING,  # served in a later round
         IntegrandSpec(2.0, 0.25j, 2.0, 1.0, upper=0.5),  # 2
         IntegrandSpec(1.0, 0.5j, 2.0, 1.0, upper=0.5),  # 3
         IntegrandSpec(1.0, -12j, 2.0, 1.0, upper=0.5),  # 6
-        replace(DE_EXHAUSTING, p=0.5632730087006228j),
+        replace(DE_EXHAUSTING, p=0.5632730087006228j),  # served in a later round
+        DE_OSCILLATING,
         IntegrandSpec(1.0, 0.5, 2.0, 1.0),  # folded: level 2
         IntegrandSpec(1.0, 0.5, 1e-3, 1.0),  # 3
         IntegrandSpec(1.0, 0.5, 1e-9, 1.0),  # 4
@@ -305,8 +311,8 @@ def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
     # the DE map's last round runs in slices of _CHUNK nodes
     for run in (_single, lambda spec: quad_x_domain_many([spec])[0]):
         sizes.clear()
-        assert str(run(DE_EXHAUSTING)) == ("trapezoid levels exhausted after 21505 "
-                                           "evaluations without reaching tolerance")
+        assert str(run(DE_OSCILLATING)) == ("trapezoid levels exhausted after 21505 "
+                                            "evaluations without reaching tolerance")
         assert max(sizes) == cap == quadrature._CHUNK
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from dataclasses import replace
 
@@ -310,6 +311,36 @@ def test_kernel_keeps_digits_where_s_and_theta_are_small():
                     want = ((mp.cosh(b * si) - mp.cos(1.0))
                             / (mp.cosh(si) - mp.cos(mp.mpf(theta))))
                     assert abs(g - want) <= 1e-15 * abs(want), (spec, si)
+
+
+def _master_30(spec: IntegrandSpec, mp) -> float:
+    """The x-domain integral to 1 or inf by the master formula, 30 digits."""
+    with mp.workdps(30):
+        n = mp.mpf(spec.n)
+        b = mp.mpf(spec.p) / n
+        a, c = mp.pi - mp.mpf(spec.theta), mp.pi - mp.mpf(spec.zeta)
+        ratio = a / mp.pi if b == 0 else mp.sin(a * b) / mp.sin(mp.pi * b)
+        value = (mp.pi * ratio + a * mp.cos(c)) / (mp.sin(a) * n)
+        return float(2 * value if spec.upper == math.inf else value)
+
+
+def test_small_zeta_near_the_edges_is_served_to_full_accuracy():
+    # cosh(b*s) - cos(zeta) is zeta**2 near s = 0: the kernel's numerator
+    # must not cancel there, or theta near 0 or 2*pi (a kernel peaked at
+    # s = 0) leaves levels that never agree
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    specs = []
+    for _ in range(40):
+        n, b = math.exp(rng.uniform(-2.0, 3.0)), rng.uniform(-0.99, 0.99)
+        edge = 10.0 ** rng.uniform(-10.0, -4.0)
+        theta = edge if rng.random() < 0.5 else 2 * PI - edge
+        zeta = 10.0 ** rng.uniform(-4.0, -1.0)
+        specs += [IntegrandSpec(n, b * n, theta, zeta, upper) for upper in (1.0, math.inf)]
+    for spec, got in zip(specs, quad_x_domain_many(specs)):
+        assert not isinstance(got, Exception), spec
+        want = _master_30(spec, mp)
+        assert abs(got.value - want) <= 1e-13 * (1.0 + abs(want)), spec
 
 
 def test_range_far_out_keeps_relative_digits():
