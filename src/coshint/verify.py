@@ -408,7 +408,9 @@ def verify_columns(n: list, p: list, theta: list, zeta: list, upper: list,
             except (CoshintError, ValueError):
                 pass
     few = has.sum(axis=1) < 2
-    with np.errstate(invalid="ignore"):  # inf - inf on a row that _row redoes
+    # quiet, as Python's float arithmetic is, where a spread overflows, and
+    # at inf - inf on a row that _row redoes
+    with np.errstate(over="ignore", invalid="ignore"):
         # + 0.0: max - min of zeros of either sign is 0.0 in _row, never -0.0
         spread = (np.where(has, values, -np.inf).max(axis=1)
                   - np.where(has, values, np.inf).min(axis=1)) + 0.0

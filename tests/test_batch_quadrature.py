@@ -638,3 +638,28 @@ def test_verify_points_bytes_equal_verify_point(workload, tol):
     ]
     block = [json.dumps(report_to_dict(r)) for r in verify_points(specs, tol)]
     assert block == [json.dumps(report_to_dict(verify_point(s, tol))) for s in specs]
+
+
+def test_block_stopping_test_gives_the_lone_row_bits_on_imaginary_p():
+    # the block runs the stopping test on complex columns, taking |S_h| and
+    # |S_h - S_2h| with np.hypot: np.abs on complex128 is not Python's abs
+    # (libm's hypot) in the last bit on about one value in ten
+    rng = np.random.default_rng(9)
+    z = (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)) * 10.0 ** rng.uniform(
+        -200.0, 200.0, 20_000)
+    assert quadrature._modulus(z).tolist() == [abs(x) for x in z.tolist()]
+    specs = [s for s in GRIDS["mixed_p"] + GRIDS["rounds"] if isinstance(s.p, complex)]
+    specs += [replace(s, upper=math.inf) for s in specs]
+    groups = {}
+    for spec in specs:
+        lines, params, geometry = quadrature._x_rule(spec, spec.upper)
+        groups.setdefault(lines, []).append((params, geometry))
+    assert len(groups) == 3  # the sinh, folded sinh and DE maps
+    for lines, rules in groups.items():
+        params, geometry = ([np.array(col)[:, None] for col in zip(*cols)]
+                            for cols in zip(*rules))
+        assert params[0].dtype.kind == "c"
+        block = lines(quadrature._t_kernel, params, geometry)
+        assert any(isinstance(row, Exception) for row in block)
+        for (params, geometry), row in zip(rules, block):
+            assert repr(lines(quadrature._t_kernel, params, geometry)) == repr([row])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from coshint import (
     denormalize,
     normalize,
     rescale,
+    verify_point,
 )
 
 PI = math.pi
@@ -127,3 +129,32 @@ def test_rescale_exact():
     assert check.scaled.p == 1.5
     assert check.scaled.theta == spec.theta and check.scaled.zeta == spec.zeta
     assert check.original is spec
+
+
+def test_spec_fields_are_stored_as_python_floats():
+    # ints, bools and numpy scalars become Python floats, p a float or a
+    # complex, so every spec computes in float64 and prints as the CLI's do
+    spec = IntegrandSpec(np.float32(3.0), np.int64(1), 1, True, upper=np.float64(0.5))
+    assert [type(x) for x in (spec.n, spec.p, spec.theta, spec.zeta, spec.upper)] == [float] * 5
+    assert (spec.n, spec.p, spec.theta, spec.zeta, spec.upper) == (3.0, 1.0, 1.0, 1.0, 0.5)
+    for p, want in ((np.complex128(0.5 + 2j), 0.5 + 2j), (np.complex64(2j), 2j),
+                    (complex(0.5, 0.0), complex(0.5, 0.0)), (2 ** 53 + 1, 2.0 ** 53)):
+        got = IntegrandSpec(1e16, p, 1.0, 1.0).p
+        assert type(got) is type(want) and got == want, p
+    assert IntegrandSpec(3.0, 1.0, 1.0, 1.0) == IntegrandSpec(3, 1, 1, 1)
+
+
+def test_a_string_p_is_refused():
+    # complex() parses '1+2j', which then failed in form_and_kind's p / n
+    with pytest.raises(ValueError, match="p must be a number"):
+        IntegrandSpec(2.0, "1+2j", 1.0, 1.0)
+
+
+def test_a_float32_spec_evaluates_in_float64():
+    # in float32, cosh at X = inf overflowed under -W error::RuntimeWarning
+    spec = IntegrandSpec(np.float32(3.0), 1.0, 1.0, 1.2, upper=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = verify_point(spec)
+    assert report == verify_point(IntegrandSpec(3.0, 1.0, 1.0, 1.2, upper=math.inf))
+    assert report.quad is not None and type(report.quad) is float

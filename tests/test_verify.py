@@ -484,3 +484,81 @@ def test_verify_points_takes_specs_of_any_number_type_as_verify_point_does():
              IntegrandSpec(3.0, 1.0, 1.0, 1.2)]
     assert [repr(r) for r in verify_points(specs, 1e-9)] == \
         [repr(verify_point(s, 1e-9)) for s in specs]
+
+
+# ---------------------------------------------------------------------------
+# the grid core's column verdict against the one-row row
+
+
+# route values per row (closed, pf, quad, series), None where absent: zeros
+# of either sign, values whose sum overflows, values that are not finite,
+# one route, no route, and spreads at and just past the tolerance
+_TOL = 2.0 ** -30
+_EDGE_VALUES = [
+    (0.0, -0.0, None, None), (-0.0, 0.0, -0.0, 0.0), (-0.0, -0.0, None, None),
+    (-0.0, None, 0.0, 1e-300),
+    (1e308, 1e308, -1e308, None), (1.7e308, 1.7e308, None, 1.7e308), (-1e308, 1e308, None, None),
+    (math.inf, 1.0, None, None), (math.nan, 1.0, 2.0, None), (math.inf, math.inf, None, None),
+    (-math.inf, None, None, math.nan),
+    (1.0, None, None, None), (None, None, 2.5, None), (None, None, None, None),
+    (1.0, 1.0 + _TOL, None, None), (1.0, None, 1.0 + 2 * _TOL, 1.0), (3.0, 3.0, 3.0, 3.0),
+]
+
+
+def _table_routes(table: dict) -> tuple:
+    """Routes that give the values of ``table``, keyed by a spec's zeta:
+    each block serves some rows, leaves some to the one-row call and
+    refuses the others, and the one-row call raises where a value is None."""
+
+    def value(j):
+        def one_row(spec, form, tol):
+            got = table[spec.zeta][j]
+            if got is None:
+                raise CoshintError("absent")
+            return got
+        return one_row
+
+    def block(j):
+        def rows(g, tol):
+            keys = g.zeta.tolist()
+            values = [table[key][j] for key in keys]
+            left = [i for i, key in enumerate(keys) if (int(key) + j) % 3 == 0]
+            served = [i for i, v in enumerate(values) if v is not None and i not in left]
+            return (np.array(served, dtype=np.intp), np.array([values[i] for i in served]),
+                    np.array(left, dtype=np.intp))
+        return rows
+
+    return tuple(verify.Route(route.name, route.admits, value(j), block(j))
+                 for j, route in enumerate(verify.ROUTES))
+
+
+def test_column_verdict_equals_the_one_row_verdict_on_edge_values(monkeypatch):
+    # the column verdict takes max - min over the present values; Python's
+    # max - min never yields -0.0, and a sum that overflows or a value that
+    # is not finite must give what _row's pairwise maximum gives
+    table = {float(k): values for k, values in enumerate(_EDGE_VALUES, 1)}
+    specs = [IntegrandSpec(3.0, 1.0, 2.0, zeta) for zeta in table]
+    monkeypatch.setattr(verify, "ROUTES", _table_routes(table))
+    rows = verify.verify_rows(specs, _TOL)
+    assert [repr(row) for row in rows] == [repr(verify._spec_row(s, _TOL)) for s in specs]
+    spreads = {row[-3]: row[-2] for row in rows if row[-1] is None}  # max_abs_err: verdict
+    assert spreads[_TOL] == "Agree" and spreads[2 * _TOL] == "Disagree"
+    assert repr(rows[0][-3]) == "0.0" and rows[4][-3] == math.inf and rows[5][-3] == 0.0
+
+
+def test_verify_rows_equals_the_one_row_rows_on_every_kind():
+    # real routes: rows that each block leaves or refuses, a row with one
+    # route (Skipped), unevaluated kinds (their detail is the reason) and a
+    # paradox-only row, each row equal to verify_point's
+    specs = _fallback_grid() + [
+        IntegrandSpec(3.0, 1.0, 2.0, 1.2, upper=0.3),  # pf and quad at a finite X
+        IntegrandSpec(2.5, 1.0, 2.0, 1.2, upper=0.3),  # quad alone: Skipped
+        IntegrandSpec(3.0, 1.0, 0.0, 1.2), IntegrandSpec(3.0, 3.5, 2.0, 1.2),  # unevaluated
+        IntegrandSpec(3.0, 1.0, 2.0 + 2 * PI, 1.2),  # paradox-only
+    ]
+    rows = verify.verify_rows(specs, 1e-9)
+    assert [repr(row) for row in rows] == [repr(verify._spec_row(s, 1e-9)) for s in specs]
+    kinds = {row[9]: row for row in rows}
+    assert kinds["singular-theta"][-1] == kinds["singular-theta"][10]
+    assert kinds["excluded"][-1] == kinds["excluded"][10]
+    assert {row[-2] for row in rows} == {"Agree", "Skipped", "Disagree"}
