@@ -68,11 +68,9 @@ class IntegrandSpec:
             raise ValueError("zeta must be finite")
         if not self.upper > 0:
             raise ValueError(f"upper limit must be positive, got {self.upper}")
-        if p is not self.p:
-            object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", p)
         for name in ("n", "theta", "zeta", "upper"):
-            if type(getattr(self, name)) is not float:
-                object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def valid_fields(n, p, theta, zeta, upper) -> bool:

@@ -216,20 +216,15 @@ def integrate_half_line(f, start: float, decay: float) -> QuadResult:
     return _result(*_half_line(f, start, decay))
 
 
-def _values(value, err, evaluations: int, n: float | None = None) -> tuple:
-    """QuadResult's fields, as a plain tuple, of a rule's value and level
-    difference ``err``; given n, of the x-domain integral: the s-domain
-    one scaled by the substitution's factor 1/n, real (the kernel is real
-    for an imaginary b, up to the rounding of its complex arithmetic)."""
+def _result(value, err, evaluations: int, n: float | None = None) -> QuadResult:
+    """The QuadResult of a rule's value and level difference ``err``;
+    given n, of the x-domain integral: the s-domain one scaled by the
+    substitution's factor 1/n, real (the kernel is real for an imaginary
+    b, up to the rounding of its complex arithmetic)."""
     err = float(err + 1e-16 * abs(value))
     if n is not None:
         value, err = value.real / n, err / n
-    return value, err, evaluations
-
-
-def _result(*rule) -> QuadResult:
-    """The QuadResult of _values(*rule)."""
-    return QuadResult(*_values(*rule))
+    return QuadResult(value, err, evaluations)
 
 
 def _one_row(rows: list, n: float | None = None) -> QuadResult:
@@ -737,24 +732,40 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
 
 
+@np.errstate(all="ignore")  # a row that did not stop
 def _x_domain_columns(n, p, q, theta, zeta, upper) -> tuple:
     """quad_x_domain(spec, X) for rows of floats given as columns, p and q
-    being the real and imaginary parts of the spec's p and upper its X,
-    as columns: the rows that _x_rule serves (_x_served), and for each of
-    them _x_domain_rows' columns, run per kind of p.  quad_x_domain
-    raises for every other row."""
+    being the real and imaginary parts of the spec's p and upper its X.
+
+    Returns the rows that _x_rule serves (_x_served; quad_x_domain raises
+    for the others) and, for each of them, its QuadResult's fields
+    (value, abs_err_estimate, evaluations) as _result scales them, and
+    whether it stopped (_trapezoid_columns), as columns.  The rows run as
+    one block per map, the sinh map where s_X = -inf, the folded sinh map
+    where s_X = 0 and the DE map where s_X > 0, and per kind of p: a
+    complex beta column would change the rounding of real rows.
+    """
     served = np.flatnonzero(_x_served(n, p, q, theta, upper))
-    value, err = np.zeros(len(served)), np.zeros(len(served))
-    evaluations, done = np.zeros(len(served), dtype=np.intp), np.zeros(len(served), dtype=bool)
     n, q = n[served], q[served]
-    beta, *args = _x_columns(n, p[served], theta[served], zeta[served], upper[served])
-    for imaginary in (False, True):
-        rows = np.flatnonzero((q != 0.0) == imaginary)
-        if len(rows):
-            beta_rows = (np.array(list(map(_imaginary_b, q[rows].tolist(), n[rows].tolist())))
-                         if imaginary else beta[rows])
-            value[rows], err[rows], evaluations[rows], done[rows] = _x_domain_rows(
-                n[rows], beta_rows, *(c[rows] for c in args))
+    beta, sin2_zeta, sin2_half, s_x, decay, scale, span = _x_columns(
+        n, p[served], theta[served], zeta[served], upper[served])
+    value, err = np.zeros((2, len(served)))
+    evaluations, done = np.zeros(len(served), dtype=np.intp), np.zeros(len(served), dtype=bool)
+    imaginary = q != 0.0
+    for kind in (False, True) if imaginary.any() else (False,):
+        if kind:
+            beta = np.array(list(map(_imaginary_b, q.tolist(), n.tolist())))
+        for on_map, place, geometry, stage, h0, levels in (
+                (s_x == -math.inf, _folded_place, (scale, span), _line_stage, _SINH_H0, _SINH_LEVELS),
+                (s_x == 0.0, _folded_place, (scale, span), _folded_stage, 0.5 * _SINH_H0,
+                 _SINH_LEVELS),
+                (s_x > 0.0, _de_place, (-s_x, decay), _de_stage, _DE_H0, _DE_MAX_LEVEL)):
+            rows = np.flatnonzero(on_map & (imaginary == kind))
+            if len(rows):
+                v, e, evaluations[rows], done[rows] = _trapezoid_columns(
+                    _t_kernel, [c[rows, None] for c in (beta, sin2_zeta, sin2_half)], place,
+                    [c[rows, None] for c in geometry], stage, h0, levels)
+                value[rows], err[rows] = v.real / n[rows], (e + 1e-16 * _modulus(v)) / n[rows]
     return served, value, err, evaluations, done
 
 
@@ -805,32 +816,6 @@ def _x_columns(n, p, theta, zeta, upper) -> tuple:
 def _per_row(f, column, *args):
     """f(x, *args) for each x of a float column, on Python floats."""
     return np.fromiter(map(f, column.tolist(), *args), float, len(column))
-
-
-def _x_domain_rows(n, beta, sin2_zeta, sin2_half, s_x, decay, scale, span) -> tuple:
-    """quad_x_domain for rows given as _x_columns' columns, beta all real
-    or all complex (a complex beta column would change the rounding of
-    real rows), as one block per map: the sinh map where s_X = -inf, the
-    folded sinh map where s_X = 0 and the DE map where s_X > 0.  Returns
-    the columns of the rows' QuadResult fields (value, abs_err_estimate,
-    evaluations), as _values scales them, and whether each row stopped
-    (_trapezoid_columns)."""
-    value, err = np.zeros(len(n)), np.zeros(len(n))
-    evaluations, done = np.zeros(len(n), dtype=np.intp), np.zeros(len(n), dtype=bool)
-    for mask, place, geometry, stage, h0, levels in (
-            (s_x == -math.inf, _folded_place, (scale, span), _line_stage, _SINH_H0, _SINH_LEVELS),
-            (s_x == 0.0, _folded_place, (scale, span), _folded_stage, 0.5 * _SINH_H0,
-             _SINH_LEVELS),
-            (s_x > 0.0, _de_place, (-s_x, decay), _de_stage, _DE_H0, _DE_MAX_LEVEL)):
-        rows = np.flatnonzero(mask)
-        if len(rows):
-            v, e, evaluations[rows], done[rows] = _trapezoid_columns(
-                _t_kernel, [c[rows, None] for c in (beta, sin2_zeta, sin2_half)], place,
-                [c[rows, None] for c in geometry], stage, h0, levels)
-            with np.errstate(all="ignore"):  # a row that did not stop
-                value[rows] = v.real / n[rows]  # _values' operations
-                err[rows] = (e + 1e-16 * _modulus(v)) / n[rows]
-    return value, err, evaluations, done
 
 
 def _x_domain_block(specs: list[IntegrandSpec],
@@ -946,7 +931,7 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
         raise ValueError("upper must be 1 or infinity for this oracle")
     lines, (_, _, sin2_half), geometry = _x_rule(spec, spec.upper)  # decay 1
     b = _imaginary_b(p.imag, spec.n)  # complex at q = 0 too, as _x_kernel_args' b is not
-    # the kernel is real for an imaginary b: _values keeps its real part
+    # the kernel is real for an imaginary b: _result keeps its real part
     return _one_row(lines(_t_kernel, [b, 0.5, sin2_half], geometry), 2.0 * spec.n)
 
 

@@ -396,9 +396,8 @@ def verify_columns(n: list, p: list, theta: list, zeta: list, upper: list,
         rows = np.flatnonzero(inside & route.admits(g.n, g.q, g.upper))
         if not len(rows):
             continue
-        served, got, left = route.block(g.take(rows), tol)
-        values[rows[served], j] = got
-        has[rows[served], j] = True
+        served, got, left = route.block(g if len(rows) == len(n) else g.take(rows), tol)
+        values[rows[served], j], has[rows[served], j] = got, True
         for i in rows[left].tolist():
             if i not in specs:
                 specs[i] = IntegrandSpec(n[i], p[i], theta[i], zeta[i], upper[i])
@@ -415,11 +414,10 @@ def verify_columns(n: list, p: list, theta: list, zeta: list, upper: list,
         spread = (np.where(has, values, -np.inf).max(axis=1)
                   - np.where(has, values, np.inf).min(axis=1)) + 0.0
     spread[few] = 0.0
-    verdict = np.where(few, _SKIPPED, np.where(spread <= tol, _AGREE, _DISAGREE))
     results = values.astype(object)
     results[~has] = None
     out = list(zip(n, p, theta, zeta, upper, a, b, c, scale, *zip(*kinds), *results.T.tolist(),
-                   spread.tolist(), verdict.tolist(), np.where(few, _FEW_ROUTES, None).tolist()))
+                   spread.tolist(), *_OUTCOMES[np.where(few, 2, spread <= tol)].T.tolist()))
     for i in np.flatnonzero(~inside | ~np.isfinite(values).all(axis=1)).tolist():
         out[i] = _row(*out[i][:11], tol, out[i][11:15] if inside[i] else None, specs.get(i))
     return out
@@ -434,6 +432,8 @@ _PARADOX_ONLY = DomainKind.PARADOX_ONLY.value
 _UNEVALUATED = (DomainKind.SINGULAR_THETA.value, DomainKind.EXCLUDED.value)
 _AGREE, _DISAGREE, _SKIPPED = Verdict.AGREE.value, Verdict.DISAGREE.value, Verdict.SKIPPED.value
 _FEW_ROUTES = "fewer than two evaluation routes are admissible"
+# the verdict and reason of a row by its outcome: 0 Disagree, 1 Agree, 2 Skipped
+_OUTCOMES = np.array([(_DISAGREE, None), (_AGREE, None), (_SKIPPED, _FEW_ROUTES)], dtype=object)
 _KINDS = {kind.value: kind for kind in DomainKind}
 _VERDICTS = {verdict.value: verdict for verdict in Verdict}
 
