@@ -29,9 +29,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def _real_or_complex(x) -> float | complex:
-    """A spec's p as IntegrandSpec stores it: a float for a real number
-    (int, bool and numpy reals included), else complex(x).  A str, which
-    complex() would parse, is refused."""
+    """A spec's p as IntegrandSpec stores it: a real number (numpy's too)
+    as a float, else complex(x); a str, which complex() parses, is refused."""
     if type(x) is float:
         return x
     if isinstance(x, str):
@@ -45,9 +44,8 @@ class IntegrandSpec:
 
     ``p`` may be complex; a purely imaginary p = i*q encodes the
     cos(q*log x) numerator.  ``upper`` is the integration limit: 1.0,
-    a finite positive X, or math.inf.  The fields are stored as Python
-    floats, p as a float or complex (_real_or_complex), whatever number
-    types they are given as, so every spec computes in float64.
+    a finite positive X, or math.inf.  The fields are stored as floats, p
+    as a float or complex (_real_or_complex), so every spec is float64.
     """
 
     n: float

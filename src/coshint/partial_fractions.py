@@ -230,9 +230,8 @@ def pf_value_many(n, p, theta, zeta, upper) -> list[float | None]:
 
 
 def _pf_columns(n, p, theta, zeta, upper, q) -> tuple[np.ndarray, np.ndarray]:
-    """pf_value_many for rows of floats given as columns, p and q being
-    the real and imaginary parts of the spec's p: the rows that it
-    serves, and their values."""
+    """pf_value_many's rows as float columns, p and q the real and imaginary
+    parts of each spec's p: the indices of the rows it serves, and values."""
     p_abs = np.abs(p)
     ok = ((q == 0.0) & (n == np.rint(n)) & (n <= _BLOCK_ROOTS)
           & (p_abs == np.rint(p_abs)) & (p_abs < n)

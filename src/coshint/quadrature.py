@@ -14,21 +14,19 @@ against itself:
   for every integral over [s_X, inf) with s_X > 0 (quad_x_domain at
   X < 1).  One function, _x_rule, picks the map of an x-domain range
   and its kernel arguments, for quad_x_domain and quad_cos_log; its
-  column form, _x_columns, does so for the blocks, with the same bits
-  (tests/test_grid_columns.py pins it).  The sinh map clusters
-  its nodes where a near-edge kernel peaks, so X = 1 and X = inf are
-  served near the edges;
+  column form, _x_columns, does so for the blocks, with the same bits.
+  The sinh map clusters its nodes where a near-edge kernel peaks, so
+  X = 1 and X = inf are served near the edges;
 * a doubling-panel Gauss-Legendre rule on geometrically growing panels
   for every other integrand (integrate_finite, integrate_half_line) and
   as the independent check of the trapezoid maps (quad_x_domain's
-  rule="gauss").
-  Its nodes never touch a panel end, so a kernel that is 0/0 at the
-  start of its range is safe.
+  rule="gauss").  Its nodes never touch a panel end, so a kernel that
+  is 0/0 at the start of its range is safe.
 
 All x-domain integrals are transformed with x**n = exp(-s) before any
 rule sees them, so the x -> 0 endpoint behaviour x**(n-|p|-1) never
-reaches a node, and the kernels' denominators are written so that they
-do not cancel near theta = 0 or 2*pi (a = pi for quad_two_sided).  A
+reaches a node, and the kernels are written so that they do not cancel
+near zeta = 0 or theta = 0 or 2*pi (a = pi for quad_two_sided).  A
 purely imaginary p = i*q is the same kernel at b = i*q/n, so the
 x-domain oracles take it as a real p, at every upper limit.
 Refinement stops at 1e-13 relative accuracy; running out of trapezoid
@@ -40,19 +38,18 @@ Sums run in a fixed order, so results are bit-identical across runs.
 One driver runs the trapezoid rule on every map, in kernel rounds that
 each evaluate the nodes of one or more levels of h: the first round
 evaluates the level-3 grid, where most rows, near-edge ones at X = 1
-among them, stop.  It takes a lone row (quad_x_domain and the other
-one-row oracles), which pays only its own numpy calls on 1-D arrays, or
-a (rows x nodes) block in chunks of rows: quad_x_domain_many runs one
-block per map and kind of p over each spec's own range
-(quad_x_domain_infinite_many over (0, inf)) and returns, bit for bit,
-what the one-row calls return for each; its column core,
-_x_domain_columns, takes the rows as float columns, builds no spec, and
-gives each row's fields as a plain tuple, which verify's grid path
-reads.  Each map
-hands the even kernel -|s| directly, exactly (IEEE negation is exact),
-so the kernel takes no absolute value, and the even kernel's sum over
-the whole line is the folded map's at the whole line's steps, which
-runs the kernel once per |s|.
+among them, stop.  It takes a lone row (the one-row oracles), which
+pays only its own numpy calls on 1-D arrays and runs its stopping test
+on Python floats, or a (rows x nodes) block in chunks of rows, whose
+rows stop on columns, by the same expression (_passes).
+quad_x_domain_many runs one block per map and kind of p over each
+spec's own range (quad_x_domain_infinite_many over (0, inf)), bit for
+bit as the one-row calls; its column core, _x_domain_columns, takes
+float columns, builds no spec, and returns columns, which verify's grid
+path reads.  Each map hands the even kernel -|s| directly, exactly, so
+the kernel takes no absolute value, and the even kernel's sum over the
+whole line is the folded map's at the whole line's steps, which runs
+the kernel once per |s|.
 """
 
 from __future__ import annotations
@@ -317,11 +314,10 @@ def _samples(f, place, geometry, table) -> tuple:
 
 
 def _round_columns(kernel, params, place, geometry, table, starts, bounds) -> tuple:
-    """A block's round: per row, the sums of its samples over each segment
-    and of their magnitudes over each tested level, as (rows x segments)
-    and (rows x levels) tables, and the rows' factors.  The rows run in
-    chunks that keep each table of the round's samples within _CHUNK
-    elements."""
+    """A block's round, by chunks of rows that keep each table of the
+    round's samples within _CHUNK elements: per row, the sums of its
+    samples over each segment and of their magnitudes over each tested
+    level, as (rows x segments) and (rows x levels) tables, and its factor."""
     step = max(1, _CHUNK // table[0].size)
     parts, absums, factors = [], [], []
     for lo in range(0, len(geometry[0]), step):
@@ -334,31 +330,29 @@ def _round_columns(kernel, params, place, geometry, table, starts, bounds) -> tu
 
 
 def _round_sums(kernel, params, place, geometry, table, starts, bounds) -> list:
-    """_round_columns per row, as plain (segment sums, magnitude sums,
-    factor) tuples; a lone row is sampled in one piece."""
+    """Per row, a round's sums as lists (see _round_columns) and its
+    factor; a lone row is sampled in one piece."""
     if not isinstance(geometry[0], np.ndarray):  # a lone row
         g, factor = _samples(kernel(*params), place, geometry, table)
         return [(np.add.reduceat(g, starts).tolist(),
                  np.add.reduceat(np.abs(g), bounds).tolist(), factor)]
-    parts, absums, factors = _round_columns(kernel, params, place, geometry, table, starts,
-                                            bounds)
-    return list(zip(parts.tolist(), absums.tolist(), factors.tolist()))
+    return list(zip(*(x.tolist() for x in _round_columns(kernel, params, place, geometry,
+                                                         table, starts, bounds))))
 
 
 def _passes(h, err, value, mass, absolute, finite):
-    """The stopping test of a level of step h (times the row's factor):
-    |S_h - S_2h| = err <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*A_h),
-    with A_h = h*mass the rule's sum for the integrand's magnitude, and
-    err and S_h = value finite.  One expression on a lone row's Python
-    floats (absolute = abs, finite = cmath.isfinite) and on a block's
-    columns (_modulus, np.isfinite), with the same IEEE operations."""
+    """A level's stopping test, h its step times the row's factor: err =
+    |S_h - S_2h| <= max(REL_TOL/4*(1 + |S_h|), _ROUNDOFF_FLOOR*h*mass), h*mass
+    the rule's sum for the integrand's magnitude, err and S_h = value finite.
+    One expression on a lone row's Python floats (abs, cmath.isfinite) and
+    on a block's columns (_modulus, np.isfinite)."""
     return (((err <= 0.25 * REL_TOL * (1.0 + absolute(value)))
              | (err <= _ROUNDOFF_FLOOR * h * mass)) & finite(err) & finite(value))
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
-    """abs of each entry of a float or complex column, as Python's abs
-    takes it: np.abs on complex128 is not libm's hypot in the last bit."""
+    """Python's abs of each entry of a float or complex column: libm's
+    hypot, which np.abs on complex128 is not in the last bit."""
     return np.hypot(z.real, z.imag) if z.dtype.kind == "c" else np.abs(z)
 
 
@@ -373,33 +367,29 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
                     last_level: int) -> list[tuple | BudgetExceededError]:
     """The trapezoid rule on nested halvings of h for each row of a block.
 
-    Row r integrates kernel(*params_r) over its map's s-range.  Each
-    kernel round ends at a level, the first at _FIRST_ROUND_LEVEL and
-    each later one a level further; the t step of level L is h0/2**L.
-    ``stage(level)`` is the cached table of the round's nodes with their
-    segment starts last.  ``place(*geometry_r, *table)`` gives the
-    kernel's argument at the nodes (-|s| for the even _t_kernel, s for
-    integrate_real_line's f), the weights ds/dt there (times a trapezoid
-    weight the table may carry) divided by the row's factor, and that
-    factor, which the stopping test applies.  ``params`` and
+    Row r integrates kernel(*params_r) over its map's s-range, in kernel
+    rounds: the first ends at level _FIRST_ROUND_LEVEL and each later one
+    a level further; the t step of level L is h0/2**L.  ``stage(level)``
+    is the cached table of a round's nodes with their segment starts
+    last.  ``place(*geometry_r, *table)`` gives the kernel's argument at
+    the nodes (-|s| for the even _t_kernel, s for integrate_real_line's
+    f), the weights ds/dt there (times a trapezoid weight the table may
+    carry) divided by the row's factor, and that factor.  ``params`` and
     ``geometry`` are per-row columns of shape (rows, 1), or for a lone
-    row the values themselves, which round as its columns would: its
-    kernel gets 1-D arrays and the row skips the block's chunking.
+    row the values themselves: its kernel gets 1-D arrays, it skips the
+    block's chunking, and it runs the stopping test on Python floats.
 
-    Row r stops at the first level from _MIN_LEVEL on that _passes.  It
-    gets (S_h, |S_h - S_2h|, evaluations), the evaluations counting the
-    kernel's samples up to its last round, each node of that round
-    included; a row still open after last_level gets a
-    BudgetExceededError.  A lone row runs the test on Python floats, a
-    block on its columns (_trapezoid_columns), and a block returns bit
-    for bit what each row does alone.
+    Row r stops at the first level from _MIN_LEVEL on that _passes, with
+    (S_h, |S_h - S_2h|, evaluations), counting the kernel's samples up to
+    its last round; a row still open after last_level gets a
+    BudgetExceededError.  A block's rows stop on columns
+    (_trapezoid_columns), bit for bit as each row does alone.
     """
     if isinstance(geometry[0], np.ndarray):
         return [(v, e, used) if ok else _exhausted(used) for v, e, used, ok in zip(
             *(x.tolist() for x in _trapezoid_columns(kernel, params, place, geometry, stage,
                                                      h0, last_level)))]
-    total = mass = 0.0
-    used = 0
+    total, mass, used = 0.0, 0.0, 0
     for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
         *table, starts = stage(last)
         starts, bounds, steps, coarse = _round_plan(starts, h0, last)
@@ -423,14 +413,12 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
 def _trapezoid_columns(kernel, params, place, geometry, stage, h0: float,
                        last_level: int) -> tuple:
     """_trapezoid_rows for a block, as columns: per row S_h, |S_h - S_2h|,
-    the evaluations and whether the row stopped (if not, the evaluations
-    are the ones its BudgetExceededError reports).  Each round runs
-    _passes once per tested level on the columns of the rows still open,
-    with the lone row's IEEE operations in its order."""
+    the evaluations and whether it stopped (if not, the evaluations that
+    its error reports).  Each round runs _passes once per tested level on
+    the columns of the rows still open, with the lone row's operations."""
     rows = len(geometry[0])
     err, used, done = np.zeros(rows), np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=bool)
-    left = np.arange(rows)
-    spent = 0
+    left, spent = np.arange(rows), 0
     for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
         *table, starts = stage(last)
         starts, bounds, steps, coarse = _round_plan(starts, h0, last)
@@ -438,28 +426,24 @@ def _trapezoid_columns(kernel, params, place, geometry, stage, h0: float,
         parts, absums, factor = _round_columns(kernel, params, place, geometry, table, starts,
                                                bounds)
         if coarse:
-            total, mass = parts[:, 0], 0.0
-            value = np.zeros(rows, dtype=parts.dtype)
+            total, mass, value = parts[:, 0], 0.0, np.zeros(rows, dtype=parts.dtype)
         stop = np.zeros(len(left), dtype=bool)
-        for j, h in enumerate(steps):
+        for h, new, absum in zip(steps, parts.T[coarse:], absums.T):
             h = h * factor
-            new = parts[:, coarse + j]
             e = _modulus(new - total) * h
-            total = total + new
-            mass = mass + absums[:, j]
+            total, mass = total + new, mass + absum
             v = total * h
             now = _passes(h, e, v, mass, _modulus, np.isfinite) & ~stop
             at = left[now]
             value[at], err[at], used[at] = v[now], e[now], spent
             stop |= now
         done[left[stop]] = True
-        keep = np.flatnonzero(~stop)
-        if not len(keep):
+        if stop.all():
             break
-        if len(keep) < len(left):
+        if stop.any():
+            keep = ~stop
             left, total, mass = left[keep], total[keep], mass[keep]
-            params = [c[keep] for c in params]
-            geometry = [c[keep] for c in geometry]
+            params, geometry = [c[keep] for c in params], [c[keep] for c in geometry]
     used[~done] = spent
     return value, err, used, done
 
@@ -620,21 +604,20 @@ def _t_kernel(beta, sin2_zeta: float, sin2_half):
     """(cosh(beta*s) - cos(zeta)) / (cosh(s) - cos(theta)) as a
     vectorized callable of ns = -|s|, which the maps' places give.
 
-    ``beta`` is |b| for a real b (the kernel is even in b) or the complex
-    b = i*q/n, ``sin2_zeta`` is sin(zeta/2)**2 and ``sin2_half``
-    sin(theta/2)**2.  Both sides are divided by e^|s|/2 so the
-    hyperbolic cosines never overflow, and neither side cancels: the
-    numerator is written exactly as
-    (e^(-(1-beta)*|s|/2)*expm1(-beta*|s|))**2 + 4*sin(zeta/2)**2*e^(-|s|),
-    where e^(-(1-b)|s|) + e^(-(1+b)|s|) - 2*cos(zeta)*e^(-|s|) cancels to
-    zeta**2 near s = 0 at a small zeta, and the denominator as
-    expm1(-|s|)**2 + 4*sin(theta/2)**2*e^(-|s|), where
-    1 + e^(-2s) - 2*cos(theta)*e^(-s) cancels when s and theta (or
-    2*pi - theta) are both small.  Re beta >= 0 keeps expm1(-beta*|s|)
-    from overflowing far out.  e^(-|s|) keeps its own exp: as
-    1 + expm1(-|s|) it would be exact only to an ulp of 1, which swamps
-    a kernel of size e^(-s_X) when the range starts far out (X**n tiny).
-    The kernel is even in s, so -|s| may replace -s throughout.
+    ``beta`` is |b| for a real b (the kernel is even in b; Re beta >= 0
+    keeps expm1(-beta*|s|) finite far out) or the complex b = i*q/n.
+    Both sides are divided by e^|s|/2 so the hyperbolic cosines never
+    overflow, and neither cancels: the numerator is written exactly as
+    (e^(-(1-beta)|s|/2)*expm1(-beta|s|))**2 + 4*sin2_zeta*e^(-|s|), not
+    as e^(-(1-b)|s|) + e^(-(1+b)|s|) - 2*cos(zeta)*e^(-|s|), which
+    cancels to zeta**2 near s = 0, and the denominator as
+    expm1(-|s|)**2 + 4*sin2_half*e^(-|s|), not 1 + e^(-2s) -
+    2*cos(theta)*e^(-s), which cancels when s and theta (or 2*pi - theta)
+    are both small; sin2_zeta and sin2_half are sin(zeta/2)**2 and
+    sin(theta/2)**2.  e^(-|s|) keeps its own exp: as 1 + expm1(-|s|) it
+    would be exact only to an ulp of 1, which swamps a kernel of size
+    e^(-s_X) when the range starts far out (X**n tiny).  The kernel is
+    even in s, so -|s| may replace -s throughout.
     """
 
     def f(ns: np.ndarray):
@@ -735,16 +718,13 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
 @np.errstate(all="ignore")  # a row that did not stop
 def _x_domain_columns(n, p, q, theta, zeta, upper) -> tuple:
     """quad_x_domain(spec, X) for rows of floats given as columns, p and q
-    being the real and imaginary parts of the spec's p and upper its X.
-
-    Returns the rows that _x_rule serves (_x_served; quad_x_domain raises
-    for the others) and, for each of them, its QuadResult's fields
-    (value, abs_err_estimate, evaluations) as _result scales them, and
-    whether it stopped (_trapezoid_columns), as columns.  The rows run as
-    one block per map, the sinh map where s_X = -inf, the folded sinh map
-    where s_X = 0 and the DE map where s_X > 0, and per kind of p: a
-    complex beta column would change the rounding of real rows.
-    """
+    the real and imaginary parts of the spec's p and upper its X: the rows
+    that _x_rule serves (_x_served; quad_x_domain raises for the others),
+    and the columns of their QuadResult fields (value, abs_err_estimate,
+    evaluations), as _result scales them, and of whether each stopped.
+    The rows run as one block per map (the sinh map where s_X = -inf, the
+    folded sinh map where s_X = 0, the DE map where s_X > 0) and kind of
+    p: a complex beta column would round the real rows differently."""
     served = np.flatnonzero(_x_served(n, p, q, theta, upper))
     n, q = n[served], q[served]
     beta, sin2_zeta, sin2_half, s_x, decay, scale, span = _x_columns(
@@ -756,7 +736,8 @@ def _x_domain_columns(n, p, q, theta, zeta, upper) -> tuple:
         if kind:
             beta = np.array(list(map(_imaginary_b, q.tolist(), n.tolist())))
         for on_map, place, geometry, stage, h0, levels in (
-                (s_x == -math.inf, _folded_place, (scale, span), _line_stage, _SINH_H0, _SINH_LEVELS),
+                (s_x == -math.inf, _folded_place, (scale, span), _line_stage, _SINH_H0,
+                 _SINH_LEVELS),
                 (s_x == 0.0, _folded_place, (scale, span), _folded_stage, 0.5 * _SINH_H0,
                  _SINH_LEVELS),
                 (s_x > 0.0, _de_place, (-s_x, decay), _de_stage, _DE_H0, _DE_MAX_LEVEL)):
@@ -793,8 +774,8 @@ def _x_columns(n, p, theta, zeta, upper) -> tuple:
 
     Each is the scalar's IEEE operation in its order.  numpy's sin and
     cos are libm's on these arguments, but its arcsinh and its square are
-    not always, so sin2_zeta and sin2_half are squared, and the logs and
-    arcsinh are taken, per row on Python floats, as _x_rule takes them.
+    not always, so the squares, logs and arcsinh are taken per row on
+    Python floats, as _x_rule takes them.
     """
     beta = np.abs(p) / n
     decay = 1.0 - beta
@@ -820,9 +801,8 @@ def _per_row(f, column, *args):
 
 def _x_domain_block(specs: list[IntegrandSpec],
                     uppers: list[float]) -> list[QuadResult | Exception]:
-    """quad_x_domain(spec, X) for every spec and its X in ``uppers``: each
-    spec's QuadResult or error from _x_domain_columns, or, for a row that
-    it leaves, the one-row call's error."""
+    """quad_x_domain(spec, X) for every spec and its X in ``uppers``, from
+    _x_domain_columns, or for a row that it leaves, the one-row call's error."""
     n, theta, zeta, upper = (np.array(x, dtype=float) for x in (
         [s.n for s in specs], [s.theta for s in specs], [s.zeta for s in specs], uppers))
     p = np.array([s.p for s in specs], dtype=complex)
@@ -887,9 +867,8 @@ def quad_t_domain(a, b, c: float) -> QuadResult:
         b = b.real
     if b.real < 0.0:  # the kernel is even in b; _t_kernel takes Re b >= 0
         b = -b
-    # theta = pi - a and zeta = pi - c, so sin(theta/2)**2 = cos(a/2)**2,
-    # sin(zeta/2)**2 = cos(c/2)**2, and the scale min(1, theta,
-    # 2*pi - theta) is min(1, pi - |Re a|)
+    # theta = pi - a and zeta = pi - c: sin(theta/2) = cos(a/2), sin(zeta/2) =
+    # cos(c/2), and the scale min(1, theta, 2*pi - theta) is min(1, pi - |Re a|)
     return _one_row(_folded_lines(_t_kernel, [b, math.cos(0.5 * c) ** 2, np.cos(0.5 * a) ** 2],
                                   _t_sinh_geometry(math.pi - abs(a.real), 1.0 - abs(b.real))))
 

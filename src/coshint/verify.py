@@ -2,20 +2,19 @@
 
 verify_point evaluates one spec by every admissible route of ROUTES
 (closed form, partial fractions, quadrature, accelerated series) and
-reports the worst pairwise disagreement; verify_points does the same for
-a grid, with every route's block form run once over the grid, and
-verify_rows gives its reports' values as plain rows, which the CLI
-writes without building the reports.  All three wrap one row core.
-The grid core, verify_columns, takes a grid as the lists of its specs'
-fields and builds no spec for a row that the blocks serve: the
-normalized form and kind come as columns, each route's admission is one
-mask, and the blocks take float columns and hand back plain values (the
-quadrature and series blocks read their modules' column cores, not
-QuadResult or SeriesResult objects).  A route whose precondition
-(ROUTES) fails is not called at all: the route function raises from the
-same predicate, one expression on floats and columns alike, so the
-report is the one that trying it would give.  Disagreements never
-raise: callers and the test suite decide what counts as failure.
+reports the worst pairwise disagreement (the one-row core, _row);
+verify_points does the same for a grid, and verify_rows gives its
+reports' values as plain rows, which the CLI writes.  Both wrap the grid
+core, verify_columns, which takes the lists of a grid's fields and
+builds no spec for a row that the blocks serve: each route's admission
+is one mask, and its block takes float columns and returns the rows it
+serves, their values (from the modules' column cores) and the rows it
+leaves to the one-row call, all as columns; max_abs_err, the verdict
+and the reason are taken at once on the (rows x routes) value array.  A
+route whose precondition (ROUTES) fails is not called: the route raises
+from the same predicate, one expression on floats and columns alike.
+Disagreements never raise: callers and the test suite decide what
+counts as failure.
 
 The paradox demonstrators are assertable artifacts of where the closed
 forms stop being valid: shifting theta by a full turn changes the
@@ -241,12 +240,11 @@ def _columns(n, p, theta, zeta, upper) -> _Columns:
 
 
 def _closed_block(g: _Columns, tol: float) -> tuple:
-    """_closed_value of the rows from one master_value_many call: it
-    serves the rows whose b = p/n is a float, whose theta lies in
-    (0, 2*pi) (so theta is its own reduced angle) and that the strip
-    admits, and leaves the others, for _closed_value (which raises for
-    the refused ones).  Each step is _closed_value's IEEE operation in
-    its order."""
+    """_closed_value of the rows with a float b = p/n and theta in
+    (0, 2*pi) (its own reduced angle) that the strip admits, from one
+    master_value_many call, with _closed_value's IEEE operations in its
+    order; it leaves the others, for _closed_value, which raises for the
+    refused ones."""
     n, theta = g.n, g.theta
     value, ok = master_value_many(math.pi - theta, g.p / n, math.pi - g.zeta, theta)
     served = np.flatnonzero(ok & g.real_b & (0.0 < theta) & (theta < TWO_PI))
@@ -262,17 +260,15 @@ def _pf_block(g: _Columns, tol: float) -> tuple:
 
 
 def _quad_block(g: _Columns, tol: float) -> tuple:
-    """quad_value of the rows from quad_x_domain's blocks, which pick each
-    row's map: it serves the rows that stop, refuses those that run out
-    of levels, and leaves the rows that _x_rule refuses, for quad_value."""
+    """quad_value from quad_x_domain's column core: it serves the rows that
+    stop, refuses those that run out of levels, and leaves the others."""
     rows, value, _, _, done = _x_domain_columns(g.n, g.p, g.q, g.theta, g.zeta, g.upper)
     return rows[done], value[done], _left(len(g.n), rows)
 
 
 def _series_block(g: _Columns, tol: float) -> tuple:
-    """series_value from the sums of series_contracted_many's rows, with
-    _series_total's epilogue as columns; it leaves the other rows, for
-    series_value."""
+    """series_value of series_contracted_many's rows, with _series_total's
+    epilogue as columns; it leaves the other rows."""
     n, theta = g.n, g.theta
     served, contracted, _, _ = _contracted_rows(n, np.abs(g.p), theta, _series_tol(tol))
     middle = _middle_term_many(n[served], theta[served])
@@ -283,9 +279,7 @@ def _series_block(g: _Columns, tol: float) -> tuple:
 
 def _left(size: int, served: np.ndarray) -> np.ndarray:
     """The rows of a block of ``size`` rows that ``served`` does not hold."""
-    left = np.ones(size, dtype=bool)
-    left[served] = False
-    return np.flatnonzero(left)
+    return np.flatnonzero(np.bincount(served, minlength=size) == 0)
 
 
 @dataclass(frozen=True)
@@ -296,11 +290,10 @@ class Route:
     raises from, on a spec's n, imaginary part q of p and upper limit,
     as floats or as columns (then a mask); ``value(spec, form, tol)`` is
     its value, given normalize(spec)'s values form = (a, b, c, scale).
-    ``block(columns, tol)``, for the rows of a _Columns that it admits,
-    gives the indices of the rows it serves, their values as a column,
-    and the indices of the rows it leaves (call ``value``); a row in
-    neither is one that ``value`` raises for.  Every route of ROUTES has
-    one.  Each looks its functions up in this module at call time.
+    ``block(columns, tol)``, on the rows of a _Columns that it admits,
+    returns the indices of the rows it serves, their values, and those of
+    the rows it leaves (call ``value``); ``value`` raises for any other.
+    Each looks its functions up in this module at call time.
     """
 
     name: str
@@ -369,18 +362,16 @@ def _fields(specs: list[IntegrandSpec]) -> list[list]:
 def verify_columns(n: list, p: list, theta: list, zeta: list, upper: list,
                    tol: float = AGREE_TOL) -> list[tuple]:
     """verify_rows for a grid given as the five lists of its specs'
-    fields, each row a valid IntegrandSpec's (p a float or complex, the
-    others floats), without building the specs.
+    fields, each row a valid IntegrandSpec's, without building the specs.
 
     The normalized form and kind of a Valid or Boundary-a row with a
     real p come from form_and_kind_many's columns, the others' from
-    form_and_kind.  Each route's admission is one mask over the rows of
-    those two kinds, and its block runs once over the rows it admits;
-    a row that the block leaves builds its IntegrandSpec for that
-    route's one-row call.  The values go into one (rows x routes) array,
-    on which max_abs_err, the verdict and the reason are taken at once,
-    and one zip builds the rows.  _row builds only the rows of the other
-    kinds and those with a route value that is not finite.
+    form_and_kind.  Each route's block runs once over the rows of those
+    two kinds that it admits (one mask); a row that it leaves builds its
+    IntegrandSpec for that route's one-row call.  max_abs_err, the
+    verdict and the reason are taken at once on the (rows x routes)
+    value array, and one zip builds the rows; _row builds those of the
+    other kinds and those with a route value that is not finite.
     """
     if not n:
         return []
@@ -389,9 +380,7 @@ def verify_columns(n: list, p: list, theta: list, zeta: list, upper: list,
     a, b, c, scale = a.tolist(), b.tolist(), c.tolist(), scale.tolist()
     for i in np.flatnonzero(~(inside & g.real_b)).tolist():
         a[i], b[i], c[i], scale[i], *kinds[i] = form_and_kind(n[i], p[i], theta[i], zeta[i])
-    values = np.zeros((len(n), len(ROUTES)))
-    has = np.zeros(values.shape, dtype=bool)
-    specs: dict[int, IntegrandSpec] = {}
+    values, has = np.zeros((len(n), len(ROUTES))), np.zeros((len(n), len(ROUTES)), dtype=bool)
     for j, route in enumerate(ROUTES):
         rows = np.flatnonzero(inside & route.admits(g.n, g.q, g.upper))
         if not len(rows):
@@ -399,18 +388,17 @@ def verify_columns(n: list, p: list, theta: list, zeta: list, upper: list,
         served, got, left = route.block(g if len(rows) == len(n) else g.take(rows), tol)
         values[rows[served], j], has[rows[served], j] = got, True
         for i in rows[left].tolist():
-            if i not in specs:
-                specs[i] = IntegrandSpec(n[i], p[i], theta[i], zeta[i], upper[i])
+            spec = IntegrandSpec(n[i], p[i], theta[i], zeta[i], upper[i])
             try:
-                values[i, j] = route.value(specs[i], (a[i], b[i], c[i], scale[i]), tol)
+                values[i, j] = route.value(spec, (a[i], b[i], c[i], scale[i]), tol)
                 has[i, j] = True
             except (CoshintError, ValueError):
                 pass
     few = has.sum(axis=1) < 2
-    # quiet, as Python's float arithmetic is, where a spread overflows, and
-    # at inf - inf on a row that _row redoes
+    # quiet where a spread overflows, as Python's floats are, and at inf - inf
+    # on a row that _row redoes; + 0.0 makes a spread of zeros of either
+    # sign 0.0, as _row's max - min is, never -0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        # + 0.0: max - min of zeros of either sign is 0.0 in _row, never -0.0
         spread = (np.where(has, values, -np.inf).max(axis=1)
                   - np.where(has, values, np.inf).min(axis=1)) + 0.0
     spread[few] = 0.0
@@ -419,7 +407,7 @@ def verify_columns(n: list, p: list, theta: list, zeta: list, upper: list,
     out = list(zip(n, p, theta, zeta, upper, a, b, c, scale, *zip(*kinds), *results.T.tolist(),
                    spread.tolist(), *_OUTCOMES[np.where(few, 2, spread <= tol)].T.tolist()))
     for i in np.flatnonzero(~inside | ~np.isfinite(values).all(axis=1)).tolist():
-        out[i] = _row(*out[i][:11], tol, out[i][11:15] if inside[i] else None, specs.get(i))
+        out[i] = _row(*out[i][:11], tol, out[i][11:15] if inside[i] else None)
     return out
 
 
