@@ -228,7 +228,7 @@ class _Columns(NamedTuple):
 
 def _columns(n, p, theta, zeta, upper) -> _Columns:
     """The _Columns of rows given as lists of their fields, n, theta,
-    zeta and upper floats, p a float, int, bool or complex."""
+    zeta and upper floats, p a float or complex."""
     try:
         p_re, q, real_b = np.array(p, dtype=float), np.zeros(len(p)), np.ones(len(p), dtype=bool)
     except TypeError:  # a complex p

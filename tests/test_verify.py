@@ -477,7 +477,8 @@ def test_route_admission_is_one_expression_on_floats_and_columns():
 
 
 def test_verify_points_takes_specs_of_any_number_type_as_verify_point_does():
-    # numpy scalars take the one-row path; ints and floats the columns
+    # IntegrandSpec stores every field as a float (p a float or complex), so
+    # numpy scalars, ints and bools all take the columns
     specs = [IntegrandSpec(np.float64(3.0), np.float64(1.0), np.float64(1.0), np.float64(1.2)),
              IntegrandSpec(3.0, np.float64(1.0), 1.0, 1.2, upper=math.inf),
              IntegrandSpec(3, 1, 1, 1, upper=math.inf), IntegrandSpec(3.0, True, 1.0, 1.2),
