@@ -66,6 +66,7 @@ from .verify import (
     AGREE_TOL,
     ROUTES,
     EvalReport,
+    _checked_tol,
     _fields,
     paradox_imaginary_n,
     paradox_periodicity,
@@ -106,6 +107,14 @@ def parse_complex_literal(text: str) -> float | complex:
     if im_part in ("+", "-"):
         im_part += "1"
     return complex(float(re_part), float(im_part))
+
+
+def parse_tol(text: str) -> float:
+    """A --tol value: a float that verify takes as a tolerance."""
+    try:
+        return _checked_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def format_complex(value: complex | float) -> str:
@@ -497,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p_eval)
     p_eval.add_argument("--method", choices=[*(route.name for route in ROUTES), "all"],
                         default="closed")
-    p_eval.add_argument("--tol", type=float, default=AGREE_TOL)
+    p_eval.add_argument("--tol", type=parse_tol, default=AGREE_TOL)
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -506,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--grid", type=str, default=None)
     source.add_argument("--random", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--tol", type=float, default=AGREE_TOL)
+    p_verify.add_argument("--tol", type=parse_tol, default=AGREE_TOL)
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--threads", type=int, default=1,
                           help="accepted for compatibility; has no effect")
@@ -535,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--theta", type=str, required=True)
     p_tab.add_argument("--zeta", type=str, required=True)
     p_tab.add_argument("--upper", type=str, default="1")
-    p_tab.add_argument("--tol", type=float, default=AGREE_TOL)
+    p_tab.add_argument("--tol", type=parse_tol, default=AGREE_TOL)
     p_tab.add_argument("--out", type=str, default=None)
     p_tab.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
@@ -550,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--zeta", type=float)
     p_par.add_argument("--k", type=int)
     p_par.add_argument("--m", type=float)
-    p_par.add_argument("--tol", type=float)
+    p_par.add_argument("--tol", type=parse_tol)
     p_par.add_argument("--deg", action="store_true")
     p_par.set_defaults(upper=1.0, func=cmd_paradox)
 

@@ -71,6 +71,15 @@ class IntegrandSpec:
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
+def _frozen(cls, **fields):
+    """The frozen dataclass ``cls`` of ``fields``, all of them in order:
+    its instance dict set at once, where the generated __init__ makes one
+    object.__setattr__ per field.  For classes without a __post_init__."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 def valid_fields(n, p, theta, zeta, upper) -> bool:
     """Whether IntegrandSpec takes every row of the lists of a grid's
     fields (p a float or complex, the others floats): __post_init__'s

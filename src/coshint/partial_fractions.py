@@ -47,9 +47,9 @@ def root_angles(n: int, theta: float) -> list[float]:
     """The n root angles omega_k = (theta + 2*pi*k)/n, ascending."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < theta < 2.0 * math.pi:
+    if not 0.0 < theta < TWO_PI:
         raise ValueError(f"theta must lie in (0, 2*pi), got {theta}")
-    return [(theta + 2.0 * math.pi * k) / n for k in range(n)]
+    return [(theta + TWO_PI * k) / n for k in range(n)]
 
 
 def fraction_coefficient(omega: float, spec: IntegrandSpec) -> float:

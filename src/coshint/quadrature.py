@@ -35,13 +35,16 @@ call) raises instead of returning a degraded value, and so does a
 trapezoid sum that is inf or NaN.
 
 Sums run in a fixed order, so results are bit-identical across runs.
-One driver runs the trapezoid rule on every map, in kernel rounds that
-each evaluate the nodes of one or more levels of h: the first round
+The trapezoid rule runs on every map in kernel rounds that each
+evaluate the nodes of one or more levels of h: the first round
 evaluates the level-3 grid, where most rows, near-edge ones at X = 1
-among them, stop.  It takes a lone row (the one-row oracles), which
-pays only its own numpy calls on 1-D arrays and runs its stopping test
-on Python floats, or a (rows x nodes) block in chunks of rows, whose
-rows stop on columns, by the same expression (_passes).
+among them, stop.  Two drivers take each round's plan from one cached
+lookup (_round_plan) and stop a row by one expression (_passes):
+_trapezoid_rows takes a lone row (the one-row oracles), builds its
+kernel once, pays only its own numpy calls on 1-D arrays, runs its
+stopping test on Python floats and raises when it runs out of levels;
+_trapezoid_columns takes a (rows x nodes) block in chunks of rows,
+whose rows stop on columns, bit for bit as each lone row.
 quad_x_domain_many runs one block per map and kind of p over each
 spec's own range (quad_x_domain_infinite_many over (0, inf)), bit for
 bit as the one-row calls; its column core, _x_domain_columns, takes
@@ -69,7 +72,7 @@ from .errors import (
     NonIntegrableError,
     PoleTooCloseError,
 )
-from .params import DomainKind, IntegrandSpec, classify_domain
+from .params import DomainKind, IntegrandSpec, _frozen, classify_domain
 
 REL_TOL = 1e-13
 EVAL_BUDGET = 2_000_000
@@ -215,21 +218,18 @@ def integrate_half_line(f, start: float, decay: float) -> QuadResult:
 
 def _result(value, err, evaluations: int, n: float | None = None) -> QuadResult:
     """The QuadResult of a rule's value and level difference ``err``;
-    given n, of the x-domain integral: the s-domain one scaled by the
-    substitution's factor 1/n, real (the kernel is real for an imaginary
-    b, up to the rounding of its complex arithmetic)."""
+    given n, of the x-domain integral (_x_value), its error scaled alike."""
     err = float(err + 1e-16 * abs(value))
     if n is not None:
-        value, err = value.real / n, err / n
-    return QuadResult(value, err, evaluations)
+        value, err = _x_value(value, n), err / n
+    return _frozen(QuadResult, value=value, abs_err_estimate=err, evaluations=evaluations)
 
 
-def _one_row(rows: list, n: float | None = None) -> QuadResult:
-    """The _result of a trapezoid driver's one row, or its error raised."""
-    (row,) = rows
-    if isinstance(row, BudgetExceededError):
-        raise row
-    return _result(*row, n)
+def _x_value(value, n):
+    """The x-domain integral of an s-domain rule's value or column: scaled
+    by the substitution's factor 1/n, and real (the kernel is real for an
+    imaginary b, up to the rounding of its complex arithmetic)."""
+    return value.real / n
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +285,17 @@ def _grid_stage(lo: float, hi: float, h0: float, level: int) -> tuple[np.ndarray
 
 
 @functools.cache
-def _round_plan(starts: tuple, h0: float, last: int) -> tuple:
-    """For the kernel round that ends at level ``last`` with segment
-    starts ``starts``: the reduceat indices of its segment sums and of its
-    magnitude sums (one per tested level, the first level's with the
-    coarse grids'), the t steps h0/2**L of its tested levels, and 1 where
-    the coarse grids lead, else 0."""
+def _round_plan(stage, h0: float, last: int) -> tuple:
+    """For the kernel round that ends at level ``last`` of a map's
+    ``stage`` with first step h0: the table of its nodes, the reduceat
+    indices of its segment sums and of its magnitude sums (one per tested
+    level, the first level's with the coarse grids'), the t steps h0/2**L
+    of its tested levels, and 1 where the coarse grids lead, else 0."""
+    *table, starts = stage(last)
     levels = range(_MIN_LEVEL if last == _FIRST_ROUND_LEVEL else last, last + 1)
     coarse = len(starts) - len(levels)
     bounds = (0, *starts[coarse + 1:])
-    return (np.array(starts, dtype=np.intp), np.array(bounds, dtype=np.intp),
+    return (tuple(table), np.array(starts, dtype=np.intp), np.array(bounds, dtype=np.intp),
             tuple(h0 / (1 << lev) for lev in levels), coarse)
 
 
@@ -329,15 +330,11 @@ def _round_columns(kernel, params, place, geometry, table, starts, bounds) -> tu
     return np.concatenate(parts), np.concatenate(absums), np.concatenate(factors)
 
 
-def _round_sums(kernel, params, place, geometry, table, starts, bounds) -> list:
-    """Per row, a round's sums as lists (see _round_columns) and its
-    factor; a lone row is sampled in one piece."""
-    if not isinstance(geometry[0], np.ndarray):  # a lone row
-        g, factor = _samples(kernel(*params), place, geometry, table)
-        return [(np.add.reduceat(g, starts).tolist(),
-                 np.add.reduceat(np.abs(g), bounds).tolist(), factor)]
-    return list(zip(*(x.tolist() for x in _round_columns(kernel, params, place, geometry,
-                                                         table, starts, bounds))))
+def _round_sums(f, place, geometry, table, starts, bounds) -> tuple:
+    """A lone row's round of the kernel f, sampled in one piece: its sums
+    (see _round_columns) as lists, and its factor."""
+    g, factor = _samples(f, place, geometry, table)
+    return np.add.reduceat(g, starts).tolist(), np.add.reduceat(np.abs(g), bounds).tolist(), factor
 
 
 def _passes(h, err, value, mass, absolute, finite):
@@ -364,38 +361,32 @@ def _exhausted(used: int) -> BudgetExceededError:
 
 @np.errstate(all="ignore")  # inf or NaN sums stay quiet: the stopping test refuses them
 def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
-                    last_level: int) -> list[tuple | BudgetExceededError]:
-    """The trapezoid rule on nested halvings of h for each row of a block.
+                    last_level: int) -> tuple:
+    """The trapezoid rule on nested halvings of h for a lone row.
 
-    Row r integrates kernel(*params_r) over its map's s-range, in kernel
+    The row integrates kernel(*params) over its map's s-range, in kernel
     rounds: the first ends at level _FIRST_ROUND_LEVEL and each later one
-    a level further; the t step of level L is h0/2**L.  ``stage(level)``
-    is the cached table of a round's nodes with their segment starts
-    last.  ``place(*geometry_r, *table)`` gives the kernel's argument at
-    the nodes (-|s| for the even _t_kernel, s for integrate_real_line's
-    f), the weights ds/dt there (times a trapezoid weight the table may
-    carry) divided by the row's factor, and that factor.  ``params`` and
-    ``geometry`` are per-row columns of shape (rows, 1), or for a lone
-    row the values themselves: its kernel gets 1-D arrays, it skips the
-    block's chunking, and it runs the stopping test on Python floats.
+    a level further; the t step of level L is h0/2**L, and _round_plan
+    holds each round's table of nodes from ``stage(level)``.
+    ``place(*geometry, *table)`` gives the kernel's argument at the nodes
+    (-|s| for the even _t_kernel, s for quad_two_sided's kernel), the
+    weights ds/dt there (times a trapezoid weight the table may carry)
+    divided by the row's factor, and that factor.  ``params`` and
+    ``geometry`` are the row's values: its kernel, built once, gets 1-D
+    arrays, and its stopping test runs on Python floats.  A block of rows
+    runs _trapezoid_columns, bit for bit as each row alone.
 
-    Row r stops at the first level from _MIN_LEVEL on that _passes, with
-    (S_h, |S_h - S_2h|, evaluations), counting the kernel's samples up to
-    its last round; a row still open after last_level gets a
-    BudgetExceededError.  A block's rows stop on columns
-    (_trapezoid_columns), bit for bit as each row does alone.
+    The row stops at the first level from _MIN_LEVEL on that _passes, and
+    returns (S_h, |S_h - S_2h|, evaluations), counting the kernel's
+    samples up to its last round; a row still open after last_level
+    raises _exhausted's BudgetExceededError.
     """
-    if isinstance(geometry[0], np.ndarray):
-        return [(v, e, used) if ok else _exhausted(used) for v, e, used, ok in zip(
-            *(x.tolist() for x in _trapezoid_columns(kernel, params, place, geometry, stage,
-                                                     h0, last_level)))]
+    f = kernel(*params)
     total, mass, used = 0.0, 0.0, 0
     for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
-        *table, starts = stage(last)
-        starts, bounds, steps, coarse = _round_plan(starts, h0, last)
+        table, starts, bounds, steps, coarse = _round_plan(stage, h0, last)
         used += table[0].size
-        ((parts, absums, factor),) = _round_sums(kernel, params, place, geometry, table,
-                                                 starts, bounds)
+        parts, absums, factor = _round_sums(f, place, geometry, table, starts, bounds)
         if coarse:
             total = parts[0]
         for h, new, absum in zip(steps, parts[coarse:], absums):
@@ -405,23 +396,23 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
             mass += absum
             value = total * h
             if _passes(h, err, value, mass, abs, cmath.isfinite):
-                return [(value, err, used)]
-    return [_exhausted(used)]
+                return value, err, used
+    raise _exhausted(used)
 
 
 @np.errstate(all="ignore")
 def _trapezoid_columns(kernel, params, place, geometry, stage, h0: float,
                        last_level: int) -> tuple:
-    """_trapezoid_rows for a block, as columns: per row S_h, |S_h - S_2h|,
+    """_trapezoid_rows for a block, whose params and geometry are per-row
+    columns of shape (rows, 1), as columns: per row S_h, |S_h - S_2h|,
     the evaluations and whether it stopped (if not, the evaluations that
-    its error reports).  Each round runs _passes once per tested level on
+    _exhausted reports).  Each round runs _passes once per tested level on
     the columns of the rows still open, with the lone row's operations."""
     rows = len(geometry[0])
     err, used, done = np.zeros(rows), np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=bool)
     left, spent = np.arange(rows), 0
     for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
-        *table, starts = stage(last)
-        starts, bounds, steps, coarse = _round_plan(starts, h0, last)
+        table, starts, bounds, steps, coarse = _round_plan(stage, h0, last)
         spent += table[0].size
         parts, absums, factor = _round_columns(kernel, params, place, geometry, table, starts,
                                                bounds)
@@ -462,7 +453,6 @@ _DE_H0 = 0.5
 _DE_MAX_LEVEL = 10
 
 
-@functools.cache
 def _de_stage(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Offsets lam*(s - s_X) and weights lam*ds/dt of the nodes of the
     kernel round ending at ``level`` on t in [_DE_TMIN, _DE_TMAX], and
@@ -478,9 +468,9 @@ def _de_place(ns_x, lam, u, w):
     return ns_x - u / lam, w, 1.0 / lam
 
 
-def _de_half_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
-    """The DE map's rule for the even kernel(*params) over [s_X, inf), per
-    row; ``geometry`` is (-s_X, lam)."""
+def _de_half_lines(kernel, params, geometry) -> tuple:
+    """The DE map's rule for the even kernel(*params) over [s_X, inf), a
+    lone row; ``geometry`` is (-s_X, lam)."""
     return _trapezoid_rows(kernel, params, _de_place, geometry, _de_stage, _DE_H0,
                            _DE_MAX_LEVEL)
 
@@ -512,14 +502,12 @@ _SINH_H0 = 0.125
 _SINH_LEVELS = 10
 
 
-@functools.cache
 def _sinh_stage(level: int) -> tuple[np.ndarray, tuple]:
     """Unit offsets tau of the nodes of the kernel round ending at
     ``level``, and their segment starts."""
     return _grid_stage(-1.0, 1.0, _SINH_H0, level)
 
 
-@functools.cache
 def _folded_stage(level: int, line: bool = False) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Unit offsets tau in [0, 1] of the nodes of the folded map's kernel
     round ending at ``level``, their trapezoid weights and their segment
@@ -536,7 +524,7 @@ _line_stage = functools.partial(_folded_stage, line=True)
 
 
 def _sinh_place(scale, span, tau):
-    """s itself, for integrate_real_line's f, which need not be even."""
+    """s itself, for quad_two_sided's kernel, which is not even."""
     u = span * tau
     return scale * np.sinh(u), np.cosh(u), scale * span
 
@@ -547,18 +535,18 @@ def _folded_place(scale, span, tau, weight):
     return (-scale) * np.sinh(u), weight * np.cosh(u), scale * span
 
 
-def _sinh_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
+def _sinh_lines(kernel, params, geometry) -> tuple:
     """The sinh map's rule for the even kernel(*params) over the real
-    line, per row; ``geometry`` is (scale, span).  It is the folded rule
+    line, a lone row; ``geometry`` is (scale, span).  It is the folded rule
     at the whole line's steps and weights (_folded_stage's ``line``), 65
     kernel samples in the first round."""
     return _trapezoid_rows(kernel, params, _folded_place, geometry, _line_stage, _SINH_H0,
                            _SINH_LEVELS)
 
 
-def _folded_lines(kernel, params, geometry) -> list[tuple | BudgetExceededError]:
+def _folded_lines(kernel, params, geometry) -> tuple:
     """The folded sinh map's rule for the even kernel(*params) over
-    [0, inf), per row; ``geometry`` is (scale, span)."""
+    [0, inf), a lone row; ``geometry`` is (scale, span)."""
     return _trapezoid_rows(kernel, params, _folded_place, geometry, _folded_stage,
                            0.5 * _SINH_H0, _SINH_LEVELS)
 
@@ -579,21 +567,6 @@ def _t_sinh_geometry(theta: float, decay: float) -> tuple[float, float]:
     """
     scale = min(1.0, theta, 2.0 * math.pi - theta)
     return scale, _sinh_span(_tail_cutoff(decay), scale)
-
-
-def integrate_real_line(f, decay_pos: float, decay_neg: float, scale: float) -> QuadResult:
-    """Integrate f over (-inf, inf) with the sinh-map trapezoid rule.
-
-    f is elementwise: it gets the nodes as a 1-D array.  ``scale`` (at
-    most 1) is the width of a peak of f at 0, which the map resolves.
-    This is a deliberately different construction from the half-line
-    rules, used where an independently computed two-sided value is
-    wanted.
-    """
-    cutoff = max(_tail_cutoff(decay_pos), _tail_cutoff(decay_neg))
-    return _one_row(_trapezoid_rows(lambda: f, [], _sinh_place,
-                                    [scale, _sinh_span(cutoff, scale)], _sinh_stage,
-                                    _SINH_H0, _SINH_LEVELS))
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +590,36 @@ def _t_kernel(beta, sin2_zeta: float, sin2_half):
     sin(theta/2)**2.  e^(-|s|) keeps its own exp: as 1 + expm1(-|s|) it
     would be exact only to an ulp of 1, which swamps a kernel of size
     e^(-s_X) when the range starts far out (X**n tiny).  The kernel is
-    even in s, so -|s| may replace -s throughout.
+    even in s, so -|s| may replace -s throughout.  Its factors of ns and
+    em are taken once, and its products and sums in place: the same bits.
     """
+
+    half_decay, zeta_4, half_4 = 0.5 * (1.0 - beta), 4.0 * sin2_zeta, 4.0 * sin2_half
 
     def f(ns: np.ndarray):
         x = np.expm1(ns)
         em = np.exp(ns)
-        y = np.exp(0.5 * (1.0 - beta) * ns) * np.expm1(beta * ns)
-        return (y * y + 4.0 * sin2_zeta * em) / (x * x + 4.0 * sin2_half * em)
+        y = np.exp(half_decay * ns)
+        y *= np.expm1(beta * ns)
+        y *= y
+        y += zeta_4 * em  # y*y + zeta_4*em
+        x *= x
+        den = half_4 * em
+        den += x  # x*x + half_4*em: IEEE addition commutes
+        return y / den
+
+    return f
+
+
+def _two_sided_kernel(b: float, cos2_half_4: float):
+    """e^(b*t) / (cosh(t) + cos(a)) as a vectorized callable of t, given
+    cos2_half_4 = 4*cos(a/2)**2, its denominator written as _t_kernel's,
+    which does not cancel when |t| and pi - |a| are both small."""
+
+    def f(t: np.ndarray):
+        ns = -np.abs(t)
+        x = np.expm1(ns)
+        return 2.0 * np.exp(b * t + ns) / (x * x + cos2_half_4 * np.exp(ns))
 
     return f
 
@@ -707,7 +702,7 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
         raise ValueError("X must lie in (0, 1], got None")
     if rule == "tanh-sinh":
         lines, params, geometry = _x_rule(spec, X)
-        return _one_row(lines(_t_kernel, params, geometry), spec.n)
+        return _result(*lines(_t_kernel, params, geometry), spec.n)
     beta, sin2_zeta, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "gauss":
         f = _t_kernel(beta, sin2_zeta, sin2_half)
@@ -746,7 +741,7 @@ def _x_domain_columns(n, p, q, theta, zeta, upper) -> tuple:
                 v, e, evaluations[rows], done[rows] = _trapezoid_columns(
                     _t_kernel, [c[rows, None] for c in (beta, sin2_zeta, sin2_half)], place,
                     [c[rows, None] for c in geometry], stage, h0, levels)
-                value[rows], err[rows] = v.real / n[rows], (e + 1e-16 * _modulus(v)) / n[rows]
+                value[rows], err[rows] = _x_value(v, n[rows]), (e + 1e-16 * _modulus(v)) / n[rows]
     return served, value, err, evaluations, done
 
 
@@ -869,27 +864,25 @@ def quad_t_domain(a, b, c: float) -> QuadResult:
         b = -b
     # theta = pi - a and zeta = pi - c: sin(theta/2) = cos(a/2), sin(zeta/2) =
     # cos(c/2), and the scale min(1, theta, 2*pi - theta) is min(1, pi - |Re a|)
-    return _one_row(_folded_lines(_t_kernel, [b, math.cos(0.5 * c) ** 2, np.cos(0.5 * a) ** 2],
+    return _result(*_folded_lines(_t_kernel, [b, math.cos(0.5 * c) ** 2, np.cos(0.5 * a) ** 2],
                                   _t_sinh_geometry(math.pi - abs(a.real), 1.0 - abs(b.real))))
 
 
 def quad_two_sided(a: float, b: float) -> QuadResult:
-    """Oracle for integral of e^(b*t) / (cosh(t) + cos(a)) over the real line."""
+    """Oracle for integral of e^(b*t) / (cosh(t) + cos(a)) over the real line.
+
+    The sinh map samples the kernel, which is not even, at every node of
+    the whole line: a construction independent of the folded rules.
+    """
     if not 0.0 < abs(a) < math.pi:
         raise DomainError(f"a must satisfy 0 < |a| < pi, got {a}")
     if not abs(b) < 1.0:
         raise DomainError(f"|b| = {abs(b)} must be < 1")
-    cos2_half_4 = 4.0 * math.cos(0.5 * a) ** 2
-
-    def kernel(t: np.ndarray) -> np.ndarray:
-        # 1 + e^(-2|t|) + 2*cos(a)*e^(-|t|) as _t_kernel writes it, which
-        # does not cancel when |t| and pi - |a| are both small
-        ns = -np.abs(t)
-        x = np.expm1(ns)
-        return 2.0 * np.exp(b * t + ns) / (x * x + cos2_half_4 * np.exp(ns))
-
-    # the kernel peaks at t = 0 with width pi - |a|
-    return integrate_real_line(kernel, 1.0 - b, 1.0 + b, min(1.0, math.pi - abs(a)))
+    scale = min(1.0, math.pi - abs(a))  # the kernel peaks at t = 0 with width pi - |a|
+    span = _sinh_span(max(_tail_cutoff(1.0 - b), _tail_cutoff(1.0 + b)), scale)
+    return _result(*_trapezoid_rows(_two_sided_kernel, [b, 4.0 * math.cos(0.5 * a) ** 2],
+                                    _sinh_place, (scale, span), _sinh_stage, _SINH_H0,
+                                    _SINH_LEVELS))
 
 
 def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
@@ -910,8 +903,8 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
         raise ValueError("upper must be 1 or infinity for this oracle")
     lines, (_, _, sin2_half), geometry = _x_rule(spec, spec.upper)  # decay 1
     b = _imaginary_b(p.imag, spec.n)  # complex at q = 0 too, as _x_kernel_args' b is not
-    # the kernel is real for an imaginary b: _result keeps its real part
-    return _one_row(lines(_t_kernel, [b, 0.5, sin2_half], geometry), 2.0 * spec.n)
+    # the kernel is real for an imaginary b: _x_value keeps its real part
+    return _result(*lines(_t_kernel, [b, 0.5, sin2_half], geometry), 2.0 * spec.n)
 
 
 def quad_sec_antiderivative_check(m: float, Z: float) -> tuple[float, float]:

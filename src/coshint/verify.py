@@ -13,8 +13,11 @@ leaves to the one-row call, all as columns; max_abs_err, the verdict
 and the reason are taken at once on the (rows x routes) value array.  A
 route whose precondition (ROUTES) fails is not called: the route raises
 from the same predicate, one expression on floats and columns alike.
-Disagreements never raise: callers and the test suite decide what
-counts as failure.
+_report builds a row's report: the EvalReport and its NormalizedForm
+are filled at once (params._frozen), not by the generated __init__'s
+object.__setattr__ per field, and a Valid or Boundary-a report shares
+its DomainStatus.  Disagreements never raise: callers and the test
+suite decide what counts as failure.
 
 The paradox demonstrators are assertable artifacts of where the closed
 forms stop being valid: shifting theta by a full turn changes the
@@ -39,11 +42,14 @@ import numpy as np
 from .closed_form import _master_raw, eval_master, master_value, master_value_many
 from .errors import CoshintError
 from .params import (
+    _BOUNDARY_KIND,
+    _VALID_KIND,
     TWO_PI,
     DomainKind,
     DomainStatus,
     IntegrandSpec,
     NormalizedForm,
+    _frozen,
     _theta_mod,
     classify_domain,
     form_and_kind,
@@ -172,6 +178,14 @@ def series_value(spec: IntegrandSpec, tol: float = AGREE_TOL) -> float:
         raise CoshintError("series path needs a real p")
     contracted = series_contracted(spec.n, abs(p.real), spec.theta, _series_tol(tol))
     return _series_total(spec, factor, contracted)
+
+
+def _checked_tol(tol: float) -> float:
+    """tol, refused with ValueError if NaN or negative, which would make
+    every verdict Disagree (a NaN also the series route's tolerance)."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    return tol
 
 
 def _series_tol(tol: float) -> float:
@@ -322,9 +336,10 @@ def verify_point(spec: IntegrandSpec, tol: float = AGREE_TOL) -> EvalReport:
     raising; the verdict is Agree when at least two routes exist and
     their largest pairwise difference is within tol.  Specs whose theta
     lies outside (0, 2*pi) keep their raw angle in the closed route and
-    therefore Disagree with the oracle (the periodicity failure).
+    therefore Disagree with the oracle (the periodicity failure).  A NaN
+    or negative tol raises ValueError.
     """
-    return _report(spec, _spec_row(spec, tol))
+    return _report(spec, _spec_row(spec, _checked_tol(tol)))
 
 
 def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[EvalReport]:
@@ -371,8 +386,10 @@ def verify_columns(n: list, p: list, theta: list, zeta: list, upper: list,
     IntegrandSpec for that route's one-row call.  max_abs_err, the
     verdict and the reason are taken at once on the (rows x routes)
     value array, and one zip builds the rows; _row builds those of the
-    other kinds and those with a route value that is not finite.
+    other kinds and those with a route value that is not finite.  A NaN
+    or negative tol raises ValueError.
     """
+    _checked_tol(tol)
     if not n:
         return []
     g = _columns(n, p, theta, zeta, upper)
@@ -424,6 +441,9 @@ _FEW_ROUTES = "fewer than two evaluation routes are admissible"
 _OUTCOMES = np.array([(_DISAGREE, None), (_AGREE, None), (_SKIPPED, _FEW_ROUTES)], dtype=object)
 _KINDS = {kind.value: kind for kind in DomainKind}
 _VERDICTS = {verdict.value: verdict for verdict in Verdict}
+# the DomainStatus of a Valid and of a Boundary-a row, which their reports share
+_DOMAINS = {(kind, detail): DomainStatus(_KINDS[kind], detail)
+            for kind, detail in (_VALID_KIND, _BOUNDARY_KIND)}
 
 
 def _spec_row(spec: IntegrandSpec, tol: float) -> tuple:
@@ -479,10 +499,14 @@ def _row(n, p, theta, zeta, upper, a, b, c, scale, kind, detail, tol: float,
 
 
 def _report(spec: IntegrandSpec, row: tuple) -> EvalReport:
-    """The EvalReport of a spec's row (see verify_rows)."""
+    """The EvalReport of a spec's row (see verify_rows), filled as the
+    module docstring says."""
     *_, a, b, c, scale, kind, detail, closed, pf, quad, series, max_err, verdict, reason = row
-    return EvalReport(spec, NormalizedForm(a, b, c, scale), DomainStatus(_KINDS[kind], detail),
-                      closed, pf, quad, series, max_err, _VERDICTS[verdict], reason)
+    return _frozen(EvalReport, spec=spec,
+                   normalized=_frozen(NormalizedForm, a=a, b=b, c=c, scale=scale),
+                   domain=_DOMAINS.get((kind, detail)) or DomainStatus(_KINDS[kind], detail),
+                   closed=closed, pf=pf, quad=quad, series=series, max_abs_err=max_err,
+                   verdict=_VERDICTS[verdict], reason=reason)
 
 
 def paradox_periodicity(spec: IntegrandSpec, k: int) -> ParadoxReport:

@@ -19,6 +19,7 @@ import pytest
 import coshint.quadrature as quadrature
 from coshint import (
     BudgetExceededError,
+    CoshintError,
     DomainError,
     IntegrandSpec,
     Lcg64,
@@ -500,11 +501,47 @@ def _line_columns(specs):
             [np.array(col)[:, None] for col in zip(*(geometry for _, _, geometry in rules))])
 
 
+# the driver arguments that each lone-row map binds: place, stage, first
+# step and last level
+_MAPS = {
+    quadrature._sinh_lines: (quadrature._folded_place, quadrature._line_stage,
+                             quadrature._SINH_H0, quadrature._SINH_LEVELS),
+    quadrature._folded_lines: (quadrature._folded_place, quadrature._folded_stage,
+                               0.5 * quadrature._SINH_H0, quadrature._SINH_LEVELS),
+    quadrature._de_half_lines: (quadrature._de_place, quadrature._de_stage,
+                                quadrature._DE_H0, quadrature._DE_MAX_LEVEL),
+}
+# the whole line's rule with the kernel run at every node of its table
+_FULL_LINE = (_full_line_place, quadrature._sinh_stage, quadrature._SINH_H0,
+              quadrature._SINH_LEVELS)
+
+
+def _lone(run):
+    """A lone row's (S_h, |S_h - S_2h|, evaluations), or the error it raised."""
+    try:
+        return run()
+    except BudgetExceededError as exc:
+        return exc
+
+
+def _block_rows(args, params, geometry) -> list:
+    """_trapezoid_columns on a block's (rows, 1) columns with the driver
+    arguments ``args`` of a map, as each row's outcome in the form of
+    _lone: its error is _exhausted's."""
+    place, stage, h0, levels = args
+    return [(v, e, used) if ok else quadrature._exhausted(used)
+            for v, e, used, ok in zip(*(x.tolist() for x in quadrature._trapezoid_columns(
+                quadrature._t_kernel, params, place, geometry, stage, h0, levels)))]
+
+
 def _full_line(params, geometry):
-    """The whole line's rule with the kernel run at every node of its table."""
-    return quadrature._trapezoid_rows(quadrature._t_kernel, params, _full_line_place, geometry,
-                                      quadrature._sinh_stage, quadrature._SINH_H0,
-                                      quadrature._SINH_LEVELS)
+    """The whole line's rule with the kernel run at every node of its
+    table, on a block's columns or, as a list of one, on a lone row."""
+    if isinstance(geometry[0], np.ndarray):
+        return _block_rows(_FULL_LINE, params, geometry)
+    place, stage, h0, levels = _FULL_LINE
+    return [_lone(lambda: quadrature._trapezoid_rows(quadrature._t_kernel, params, place,
+                                                     geometry, stage, h0, levels))]
 
 
 def _close(value, want) -> bool:
@@ -535,11 +572,12 @@ def test_mirrored_line_equals_the_full_table(name):
             continue
         params, geometry = _line_columns(group)
         want = _full_line(params, geometry)
-        block = quadrature._sinh_lines(quadrature._t_kernel, params, geometry)
+        block = _block_rows(_MAPS[quadrature._sinh_lines], params, geometry)
         assert all(_same_outcome(g, w) for g, w in zip(block, want))
         for spec, row, full in zip(group, block, want):
             _, params, geometry = quadrature._x_rule(spec, math.inf)
-            lone = quadrature._sinh_lines(quadrature._t_kernel, params, geometry)
+            lone = [_lone(lambda: quadrature._sinh_lines(quadrature._t_kernel, params,
+                                                         geometry))]
             assert repr(lone) == repr([row])  # a block's row is its lone row, bit for bit
             assert _same_outcome(row, _full_line(params, geometry)[0]), spec
         if name == "exhausting":
@@ -551,10 +589,14 @@ def _level_values(place, table_of, params, geometry) -> list:
     stage's rounds: the rounds' samples summed so far, times the step."""
     values, totals = [], None
     for level in range(quadrature._FIRST_ROUND_LEVEL, quadrature._SINH_LEVELS + 1):
-        *table, starts = table_of(level)
-        starts, bounds, _, _ = quadrature._round_plan(starts, quadrature._SINH_H0, level)
-        sums = quadrature._round_sums(quadrature._t_kernel, params, place, geometry, table,
-                                      starts, bounds)
+        table, starts, bounds, _, _ = quadrature._round_plan(table_of, quadrature._SINH_H0,
+                                                             level)
+        if isinstance(geometry[0], np.ndarray):  # a block's (rows, 1) columns
+            sums = list(zip(*(x.tolist() for x in quadrature._round_columns(
+                quadrature._t_kernel, params, place, geometry, table, starts, bounds))))
+        else:
+            sums = [quadrature._round_sums(quadrature._t_kernel(*params), place, geometry,
+                                           table, starts, bounds)]
         new = [sum(parts) for parts, _, _ in sums]
         totals = new if totals is None else [t + n for t, n in zip(totals, new)]
         h = quadrature._SINH_H0 / (1 << level)
@@ -659,7 +701,66 @@ def test_block_stopping_test_gives_the_lone_row_bits_on_imaginary_p():
         params, geometry = ([np.array(col)[:, None] for col in zip(*cols)]
                             for cols in zip(*rules))
         assert params[0].dtype.kind == "c"
-        block = lines(quadrature._t_kernel, params, geometry)
+        block = _block_rows(_MAPS[lines], params, geometry)
         assert any(isinstance(row, Exception) for row in block)
         for (params, geometry), row in zip(rules, block):
-            assert repr(lines(quadrature._t_kernel, params, geometry)) == repr([row])
+            assert repr([_lone(lambda: lines(quadrature._t_kernel, params, geometry))]) == \
+                repr([row])
+
+
+def _row_bits(row) -> tuple:
+    """A trapezoid row's (S_h, |S_h - S_2h|, evaluations) as bits, S_h's type kept."""
+    value, err, used = row
+    return type(value), _bits(value.real), _bits(value.imag), _bits(err), used
+
+
+@pytest.mark.parametrize("imaginary", [False, True])
+def test_lone_row_is_its_block_row_bit_for_bit_on_every_map(imaginary):
+    # the lone row runs the block's operations on Python floats: on the
+    # whole line, the folded map and the DE map its (S_h, |S_h - S_2h|,
+    # evaluations) are the bits of its _trapezoid_columns row, and a row
+    # that runs out of levels raises the error that the block reports
+    specs = GRIDS["rounds"] + GRIDS["mixed_uppers"] + [replace(s, upper=math.inf)
+                                                       for s in GRIDS["rounds"]]
+    groups = {}
+    for spec in specs:
+        if isinstance(spec.p, complex) is not imaginary:
+            continue
+        try:
+            lines, params, geometry = quadrature._x_rule(spec, spec.upper)
+        except (CoshintError, ValueError):  # a spec that no map serves
+            continue
+        groups.setdefault(lines, []).append((params, geometry))
+    assert set(groups) == set(_MAPS)
+    for lines, rules in groups.items():
+        params, geometry = ([np.array(col)[:, None] for col in zip(*cols)]
+                            for cols in zip(*rules))
+        block = _block_rows(_MAPS[lines], params, geometry)
+        assert not all(isinstance(row, Exception) for row in block)
+        for (params, geometry), row in zip(rules, block):
+            lone = _lone(lambda: lines(quadrature._t_kernel, params, geometry))
+            if isinstance(row, Exception):
+                assert type(lone) is type(row) and str(lone) == str(row)
+            else:
+                assert _row_bits(lone) == _row_bits(row)
+
+
+@pytest.mark.parametrize("spec", [EXHAUSTING, replace(EXHAUSTING, p=0.5j), EXHAUSTING_INF,
+                                  replace(EXHAUSTING_INF, p=0.5j), DE_OSCILLATING])
+def test_a_lone_row_that_exhausts_its_map_raises_the_block_message(spec):
+    lines, params, geometry = quadrature._x_rule(spec, spec.upper)
+    (row,) = _block_rows(_MAPS[lines], *([np.array([x])[:, None] for x in values]
+                                         for values in (params, geometry)))
+    assert isinstance(row, BudgetExceededError)
+    for run in (lambda: lines(quadrature._t_kernel, params, geometry),
+                lambda: quad_x_domain(spec, spec.upper)):
+        with pytest.raises(BudgetExceededError) as exc:
+            run()
+        assert str(exc.value) == str(row)
+    assert str(row).startswith("trapezoid levels exhausted after ")
+
+
+def test_exhausting_specs_cover_every_map():
+    maps = {quadrature._x_rule(s, s.upper)[0] for s in (EXHAUSTING, EXHAUSTING_INF,
+                                                        DE_OSCILLATING)}
+    assert maps == set(_MAPS)

@@ -327,6 +327,30 @@ def test_series_nan_tol_refused(capsys):
     assert "series error: tol = nan is not >= the supported floor" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-9", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--random", "1"],
+    ["eval", "--n", "2", "--p", "1", "--theta", "1", "--zeta", "1", "--json"],
+    ["table", "--n", "2", "--p", "1", "--theta", "1", "--zeta", "1"],
+    ["paradox", "--kind", "periodicity", "--n", "1", "--p", "0.5", "--theta", HALF_PI,
+     "--k", "1"],
+])
+def test_a_nan_or_negative_tol_exits_2(capsys, argv, tol):
+    # such a tol read Disagree on every row (exit 1), or a paradox that
+    # failed to manifest; --tol=-1e-9, since argparse reads -1e-9 as a flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "argument --tol: tol must be a number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "inf"])
+def test_tol_zero_and_inf_are_accepted(capsys, tol):
+    code, out = run_cli(capsys, ["verify", "--random", "2", "--tol", tol])
+    assert code == (0 if tol == "inf" else 1)
+    assert len(out.splitlines()) == 2
+
+
 def test_verify_random_deterministic(capsys):
     argv = ["verify", "--random", "8", "--seed", "42", "--tol", "1e-9"]
     code1, out1 = run_cli(capsys, argv + ["--threads", "1"])

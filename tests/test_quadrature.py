@@ -659,3 +659,32 @@ def test_x_kernel_args_classifies_only_a_theta_outside_the_turn(monkeypatch):
             quadrature._x_kernel_args(spec, 1.0)
         assert str(info.value) == f"spec not integrable as given: {classify(spec).detail}"
     assert len(calls) == len(outside)
+
+
+def _inline_t_kernel(beta, sin2_zeta, sin2_half):
+    """_t_kernel as one inline expression: the reference for its steps in place."""
+
+    def f(ns):
+        x = np.expm1(ns)
+        em = np.exp(ns)
+        y = np.exp(0.5 * (1.0 - beta) * ns) * np.expm1(beta * ns)
+        return (y * y + 4.0 * sin2_zeta * em) / (x * x + 4.0 * sin2_half * em)
+
+    return f
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.37, 0.999, 0.5j, 3.0j])
+@pytest.mark.parametrize("sin2_half", [0.25, 1e-30, 0.0, np.cos(0.5 * (1.0 + 0.5j)) ** 2])
+def test_kernel_steps_in_place_give_the_inline_bits(beta, sin2_half):
+    # the kernel takes its products and sums in place where the dtypes
+    # allow (a complex sin2_half, from quad_t_domain's complex a, meets a
+    # real beta): a lone row's 1-D nodes and a block's (rows x nodes)
+    # table must give the inline expression's bits, inf and NaN included
+    ns = -np.abs(np.concatenate([np.linspace(-40.0, 40.0, 1001), [0.0, -1e-300, -800.0]]))
+    block = (np.array([[beta], [0.5 * beta]]), np.array([[0.3], [0.9]]),
+             np.array([[sin2_half], [0.5]]), ns - np.array([[0.0], [1e-3]]))
+    with np.errstate(all="ignore"):
+        for args in ((beta, 0.3, sin2_half, ns), block):
+            got = quadrature._t_kernel(*args[:3])(args[3])
+            want = _inline_t_kernel(*args[:3])(args[3])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

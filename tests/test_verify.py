@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,12 @@ import coshint.verify as verify
 from coshint import (
     CoshintError,
     DomainKind,
+    DomainStatus,
     EvalReport,
     IntegrandSpec,
     Lcg64,
+    NormalizedForm,
+    QuadResult,
     Verdict,
     classify_domain,
     closed_value,
@@ -22,6 +26,7 @@ from coshint import (
     pf_value,
     quad_t_domain,
     quad_value,
+    quad_x_domain,
     random_specs,
     series_contracted,
     series_value,
@@ -563,3 +568,63 @@ def test_verify_rows_equals_the_one_row_rows_on_every_kind():
     assert kinds["singular-theta"][-1] == kinds["singular-theta"][10]
     assert kinds["excluded"][-1] == kinds["excluded"][10]
     assert {row[-2] for row in rows} == {"Agree", "Skipped", "Disagree"}
+
+
+def _constructed(report: EvalReport) -> EvalReport:
+    """The report rebuilt by the dataclass constructors."""
+    nf, domain = report.normalized, report.domain
+    return EvalReport(report.spec, NormalizedForm(nf.a, nf.b, nf.c, nf.scale),
+                      DomainStatus(domain.kind, domain.detail), report.closed, report.pf,
+                      report.quad, report.series, report.max_abs_err, report.verdict,
+                      report.reason)
+
+
+def test_reports_filled_at_once_are_the_constructed_reports():
+    # _report fills each frozen dataclass's dict at once; every class
+    # behaviour must be the generated __init__'s: ==, hash, repr, fields,
+    # replace and the refusal of assignment
+    specs = _fallback_grid() + [
+        IntegrandSpec(3.0, 1.0, 2.0, 1.2, upper=0.3),  # Skipped
+        IntegrandSpec(3.0, 1.0, 0.0, 1.2),  # singular theta
+        IntegrandSpec(3.0, 1.0, 2.0 + 2 * PI, 1.2),  # paradox-only
+        IntegrandSpec(1, 1j, PI / 2, PI / 2),  # complex b
+    ]
+    for report in [verify_point(s) for s in specs] + verify_points(specs):
+        built = _constructed(report)
+        for got, want in ((report, built), (report.normalized, built.normalized),
+                          (report.domain, built.domain)):
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert vars(got) == vars(want) and pickle.loads(pickle.dumps(got)) == want
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            name = dataclasses.fields(got)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, name, None)
+        assert replace(report, quad=1.5) == replace(built, quad=1.5)
+        assert replace(report, quad=1.5).quad == 1.5 and report.quad == built.quad
+        assert replace(report.normalized, c=0.0) == replace(built.normalized, c=0.0)
+
+
+def test_quad_results_filled_at_once_are_the_constructed_results():
+    spec = IntegrandSpec(2.0, 0.5, 1.0, 1.0, upper=0.5)
+    for result in (quad_x_domain(spec, 0.5), quad_x_domain(spec, 0.5, rule="gauss"),
+                   quad_t_domain(0.5, 0.25, 1.0)):
+        built = QuadResult(result.value, result.abs_err_estimate, result.evaluations)
+        assert result == built and hash(result) == hash(built) and repr(result) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.value = 0.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf])
+def test_a_nan_or_negative_tol_is_refused(tol):
+    spec = IntegrandSpec(2.0, 0.5, 1.0, 1.0)
+    for run in (lambda: verify_point(spec, tol), lambda: verify_points([spec], tol),
+                lambda: verify.verify_rows([], tol)):
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            run()
+
+
+def test_tol_zero_and_inf_stay_valid():
+    spec = IntegrandSpec(2.0, 1.0, 1.0, 1.0)
+    assert verify_point(spec, math.inf).verdict is Verdict.AGREE
+    assert verify_point(spec, math.inf).series is not None
+    assert verify_point(spec, 0.0) == verify_points([spec], 0.0)[0]
