@@ -48,6 +48,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -577,7 +578,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    # argparse reads a value that starts with '-' and is not a plain decimal
+    # (-0.5i, -1e-3, -inf) as a flag: join it onto its --flag (-h is the one
+    # flag with a single '-')
+    joined: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and re.fullmatch(r"--\w[\w-]*", joined[-1]) and re.match(r"-(?!h$)[^-]", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = _parser().parse_args(joined)
     if hasattr(args, "upper") and isinstance(args.upper, str):
         try:
             args.upper = parse_upper(args.upper)

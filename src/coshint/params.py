@@ -134,6 +134,36 @@ class ScaleCheck:
 _THETA_PI_TOL = 1e-12
 
 
+# The routes' decisions on a spec's fields, each in one place: one
+# expression that runs alike on floats (the one-row path) and on a grid's
+# numpy columns.
+
+
+def _summed_upper(upper):
+    """Upper limit 1 or inf: the closed, series and pf-assembly limits."""
+    return (upper == 1.0) | (upper == math.inf)
+
+
+def _upper_factor(upper):
+    """1.0 at upper limit 1 and 2.0 at inf, which doubles the X = 1 value."""
+    return 1.0 + (upper == math.inf)
+
+
+def _real_p(q):
+    """A real p, given its imaginary part q."""
+    return q == 0.0
+
+
+def _integer_n(x):
+    """An integer exponent (n, or |p|), given as a finite float."""
+    return x % 1.0 == 0.0
+
+
+def _theta_at_pi(theta):
+    """A reduced theta that counts as pi: repeated roots (Boundary-a)."""
+    return abs(theta - math.pi) <= _THETA_PI_TOL
+
+
 def _theta_mod(theta: float) -> tuple[float, bool]:
     """Reduce theta into [0, 2*pi) without rejecting the singular value."""
     if 0.0 <= theta < TWO_PI:
@@ -226,7 +256,7 @@ def form_and_kind(n, p, theta, zeta) -> tuple:
     if shifted:
         return (*form, _PARADOX_ONLY,
                 f"theta={theta!r} lies outside (0, 2*pi); canonicalize before evaluating")
-    if abs(theta_c - math.pi) <= _THETA_PI_TOL:
+    if _theta_at_pi(theta_c):
         return (*form, *_BOUNDARY_KIND)
     return (*form, *_VALID_KIND)
 
@@ -245,7 +275,7 @@ def form_and_kind_many(n, p, theta, zeta) -> tuple:
     whose details hold reprs.
     """
     inside = (0.0 < theta) & (theta < TWO_PI) & (np.abs(p) < n)
-    at_pi = (np.abs(theta - math.pi) <= _THETA_PI_TOL).tolist()
+    at_pi = _theta_at_pi(theta).tolist()
     kinds = [(_BOUNDARY_KIND if edge else _VALID_KIND) if ok else None
              for ok, edge in zip(inside.tolist(), at_pi)]
     return math.pi - theta, p / n, math.pi - zeta, 1.0 / n, inside, kinds

@@ -29,8 +29,8 @@ from .errors import (
     NotIntegerExponentsError,
     SingularThetaError,
 )
-from .params import (_THETA_PI_TOL, TWO_PI, IntegrandSpec, _real_or_complex,
-                     canonicalize_theta)
+from .params import (TWO_PI, IntegrandSpec, _integer_n, _real_or_complex, _real_p, _summed_upper,
+                     _theta_at_pi, _upper_factor, canonicalize_theta)
 from .quadrature import integrate_half_line
 from .trig_sums import assemble
 
@@ -91,7 +91,7 @@ def _integer_parts(spec: IntegrandSpec) -> tuple[int, int, float]:
 
 def _check_decompose_spec(spec: IntegrandSpec) -> tuple[int, int, float]:
     n, p, theta_c = _integer_parts(spec)
-    if abs(theta_c - math.pi) <= _THETA_PI_TOL:
+    if _theta_at_pi(theta_c):
         raise DomainError(
             "theta = pi gives repeated roots; use the repeated-root limit instead"
         )
@@ -179,13 +179,10 @@ def integral_closed(spec: IntegrandSpec) -> float:
     pi is served by the repeated-root limit value.
     """
     n, p, theta_c = _integer_parts(spec)
-    if spec.upper == math.inf:
-        factor = 2.0
-    elif spec.upper == 1.0:
-        factor = 1.0
-    else:
+    if not _summed_upper(spec.upper):
         raise ValueError("closed assembly covers upper limits 1 and infinity only")
-    if abs(theta_c - math.pi) <= _THETA_PI_TOL:
+    factor = _upper_factor(spec.upper)
+    if _theta_at_pi(theta_c):
         limit = eval_theta_pi_limit(p / n).value.real
         return factor * (limit - math.cos(spec.zeta)) / n
     parts = assemble(n, p, theta_c)
@@ -205,7 +202,7 @@ def pf_value_many(n, p, theta, zeta, upper) -> list[float | None]:
     served as verify.pf_value serves it, bit for bit, when it needs no
     special case: integer n <= _BLOCK_ROOTS and a real integer p with
     |p| < n (|p| for a negative p: the integrand is even in p), theta in
-    (0, 2*pi) and more than _THETA_PI_TOL from pi, and either 0 < X < 1
+    (0, 2*pi) and not at pi (_theta_at_pi), and either 0 < X < 1
     with every root angle in (0, 2*pi), summed as integral_at sums, or
     X = 1 or inf, assembled as integral_closed assembles.  Every other row
     is None, for the caller to pass to pf_value, which returns or raises
@@ -229,24 +226,24 @@ def pf_value_many(n, p, theta, zeta, upper) -> list[float | None]:
     return out.tolist()
 
 
+# silent, as the scalar's float arithmetic is, where a value overflows
+# (theta = 5e-324), at sinc's 0/0 on the side that np.where drops, and
+# where _integer_n takes the remainder of an infinite n or p
+@np.errstate(all="ignore")
 def _pf_columns(n, p, theta, zeta, upper, q) -> tuple[np.ndarray, np.ndarray]:
     """pf_value_many's rows as float columns, p and q the real and imaginary
     parts of each spec's p: the indices of the rows it serves, and values."""
     p_abs = np.abs(p)
-    ok = ((q == 0.0) & (n == np.rint(n)) & (n <= _BLOCK_ROOTS)
-          & (p_abs == np.rint(p_abs)) & (p_abs < n)
-          & (0.0 < theta) & (theta < TWO_PI) & (np.abs(theta - math.pi) > _THETA_PI_TOL))
-    closed = np.flatnonzero(ok & ((upper == 1.0) | (upper == math.inf)))
+    ok = (_real_p(q) & _integer_n(n) & (n <= _BLOCK_ROOTS) & _integer_n(p_abs) & (p_abs < n)
+          & (0.0 < theta) & (theta < TWO_PI) & ~_theta_at_pi(theta))
+    closed = np.flatnonzero(ok & _summed_upper(upper))
     finite = np.flatnonzero(ok & (0.0 < upper) & (upper < 1.0))
     # the root angles ascend: the first and the last decide the branch
     th, nf = theta[finite], n[finite]
     finite = finite[(0.0 < _root_angle(th, 0.0, nf)) & (_root_angle(th, nf - 1.0, nf) < TWO_PI)]
-    # silent, as the scalar's float arithmetic is, where a value overflows
-    # (theta = 5e-324) and at sinc's 0/0 on the side that np.where drops
-    with np.errstate(all="ignore"):
-        values = [route(n[rows], p_abs[rows], theta[rows], zeta[rows], upper[rows])
-                  for rows, route in ((closed, _closed_many), (finite, _integral_at_many))
-                  if len(rows)]
+    values = [route(n[rows], p_abs[rows], theta[rows], zeta[rows], upper[rows])
+              for rows, route in ((closed, _closed_many), (finite, _integral_at_many))
+              if len(rows)]
     return np.concatenate((closed, finite)), np.concatenate([np.zeros(0), *values])
 
 
@@ -279,7 +276,7 @@ def _closed_many(n, p, theta, zeta, upper) -> np.ndarray:
     b = p / n
     q = r * _sinc_many(b * r) / _sinc_many(math.pi * b)  # arc_cosine_sum
     value = (q - r * np.cos(zeta)) / (n * np.sin(theta))
-    return np.where(upper == math.inf, 2.0, 1.0) * value
+    return _upper_factor(upper) * value
 
 
 def middle_term_integral(n: float, theta: float) -> float:

@@ -12,11 +12,12 @@ against itself:
   the whole line (quad_x_domain at X = inf); and the DE half-line map
   s = s_X + exp(t - e^(-t))/lam, with lam the kernel's tail decay rate,
   for every integral over [s_X, inf) with s_X > 0 (quad_x_domain at
-  X < 1).  One function, _x_rule, picks the map of an x-domain range
-  and its kernel arguments, for quad_x_domain and quad_cos_log; its
-  column form, _x_columns, does so for the blocks, with the same bits.
-  The sinh map clusters its nodes where a near-edge kernel peaks, so
-  X = 1 and X = inf are served near the edges;
+  X < 1).  Each map is one _Map: _LINE, _FOLDED and _DE for the even
+  kernel, _TWO_SIDED for quad_two_sided.  _x_rule picks the map of an
+  x-domain range by s_X (-inf, 0 or > 0) for quad_x_domain and
+  quad_cos_log, and _x_domain_columns by the same tests for the blocks,
+  on _x_columns' columns.  The sinh map clusters its nodes where a
+  near-edge kernel peaks, so X = 1 and X = inf are served near the edges;
 * a doubling-panel Gauss-Legendre rule on geometrically growing panels
   for every other integrand (integrate_finite, integrate_half_line) and
   as the independent check of the trapezoid maps (quad_x_domain's
@@ -38,13 +39,13 @@ Sums run in a fixed order, so results are bit-identical across runs.
 The trapezoid rule runs on every map in kernel rounds that each
 evaluate the nodes of one or more levels of h: the first round
 evaluates the level-3 grid, where most rows, near-edge ones at X = 1
-among them, stop.  Two drivers take each round's plan from one cached
-lookup (_round_plan) and stop a row by one expression (_passes):
-_trapezoid_rows takes a lone row (the one-row oracles), builds its
-kernel once, pays only its own numpy calls on 1-D arrays, runs its
-stopping test on Python floats and raises when it runs out of levels;
-_trapezoid_columns takes a (rows x nodes) block in chunks of rows,
-whose rows stop on columns, bit for bit as each lone row.
+among them, stop.  Two drivers take the map, each round's plan from
+one cached lookup (_round_plan) and stop a row by one expression
+(_passes): _trapezoid_rows takes a lone row (the one-row oracles),
+builds its kernel once, pays only its own numpy calls on 1-D arrays,
+runs its stopping test on Python floats and raises when it runs out of
+levels; _trapezoid_columns takes a (rows x nodes) block in chunks of
+rows, whose rows stop on columns, bit for bit as each lone row.
 quad_x_domain_many runs one block per map and kind of p over each
 spec's own range (quad_x_domain_infinite_many over (0, inf)), bit for
 bit as the one-row calls; its column core, _x_domain_columns, takes
@@ -61,7 +62,9 @@ import cmath
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +75,7 @@ from .errors import (
     NonIntegrableError,
     PoleTooCloseError,
 )
-from .params import DomainKind, IntegrandSpec, _frozen, classify_domain
+from .params import DomainKind, IntegrandSpec, _frozen, _summed_upper, classify_domain
 
 REL_TOL = 1e-13
 EVAL_BUDGET = 2_000_000
@@ -262,6 +265,21 @@ _FIRST_ROUND_LEVEL = 3
 _CHUNK = 8192
 
 
+class _Map(NamedTuple):
+    """A trapezoid map's driver arguments.  ``place(*geometry, *table)``
+    gives the kernel's argument at a round's nodes (-|s| for the even
+    _t_kernel, s for quad_two_sided's kernel), the weights ds/dt there
+    (times a trapezoid weight the table may carry) divided by the row's
+    factor, and that factor; ``stage(h0, level)`` the table of the nodes
+    of the round ending at ``level``, and its segment starts; h0 the t
+    step of level 0; a row open after ``last_level`` has run out."""
+
+    place: Callable
+    stage: Callable
+    h0: float
+    last_level: int
+
+
 def _grid_stage(lo: float, hi: float, h0: float, level: int) -> tuple[np.ndarray, tuple]:
     """The nodes of the kernel round that ends at ``level`` on the grids
     of step h0/2**level on [lo, hi], and the index where each segment of
@@ -285,18 +303,18 @@ def _grid_stage(lo: float, hi: float, h0: float, level: int) -> tuple[np.ndarray
 
 
 @functools.cache
-def _round_plan(stage, h0: float, last: int) -> tuple:
-    """For the kernel round that ends at level ``last`` of a map's
-    ``stage`` with first step h0: the table of its nodes, the reduceat
-    indices of its segment sums and of its magnitude sums (one per tested
-    level, the first level's with the coarse grids'), the t steps h0/2**L
-    of its tested levels, and 1 where the coarse grids lead, else 0."""
-    *table, starts = stage(last)
+def _round_plan(m: _Map, last: int) -> tuple:
+    """For the kernel round that ends at level ``last`` of the map m: the
+    table of its nodes, the reduceat indices of its segment sums and of
+    its magnitude sums (one per tested level, the first level's with the
+    coarse grids'), the t steps m.h0/2**L of its tested levels, and 1
+    where the coarse grids lead, else 0."""
+    *table, starts = m.stage(m.h0, last)
     levels = range(_MIN_LEVEL if last == _FIRST_ROUND_LEVEL else last, last + 1)
     coarse = len(starts) - len(levels)
     bounds = (0, *starts[coarse + 1:])
     return (tuple(table), np.array(starts, dtype=np.intp), np.array(bounds, dtype=np.intp),
-            tuple(h0 / (1 << lev) for lev in levels), coarse)
+            tuple(m.h0 / (1 << lev) for lev in levels), coarse)
 
 
 def _samples(f, place, geometry, table) -> tuple:
@@ -360,33 +378,29 @@ def _exhausted(used: int) -> BudgetExceededError:
 
 
 @np.errstate(all="ignore")  # inf or NaN sums stay quiet: the stopping test refuses them
-def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
-                    last_level: int) -> tuple:
+def _trapezoid_rows(m: _Map, kernel, params, geometry) -> tuple:
     """The trapezoid rule on nested halvings of h for a lone row.
 
     The row integrates kernel(*params) over its map's s-range, in kernel
-    rounds: the first ends at level _FIRST_ROUND_LEVEL and each later one
-    a level further; the t step of level L is h0/2**L, and _round_plan
-    holds each round's table of nodes from ``stage(level)``.
-    ``place(*geometry, *table)`` gives the kernel's argument at the nodes
-    (-|s| for the even _t_kernel, s for quad_two_sided's kernel), the
-    weights ds/dt there (times a trapezoid weight the table may carry)
-    divided by the row's factor, and that factor.  ``params`` and
-    ``geometry`` are the row's values: its kernel, built once, gets 1-D
-    arrays, and its stopping test runs on Python floats.  A block of rows
-    runs _trapezoid_columns, bit for bit as each row alone.
+    rounds of the map ``m``: the first ends at level _FIRST_ROUND_LEVEL and
+    each later one a level further; the t step of level L is m.h0/2**L,
+    and _round_plan holds each round's table of nodes from m.stage.
+    ``params`` and ``geometry``, the row's arguments of m.place, are the
+    row's values: its kernel, built once, gets 1-D arrays, and its
+    stopping test runs on Python floats.  A block of rows runs
+    _trapezoid_columns, bit for bit as each row alone.
 
     The row stops at the first level from _MIN_LEVEL on that _passes, and
     returns (S_h, |S_h - S_2h|, evaluations), counting the kernel's
-    samples up to its last round; a row still open after last_level
+    samples up to its last round; a row still open after m.last_level
     raises _exhausted's BudgetExceededError.
     """
     f = kernel(*params)
     total, mass, used = 0.0, 0.0, 0
-    for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
-        table, starts, bounds, steps, coarse = _round_plan(stage, h0, last)
+    for last in range(_FIRST_ROUND_LEVEL, m.last_level + 1):
+        table, starts, bounds, steps, coarse = _round_plan(m, last)
         used += table[0].size
-        parts, absums, factor = _round_sums(f, place, geometry, table, starts, bounds)
+        parts, absums, factor = _round_sums(f, m.place, geometry, table, starts, bounds)
         if coarse:
             total = parts[0]
         for h, new, absum in zip(steps, parts[coarse:], absums):
@@ -401,8 +415,7 @@ def _trapezoid_rows(kernel, params, place, geometry, stage, h0: float,
 
 
 @np.errstate(all="ignore")
-def _trapezoid_columns(kernel, params, place, geometry, stage, h0: float,
-                       last_level: int) -> tuple:
+def _trapezoid_columns(m: _Map, kernel, params, geometry) -> tuple:
     """_trapezoid_rows for a block, whose params and geometry are per-row
     columns of shape (rows, 1), as columns: per row S_h, |S_h - S_2h|,
     the evaluations and whether it stopped (if not, the evaluations that
@@ -411,10 +424,10 @@ def _trapezoid_columns(kernel, params, place, geometry, stage, h0: float,
     rows = len(geometry[0])
     err, used, done = np.zeros(rows), np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=bool)
     left, spent = np.arange(rows), 0
-    for last in range(_FIRST_ROUND_LEVEL, last_level + 1):
-        table, starts, bounds, steps, coarse = _round_plan(stage, h0, last)
+    for last in range(_FIRST_ROUND_LEVEL, m.last_level + 1):
+        table, starts, bounds, steps, coarse = _round_plan(m, last)
         spent += table[0].size
-        parts, absums, factor = _round_columns(kernel, params, place, geometry, table, starts,
+        parts, absums, factor = _round_columns(kernel, params, m.place, geometry, table, starts,
                                                bounds)
         if coarse:
             total, mass, value = parts[:, 0], 0.0, np.zeros(rows, dtype=parts.dtype)
@@ -449,15 +462,13 @@ def _trapezoid_columns(kernel, params, place, geometry, stage, h0: float,
 
 _DE_TMIN = -6.0  # s - s_X is about 1e-178/lam here
 _DE_TMAX = 4.5  # the e^(-lam*(s - s_X)) envelope is below 1e-38 here
-_DE_H0 = 0.5
-_DE_MAX_LEVEL = 10
 
 
-def _de_stage(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _de_stage(h0: float, level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Offsets lam*(s - s_X) and weights lam*ds/dt of the nodes of the
     kernel round ending at ``level`` on t in [_DE_TMIN, _DE_TMAX], and
     their segment starts."""
-    t, starts = _grid_stage(_DE_TMIN, _DE_TMAX, _DE_H0, level)
+    t, starts = _grid_stage(_DE_TMIN, _DE_TMAX, h0, level)
     em = np.exp(-t)
     u = np.exp(t - em)
     return u, (1.0 + em) * u, starts
@@ -468,11 +479,8 @@ def _de_place(ns_x, lam, u, w):
     return ns_x - u / lam, w, 1.0 / lam
 
 
-def _de_half_lines(kernel, params, geometry) -> tuple:
-    """The DE map's rule for the even kernel(*params) over [s_X, inf), a
-    lone row; ``geometry`` is (-s_X, lam)."""
-    return _trapezoid_rows(kernel, params, _de_place, geometry, _de_stage, _DE_H0,
-                           _DE_MAX_LEVEL)
+# the even kernel over [s_X, inf), of geometry (-s_X, lam)
+_DE = _Map(_de_place, _de_stage, 0.5, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -495,32 +503,15 @@ def _de_half_lines(kernel, params, geometry) -> tuple:
 # full line's steps, with the node at tau = 0 weighted 1 and every other
 # node 2: the kernel runs once per |s|.
 
-_SINH_H0 = 0.125
-# 16 385 evaluations at most (8193 on the whole line): the deepest round's
-# 8192 new nodes fit one _CHUNK.  Served rows need at most 2049 (theta
-# down to 1e-16 from either edge, |b| up to 0.999).
-_SINH_LEVELS = 10
 
-
-def _sinh_stage(level: int) -> tuple[np.ndarray, tuple]:
-    """Unit offsets tau of the nodes of the kernel round ending at
-    ``level``, and their segment starts."""
-    return _grid_stage(-1.0, 1.0, _SINH_H0, level)
-
-
-def _folded_stage(level: int, line: bool = False) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _folded_stage(h0: float, level: int, line: bool = False) -> tuple:
     """Unit offsets tau in [0, 1] of the nodes of the folded map's kernel
     round ending at ``level``, their trapezoid weights and their segment
-    starts: at half the whole line's steps with weights 1/2 at tau = 0 and
-    1 elsewhere, or, for the whole ``line``, at its steps with weights 1
-    and 2."""
+    starts: weights 1/2 at tau = 0 and 1 elsewhere, or, for the whole
+    ``line``, 1 and 2."""
     edge = 1.0 if line else 0.5
-    tau, starts = _grid_stage(0.0, 1.0, edge * _SINH_H0, level)
+    tau, starts = _grid_stage(0.0, 1.0, h0, level)
     return tau, np.where(tau == 0.0, edge, 2.0 * edge), starts
-
-
-# the whole line's stage: the folded map's nodes at the whole line's steps
-_line_stage = functools.partial(_folded_stage, line=True)
 
 
 def _sinh_place(scale, span, tau):
@@ -535,20 +526,17 @@ def _folded_place(scale, span, tau, weight):
     return (-scale) * np.sinh(u), weight * np.cosh(u), scale * span
 
 
-def _sinh_lines(kernel, params, geometry) -> tuple:
-    """The sinh map's rule for the even kernel(*params) over the real
-    line, a lone row; ``geometry`` is (scale, span).  It is the folded rule
-    at the whole line's steps and weights (_folded_stage's ``line``), 65
-    kernel samples in the first round."""
-    return _trapezoid_rows(kernel, params, _folded_place, geometry, _line_stage, _SINH_H0,
-                           _SINH_LEVELS)
-
-
-def _folded_lines(kernel, params, geometry) -> tuple:
-    """The folded sinh map's rule for the even kernel(*params) over
-    [0, inf), a lone row; ``geometry`` is (scale, span)."""
-    return _trapezoid_rows(kernel, params, _folded_place, geometry, _folded_stage,
-                           0.5 * _SINH_H0, _SINH_LEVELS)
+# The sinh maps, of geometry (scale, span).  10 levels make 16 385
+# evaluations at most (8193 on the whole line): the deepest round's 8192
+# new nodes fit one _CHUNK.  Served rows need at most 2049 (theta down to
+# 1e-16 from either edge, |b| up to 0.999).
+# quad_two_sided's kernel, which is not even, at every node tau in [-1, 1]:
+_TWO_SIDED = _Map(_sinh_place, functools.partial(_grid_stage, -1.0, 1.0), 0.125, 10)
+# the even kernel over the real line: the folded rule at the whole line's
+# steps and weights, 65 kernel samples in the first round
+_LINE = _Map(_folded_place, functools.partial(_folded_stage, line=True), 0.125, 10)
+# the even kernel over [0, inf), at half the whole line's steps
+_FOLDED = _Map(_folded_place, _folded_stage, 0.0625, 10)
 
 
 def _sinh_span(cutoff: float, scale: float) -> float:
@@ -631,23 +619,23 @@ def _require_integrable(spec: IntegrandSpec) -> None:
         raise DomainError(f"spec not integrable as given: {status.detail}")
 
 
-def _x_kernel_args(spec: IntegrandSpec, X: float | None):
+def _x_kernel_args(spec: IntegrandSpec, X: float):
     """Check a spec for the x-domain oracles and return its kernel arguments.
 
-    ``X`` is the finite upper limit, or None for the range (0, inf).
+    ``X`` is the upper limit, in (0, 1] or inf for the range (0, inf).
     Returns (beta, sin2_zeta, sin2_half, s_X, decay): the _t_kernel
-    arguments, the lower end s_X = -n*log(X) of the s-range (None when X
-    is None) and the kernel's tail decay rate.  beta is |p|/n for a real
-    p and the complex b = i*q/n for p = i*q, whose tails decay as e^(-s);
-    a p with both parts nonzero raises DomainError.
+    arguments, the lower end s_X = -n*log(X) of the s-range (-inf on the
+    whole line) and the kernel's tail decay rate.  beta is |p|/n for a
+    real p and the complex b = i*q/n for p = i*q, whose tails decay as
+    e^(-s); a p with both parts nonzero raises DomainError.
     """
-    if X is not None and not 0.0 < X <= 1.0:
+    if not (0.0 < X <= 1.0 or X == math.inf):
         raise ValueError(f"X must lie in (0, 1], got {X}")
     p = spec.p
     if p.real != 0.0 and p.imag != 0.0:
         raise DomainError("p must be real or purely imaginary here")
     if abs(p.real) >= spec.n:
-        where = "an endpoint" if X is None else "the lower endpoint"
+        where = "an endpoint" if X == math.inf else "the lower endpoint"
         raise NonIntegrableError(
             f"|p| = {abs(p.real)} >= n = {spec.n}: divergent at {where}"
         )
@@ -658,22 +646,20 @@ def _x_kernel_args(spec: IntegrandSpec, X: float | None):
     decay = 1.0 - beta
     if p.imag != 0.0:
         beta = _imaginary_b(p.imag, spec.n)  # the tails decay as e^(-s)
-    s_x = None if X is None else -spec.n * math.log(X)
+    s_x = -spec.n * math.log(X)
     return beta, math.sin(0.5 * spec.zeta) ** 2, math.sin(0.5 * spec.theta) ** 2, s_x, decay
 
 
 def _x_rule(spec: IntegrandSpec, X: float) -> tuple:
-    """(rule, _t_kernel arguments, geometry) of the x-domain integral from
-    0 to X, X in (0, 1] or inf: the one place that picks a range's map.
+    """(map, _t_kernel arguments, geometry) of the x-domain integral from
+    0 to X, X in (0, 1] or inf: the one-row place that picks a range's
+    map, by the tests on s_X that _x_domain_columns makes on columns.
     Raises what _x_kernel_args raises."""
-    beta, sin2_zeta, sin2_half, s_x, decay = _x_kernel_args(spec, None if X == math.inf else X)
-    if s_x is None:  # the whole line
-        rule = _sinh_lines
-    elif s_x == 0.0:  # [0, inf), folded at the kernel's peak
-        rule = _folded_lines
-    else:  # s_X > 0 leaves the peak outside
-        return _de_half_lines, [beta, sin2_zeta, sin2_half], (-s_x, decay)
-    return rule, [beta, sin2_zeta, sin2_half], _t_sinh_geometry(spec.theta, decay)
+    *params, s_x, decay = _x_kernel_args(spec, X)
+    if s_x > 0.0:  # s_X > 0 leaves the kernel's peak at s = 0 outside
+        return _DE, params, (-s_x, decay)
+    # the whole line (s_X = -inf), or [0, inf) folded at the kernel's peak
+    return _LINE if s_x == -math.inf else _FOLDED, params, _t_sinh_geometry(spec.theta, decay)
 
 
 # ---------------------------------------------------------------------------
@@ -689,20 +675,18 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     (cosh(b*s) - cos(zeta)) / (cosh(s) - cos(theta)) / n, which has no
     endpoint singularity; b = p/n is real, or i*q/n for p = i*q
     (cosh(b*s) = cos(q*s/n)), and the value is real either way.
-    ``rule="tanh-sinh"`` integrates it with the sinh map over the whole
-    line for X = inf, folded at s = 0 for X = 1, whose nodes resolve the
-    kernel's peak there, and with the double-exponential half-line map
-    for s_X > 0.  The X = inf value is the folded rule at twice the X = 1
-    steps and weights (_sinh_lines), so it is not a check of the X = 1
-    value independent of it;
+    ``rule="tanh-sinh"`` integrates it on _x_rule's map: _LINE for X = inf,
+    _FOLDED for X = 1, whose nodes resolve the kernel's peak at s = 0, _DE
+    for s_X > 0.  _LINE is the folded rule at twice the X = 1 steps and
+    weights, so the X = inf value is no check independent of X = 1's;
     ``rule="gauss"`` integrates it with Gauss-Legendre panels, for X in
     (0, 1].  This is the one-row call of quad_x_domain_many's blocks.
     """
-    if X is None:  # _x_kernel_args' whole-line sentinel, not an upper limit
-        raise ValueError("X must lie in (0, 1], got None")
+    if rule != "tanh-sinh" and X == math.inf or X is None:  # the panels take (0, 1] only
+        raise ValueError(f"X must lie in (0, 1], got {X}")
     if rule == "tanh-sinh":
-        lines, params, geometry = _x_rule(spec, X)
-        return _result(*lines(_t_kernel, params, geometry), spec.n)
+        m, params, geometry = _x_rule(spec, X)
+        return _result(*_trapezoid_rows(m, _t_kernel, params, geometry), spec.n)
     beta, sin2_zeta, sin2_half, s_x, decay = _x_kernel_args(spec, X)
     if rule == "gauss":
         f = _t_kernel(beta, sin2_zeta, sin2_half)
@@ -717,9 +701,8 @@ def _x_domain_columns(n, p, q, theta, zeta, upper) -> tuple:
     that _x_rule serves (_x_served; quad_x_domain raises for the others),
     and the columns of their QuadResult fields (value, abs_err_estimate,
     evaluations), as _result scales them, and of whether each stopped.
-    The rows run as one block per map (the sinh map where s_X = -inf, the
-    folded sinh map where s_X = 0, the DE map where s_X > 0) and kind of
-    p: a complex beta column would round the real rows differently."""
+    The rows run as one block per map, picked by _x_rule's tests, and kind
+    of p: a complex beta column would round the real rows differently."""
     served = np.flatnonzero(_x_served(n, p, q, theta, upper))
     n, q = n[served], q[served]
     beta, sin2_zeta, sin2_half, s_x, decay, scale, span = _x_columns(
@@ -730,17 +713,14 @@ def _x_domain_columns(n, p, q, theta, zeta, upper) -> tuple:
     for kind in (False, True) if imaginary.any() else (False,):
         if kind:
             beta = np.array(list(map(_imaginary_b, q.tolist(), n.tolist())))
-        for on_map, place, geometry, stage, h0, levels in (
-                (s_x == -math.inf, _folded_place, (scale, span), _line_stage, _SINH_H0,
-                 _SINH_LEVELS),
-                (s_x == 0.0, _folded_place, (scale, span), _folded_stage, 0.5 * _SINH_H0,
-                 _SINH_LEVELS),
-                (s_x > 0.0, _de_place, (-s_x, decay), _de_stage, _DE_H0, _DE_MAX_LEVEL)):
+        for m, on_map, geometry in ((_LINE, s_x == -math.inf, (scale, span)),
+                                    (_FOLDED, s_x == 0.0, (scale, span)),
+                                    (_DE, s_x > 0.0, (-s_x, decay))):
             rows = np.flatnonzero(on_map & (imaginary == kind))
             if len(rows):
                 v, e, evaluations[rows], done[rows] = _trapezoid_columns(
-                    _t_kernel, [c[rows, None] for c in (beta, sin2_zeta, sin2_half)], place,
-                    [c[rows, None] for c in geometry], stage, h0, levels)
+                    m, _t_kernel, [c[rows, None] for c in (beta, sin2_zeta, sin2_half)],
+                    [c[rows, None] for c in geometry])
                 value[rows], err[rows] = _x_value(v, n[rows]), (e + 1e-16 * _modulus(v)) / n[rows]
     return served, value, err, evaluations, done
 
@@ -864,8 +844,9 @@ def quad_t_domain(a, b, c: float) -> QuadResult:
         b = -b
     # theta = pi - a and zeta = pi - c: sin(theta/2) = cos(a/2), sin(zeta/2) =
     # cos(c/2), and the scale min(1, theta, 2*pi - theta) is min(1, pi - |Re a|)
-    return _result(*_folded_lines(_t_kernel, [b, math.cos(0.5 * c) ** 2, np.cos(0.5 * a) ** 2],
-                                  _t_sinh_geometry(math.pi - abs(a.real), 1.0 - abs(b.real))))
+    return _result(*_trapezoid_rows(
+        _FOLDED, _t_kernel, [b, math.cos(0.5 * c) ** 2, np.cos(0.5 * a) ** 2],
+        _t_sinh_geometry(math.pi - abs(a.real), 1.0 - abs(b.real))))
 
 
 def quad_two_sided(a: float, b: float) -> QuadResult:
@@ -880,9 +861,8 @@ def quad_two_sided(a: float, b: float) -> QuadResult:
         raise DomainError(f"|b| = {abs(b)} must be < 1")
     scale = min(1.0, math.pi - abs(a))  # the kernel peaks at t = 0 with width pi - |a|
     span = _sinh_span(max(_tail_cutoff(1.0 - b), _tail_cutoff(1.0 + b)), scale)
-    return _result(*_trapezoid_rows(_two_sided_kernel, [b, 4.0 * math.cos(0.5 * a) ** 2],
-                                    _sinh_place, (scale, span), _sinh_stage, _SINH_H0,
-                                    _SINH_LEVELS))
+    return _result(*_trapezoid_rows(_TWO_SIDED, _two_sided_kernel,
+                                    [b, 4.0 * math.cos(0.5 * a) ** 2], (scale, span)))
 
 
 def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
@@ -899,12 +879,12 @@ def quad_cos_log(spec: IntegrandSpec) -> QuadResult:
     if p.real != 0.0:
         raise DomainError("quad_cos_log needs a purely imaginary p = i*q")
     _require_integrable(spec)
-    if spec.upper not in (1.0, math.inf):
+    if not _summed_upper(spec.upper):
         raise ValueError("upper must be 1 or infinity for this oracle")
-    lines, (_, _, sin2_half), geometry = _x_rule(spec, spec.upper)  # decay 1
+    m, (_, _, sin2_half), geometry = _x_rule(spec, spec.upper)  # decay 1
     b = _imaginary_b(p.imag, spec.n)  # complex at q = 0 too, as _x_kernel_args' b is not
     # the kernel is real for an imaginary b: _x_value keeps its real part
-    return _result(*lines(_t_kernel, [b, 0.5, sin2_half], geometry), 2.0 * spec.n)
+    return _result(*_trapezoid_rows(m, _t_kernel, [b, 0.5, sin2_half], geometry), 2.0 * spec.n)
 
 
 def quad_sec_antiderivative_check(m: float, Z: float) -> tuple[float, float]:

@@ -50,7 +50,11 @@ from .params import (
     IntegrandSpec,
     NormalizedForm,
     _frozen,
+    _integer_n,
+    _real_p,
+    _summed_upper,
     _theta_mod,
+    _upper_factor,
     classify_domain,
     form_and_kind,
     form_and_kind_many,
@@ -104,32 +108,11 @@ class ParadoxReport:
     explanation: str
 
 
-# Route preconditions.  Each is one expression on a spec's fields that
-# runs alike on floats, on the one-row path, and on a grid's numpy
-# columns, as its admission mask.  Each route function raises when its
-# own fails, and _row does not call a route whose precondition fails.
-
-
-def _summed_upper(upper):
-    """The closed and series routes' precondition: upper limit 1 or inf."""
-    return (upper == 1.0) | (upper == math.inf)
-
-
-def _real_p(p_imag):
-    """The partial-fraction and series routes' precondition: a real p,
-    given p's imaginary part."""
-    return p_imag == 0.0
-
-
-def _integer_n(n):
-    """The partial-fraction route's precondition on n: an integer."""
-    return n % 1.0 == 0.0
-
-
-def _upper_factor(spec: IntegrandSpec) -> float:
+def _route_factor(spec: IntegrandSpec) -> float:
+    """The closed and series routes' _upper_factor, refusing other limits."""
     if not _summed_upper(spec.upper):
         raise CoshintError("closed and series routes cover upper limits 1 and inf only")
-    return 1.0 if spec.upper == 1.0 else 2.0
+    return _upper_factor(spec.upper)
 
 
 def closed_value(spec: IntegrandSpec) -> float:
@@ -141,9 +124,8 @@ def closed_value(spec: IntegrandSpec) -> float:
 def _closed_value(spec: IntegrandSpec, form: tuple) -> float:
     """closed_value, given the spec's normalized values form = (a, b, c, scale)."""
     a, b, c, scale = form
-    factor = _upper_factor(spec)
     theta_c, _ = _theta_mod(spec.theta)  # a = pi - theta_c, rounded
-    return factor * scale * master_value(a, b, c, theta=theta_c).real
+    return _route_factor(spec) * scale * master_value(a, b, c, theta=theta_c).real
 
 
 def pf_value(spec: IntegrandSpec) -> float:
@@ -158,7 +140,7 @@ def pf_value(spec: IntegrandSpec) -> float:
         if not 1.0 < spec.upper < math.inf:
             _as_int(spec.n, "n")
         spec = replace(spec, p=-p)  # the integrand is even in p
-    if spec.upper not in (1.0, math.inf):
+    if not _summed_upper(spec.upper):
         return integral_at(spec, spec.upper)
     return integral_closed(spec)
 
@@ -172,7 +154,7 @@ def quad_value(spec: IntegrandSpec) -> float:
 
 def series_value(spec: IntegrandSpec, tol: float = AGREE_TOL) -> float:
     """Series route: accelerated contracted sum plus the middle-term value."""
-    factor = _upper_factor(spec)
+    factor = _route_factor(spec)
     p = spec.p
     if not _real_p(p.imag):
         raise CoshintError("series path needs a real p")
@@ -210,8 +192,7 @@ def _paradox_only_paths(spec: IntegrandSpec, nf: NormalizedForm) -> dict[str, fl
     values: dict[str, float] = {}
     raw_a = math.pi - spec.theta
     try:
-        factor = _upper_factor(spec)
-        values["closed"] = factor * nf.scale * complex(
+        values["closed"] = _route_factor(spec) * nf.scale * complex(
             _master_raw(complex(raw_a), complex(nf.b), nf.c)).real
     except (CoshintError, ValueError, ArithmeticError):  # overflow at a huge theta too
         pass
@@ -263,7 +244,7 @@ def _closed_block(g: _Columns, tol: float) -> tuple:
     value, ok = master_value_many(math.pi - theta, g.p / n, math.pi - g.zeta, theta)
     served = np.flatnonzero(ok & g.real_b & (0.0 < theta) & (theta < TWO_PI))
     with np.errstate(all="ignore"):  # a served row's value may overflow
-        value = (np.where(g.upper[served] == 1.0, 1.0, 2.0) * (1.0 / n[served])) * value[served]
+        value = (_upper_factor(g.upper[served]) * (1.0 / n[served])) * value[served]
     return served, value, _left(len(n), served)
 
 
@@ -286,7 +267,7 @@ def _series_block(g: _Columns, tol: float) -> tuple:
     n, theta = g.n, g.theta
     served, contracted, _, _ = _contracted_rows(n, np.abs(g.p), theta, _series_tol(tol))
     middle = _middle_term_many(n[served], theta[served])
-    value = (np.where(g.upper[served] == 1.0, 1.0, 2.0)
+    value = (_upper_factor(g.upper[served])
              * (contracted - 2.0 * np.cos(g.zeta[served]) * middle))  # _series_total's operations
     return served, value, _left(len(n), served)
 
@@ -300,9 +281,10 @@ def _left(size: int, served: np.ndarray) -> np.ndarray:
 class Route:
     """An evaluation route, reported in EvalReport's field ``name``.
 
-    ``admits(n, q, upper)`` is the predicate that the route function
-    raises from, on a spec's n, imaginary part q of p and upper limit,
-    as floats or as columns (then a mask); ``value(spec, form, tol)`` is
+    ``admits(n, q, upper)``, made of params' predicates, is the test that
+    the route function raises from, on a spec's n, imaginary part q of p
+    and upper limit, as floats on the one-row path (_row calls no route
+    it refuses) or as columns (a mask); ``value(spec, form, tol)`` is
     its value, given normalize(spec)'s values form = (a, b, c, scale).
     ``block(columns, tol)``, on the rows of a _Columns that it admits,
     returns the indices of the rows it serves, their values, and those of

@@ -7,7 +7,6 @@ quad_x_domain_infinite, which is quad_x_domain at X = inf, bit for bit
 the block size, and verify_points must reproduce verify_point.
 """
 
-import functools
 import json
 import math
 import struct
@@ -283,7 +282,7 @@ def test_many_matches_the_infinite_block_on_its_infinite_rows(singles):
 
 
 def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
-    cap = quadrature._folded_stage(quadrature._SINH_LEVELS)[0].size
+    cap = _deepest_round(quadrature._FOLDED).size
     sizes = []
     original = quadrature._t_kernel
 
@@ -459,7 +458,7 @@ def test_infinite_kernel_calls_stay_within_the_deepest_level(monkeypatch):
     # the whole line's kernel runs once per |tau|: a lone row's deepest
     # round samples 4096 |tau|, and a block's chunks stay within _CHUNK
     cap = quadrature._CHUNK
-    deepest = quadrature._folded_stage(quadrature._SINH_LEVELS, line=True)[0].size
+    deepest = _deepest_round(quadrature._LINE).size
     assert 2 * deepest == cap
     sizes = []
     original = quadrature._t_kernel
@@ -501,19 +500,15 @@ def _line_columns(specs):
             [np.array(col)[:, None] for col in zip(*(geometry for _, _, geometry in rules))])
 
 
-# the driver arguments that each lone-row map binds: place, stage, first
-# step and last level
-_MAPS = {
-    quadrature._sinh_lines: (quadrature._folded_place, quadrature._line_stage,
-                             quadrature._SINH_H0, quadrature._SINH_LEVELS),
-    quadrature._folded_lines: (quadrature._folded_place, quadrature._folded_stage,
-                               0.5 * quadrature._SINH_H0, quadrature._SINH_LEVELS),
-    quadrature._de_half_lines: (quadrature._de_place, quadrature._de_stage,
-                                quadrature._DE_H0, quadrature._DE_MAX_LEVEL),
-}
+# the maps of the even kernel
+_MAPS = {quadrature._LINE, quadrature._FOLDED, quadrature._DE}
 # the whole line's rule with the kernel run at every node of its table
-_FULL_LINE = (_full_line_place, quadrature._sinh_stage, quadrature._SINH_H0,
-              quadrature._SINH_LEVELS)
+_FULL_LINE = quadrature._TWO_SIDED._replace(place=_full_line_place)
+
+
+def _deepest_round(m):
+    """The nodes of a map's deepest kernel round."""
+    return m.stage(m.h0, m.last_level)[0]
 
 
 def _lone(run):
@@ -524,14 +519,17 @@ def _lone(run):
         return exc
 
 
-def _block_rows(args, params, geometry) -> list:
-    """_trapezoid_columns on a block's (rows, 1) columns with the driver
-    arguments ``args`` of a map, as each row's outcome in the form of
-    _lone: its error is _exhausted's."""
-    place, stage, h0, levels = args
+def _block_rows(m, params, geometry) -> list:
+    """_trapezoid_columns on a block's (rows, 1) columns on the map m, as
+    each row's outcome in the form of _lone: its error is _exhausted's."""
     return [(v, e, used) if ok else quadrature._exhausted(used)
             for v, e, used, ok in zip(*(x.tolist() for x in quadrature._trapezoid_columns(
-                quadrature._t_kernel, params, place, geometry, stage, h0, levels)))]
+                m, quadrature._t_kernel, params, geometry)))]
+
+
+def _lone_row(m, params, geometry):
+    """_trapezoid_rows on the map m, in the form of _lone."""
+    return _lone(lambda: quadrature._trapezoid_rows(m, quadrature._t_kernel, params, geometry))
 
 
 def _full_line(params, geometry):
@@ -539,9 +537,7 @@ def _full_line(params, geometry):
     table, on a block's columns or, as a list of one, on a lone row."""
     if isinstance(geometry[0], np.ndarray):
         return _block_rows(_FULL_LINE, params, geometry)
-    place, stage, h0, levels = _FULL_LINE
-    return [_lone(lambda: quadrature._trapezoid_rows(quadrature._t_kernel, params, place,
-                                                     geometry, stage, h0, levels))]
+    return [_lone_row(_FULL_LINE, params, geometry)]
 
 
 def _close(value, want) -> bool:
@@ -572,34 +568,32 @@ def test_mirrored_line_equals_the_full_table(name):
             continue
         params, geometry = _line_columns(group)
         want = _full_line(params, geometry)
-        block = _block_rows(_MAPS[quadrature._sinh_lines], params, geometry)
+        block = _block_rows(quadrature._LINE, params, geometry)
         assert all(_same_outcome(g, w) for g, w in zip(block, want))
         for spec, row, full in zip(group, block, want):
             _, params, geometry = quadrature._x_rule(spec, math.inf)
-            lone = [_lone(lambda: quadrature._sinh_lines(quadrature._t_kernel, params,
-                                                         geometry))]
+            lone = [_lone_row(quadrature._LINE, params, geometry)]
             assert repr(lone) == repr([row])  # a block's row is its lone row, bit for bit
             assert _same_outcome(row, _full_line(params, geometry)[0]), spec
         if name == "exhausting":
             assert all(isinstance(r, BudgetExceededError) for r in want)
 
 
-def _level_values(place, table_of, params, geometry) -> list:
-    """Per level from 3 to _SINH_LEVELS, each row's trapezoid value on a
-    stage's rounds: the rounds' samples summed so far, times the step."""
+def _level_values(m, params, geometry) -> list:
+    """Per level from 3 to the map m's last, each row's trapezoid value on
+    its rounds: the rounds' samples summed so far, times the step."""
     values, totals = [], None
-    for level in range(quadrature._FIRST_ROUND_LEVEL, quadrature._SINH_LEVELS + 1):
-        table, starts, bounds, _, _ = quadrature._round_plan(table_of, quadrature._SINH_H0,
-                                                             level)
+    for level in range(quadrature._FIRST_ROUND_LEVEL, m.last_level + 1):
+        table, starts, bounds, _, _ = quadrature._round_plan(m, level)
         if isinstance(geometry[0], np.ndarray):  # a block's (rows, 1) columns
             sums = list(zip(*(x.tolist() for x in quadrature._round_columns(
-                quadrature._t_kernel, params, place, geometry, table, starts, bounds))))
+                quadrature._t_kernel, params, m.place, geometry, table, starts, bounds))))
         else:
-            sums = [quadrature._round_sums(quadrature._t_kernel(*params), place, geometry,
+            sums = [quadrature._round_sums(quadrature._t_kernel(*params), m.place, geometry,
                                            table, starts, bounds)]
         new = [sum(parts) for parts, _, _ in sums]
         totals = new if totals is None else [t + n for t, n in zip(totals, new)]
-        h = quadrature._SINH_H0 / (1 << level)
+        h = m.h0 / (1 << level)
         values.append([t * h * factor for t, (_, _, factor) in zip(totals, sums)])
     return values
 
@@ -612,15 +606,14 @@ def test_mirrored_rounds_equal_the_full_table_at_every_level(monkeypatch):
     specs = INFINITE_GRIDS["rounds_inf"][:4] + INFINITE_GRIDS["slow_tails_inf"][:6]
     block = _line_columns(specs)
     lone = quadrature._x_rule(specs[2], math.inf)[1:]
-    line_stage = functools.partial(quadrature._folded_stage, line=True)
     for chunk in (quadrature._CHUNK, 1000):
         monkeypatch.setattr(quadrature, "_CHUNK", chunk)
         for params, geometry in (block, lone):
-            want = _level_values(_full_line_place, quadrature._sinh_stage, params, geometry)
-            got = _level_values(quadrature._folded_place, line_stage, params, geometry)
+            want = _level_values(_FULL_LINE, params, geometry)
+            got = _level_values(quadrature._LINE, params, geometry)
             for level, (g, w) in enumerate(zip(got, want), quadrature._FIRST_ROUND_LEVEL):
                 assert all(_close(x, y) for x, y in zip(g, w)), (chunk, level)
-    half = line_stage(quadrature._SINH_LEVELS)[0]
+    half = _deepest_round(quadrature._LINE)
     assert half.size == 4096 > 1000
 
 
@@ -694,18 +687,17 @@ def test_block_stopping_test_gives_the_lone_row_bits_on_imaginary_p():
     specs += [replace(s, upper=math.inf) for s in specs]
     groups = {}
     for spec in specs:
-        lines, params, geometry = quadrature._x_rule(spec, spec.upper)
-        groups.setdefault(lines, []).append((params, geometry))
+        m, params, geometry = quadrature._x_rule(spec, spec.upper)
+        groups.setdefault(m, []).append((params, geometry))
     assert len(groups) == 3  # the sinh, folded sinh and DE maps
-    for lines, rules in groups.items():
+    for m, rules in groups.items():
         params, geometry = ([np.array(col)[:, None] for col in zip(*cols)]
                             for cols in zip(*rules))
         assert params[0].dtype.kind == "c"
-        block = _block_rows(_MAPS[lines], params, geometry)
+        block = _block_rows(m, params, geometry)
         assert any(isinstance(row, Exception) for row in block)
         for (params, geometry), row in zip(rules, block):
-            assert repr([_lone(lambda: lines(quadrature._t_kernel, params, geometry))]) == \
-                repr([row])
+            assert repr([_lone_row(m, params, geometry)]) == repr([row])
 
 
 def _row_bits(row) -> tuple:
@@ -727,18 +719,18 @@ def test_lone_row_is_its_block_row_bit_for_bit_on_every_map(imaginary):
         if isinstance(spec.p, complex) is not imaginary:
             continue
         try:
-            lines, params, geometry = quadrature._x_rule(spec, spec.upper)
+            m, params, geometry = quadrature._x_rule(spec, spec.upper)
         except (CoshintError, ValueError):  # a spec that no map serves
             continue
-        groups.setdefault(lines, []).append((params, geometry))
-    assert set(groups) == set(_MAPS)
-    for lines, rules in groups.items():
+        groups.setdefault(m, []).append((params, geometry))
+    assert set(groups) == _MAPS
+    for m, rules in groups.items():
         params, geometry = ([np.array(col)[:, None] for col in zip(*cols)]
                             for cols in zip(*rules))
-        block = _block_rows(_MAPS[lines], params, geometry)
+        block = _block_rows(m, params, geometry)
         assert not all(isinstance(row, Exception) for row in block)
         for (params, geometry), row in zip(rules, block):
-            lone = _lone(lambda: lines(quadrature._t_kernel, params, geometry))
+            lone = _lone_row(m, params, geometry)
             if isinstance(row, Exception):
                 assert type(lone) is type(row) and str(lone) == str(row)
             else:
@@ -748,11 +740,11 @@ def test_lone_row_is_its_block_row_bit_for_bit_on_every_map(imaginary):
 @pytest.mark.parametrize("spec", [EXHAUSTING, replace(EXHAUSTING, p=0.5j), EXHAUSTING_INF,
                                   replace(EXHAUSTING_INF, p=0.5j), DE_OSCILLATING])
 def test_a_lone_row_that_exhausts_its_map_raises_the_block_message(spec):
-    lines, params, geometry = quadrature._x_rule(spec, spec.upper)
-    (row,) = _block_rows(_MAPS[lines], *([np.array([x])[:, None] for x in values]
-                                         for values in (params, geometry)))
+    m, params, geometry = quadrature._x_rule(spec, spec.upper)
+    (row,) = _block_rows(m, *([np.array([x])[:, None] for x in values]
+                              for values in (params, geometry)))
     assert isinstance(row, BudgetExceededError)
-    for run in (lambda: lines(quadrature._t_kernel, params, geometry),
+    for run in (lambda: quadrature._trapezoid_rows(m, quadrature._t_kernel, params, geometry),
                 lambda: quad_x_domain(spec, spec.upper)):
         with pytest.raises(BudgetExceededError) as exc:
             run()
@@ -763,4 +755,4 @@ def test_a_lone_row_that_exhausts_its_map_raises_the_block_message(spec):
 def test_exhausting_specs_cover_every_map():
     maps = {quadrature._x_rule(s, s.upper)[0] for s in (EXHAUSTING, EXHAUSTING_INF,
                                                         DE_OSCILLATING)}
-    assert maps == set(_MAPS)
+    assert maps == _MAPS

@@ -337,11 +337,39 @@ def test_series_nan_tol_refused(capsys):
 ])
 def test_a_nan_or_negative_tol_exits_2(capsys, argv, tol):
     # such a tol read Disagree on every row (exit 1), or a paradox that
-    # failed to manifest; --tol=-1e-9, since argparse reads -1e-9 as a flag
+    # failed to manifest; --tol -1e-9 as two arguments is tested below
     with pytest.raises(SystemExit) as exc:
         main(argv + [f"--tol={tol}"])
     assert exc.value.code == 2
     assert "argument --tol: tol must be a number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--p", "-0.5i"), ("--p", "-1e-3"), ("--p", "-i"),
+                                         ("--theta", "-1e-3")])
+def test_a_negative_literal_is_the_value_of_its_flag(capsys, flag, value):
+    # argparse alone reads -0.5i, -1e-3 and -i as flags (exit 2, "expected
+    # one argument"); main() joins each onto its flag, as --flag=value
+    fields = {"--n": "2", "--p": "0.5", "--theta": "1", "--zeta": "1", flag: value}
+    argv = ["eval", *(x for item in fields.items() for x in item), "--json"]
+    code, out = run_cli(capsys, argv)
+    fields.pop(flag)
+    joined = ["eval", *(x for item in fields.items() for x in item), f"{flag}={value}",
+              "--json"]
+    assert code in (0, 1) and (code, out) == run_cli(capsys, joined)
+
+
+@pytest.mark.parametrize("tol", ["-1e-9", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--random", "1"],
+    ["eval", "--n", "2", "--p", "1", "--theta", "1", "--zeta", "1", "--json"],
+])
+def test_a_negative_tol_as_two_arguments_exits_2(capsys, argv, tol):
+    # joined onto --tol, the value reaches parse_tol, which refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: tol must be a number >= 0, got {float(tol)!r}" in err
 
 
 @pytest.mark.parametrize("tol", ["0", "inf"])

@@ -24,7 +24,7 @@ from coshint.params import (
     form_and_kind_many,
     valid_fields,
 )
-from coshint.quadrature import _de_half_lines, _sinh_lines, _x_columns, _x_rule, _x_served
+from coshint.quadrature import _DE, _FOLDED, _LINE, _x_columns, _x_rule, _x_served
 
 PI = math.pi
 WORKLOADS = ("random_unit", "integer_inf", "integer_x", "near_edge")
@@ -231,16 +231,16 @@ def test_x_columns_equal_x_rule(workload):
         if not served[i]:
             continue
         j = np.searchsorted(rows, i)
-        lines, params, geometry = rule
-        if lines is _de_half_lines:
+        m, params, geometry = rule
+        if m is _DE:
             columns = (-s_x[j], decay[j])
         else:
-            assert s_x[j] == (-math.inf if lines is _sinh_lines else 0.0)
+            assert s_x[j] == (-math.inf if m is _LINE else 0.0)
             columns = (scale[j], span[j])
         assert [_bits(x) for x in columns] == [_bits(x) for x in geometry], spec
         assert [_bits(x) for x in (cos_c[j], sin2_half[j])] == \
             [_bits(x) for x in params[1:]], spec
         if _real_or_complex(spec.p).imag == 0.0:
             assert _bits(b[j]) == _bits(params[0]), spec
-        maps.add(lines.__name__)
-    assert maps == {"_sinh_lines", "_folded_lines", "_de_half_lines"}
+        maps.add(m)
+    assert maps == {_LINE, _FOLDED, _DE}

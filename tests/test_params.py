@@ -16,8 +16,36 @@ from coshint import (
     rescale,
     verify_point,
 )
+from coshint.params import (
+    _THETA_PI_TOL,
+    _integer_n,
+    _real_p,
+    _summed_upper,
+    _theta_at_pi,
+    _upper_factor,
+)
 
 PI = math.pi
+_UPPERS = [0.0, -0.0, math.nextafter(1.0, 0.0), 1.0, 2.0, math.inf]
+
+
+@pytest.mark.parametrize("predicate, values", [
+    (_summed_upper, _UPPERS),
+    (_upper_factor, _UPPERS),
+    (_real_p, [0.0, -0.0, 5e-324, -0.5, 2.0]),
+    (_integer_n, [1.0, 3.0, 64.0, 2.0 ** 60, math.nextafter(3.0, 0.0), math.nextafter(3.0, 4.0),
+                  math.nextafter(1.0, 2.0), 0.5, 0.0]),
+    (_theta_at_pi, [PI, *(PI + d * _THETA_PI_TOL for d in (-2.0, -1.0, 1.0, 2.0)),
+                    *(math.nextafter(PI + d * _THETA_PI_TOL, PI + 2.0 * d) for d in (-1.0, 1.0)),
+                    *(math.nextafter(PI + d * _THETA_PI_TOL, PI) for d in (-1.0, 1.0))]),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_each_predicate_is_one_expression_on_floats_and_columns(predicate, values):
+    # the one-row path runs a predicate on floats and the grid path on
+    # columns: on each edge input the two must give the same value and type
+    on_floats = [predicate(x) for x in values]
+    column = predicate(np.array(values)).tolist()
+    assert [(type(x), x) for x in column] == [(type(x), x) for x in on_floats]
+    assert len(set(on_floats)) == 2  # the inputs lie on both sides of the decision
 
 
 def test_canonicalize_identity():

@@ -175,3 +175,16 @@ def test_verify_points_equals_verify_point_on_the_edge_grid():
 
 def test_empty_block():
     assert pf_value_many([], [], [], [], []) == []
+
+
+def test_block_leaves_non_finite_exponents_without_a_warning():
+    # IntegrandSpec refuses them, but pf_value_many takes plain lists: an
+    # infinite or NaN n or p is no integer exponent, and _integer_n's
+    # remainder of an infinite one must stay quiet
+    rows = [(math.inf, 1.0), (2.0, math.inf), (2.0, -math.inf), (math.nan, 1.0), (3.0, math.nan)]
+    for upper in (1.0, math.inf, 0.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pf_value_many([n for n, _ in rows], [p for _, p in rows], [1.0] * len(rows),
+                                [1.0] * len(rows), [upper] * len(rows))
+        assert got == [None] * len(rows)

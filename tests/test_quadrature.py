@@ -236,7 +236,7 @@ def test_unknown_rule_refused():
 @pytest.mark.parametrize("X", [math.inf, 1.5, 0.0, -1.0, math.nan, None])
 def test_x_outside_each_rules_range_refused(rule, X):
     # the trapezoid maps take X in (0, 1] and X = inf, the Gauss-Legendre
-    # panels (0, 1] only; None is _x_kernel_args' whole-line sentinel
+    # panels (0, 1] only; None is no upper limit
     spec = IntegrandSpec(1, 0.5, PI / 2, PI / 2)
     if X == math.inf and rule == "tanh-sinh":
         assert quad_x_domain(spec, X) == quad_x_domain_infinite(spec)
@@ -522,12 +522,10 @@ def test_nan_parameters_refused(fn, args):
 def _map(name):
     """Stage table, t window, first step, last level and node-table map t -> table."""
     q = quadrature
-    if name == "de":
-        return (q._de_stage, q._DE_TMIN, q._DE_TMAX, q._DE_H0, q._DE_MAX_LEVEL,
-                lambda t: np.exp(t - np.exp(-t)))
-    if name == "folded":
-        return q._folded_stage, 0.0, 1.0, 0.5 * q._SINH_H0, q._SINH_LEVELS, lambda t: t
-    return q._sinh_stage, -1.0, 1.0, q._SINH_H0, q._SINH_LEVELS, lambda t: t
+    m, lo, hi, to_table = {"de": (q._DE, q._DE_TMIN, q._DE_TMAX, lambda t: np.exp(t - np.exp(-t))),
+                           "folded": (q._FOLDED, 0.0, 1.0, lambda t: t),
+                           "sinh": (q._TWO_SIDED, -1.0, 1.0, lambda t: t)}[name]
+    return lambda level: m.stage(m.h0, level), lo, hi, m.h0, m.last_level, to_table
 
 
 def _grid(lo, hi, h):
@@ -649,7 +647,7 @@ def test_x_kernel_args_classifies_only_a_theta_outside_the_turn(monkeypatch):
     for theta in (5e-324, 1e-300, 1.0, math.pi, math.nextafter(2 * math.pi, 0.0)):
         spec = IntegrandSpec(2.0, -0.5, theta, 1.0)
         assert classify(spec).kind in (DomainKind.VALID, DomainKind.BOUNDARY_A)
-        for X in (1.0, 0.5, None):
+        for X in (1.0, 0.5, math.inf):
             quadrature._x_kernel_args(spec, X)
     assert calls == []
     outside = (0.0, -0.0, 2 * math.pi, -1.0, 2 * math.pi + 1.0, 6 * math.pi, -2 * math.pi)

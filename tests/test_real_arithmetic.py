@@ -133,7 +133,7 @@ def test_spec_predicates_match_complex():
         seen.add(real)
         assert verify._real_p(_real_or_complex(spec.p).imag) is real
         assert classify_domain(spec) == classify_domain(reference)
-        for X in (None, 0.5, 1.0):
+        for X in (math.inf, 0.5, 1.0):
             assert _outcome(_x_kernel_args, spec, X) == _outcome(_x_kernel_args, reference, X)
     assert seen == {True, False}
 

@@ -473,7 +473,12 @@ def test_a_paradox_only_row_whose_formula_overflows_leaves_the_closed_route_out(
 
 
 def test_route_admission_is_one_expression_on_floats_and_columns():
-    specs = _admission_grid() + [IntegrandSpec(3.0, 1.0, 1.0, 1.2, upper=u) for u in (0.25, 2.0)]
+    # the admission grid, and uppers and an n at the edges of params' predicates
+    edges = [IntegrandSpec(3.0, 1.0, 1.0, 1.2, upper=u)
+             for u in (0.25, 2.0, math.nextafter(1.0, 0.0), 5e-324)]
+    edges += [IntegrandSpec(n, 1.0, 1.0, 1.2, upper=u) for u in (1.0, math.inf)
+              for n in (math.nextafter(3.0, 0.0), math.nextafter(3.0, 4.0), 0.5)]
+    specs = _admission_grid() + edges
     g = _columns(specs)
     for route in verify.ROUTES:
         mask = np.broadcast_to(route.admits(g.n, g.q, g.upper), len(specs))
