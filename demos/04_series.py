@@ -4,9 +4,10 @@ The integrals expand into conditionally convergent sine series such as
 sum_k sin(k*theta)/(k*n + p).  Subtracting the exactly summable anchor
 sum_k sin(k*theta)/k = (pi - theta)/2 leaves an absolutely convergent
 remainder with a provable tail bound, which is what gets summed.  The
-paired (contracted) sum also subtracts sum_k sin(k*theta)/k**3, /k**5
-and /k**7, Bernoulli polynomials in theta, so its remainder falls like
-k**-9 and needs a few terms where the one-sided sum needs thousands.
+paired (contracted) sum also subtracts sum_k sin(k*theta)/k**3, /k**5,
+/k**7, /k**9 and /k**11, Bernoulli polynomials in theta, so its remainder
+falls like k**-13 and needs a few terms where the one-sided sum needs
+thousands.
 """
 
 import math

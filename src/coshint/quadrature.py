@@ -619,6 +619,10 @@ def _require_integrable(spec: IntegrandSpec) -> None:
         raise DomainError(f"spec not integrable as given: {status.detail}")
 
 
+# the upper limits X that each rule of quad_x_domain takes
+_X_RANGE = {"tanh-sinh": "(0, 1] or be inf", "gauss": "(0, 1]"}
+
+
 def _x_kernel_args(spec: IntegrandSpec, X: float):
     """Check a spec for the x-domain oracles and return its kernel arguments.
 
@@ -630,7 +634,7 @@ def _x_kernel_args(spec: IntegrandSpec, X: float):
     e^(-s); a p with both parts nonzero raises DomainError.
     """
     if not (0.0 < X <= 1.0 or X == math.inf):
-        raise ValueError(f"X must lie in (0, 1], got {X}")
+        raise ValueError(f"X must lie in {_X_RANGE['tanh-sinh']}, got {X}")
     p = spec.p
     if p.real != 0.0 and p.imag != 0.0:
         raise DomainError("p must be real or purely imaginary here")
@@ -682,16 +686,16 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     ``rule="gauss"`` integrates it with Gauss-Legendre panels, for X in
     (0, 1].  This is the one-row call of quad_x_domain_many's blocks.
     """
-    if rule != "tanh-sinh" and X == math.inf or X is None:  # the panels take (0, 1] only
-        raise ValueError(f"X must lie in (0, 1], got {X}")
+    if rule not in _X_RANGE:
+        raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
+    if X is None or rule == "gauss" and not 0.0 < X <= 1.0:  # the panels take (0, 1] only
+        raise ValueError(f"X must lie in {_X_RANGE[rule]}, got {X}")
     if rule == "tanh-sinh":
         m, params, geometry = _x_rule(spec, X)
         return _result(*_trapezoid_rows(m, _t_kernel, params, geometry), spec.n)
     beta, sin2_zeta, sin2_half, s_x, decay = _x_kernel_args(spec, X)
-    if rule == "gauss":
-        f = _t_kernel(beta, sin2_zeta, sin2_half)
-        return _result(*_half_line(lambda s: f(-s), s_x, decay), spec.n)  # nodes s > 0
-    raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
+    f = _t_kernel(beta, sin2_zeta, sin2_half)
+    return _result(*_half_line(lambda s: f(-s), s_x, decay), spec.n)  # nodes s > 0
 
 
 @np.errstate(all="ignore")  # a row that did not stop

@@ -16,8 +16,10 @@ which are Bernoulli polynomials in theta (DLMF 24.8.2); S_1 is
 it is summed directly, and its truncation error after K - 1 terms is
 bounded with the Dirichlet bound c_K/|sin(theta/2)|.  series_contracted,
 the variant verify runs, subtracts S_1 to S_{2J+1} (J = EXTRA_ANCHORS),
-so its c_k fall like k**-(2J+3) and tens of terms suffice; its error
-estimate adds a bound on the rounding of the anchors and the prefactor.
+so its c_k fall like k**-(2J+3) and some 2 to 20 terms suffice (J = 5);
+its error estimate adds a bound on the rounding of the anchors and the
+prefactor.  Each anchor's coefficients are its exact rationals times
+powers of pi, correctly rounded (_times_pi).
 series_one_sided and series_imaginary keep the single anchor S_1: the
 one-sided sum's next anchors are Clausen functions, which have no
 polynomial form, and the imaginary variant's r = q/n is unbounded, so
@@ -36,7 +38,9 @@ scalar call.  The block takes its setup from the scalar's
 _contracted_setup, and finds every row's K by one window search and sums
 its terms by one cumsum, however many terms the row needs.
 verify.verify_points runs a grid's series route through
-its row core, _contracted_rows, which gives the served rows as columns.
+its row core, _contracted_rows, which gives the served rows as columns,
+and refuses the rows whose theta inside_theta_edges, the one test of the
+series' theta window, refuses.
 """
 
 from __future__ import annotations
@@ -60,18 +64,23 @@ _LOOP_TERMS = 24
 
 # J: the Bernoulli-polynomial anchors series_contracted subtracts beyond
 # S_1; its remainder then decays like k**-(2J + 3).
-EXTRA_ANCHORS = 3
+EXTRA_ANCHORS = 5
 _DECAY = 2 * EXTRA_ANCHORS + 3
 # Bernoulli numbers B_0, B_2, ..., B_2J as exact (numerator, denominator).
-_BERNOULLI = ((1, 1), (1, 6), (-1, 30), (1, 42))
+_BERNOULLI = ((1, 1), (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66))
+# pi to 60 decimals, as _PI_DIGITS / 10**60
+_PI_DIGITS = 3_141592653589793238462643383279502884197169399375105820974944
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Rounding allowance of series_contracted, in unit roundoffs per unit of
 # term magnitude.  A first-order count of the roundings that act on the
 # dominant terms (coefficient, Horner step, power of b**2, sine, the
-# prefactor 2/(n*sin(theta)) and the final sums) gives about 5; errors
-# against 30-digit references reached 3.9 on 12 000 random calls.  The rest
-# is margin, also for the middle term that verify.series_value subtracts.
+# prefactor 2/(n*sin(theta)) and the final sums) gives about 5, and more
+# where |b| near 1 lets the remainder's c_1 term dominate: its weight
+# b**(2J+2) carries the rounding of b = p/n 2J+2 times.  Errors against
+# 30-digit sums of the same terms reached 10.1 on 12 000 random calls and
+# 13.9 on 72 000 with 0.99 < |b| < 0.9999.  The rest is margin, also for
+# the middle term that verify.series_value subtracts.
 _ROUNDING_ULPS = 16.0
 
 
@@ -79,6 +88,12 @@ def _zeta_even(j: int) -> tuple[int, int]:
     """zeta(2j)/pi**(2j) as exact (numerator, denominator); zeta(0) = -1/2."""
     num, den = _BERNOULLI[j]
     return (-1) ** (j + 1) * num * 4 ** j, 2 * den * math.factorial(2 * j)
+
+
+def _times_pi(num: int, den: int, power: int) -> float:
+    """num/den * pi**power, correctly rounded: Python rounds an int / int
+    quotient correctly, and pi's 60 decimals leave it exact to about 1e-58."""
+    return num * _PI_DIGITS ** power / (den * 10 ** (60 * power))
 
 
 def _horner_table(odd: list[float], even: float):
@@ -95,9 +110,8 @@ def _theta_form(m: int):
     odd = []
     for i in range(m + 1):
         num, den = _zeta_even(m - i)
-        odd.append((-1) ** i * num / (den * math.factorial(2 * i + 1))
-                   * math.pi ** (2 * (m - i)))
-    return _horner_table(odd, (-1) ** m / (2 * math.factorial(2 * m)) * math.pi)
+        odd.append(_times_pi((-1) ** i * num, den * math.factorial(2 * i + 1), 2 * (m - i)))
+    return _horner_table(odd, _times_pi((-1) ** m, 2 * math.factorial(2 * m), 1))
 
 
 def _pi_form(m: int):
@@ -110,8 +124,8 @@ def _pi_form(m: int):
     for i in range(m + 1):
         j = m - i
         num, den = _zeta_even(j)
-        odd.append((-1) ** i * num * (4 ** j - 2)
-                   / (den * 4 ** j * math.factorial(2 * i + 1)) * math.pi ** (2 * j))
+        odd.append(_times_pi((-1) ** i * num * (4 ** j - 2),
+                             den * 4 ** j * math.factorial(2 * i + 1), 2 * j))
     return _horner_table(odd, 0.0)
 
 
@@ -147,12 +161,18 @@ def sine_series_partial(theta: float, x: float, terms: int) -> float:
     return float(np.sum(x ** k * np.sin((k + 1.0) * theta)))
 
 
+def inside_theta_edges(theta):
+    """THETA_EDGE < theta < 2*pi - THETA_EDGE, the thetas the series serve,
+    on a float or a numpy column alike (False at NaN)."""
+    return (THETA_EDGE < theta) & (theta < 2.0 * math.pi - THETA_EDGE)
+
+
 def _check_series_args(n: float, theta: float, tol: float) -> None:
     if not n > 0:
         raise ValueError(f"n must be positive, got {n}")
     if not tol >= TOL_FLOOR:
         raise ValueError(f"tol = {tol} is not >= the supported floor {TOL_FLOOR}")
-    if not THETA_EDGE < theta < 2.0 * math.pi - THETA_EDGE:
+    if not inside_theta_edges(theta):
         raise SlowConvergenceError(
             f"theta = {theta} within {THETA_EDGE} of 0 or 2*pi: sum too slow"
         )
@@ -282,7 +302,7 @@ def series_contracted(n: float, p: float, theta: float, tol: float) -> SeriesRes
 
     turns the sum into the anchors S_{2j+1}(theta) (anchor_sums) plus a
     remainder with positive coefficients falling like k**-(2J+3), so the
-    Dirichlet bound after K - 1 terms needs only tens of terms.  The
+    Dirichlet bound after K - 1 terms needs only some 2 to 20 terms.  The
     reported tail_estimate is that bound plus a bound on the rounding of
     the anchors, the remainder and the prefactor.  The search for K starts
     where k**-(2J+3), a lower bound on every c_k, meets the target.
@@ -325,9 +345,11 @@ def _contracted_setup(sin, n, p_abs, b_abs, theta, sums, sizes):
 
 
 # series_contracted_many serves rows of at most _WIDTH terms (K <= _WIDTH + 1).
-# Natural rows need at most about 150; more arise only where the rounding
+# Natural rows need at most about 40; more arise only where the rounding
 # allowance leaves almost none of the target, and those take the scalar call.
-_WIDTH = 1024
+# Such a row needs at most some 450 terms, where the budget is one ulp of
+# the rounding.
+_WIDTH = 256
 _K = np.arange(1.0, _WIDTH + 2.0)
 # columns of the window in which _stops looks for K
 _WINDOW = 5
@@ -337,13 +359,15 @@ def _coefficients(n, p_abs, b_abs, k):
     """series_contracted's c_k = n/(k**(2J+1)*(k*n - |p|)*(k + |b|)) at k,
     on Python floats or broadcast numpy arrays alike.
 
-    k**7 (J = 3) is a product, which numpy repeats bit for bit and which
-    equals libm's pow exactly for k <= 190 (k**7 < 2**53).  k - b is
-    (k*n - p)/n: near |b| = 1 the c_1 term carries the value's
-    1/(1 - b**2), and 1 - b would lose the digits of p/n.
+    k**11 (J = 5) is a product, which numpy repeats bit for bit; it is
+    exact, and so equals libm's pow, for k <= 28 (k**11 < 2**53), and
+    within a few roundings of it beyond.  k - b is (k*n - p)/n: near
+    |b| = 1 the c_1 term carries the value's 1/(1 - b**2), and 1 - b
+    would lose the digits of p/n.
     """
     k2 = k * k
-    return n / (k * k2 * k2 * k2 * (k * n - p_abs) * (k + b_abs))
+    k4 = k2 * k2
+    return n / (k * k2 * k4 * k4 * (k * n - p_abs) * (k + b_abs))
 
 
 def _padded(odd, i: int) -> list[float]:
@@ -392,10 +416,12 @@ def _stops(scale, budget, n, p_abs, b_abs):
     budget, which is where the scalar's gallop and bisection land, since
     the tail falls with k.
 
-    Every c_k >= k**-(2J+3) puts K at or above y = (scale/budget)**(1/(2J+3)),
-    and c_k <= (4/3)*k**-(2J+3) for k >= 2 (1.002*k**-(2J+3) for k >= 24)
-    puts it at most ceil(y) + 2 for y <= _WIDTH.  So K lies in the _WINDOW
-    columns from ceil(y) - 2, clipped at k = 1, however numpy's ** rounds
+    Every c_k = 1/(k**(2J+1)*(k**2 - b**2)) >= k**-(2J+3) puts K at or
+    above y = (scale/budget)**(1/(2J+3)), and c_k <= (4/3)*k**-(2J+3) for
+    k >= 2 (1.002*k**-(2J+3) for k >= 24) puts it at or below the first k
+    past 1.0224*y (1.0002*y), so at most ceil(y) + 1 for y <= _WIDTH
+    (J = 5).  So K lies in the _WINDOW columns from ceil(y) - 2, clipped at
+    k = 1, with a column to spare on either side however numpy's ** rounds
     y.  A row's K is the first column there whose tail meets the budget,
     when the first column's does not or the first column is k = 1; for any
     other row (y past _WIDTH, or no budget) K is 0.
@@ -467,8 +493,7 @@ def _contracted_rows(n, p, theta, tol: float) -> tuple:
     if not tol >= TOL_FLOOR:
         return _NO_ROWS
     p_abs = np.abs(p)
-    rows = np.flatnonzero((n > 0) & (THETA_EDGE < theta)
-                          & (theta < 2.0 * math.pi - THETA_EDGE) & (p_abs < n))
+    rows = np.flatnonzero((n > 0) & inside_theta_edges(theta) & (p_abs < n))
     if not len(rows):
         return _NO_ROWS
     n, p_abs, theta = n[rows], p_abs[rows], theta[rows]

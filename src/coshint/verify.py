@@ -69,7 +69,8 @@ from .partial_fractions import (
     middle_term_integral,
 )
 from .quadrature import _x_domain_columns, quad_x_domain
-from .series import TOL_FLOOR, SeriesResult, _contracted_rows, series_contracted
+from .series import (TOL_FLOOR, SeriesResult, _contracted_rows, inside_theta_edges,
+                     series_contracted)
 
 
 # default largest route difference that counts as agreement (CLI --tol too)
@@ -263,13 +264,15 @@ def _quad_block(g: _Columns, tol: float) -> tuple:
 
 def _series_block(g: _Columns, tol: float) -> tuple:
     """series_value of series_contracted_many's rows, with _series_total's
-    epilogue as columns; it leaves the other rows."""
+    epilogue as columns; it refuses the rows on or past the series' theta
+    edges, from which series_contracted raises, and leaves the others."""
     n, theta = g.n, g.theta
     served, contracted, _, _ = _contracted_rows(n, np.abs(g.p), theta, _series_tol(tol))
     middle = _middle_term_many(n[served], theta[served])
     value = (_upper_factor(g.upper[served])
              * (contracted - 2.0 * np.cos(g.zeta[served]) * middle))  # _series_total's operations
-    return served, value, _left(len(n), served)
+    left = _left(len(n), served)
+    return served, value, left[inside_theta_edges(theta[left])]
 
 
 def _left(size: int, served: np.ndarray) -> np.ndarray:

@@ -160,6 +160,11 @@ def test_tail_estimate_is_honest():
     assert abs(res.value - want) <= res.tail_estimate + 1e-12
 
 
+# the weight b**(2J+2) of the remainder, and its decay k**-(2J+3)
+WEIGHT_POWER = 2 * series.EXTRA_ANCHORS + 2
+DECAY = WEIGHT_POWER + 1
+
+
 def _contracted_rounding(n, p, theta):
     """series_contracted's rounding bound, written out."""
     b = p / n
@@ -167,8 +172,8 @@ def _contracted_rounding(n, p, theta):
     size = sum(b ** (2 * j) * s for j, s in enumerate(sizes))
     remainder_size = abs(math.sin(theta)) / (1.0 - b * b) + series._COEF_SUM
     return 2.0 / (n * abs(math.sin(theta))) * 2.0 ** -53 * (
-        series._ROUNDING_ULPS * (size + b ** 8 * remainder_size)
-        + b ** 8 * theta * series._ARG_SUM)
+        series._ROUNDING_ULPS * (size + b ** WEIGHT_POWER * remainder_size)
+        + b ** WEIGHT_POWER * theta * series._ARG_SUM)
 
 
 def _bound(variant, n, p, theta, k):
@@ -178,8 +183,8 @@ def _bound(variant, n, p, theta, k):
     if variant is series_one_sided:
         return scale * abs(b) / (k * (k + b))
     if variant is series_contracted:
-        # the remainder left by the anchors S_1..S_7, plus their rounding
-        return (2.0 * scale * b ** 8 / (k ** 7 * (k * k - b * b))
+        # the remainder left by the anchors S_1..S_{2J+1}, plus their rounding
+        return (2.0 * scale * b ** WEIGHT_POWER / (k ** (DECAY - 2) * (k * k - b * b))
                 + _contracted_rounding(n, p, theta))
     return 2.0 * scale * b * b / (k * (k * k + b * b))
 
@@ -252,6 +257,30 @@ def test_anchors_match_polylog(theta):
             assert size <= 6 * abs(want)
 
 
+def test_anchor_coefficients_are_correctly_rounded():
+    # S_{2m+1} in theta: c_i = (-1)**i*zeta(2m - 2i)/(2i + 1)! and
+    # e = (-1)**m*pi/(2*(2m)!); in y = pi - theta: c_i = (-1)**i*eta(2m - 2i)/(2i + 1)!,
+    # eta(2j) = (1 - 2**(1 - 2j))*zeta(2j); zeta(0) = -1/2.  Each float is
+    # within half an ulp of its value, to 50 digits
+    mp = pytest.importorskip("mpmath")
+    assert len(series._THETA_FORMS) == len(series._PI_FORMS) == series.EXTRA_ANCHORS + 1
+    with mp.workdps(50):
+        def near(got, want):
+            return abs(mp.mpf(got) - want) <= mp.mpf(math.ulp(got)) / 2
+
+        for m in range(series.EXTRA_ANCHORS + 1):
+            zetas = [mp.zeta(2 * (m - i)) / mp.factorial(2 * i + 1) * (-1) ** i
+                     for i in range(m + 1)]
+            etas = [(1 - mp.mpf(2) ** (1 - 2 * (m - i))) * z for i, z in enumerate(zetas)]
+            for (odd, even, even_abs), want_odd, want_even in (
+                    (series._THETA_FORMS[m], zetas, (-1) ** m * mp.pi / (2 * mp.factorial(2 * m))),
+                    (series._PI_FORMS[m], etas, mp.mpf(0))):
+                assert len(odd) == m + 1
+                for (c, c_abs), want in zip(odd, reversed(want_odd)):
+                    assert c_abs == abs(c) and near(c, want), (m, c)
+                assert even_abs == abs(even) and near(even, want_even), (m, even)
+
+
 def test_bernoulli_table_is_exact():
     mp = pytest.importorskip("mpmath")
     for j, (num, den) in enumerate(series._BERNOULLI):
@@ -292,9 +321,9 @@ FROZEN_SERIES = [
      (5.771423902433319, 67361, 9.99999994563509e-09)),
     # |b| near 1, where the c_1 term carries 1/(1 - b**2)
     (series_contracted, (1.0, 0.999, 0.7, 1e-9),
-     (1002.8974270687236, 16, 7.779219825977501e-11)),
+     (1002.8974270687571, 6, 9.604245102396227e-11)),
     (series_contracted, (2.5, -2.4975, 4.0, 1e-10),
-     (399.70395061732233, 17, 6.542855735210889e-12)),
+     (399.7039506173211, 7, 2.8341679025757106e-12)),
     # large r = q/n
     (series_imaginary, (0.5, 15.0, 1.0, 1e-8),
      (3.815034647547843e-10, 20741, 9.999755749948753e-10)),
@@ -312,7 +341,7 @@ def test_frozen_series_outputs(variant, args, want):
 def test_frozen_unreachable_message():
     with pytest.raises(ToleranceUnreachableError) as info:
         series_contracted(1.0, 0.5, PI, 1e-10)
-    assert str(info.value) == ("tail bound 0.00030637698113901614 still above "
+    assert str(info.value) == ("tail bound 1.1609140611615028e-06 still above "
                                "1.0000000000000001e-11 after 100000 terms")
 
 
@@ -363,9 +392,10 @@ def _block_against_scalar(rows, tol=BLOCK_TOL):
 def test_block_equals_scalar_on_workload(workload, name, seed, served):
     rows = [(s.n, abs(s.p), s.theta) for s in workload(name, seed)]
     seen = _block_against_scalar(rows)
-    assert sum(v for k, v in seen.items() if isinstance(k, int)) == served
-    if name == "near_edge":  # most of its rows sum in numpy, not in the loop
-        assert sum(v for k, v in seen.items() if isinstance(k, int) and k >= 24) > 600
+    terms = sorted(k for k, v in seen.items() if isinstance(k, int) for _ in range(v))
+    assert len(terms) == served
+    if name == "near_edge":  # theta near the edges: the anchors' gain shows most
+        assert terms[len(terms) // 2] <= 15
 
 
 def test_block_b_zero_sums_no_terms():
@@ -383,30 +413,39 @@ REGION_THETAS = [0.01, 0.3, math.nextafter(PI / 2, 0.0), PI / 2,
                  math.nextafter(3 * PI / 2, 7.0), 5.5, 6.2]
 
 
-def test_block_equals_scalar_in_every_anchor_region():
+def test_block_equals_scalar_in_every_anchor_region(monkeypatch):
     rows = [(n, b * n, theta) for theta in REGION_THETAS for b in BLOCK_BS
             for n in (0.5, 2.0)]
     seen = _block_against_scalar(rows)
-    # most rows the scalar sums in its loop; b near 1 needs more terms,
-    # which it sums in numpy, and the block sums both alike; theta = pi
-    # leaves no budget (see test_contracted_refused_at_pi_before_summing)
+    # the scalar sums these rows in its loop; theta = pi leaves no budget
+    # (see test_contracted_refused_at_pi_before_summing)
     assert sum(v for k, v in seen.items() if isinstance(k, int) and k < 24) > 0.8 * len(rows)
-    assert sum(v for k, v in seen.items() if isinstance(k, int) and k >= 24) >= 1
     assert seen[ToleranceUnreachableError] >= 1
+    # rows the scalar sums in numpy chunks, 24 terms or more, in each region:
+    # a tol just above 10*rounding asks for any number of terms (see
+    # test_block_around_its_width)
+    deep = {}
+    for theta in REGION_THETAS:
+        if theta == PI:
+            continue
+        for b in (0.9, -0.999):
+            row = (1e-4, b * 1e-4, theta)
+            scale, rounding = _scale_and_rounding(monkeypatch, row)
+            for k in (24.0, 25.0, 40.0, 100.0):
+                deep.update(_block_against_scalar([row], 10.0 * (rounding + scale / k ** DECAY)))
+    assert {24, 25, 40} <= set(deep) <= set(range(24, series._WIDTH + 1))
 
 
-def test_block_around_the_loop_boundary(workload):
-    # near_edge seed-1 spec 16 sums 24 terms, the fewest that the scalar sums
-    # with numpy instead of its loop: the block's one search and one sum
-    # must equal both sides of that switch
-    spec16 = workload("near_edge", 1)[16]
-    assert spec16 == IntegrandSpec(n=2.177539212903693, p=1.9924219091495128,
-                                   theta=6.183374845796147, zeta=0.6343056039034375)
-    assert series_contracted(spec16.n, spec16.p, spec16.theta, BLOCK_TOL).terms_used == 24
-    rows = [(spec16.n, spec16.p, spec16.theta)]
-    # |b| = 0.9 at theta from 0.1 to 0.3 walks terms_used from 26 down to 20
-    rows += [(1.0, 0.9, 0.1 + 0.002 * i) for i in range(100)]
-    seen = _block_against_scalar(rows)
+def test_block_around_the_loop_boundary():
+    # the scalar sums 24 terms or more with numpy instead of its loop: the
+    # block's one search and one sum must equal both sides of that switch.
+    # At the tolerance floor, |b| near 1 and theta just inside either edge
+    # walk terms_used across it, in one block
+    rows = [(n, s * b * n, theta) for n in (0.5, 1.0, 3.7) for s in (1.0, -1.0)
+            for b in (0.99, 0.995, 0.999, 0.9995)
+            for edge in (1.0001e-3, 1.001e-3, 1.01e-3, 1.05e-3, 1.2e-3)
+            for theta in (edge, 2 * PI - edge)]
+    seen = _block_against_scalar(rows, 1e-10)
     assert {22, 23, 24, 25} <= set(seen)
 
 
@@ -426,15 +465,17 @@ def _scale_and_rounding(monkeypatch, row):
 
 
 def test_block_around_its_width(monkeypatch):
-    # K ~ (scale/budget)**(1/9), and the budget is 0.1*tol less the rounding,
-    # so a tol just above 10*rounding asks for any number of terms; natural
-    # rows need at most about 150
-    row = (1e-4, 0.9e-4, 0.01)
+    # K ~ (scale/budget)**(1/(2J+3)), and the budget is 0.1*tol less the
+    # rounding, so a tol just above 10*rounding asks for any number of terms;
+    # natural rows need at most about 40.  Near pi the rounding allowance
+    # is smallest against the tail's scale, so a tol there still sets K
+    # to the term at the width
+    row = (1e-4, 0.9e-4, PI - 1e-6)
     scale, rounding = _scale_and_rounding(monkeypatch, row)
     width = series._WIDTH
     seen = {}
     for k in np.linspace(width - 40, width + 3, 300).tolist() + [30.0, 100.0, 2 * width]:
-        seen.update(_block_against_scalar([row], 10.0 * (rounding + scale / k ** 9)))
+        seen.update(_block_against_scalar([row], 10.0 * (rounding + scale / k ** DECAY)))
     assert {width - 1, width, width + 1} <= set(seen)
 
 
@@ -444,22 +485,19 @@ def test_search_lands_where_the_scalars_tail_meets_the_budget(n, b_abs, scale):
     # with the budget set to the scalar's own tail(k) (Python floats, as
     # _accelerated_sum's tail passes them), K must be k and tail(K) its bits,
     # for every k the block serves, k = 1 (the window's first column) and
-    # |b| near 1 (c_1 about 5e5) among them; k**7 is a product there, which
-    # differs from pow's k**7 past k = 190 and would move K past k or change
+    # |b| near 1 (c_1 about 5e5) among them; k**(2J+1) is a product there,
+    # which differs from pow's at some k and would move K past k or change
     # the tail's last bit if the search took the other
     p_abs = b_abs * n
     b_abs = p_abs / n  # as series_contracted takes it
-    ks = range(1, series._WIDTH + 2)
-    def power(k):  # k**7 as series._coefficients writes it
-        k2 = k * k
-        return k * k2 * k2 * k2
-
-    budget = [scale * (n / (power(k) * (k * n - p_abs) * (k + b_abs))) for k in map(float, ks)]
-    assert any(power(k) != k ** 7 for k in map(float, ks))
+    ks = list(map(float, range(1, series._WIDTH + 2)))
+    budget = [scale * series._coefficients(n, p_abs, b_abs, k) for k in ks]
+    assert any(scale * (n / (k ** (DECAY - 2) * (k * n - p_abs) * (k + b_abs))) != tail
+               for k, tail in zip(ks, budget))
     column = np.ones(len(budget))
     stop, tail = series._stops(scale * column, np.array(budget), n * column,
                                p_abs * column, b_abs * column)
-    assert stop.tolist() == list(ks)
+    assert stop.tolist() == ks
     assert tail.tolist() == budget
 
 
@@ -478,7 +516,8 @@ def test_block_refuses_a_row_without_budget(monkeypatch):
     monkeypatch.setattr(series, "_accelerated_sum", record)
     seen = _block_against_scalar(rows)
     assert [g <= 0.0 for g in budgets] == [True, True, False]
-    assert seen == {ToleranceUnreachableError: 2, 15: 1}
+    assert seen.pop(ToleranceUnreachableError) == 2
+    assert list(seen.values()) == [1]
 
 
 def test_block_at_the_theta_edge():

@@ -338,6 +338,7 @@ def _fallback_grid() -> list[IntegrandSpec]:
             IntegrandSpec(65.0, 1.0, 1.0, 1.2, upper=upper),  # past _BLOCK_ROOTS
             IntegrandSpec(3.0, 1.0, PI + 1e-13, 1.2, upper=upper),
             IntegrandSpec(3.0, 1.0, PI - 1e-13, 1.2, upper=upper),
+            IntegrandSpec(2.0, 1.0, PI - 1e-13, 1.2, upper=upper),  # no series budget
             IntegrandSpec(3.0, 1.0, 5e-4, 1.2, upper=upper),  # within THETA_EDGE
             IntegrandSpec(3.0, 1.0, 2 * PI - 5e-4, 1.2, upper=upper),
             IntegrandSpec(2.5, 0.7, 2 * PI - 5e-4, 1.2, upper=upper),
@@ -426,9 +427,12 @@ def test_series_block_equals_series_value_at_every_size(workload):
 
     short = [s for s in workload("random_unit", 1)[:60] if terms(s) is not None
              and terms(s) < 24][:20]
-    long = [replace(s, upper=upper) for s, upper in zip(
-        (s for s in workload("near_edge", 1) if (terms(s) or 0) >= 24), [1.0, math.inf] * 6)]
-    assert len(short) == 20 and len(long) == 12
+    # |b| near 1 with n small and theta near pi, or theta at the edges
+    long = [IntegrandSpec(n, b * n, theta, 1.2, upper) for n, b, theta in [
+        (0.01, 0.9, PI - 2e-6), (0.01, 0.99, PI - 1e-5), (0.05, 0.99, PI - 2e-6),
+        (0.1, 0.999, PI - 2e-6), (1.0, 0.9999, 1.0001e-3), (1.0, 0.9999, 2 * PI - 1.0001e-3)]
+        for upper in (1.0, math.inf)]
+    assert len(short) == 20 and min(map(terms, long)) >= 24
     for size in range(1, 21):
         for count in sorted({min(count, size) for count in (0, 1, 12)}):
             specs = short[:size - count] + long[:count]
@@ -437,6 +441,28 @@ def test_series_block_equals_series_value_at_every_size(workload):
                 [series_value(spec, 1e-9).hex() for spec in specs], (size, count)
             reports = verify_points(specs, 1e-9)
             assert [repr(r) for r in reports] == [repr(verify_point(s, 1e-9)) for s in specs]
+
+
+def test_series_block_refuses_the_theta_edges(workload, monkeypatch):
+    # near_edge puts 288 of its 1000 thetas within THETA_EDGE of 0 or 2*pi,
+    # from which series_value raises: the block refuses those rows itself,
+    # so none of them builds a spec for the one-row call
+    specs = workload("near_edge", 1)
+    expected = [repr(verify_point(s, 1e-9)) for s in specs]
+    reached = []
+
+    def spy(spec, tol):
+        reached.append(spec.theta)
+        return series_value(spec, tol)
+
+    monkeypatch.setattr(verify, "series_value", spy)
+    reports = verify_points(specs, 1e-9)
+    monkeypatch.undo()
+    edge = [not verify.inside_theta_edges(s.theta) for s in specs]
+    assert sum(edge) == 288
+    assert all(r.series is None for r, at_edge in zip(reports, edge) if at_edge)
+    assert all(verify.inside_theta_edges(theta) for theta in reached)
+    assert [repr(r) for r in reports] == expected
 
 
 def test_fallback_grid_reaches_every_block_outcome():
@@ -450,9 +476,10 @@ def test_fallback_grid_reaches_every_block_outcome():
                                  "none" if r is None else "value") for r in results}
     # the quadrature blocks serve imaginary p too, so they leave no row;
     # the closed block leaves imaginary p and the rows the strip refuses
-    # (theta = 1e-170 rounds a = pi - theta to pi)
+    # (theta = 1e-170 rounds a = pi - theta to pi); the series block refuses
+    # theta within THETA_EDGE of 0 or 2*pi and leaves a row without budget
     assert outcomes == {"closed": {"value", "none"}, "pf": {"value", "none"},
-                        "quad": {"value", "error"}, "series": {"value", "none"}}
+                        "quad": {"value", "error"}, "series": {"value", "none", "error"}}
     # the rows a block leaves are still served where the one-row call serves them
     reports = verify_points(specs, 1e-9)
     by_spec = dict(zip(specs, reports))
