@@ -65,7 +65,6 @@ from .partial_fractions import (
     integral_closed,
     integrand_value,
     middle_term_integral,
-    pf_value_many,
     reconstruct,
     root_angles,
     squared_denominator_identity,
@@ -78,13 +77,10 @@ from .quadrature import (
     quad_two_sided,
     quad_x_domain,
     quad_x_domain_infinite,
-    quad_x_domain_infinite_many,
-    quad_x_domain_many,
 )
 from .series import (
     SeriesResult,
     series_contracted,
-    series_contracted_many,
     series_imaginary,
     series_one_sided,
     sine_series_partial,

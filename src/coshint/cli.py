@@ -56,6 +56,7 @@ from .errors import CoshintError
 from .params import (
     DomainKind,
     IntegrandSpec,
+    _valid_upper,
     canonicalize_theta,
     classify_domain,
     normalize,
@@ -169,7 +170,7 @@ def parse_upper(text: str | float) -> float:
     as +inf ("inf", "Infinity", a grid file's infinite number), else a
     finite value in (0, 1]."""
     x = float(text)
-    if not (0.0 < x <= 1.0 or x == math.inf):
+    if not _valid_upper(x):
         raise ValueError("finite upper limits must lie in (0, 1]")
     return x
 

@@ -144,6 +144,16 @@ def _summed_upper(upper):
     return (upper == 1.0) | (upper == math.inf)
 
 
+def _valid_upper(upper):
+    """Upper limit in (0, 1] or inf: the limits a spec's integral takes."""
+    return ((0.0 < upper) & (upper <= 1.0)) | (upper == math.inf)
+
+
+def _inside_turn(theta):
+    """theta in (0, 2*pi): its own reduced angle, off the singular 0."""
+    return (0.0 < theta) & (theta < TWO_PI)
+
+
 def _upper_factor(upper):
     """1.0 at upper limit 1 and 2.0 at inf, which doubles the X = 1 value."""
     return 1.0 + (upper == math.inf)
@@ -274,7 +284,7 @@ def form_and_kind_many(n, p, theta, zeta) -> tuple:
     (singular, excluded and paradox-only) are None, for form_and_kind,
     whose details hold reprs.
     """
-    inside = (0.0 < theta) & (theta < TWO_PI) & (np.abs(p) < n)
+    inside = _inside_turn(theta) & (np.abs(p) < n)
     at_pi = _theta_at_pi(theta).tolist()
     kinds = [(_BOUNDARY_KIND if edge else _VALID_KIND) if ok else None
              for ok, edge in zip(inside.tolist(), at_pi)]

@@ -8,10 +8,9 @@ are arctangents, and collecting the arctangent values at x = 1 gives the
 same closed value as the master formula.  This module implements every
 stage of that construction so each can be checked independently.
 
-pf_value_many runs the route (verify.pf_value) for a block of rows as
-numpy columns, bit for bit: the arctangent sums of integral_at at a
-finite X, the assembly of integral_closed at X = 1 and inf.  Its
-arctangents are math.atan2, since numpy's arctan2 is not libm's.
+_pf_columns runs the route (verify.pf_value) for a block of rows as
+numpy columns, bit for bit: integral_at's arctangent sums at a finite X,
+integral_closed's assembly at X = 1 and inf.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from .errors import (
     NotIntegerExponentsError,
     SingularThetaError,
 )
-from .params import (TWO_PI, IntegrandSpec, _integer_n, _real_or_complex, _real_p, _summed_upper,
-                     _theta_at_pi, _upper_factor, canonicalize_theta)
+from .params import (TWO_PI, IntegrandSpec, _inside_turn, _integer_n, _real_or_complex, _real_p,
+                     _summed_upper, _theta_at_pi, _upper_factor, canonicalize_theta)
 from .quadrature import integrate_half_line
 from .trig_sums import assemble
 
@@ -47,7 +46,7 @@ def root_angles(n: int, theta: float) -> list[float]:
     """The n root angles omega_k = (theta + 2*pi*k)/n, ascending."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < theta < TWO_PI:
+    if not _inside_turn(theta):
         raise ValueError(f"theta must lie in (0, 2*pi), got {theta}")
     return [(theta + TWO_PI * k) / n for k in range(n)]
 
@@ -190,40 +189,9 @@ def integral_closed(spec: IntegrandSpec) -> float:
     return factor * value
 
 
-# the most root angles a pf_value_many row may have; rows with more go
-# to pf_value, so a block's (roots x rows) table stays small
+# the most root angles a _pf_columns row may have; rows with more go to
+# pf_value, so a block's (roots x rows) table stays small
 _BLOCK_ROOTS = 64
-
-
-def pf_value_many(n, p, theta, zeta, upper) -> list[float | None]:
-    """The partial-fraction route for a block of rows, or None per row.
-
-    Row i is the spec (n[i], p[i], theta[i], zeta[i], upper[i]).  A row is
-    served as verify.pf_value serves it, bit for bit, when it needs no
-    special case: integer n <= _BLOCK_ROOTS and a real integer p with
-    |p| < n (|p| for a negative p: the integrand is even in p), theta in
-    (0, 2*pi) and not at pi (_theta_at_pi), and either 0 < X < 1
-    with every root angle in (0, 2*pi), summed as integral_at sums, or
-    X = 1 or inf, assembled as integral_closed assembles.  Every other row
-    is None, for the caller to pass to pf_value, which returns or raises
-    for it as it does alone.  arc_cosine_sum's pole test cannot refuse a
-    served row: b = |p|/n is 0 or in [1/n, 1 - 1/n], so |sin(pi*b)| is
-    far above its 1e-12.
-
-    The bits match because each step is the scalar's IEEE operation in
-    the scalar's order, on (roots x rows) tables.  numpy's sin and cos
-    are libm's on these arguments (tests/test_series.py pins that), but
-    numpy's arctan2 is a SIMD routine that is not libm's atan2, so the
-    arctangents are math.atan2 mapped over the live (root, row) pairs.
-    Each row's terms are added from 0.0 one root at a time, as
-    integral_at's loop adds them; a pairwise sum would round differently.
-    """
-    p = np.asarray(p, dtype=complex)
-    rows, values = _pf_columns(*(np.asarray(x, dtype=float) for x in (n, p.real, theta, zeta,
-                                                                       upper)), p.imag)
-    out = np.full(len(p), None)
-    out[rows] = values
-    return out.tolist()
 
 
 # silent, as the scalar's float arithmetic is, where a value overflows
@@ -231,11 +199,22 @@ def pf_value_many(n, p, theta, zeta, upper) -> list[float | None]:
 # where _integer_n takes the remainder of an infinite n or p
 @np.errstate(all="ignore")
 def _pf_columns(n, p, theta, zeta, upper, q) -> tuple[np.ndarray, np.ndarray]:
-    """pf_value_many's rows as float columns, p and q the real and imaginary
-    parts of each spec's p: the indices of the rows it serves, and values."""
+    """verify.pf_value for rows of floats given as columns, p and q the
+    real and imaginary parts of each spec's p: the indices of the rows it
+    serves and their values, pf_value's bits (the sign of zero included).
+    It serves the rows that need no special case (``ok``) at X = 1 or inf,
+    and at 0 < X < 1 if every root angle lies in (0, 2*pi); b = |p|/n is
+    then 0 or in [1/n, 1 - 1/n], which arc_cosine_sum's pole test passes.
+
+    Each step is pf_value's IEEE operation in its order, on (roots x rows)
+    tables: numpy's sin and cos are libm's on these arguments
+    (tests/test_series.py pins that), the arctangents are math.atan2, as
+    numpy's arctan2 is a SIMD routine that is not libm's atan2, and each
+    row adds its terms from 0.0 root by root, as integral_at's loop does.
+    """
     p_abs = np.abs(p)
     ok = (_real_p(q) & _integer_n(n) & (n <= _BLOCK_ROOTS) & _integer_n(p_abs) & (p_abs < n)
-          & (0.0 < theta) & (theta < TWO_PI) & ~_theta_at_pi(theta))
+          & _inside_turn(theta) & ~_theta_at_pi(theta))
     closed = np.flatnonzero(ok & _summed_upper(upper))
     finite = np.flatnonzero(ok & (0.0 < upper) & (upper < 1.0))
     # the root angles ascend: the first and the last decide the branch
@@ -287,7 +266,7 @@ def middle_term_integral(n: float, theta: float) -> float:
     """
     if not n > 0:
         raise ValueError(f"n must be positive, got {n}")
-    if not 0.0 < theta < 2.0 * math.pi:
+    if not _inside_turn(theta):
         raise SingularThetaError(f"theta must lie in (0, 2*pi), got {theta}")
     a = math.pi - theta
     if abs(a) < 1.0:

@@ -46,14 +46,12 @@ builds its kernel once, pays only its own numpy calls on 1-D arrays,
 runs its stopping test on Python floats and raises when it runs out of
 levels; _trapezoid_columns takes a (rows x nodes) block in chunks of
 rows, whose rows stop on columns, bit for bit as each lone row.
-quad_x_domain_many runs one block per map and kind of p over each
-spec's own range (quad_x_domain_infinite_many over (0, inf)), bit for
-bit as the one-row calls; its column core, _x_domain_columns, takes
-float columns, builds no spec, and returns columns, which verify's grid
-path reads.  Each map hands the even kernel -|s| directly, exactly, so
-the kernel takes no absolute value, and the even kernel's sum over the
-whole line is the folded map's at the whole line's steps, which runs
-the kernel once per |s|.
+_x_domain_columns, quad_x_domain's block form, which verify's grid path
+reads, runs one block per map and kind of p on float columns and
+returns columns.  Each map hands the even kernel -|s| directly, exactly,
+so the kernel takes no absolute value, and the even kernel's sum over
+the whole line is the folded map's at the whole line's steps, which
+runs the kernel once per |s|.
 """
 
 from __future__ import annotations
@@ -70,12 +68,12 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    CoshintError,
     DomainError,
     NonIntegrableError,
     PoleTooCloseError,
 )
-from .params import DomainKind, IntegrandSpec, _frozen, _summed_upper, classify_domain
+from .params import (DomainKind, IntegrandSpec, _frozen, _inside_turn, _summed_upper, _valid_upper,
+                     classify_domain)
 
 REL_TOL = 1e-13
 EVAL_BUDGET = 2_000_000
@@ -633,7 +631,7 @@ def _x_kernel_args(spec: IntegrandSpec, X: float):
     real p and the complex b = i*q/n for p = i*q, whose tails decay as
     e^(-s); a p with both parts nonzero raises DomainError.
     """
-    if not (0.0 < X <= 1.0 or X == math.inf):
+    if not _valid_upper(X):
         raise ValueError(f"X must lie in {_X_RANGE['tanh-sinh']}, got {X}")
     p = spec.p
     if p.real != 0.0 and p.imag != 0.0:
@@ -644,7 +642,7 @@ def _x_kernel_args(spec: IntegrandSpec, X: float):
             f"|p| = {abs(p.real)} >= n = {spec.n}: divergent at {where}"
         )
     # with |Re p| < n, classify_domain refuses exactly a theta outside (0, 2*pi)
-    if not 0.0 < spec.theta < 2.0 * math.pi:
+    if not _inside_turn(spec.theta):
         _require_integrable(spec)
     beta = abs(p.real) / spec.n
     decay = 1.0 - beta
@@ -684,7 +682,7 @@ def quad_x_domain(spec: IntegrandSpec, X: float = 1.0, *,
     for s_X > 0.  _LINE is the folded rule at twice the X = 1 steps and
     weights, so the X = inf value is no check independent of X = 1's;
     ``rule="gauss"`` integrates it with Gauss-Legendre panels, for X in
-    (0, 1].  This is the one-row call of quad_x_domain_many's blocks.
+    (0, 1].  _x_domain_columns is its block form.
     """
     if rule not in _X_RANGE:
         raise ValueError(f"unknown rule {rule!r}: expected 'tanh-sinh' or 'gauss'")
@@ -704,9 +702,11 @@ def _x_domain_columns(n, p, q, theta, zeta, upper) -> tuple:
     the real and imaginary parts of the spec's p and upper its X: the rows
     that _x_rule serves (_x_served; quad_x_domain raises for the others),
     and the columns of their QuadResult fields (value, abs_err_estimate,
-    evaluations), as _result scales them, and of whether each stopped.
-    The rows run as one block per map, picked by _x_rule's tests, and kind
-    of p: a complex beta column would round the real rows differently."""
+    evaluations), as _result scales them, and of whether each stopped
+    (if not, quad_x_domain raises _exhausted at those evaluations).  A
+    row's fields are quad_x_domain's bits, whatever the other rows.  The
+    rows run as one block per map, picked by _x_rule's tests, and kind of
+    p: a complex beta column would round the real rows differently."""
     served = np.flatnonzero(_x_served(n, p, q, theta, upper))
     n, q = n[served], q[served]
     beta, sin2_zeta, sin2_half, s_x, decay, scale, span = _x_columns(
@@ -730,11 +730,8 @@ def _x_domain_columns(n, p, q, theta, zeta, upper) -> tuple:
 
 
 def _x_served(n, p, q, theta, upper):
-    """The rows of columns that _x_rule serves, as a mask: p real or
-    imaginary (q its imaginary part), |p| < n, theta in (0, 2*pi) and
-    an upper limit in (0, 1] or inf."""
-    return (((p == 0.0) | (q == 0.0)) & (np.abs(p) < n) & (0.0 < theta)
-            & (theta < 2.0 * math.pi) & (((0.0 < upper) & (upper <= 1.0)) | (upper == math.inf)))
+    """The rows of columns that _x_rule serves, as a mask; q is Im p."""
+    return ((p == 0.0) | (q == 0.0)) & (np.abs(p) < n) & _inside_turn(theta) & _valid_upper(upper)
 
 
 def _imaginary_b(q: float, n: float) -> complex:
@@ -743,13 +740,12 @@ def _imaginary_b(q: float, n: float) -> complex:
 
 
 def _x_columns(n, p, theta, zeta, upper) -> tuple:
-    """_x_rule's values for rows of floats given as columns, each with a
-    real p (the real part 0 of an imaginary one), |p| < n, theta in
-    (0, 2*pi) and an upper limit X in (0, 1] or inf, which _x_rule
-    serves: the columns beta = |p|/n, sin2_zeta and sin2_half of the
-    _t_kernel arguments, s_X = -n*log(X), which is -inf on the whole line, the
-    tail decay rate, and the sinh map's scale and span (NaN on the DE
-    map's rows, s_X > 0, whose geometry is (-s_X, decay)).
+    """_x_rule's values for rows of floats given as columns that _x_served
+    admits, p real (the real part 0 of an imaginary one): the columns
+    beta = |p|/n, sin2_zeta and sin2_half of the _t_kernel arguments,
+    s_X = -n*log(X), -inf on the whole line, the tail decay rate, and the
+    sinh map's scale and span (NaN on the DE map's rows, s_X > 0, whose
+    geometry is (-s_X, decay)).
 
     Each is the scalar's IEEE operation in its order.  numpy's sin and
     cos are libm's on these arguments, but its arcsinh and its square are
@@ -778,48 +774,9 @@ def _per_row(f, column, *args):
     return np.fromiter(map(f, column.tolist(), *args), float, len(column))
 
 
-def _x_domain_block(specs: list[IntegrandSpec],
-                    uppers: list[float]) -> list[QuadResult | Exception]:
-    """quad_x_domain(spec, X) for every spec and its X in ``uppers``, from
-    _x_domain_columns, or for a row that it leaves, the one-row call's error."""
-    n, theta, zeta, upper = (np.array(x, dtype=float) for x in (
-        [s.n for s in specs], [s.theta for s in specs], [s.zeta for s in specs], uppers))
-    p = np.array([s.p for s in specs], dtype=complex)
-    out: list = [None] * len(specs)
-    for i, value, err, used, ok in zip(*(x.tolist() for x in _x_domain_columns(
-            n, p.real, p.imag, theta, zeta, upper))):
-        out[i] = QuadResult(value, err, used) if ok else _exhausted(used)
-    for i, (spec, X, row) in enumerate(zip(specs, uppers, out)):
-        if row is None:
-            try:
-                out[i] = quad_x_domain(spec, X)
-            except (CoshintError, ValueError) as exc:
-                out[i] = exc
-    return out
-
-
-def quad_x_domain_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
-    """quad_x_domain(spec, spec.upper) for every spec, as one block per
-    map (sinh, folded sinh, DE) and kind of p.
-
-    Returns, in input order, each spec's QuadResult or the error that
-    quad_x_domain would raise for it (CoshintError or ValueError).
-    Values, error estimates and evaluation counts are bit-identical to
-    the per-spec calls, whatever the other specs in the block.
-    """
-    return _x_domain_block(specs, [spec.upper for spec in specs])
-
-
 def quad_x_domain_infinite(spec: IntegrandSpec) -> QuadResult:
-    """quad_x_domain(spec, math.inf), whatever spec.upper is: the one-row
-    call of quad_x_domain_infinite_many's blocks."""
+    """The integral over (0, inf), whatever spec.upper is: quad_x_domain at inf."""
     return quad_x_domain(spec, math.inf)
-
-
-def quad_x_domain_infinite_many(specs: list[IntegrandSpec]) -> list[QuadResult | Exception]:
-    """quad_x_domain_infinite(spec) for every spec, as a sinh-map block per
-    kind of p: quad_x_domain_many's contract on (0, inf)."""
-    return _x_domain_block(specs, [math.inf] * len(specs))
 
 
 def quad_t_domain(a, b, c: float) -> QuadResult:

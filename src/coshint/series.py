@@ -30,17 +30,9 @@ Tolerances below 1e-10 are refused: the conditional part of the sum
 cannot honestly beat that, and a tolerance the bound cannot meet within
 MAX_TERMS terms is refused without summing.
 
-series_contracted_many is series_contracted for a block of rows, as
-numpy columns.  It serves every row whose K - 1 terms fit in _WIDTH,
-whether the driver sums them in its plain loop or in one numpy chunk,
-equal to the scalar call bit for bit, and leaves every other row to the
-scalar call.  The block takes its setup from the scalar's
-_contracted_setup, and finds every row's K by one window search and sums
-its terms by one cumsum, however many terms the row needs.
-verify.verify_points runs a grid's series route through
-its row core, _contracted_rows, which gives the served rows as columns,
-and refuses the rows whose theta inside_theta_edges, the one test of the
-series' theta window, refuses.
+_contracted_rows, series_contracted for a block of rows as numpy
+columns, bit for bit, runs a grid's series route in verify.verify_points;
+inside_theta_edges is the one test of the series' theta window.
 """
 
 from __future__ import annotations
@@ -344,7 +336,7 @@ def _contracted_setup(sin, n, p_abs, b_abs, theta, sums, sizes):
     return prefactor, anchors, weight, rounding
 
 
-# series_contracted_many serves rows of at most _WIDTH terms (K <= _WIDTH + 1).
+# _contracted_rows serves rows of at most _WIDTH terms (K <= _WIDTH + 1).
 # Natural rows need at most about 40; more arise only where the rounding
 # allowance leaves almost none of the target, and those take the scalar call.
 # Such a row needs at most some 450 terms, where the budget is one ulp of
@@ -456,46 +448,23 @@ def _sums(stop, theta, n, p_abs, b_abs):
     return total
 
 
-def series_contracted_many(n, p, theta, tol: float) -> list[SeriesResult | None]:
-    """series_contracted(n[i], p[i], theta[i], tol) for a block of rows.
-
-    The rows run as numpy columns: the anchors, the rounding allowance,
-    the search for K and the sine sum.  A row is served when the scalar
-    call would sum its K - 1 terms in one _sine_sum pass of at most
-    _WIDTH terms: THETA_EDGE < theta < 2*pi - THETA_EDGE, |p| < n, a
-    positive budget (the target less the rounding) and a tail bound met
-    within MAX_TERMS terms.  A served row's result equals the scalar
-    call's bit for bit; every other row is None, for the caller to pass to
-    series_contracted, which returns or raises for it as it does alone.
-
-    The bits match because every step is the scalar's IEEE operation in
-    the scalar's order: both take their setup from _contracted_setup, the
-    scalar writes its powers as products (anchor_sums, _coefficients) and
-    adds its terms left to right (_sine_sum), which numpy repeats, and
-    np.sin is libm's sin on the loop's arguments (tests/test_series.py
-    checks that and the sums).  Every row, however many terms it needs,
-    finds K by one window search (_stops) and sums its terms by one
-    cumsum from a zero column (_sums).
-    """
-    out: list[SeriesResult | None] = [None] * len(n)
-    for i, v, k, t in zip(*(x.tolist() for x in _contracted_rows(n, p, theta, tol))):
-        out[i] = SeriesResult(value=v, terms_used=k, tail_estimate=t, accelerated=True)
-    return out
-
-
-_NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0))
-
-
 def _contracted_rows(n, p, theta, tol: float) -> tuple:
-    """series_contracted_many's rows as columns: the index of each row it
-    serves, and their values, terms_used and tail_estimates."""
+    """series_contracted(n[i], p[i], theta[i], tol) for a block of rows,
+    as columns: the index of each row it serves and their values,
+    terms_used and tail_estimates, the scalar call's bits.  It serves the
+    rows whose K - 1 terms the scalar sums in one _sine_sum pass of at
+    most _WIDTH terms, and no row at a tol below TOL_FLOOR.
+
+    Each step is the scalar's IEEE operation in its order: both take their
+    setup from _contracted_setup, and the scalar writes its powers as
+    products (anchor_sums, _coefficients) and adds its terms left to right
+    (_sine_sum), which one window search (_stops) and one cumsum from a
+    zero column (_sums) repeat; np.sin is libm's sin on the loop's
+    arguments (tests/test_series.py checks that and the sums).
+    """
     n, p, theta = (np.asarray(x, dtype=float) for x in (n, p, theta))
-    if not tol >= TOL_FLOOR:
-        return _NO_ROWS
     p_abs = np.abs(p)
-    rows = np.flatnonzero((n > 0) & inside_theta_edges(theta) & (p_abs < n))
-    if not len(rows):
-        return _NO_ROWS
+    rows = np.flatnonzero((n > 0) & inside_theta_edges(theta) & (p_abs < n) & (tol >= TOL_FLOOR))
     n, p_abs, theta = n[rows], p_abs[rows], theta[rows]
     with np.errstate(all="ignore"):
         b_abs = p_abs / n

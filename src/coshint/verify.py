@@ -5,12 +5,8 @@ verify_point evaluates one spec by every admissible route of ROUTES
 reports the worst pairwise disagreement (the one-row core, _row);
 verify_points does the same for a grid, and verify_rows gives its
 reports' values as plain rows, which the CLI writes.  Both wrap the grid
-core, verify_columns, which takes the lists of a grid's fields and
-builds no spec for a row that the blocks serve: each route's admission
-is one mask, and its block takes float columns and returns the rows it
-serves, their values (from the modules' column cores) and the rows it
-leaves to the one-row call, all as columns; max_abs_err, the verdict
-and the reason are taken at once on the (rows x routes) value array.  A
+core, verify_columns, which runs each route's column core once over the
+rows that the route admits and builds no spec for a row it serves.  A
 route whose precondition (ROUTES) fails is not called: the route raises
 from the same predicate, one expression on floats and columns alike.
 _report builds a row's report: the EvalReport and its NormalizedForm
@@ -44,12 +40,12 @@ from .errors import CoshintError
 from .params import (
     _BOUNDARY_KIND,
     _VALID_KIND,
-    TWO_PI,
     DomainKind,
     DomainStatus,
     IntegrandSpec,
     NormalizedForm,
     _frozen,
+    _inside_turn,
     _integer_n,
     _real_p,
     _summed_upper,
@@ -243,14 +239,14 @@ def _closed_block(g: _Columns, tol: float) -> tuple:
     refused ones."""
     n, theta = g.n, g.theta
     value, ok = master_value_many(math.pi - theta, g.p / n, math.pi - g.zeta, theta)
-    served = np.flatnonzero(ok & g.real_b & (0.0 < theta) & (theta < TWO_PI))
+    served = np.flatnonzero(ok & g.real_b & _inside_turn(theta))
     with np.errstate(all="ignore"):  # a served row's value may overflow
         value = (_upper_factor(g.upper[served]) * (1.0 / n[served])) * value[served]
     return served, value, _left(len(n), served)
 
 
 def _pf_block(g: _Columns, tol: float) -> tuple:
-    """pf_value_many's column core over the rows; see verify_points."""
+    """pf_value of partial_fractions._pf_columns' rows; see verify_points."""
     served, value = _pf_columns(g.n, g.p, g.theta, g.zeta, g.upper, g.q)
     return served, value, _left(len(g.n), served)
 
@@ -263,7 +259,7 @@ def _quad_block(g: _Columns, tol: float) -> tuple:
 
 
 def _series_block(g: _Columns, tol: float) -> tuple:
-    """series_value of series_contracted_many's rows, with _series_total's
+    """series_value of series._contracted_rows' rows, with _series_total's
     epilogue as columns; it refuses the rows on or past the series' theta
     edges, from which series_contracted raises, and leaves the others."""
     n, theta = g.n, g.theta
@@ -331,12 +327,10 @@ def verify_points(specs: list[IntegrandSpec], tol: float = AGREE_TOL) -> list[Ev
     """verify_point for every spec, in input order, with each route's
     block run once over the specs that the route admits.
 
-    Each block (master_value_many, pf_value_many, quad_x_domain_many's
-    rows, series_contracted_many's rows) is bit-identical to its one-row
-    call on the rows it serves, and leaves the others to verify_point's
-    own code, so each report equals verify_point(spec, tol).  The
-    quadrature block serves every spec over its own upper limit,
-    imaginary p included; the closed block leaves a complex p.
+    The public batch API.  Each route's column core (master_value_many,
+    _pf_columns, _x_domain_columns, _contracted_rows) gives its one-row
+    call's bits on the rows it serves and leaves the others to
+    verify_point's own code, so each report equals verify_point(spec, tol).
     """
     return [_report(s, row) for s, row in zip(specs, verify_rows(specs, tol))]
 

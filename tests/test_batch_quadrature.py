@@ -1,10 +1,13 @@
 """The row-block quadrature path against the per-spec oracle.
 
-quad_x_domain_many must reproduce quad_x_domain(spec, spec.upper), at
-every upper limit, and quad_x_domain_infinite_many
-quad_x_domain_infinite, which is quad_x_domain at X = inf, bit for bit
-(value, error estimate, evaluation count, and the error raised) whatever
-the block size, and verify_points must reproduce verify_point.
+quad_x_domain's column core, _x_domain_columns, must reproduce
+quad_x_domain(spec, spec.upper) on every row it serves, at every upper
+limit, and quad_x_domain_infinite, which is quad_x_domain at X = inf,
+over (0, inf), bit for bit (value, error estimate and evaluation count)
+whatever the block size; a row that it does not serve, or serves but
+does not finish, is one where the oracle raises (the error that
+_exhausted reports at the row's evaluations for the latter).
+verify_points must reproduce verify_point.
 """
 
 import json
@@ -23,10 +26,9 @@ from coshint import (
     IntegrandSpec,
     Lcg64,
     NonIntegrableError,
+    QuadResult,
     quad_x_domain,
     quad_x_domain_infinite,
-    quad_x_domain_infinite_many,
-    quad_x_domain_many,
     random_specs,
     verify_point,
     verify_points,
@@ -189,17 +191,39 @@ def _single(spec):
         return exc
 
 
+def _core(specs, upper=None) -> list:
+    """_x_domain_columns on the specs' fields as columns, each spec over
+    its own upper limit or over ``upper``: per row, the columns (value,
+    abs_err_estimate, evaluations) of a row that stopped, _exhausted's
+    error at the evaluations of one that did not, or None for a row that
+    the core does not serve."""
+    p = np.array([s.p for s in specs], dtype=complex)
+    n, theta, zeta, uppers = (np.array(x, dtype=float) for x in (
+        [s.n for s in specs], [s.theta for s in specs], [s.zeta for s in specs],
+        [s.upper if upper is None else upper for s in specs]))
+    rows: list = [None] * len(specs)
+    for i, value, err, used, done in zip(*(x.tolist() for x in quadrature._x_domain_columns(
+            n, p.real, p.imag, theta, zeta, uppers))):
+        rows[i] = (value, err, used) if done else quadrature._exhausted(used)
+    return rows
+
+
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
 def _same(expected, got) -> bool:
+    """A core's row (see _core) or a QuadResult against the oracle's
+    QuadResult or error: the fields' bits, the same error, or a row left
+    where it raises."""
+    if isinstance(got, QuadResult):
+        got = (got.value, got.abs_err_estimate, got.evaluations)
     if isinstance(expected, Exception):
-        return type(got) is type(expected) and str(got) == str(expected)
-    return (not isinstance(got, Exception)
-            and _bits(got.value) == _bits(expected.value)
-            and _bits(got.abs_err_estimate) == _bits(expected.abs_err_estimate)
-            and got.evaluations == expected.evaluations)
+        return got is None or type(got) is type(expected) and str(got) == str(expected)
+    return (isinstance(got, tuple)
+            and [_bits(x) for x in got[:2]] == [_bits(expected.value),
+                                                _bits(expected.abs_err_estimate)]
+            and type(got[0]) is type(expected.value) and got[2] == expected.evaluations)
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +238,7 @@ def test_batch_bit_identical_to_single(singles, name, size):
     size = size or len(specs)
     got = []
     for lo in range(0, len(specs), size):
-        got.extend(quad_x_domain_many(specs[lo:lo + size]))
+        got.extend(_core(specs[lo:lo + size]))
     assert len(got) == len(specs)
     mismatched = [i for i, (e, g) in enumerate(zip(singles[name], got)) if not _same(e, g)]
     assert mismatched == []
@@ -231,17 +255,19 @@ def test_edges_are_served_up_to_the_last_theta_below_two_pi(singles):
 
 
 def test_failure_sets_equal(singles):
+    # the rows that the core leaves or does not finish are the rows where
+    # the oracle raises
     for name, specs in GRIDS.items():
-        got = quad_x_domain_many(specs)
+        got = _core(specs)
         expected = {i for i, r in enumerate(singles[name]) if isinstance(r, Exception)}
-        assert {i for i, r in enumerate(got) if isinstance(r, Exception)} == expected
+        assert {i for i, r in enumerate(got) if not isinstance(r, tuple)} == expected
     specs = GRIDS["near_edge"][:10] + [EXHAUSTING] + GRIDS["near_edge"][10:20]
-    got = quad_x_domain_many(specs)
+    got = _core(specs)
     expected = [_single(s) for s in specs]
     failed = {i for i, r in enumerate(expected) if isinstance(r, Exception)}
     assert failed == {10}
-    assert {i for i, r in enumerate(got) if isinstance(r, Exception)} == failed
-    assert _same(expected[10], got[10])
+    assert {i for i, r in enumerate(got) if not isinstance(r, tuple)} == failed
+    assert isinstance(got[10], BudgetExceededError) and _same(expected[10], got[10])
 
 
 def test_invalid_specs_raise_the_single_spec_errors():
@@ -253,11 +279,16 @@ def test_invalid_specs_raise_the_single_spec_errors():
         IntegrandSpec(1, 0.5, 1.0 + TWO_PI, 1.0),  # paradox-only theta
         IntegrandSpec(1, 0.5, 1.0, 1.0),
     ]
-    got = quad_x_domain_many(specs)
+    got = _core(specs)
     for spec, result in zip(specs, got):
         assert _same(_single(spec), result)
-    assert not isinstance(got[-1], Exception)
-    assert quad_x_domain_many([]) == []
+    # the core leaves the refused specs, where the oracle raises its own error
+    assert [r is None for r in got] == [True, True, False, False, True, False]
+    assert [type(_single(specs[i])) for i in (0, 1, 4)] == [NonIntegrableError, ValueError,
+                                                            DomainError]
+    assert isinstance(got[-1], tuple)
+    assert _core([]) == []
+    assert [x.tolist() for x in quadrature._x_domain_columns(*[np.zeros(0)] * 6)] == [[]] * 5
 
 
 def test_mixed_uppers_grid_covers_every_map_and_kind_of_p(singles):
@@ -266,18 +297,22 @@ def test_mixed_uppers_grid_covers_every_map_and_kind_of_p(singles):
               for s, r in zip(specs, results) if not isinstance(r, Exception)}
     assert served == {(upper, kind) for upper in (1.0, math.inf, "X < 1")
                       for kind in (float, complex)}
+    # and the core serves every map and kind of p in one call
+    assert served == {(s.upper if s.upper in (1.0, math.inf) else "X < 1", type(s.p))
+                      for s, r in zip(specs, _core(specs)) if isinstance(r, tuple)}
     failed = [type(r) for r in results if isinstance(r, Exception)]
     assert failed == [BudgetExceededError, BudgetExceededError, NonIntegrableError,
                       ValueError, DomainError]
 
 
 def test_many_matches_the_infinite_block_on_its_infinite_rows(singles):
+    # a row over its own upper limit inf is the row over (0, inf)
     specs = GRIDS["mixed_uppers"]
     rows = [i for i, s in enumerate(specs) if s.upper == math.inf]
     assert len(rows) >= 30
-    got = quad_x_domain_many(specs)
-    infinite = quad_x_domain_infinite_many([specs[i] for i in rows])
-    assert all(_same(one, got[i]) for i, one in zip(rows, infinite))
+    got = _core(specs)
+    infinite = _core([specs[i] for i in rows], math.inf)
+    assert repr([got[i] for i in rows]) == repr(infinite)
     assert all(_same(singles["mixed_uppers"][i], got[i]) for i in rows)
 
 
@@ -297,7 +332,7 @@ def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_t_kernel", counting)
     specs = GRIDS["near_edge"] + [EXHAUSTING]
-    quad_x_domain_many(specs)
+    _core(specs)
     block_calls, block_max = len(sizes), max(sizes)
     sizes.clear()
     for spec in specs:
@@ -309,7 +344,7 @@ def test_kernel_calls_stay_within_the_deepest_level(monkeypatch):
     assert block_calls <= 16
     assert block_calls * 8 < len(sizes)
     # the DE map's last round runs in slices of _CHUNK nodes
-    for run in (_single, lambda spec: quad_x_domain_many([spec])[0]):
+    for run in (_single, lambda spec: _core([spec])[0]):
         sizes.clear()
         assert str(run(DE_OSCILLATING)) == ("trapezoid levels exhausted after 21505 "
                                             "evaluations without reaching tolerance")
@@ -347,7 +382,7 @@ def test_cli_verify_matches_verify_point(capsys):
 
 
 # ---------------------------------------------------------------------------
-# X = inf: quad_x_domain_infinite_many against quad_x_domain_infinite
+# X = inf: the core over (0, inf) against quad_x_domain_infinite
 
 
 def _slow_tails_infinite(count: int, seed: int) -> list[IntegrandSpec]:
@@ -401,7 +436,7 @@ def test_infinite_batch_bit_identical_to_single(infinite_singles, name, size):
     size = size or len(specs)
     got = []
     for lo in range(0, len(specs), size):
-        got.extend(quad_x_domain_infinite_many(specs[lo:lo + size]))
+        got.extend(_core(specs[lo:lo + size], math.inf))
     assert len(got) == len(specs)
     expected = infinite_singles[name]
     assert not any(isinstance(e, Exception) for e in expected)
@@ -430,11 +465,12 @@ def test_infinite_failure_sets_equal():
     grid = INFINITE_GRIDS["slow_tails_inf"]
     for p in (0.5, 0.5j):  # real and imaginary p
         specs = grid[:10] + [replace(EXHAUSTING_INF, p=p)] + grid[10:20]
-        got = quad_x_domain_infinite_many(specs)
+        got = _core(specs, math.inf)
         expected = [_single_infinite(s) for s in specs]
         assert isinstance(expected[10], BudgetExceededError)
         assert {i for i, r in enumerate(expected) if isinstance(r, Exception)} == {10}
-        assert {i for i, r in enumerate(got) if isinstance(r, Exception)} == {10}
+        assert {i for i, r in enumerate(got) if not isinstance(r, tuple)} == {10}
+        assert isinstance(got[10], BudgetExceededError)
         assert all(_same(e, g) for e, g in zip(expected, got))
 
 
@@ -446,12 +482,14 @@ def test_infinite_invalid_specs_raise_the_single_spec_errors():
         IntegrandSpec(1, 0.2j, 1.0, 1.0, upper=math.inf),  # imaginary p: served
         IntegrandSpec(1, 0.5, 1.0, 1.0, upper=math.inf),
     ]
-    got = quad_x_domain_infinite_many(specs)
+    got = _core(specs, math.inf)
     for spec, result in zip(specs, got):
         assert _same(_single_infinite(spec), result)
-    assert all(isinstance(r, Exception) for r in got[:-2])
-    assert not any(isinstance(r, Exception) for r in got[-2:])
-    assert quad_x_domain_infinite_many([]) == []
+    assert got[:-2] == [None] * 3
+    assert [type(_single_infinite(spec)) for spec in specs[:-2]] == [
+        NonIntegrableError, DomainError, DomainError]
+    assert all(isinstance(r, tuple) for r in got[-2:])
+    assert _core([], math.inf) == []
 
 
 def test_infinite_kernel_calls_stay_within_the_deepest_level(monkeypatch):
@@ -476,7 +514,7 @@ def test_infinite_kernel_calls_stay_within_the_deepest_level(monkeypatch):
     # enough rows that the first stage alone would exceed the cap unchunked
     specs = 3 * (INFINITE_GRIDS["integer_inf"] + INFINITE_GRIDS["slow_tails_inf"])
     specs.append(EXHAUSTING_INF)
-    quad_x_domain_infinite_many(specs)
+    _core(specs, math.inf)
     block_calls, block_max = len(sizes), max(sizes)
     sizes.clear()
     for spec in specs:

@@ -24,7 +24,8 @@ from coshint import (
 PI = math.pi
 
 # Expected values for the nontrivial points were computed beforehand with
-# the quadrature oracle (tanh-sinh and Gauss panel rules in agreement).
+# the quadrature oracle (its trapezoid maps and Gauss-Legendre panels in
+# agreement).
 ORACLE_S_1_03_2 = 0.8692204098517001
 ORACLE_P_1_03 = 1.3637672736893718
 ORACLE_SECH_HALF_PI_1 = 0.6260201656260737

@@ -18,20 +18,27 @@ from coshint import (
 )
 from coshint.params import (
     _THETA_PI_TOL,
+    _inside_turn,
     _integer_n,
     _real_p,
     _summed_upper,
     _theta_at_pi,
     _upper_factor,
+    _valid_upper,
 )
 
 PI = math.pi
 _UPPERS = [0.0, -0.0, math.nextafter(1.0, 0.0), 1.0, 2.0, math.inf]
+# the ends of (0, 1] and of (0, 2*pi), from either side, and inf and NaN
+_EDGES = [0.0, -0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), math.nextafter(2 * PI, 0.0), 2 * PI,
+          math.inf, math.nan]
 
 
 @pytest.mark.parametrize("predicate, values", [
     (_summed_upper, _UPPERS),
     (_upper_factor, _UPPERS),
+    (_valid_upper, _EDGES),
+    (_inside_turn, _EDGES),
     (_real_p, [0.0, -0.0, 5e-324, -0.5, 2.0]),
     (_integer_n, [1.0, 3.0, 64.0, 2.0 ** 60, math.nextafter(3.0, 0.0), math.nextafter(3.0, 4.0),
                   math.nextafter(1.0, 2.0), 0.5, 0.0]),

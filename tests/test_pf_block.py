@@ -1,15 +1,16 @@
 """The partial-fraction block against the per-spec route.
 
-pf_value_many must give pf_value's value bit for bit (sign of zero
-included) on every row it serves, and None on every other row, without a
-warning; verify_points, which takes the pf route of a grid from it, must
-still write verify_point's report for every spec.
+The route's column core, _pf_columns, must give pf_value's value bit for
+bit (sign of zero included) on every row it serves, and serve no other
+row, without a warning; verify_points, which takes the pf route of a
+grid from it, must still write verify_point's report for every spec.
 """
 
 import math
 import struct
 import warnings
 
+import numpy as np
 import pytest
 
 from coshint import (
@@ -17,13 +18,12 @@ from coshint import (
     IntegrandSpec,
     Verdict,
     pf_value,
-    pf_value_many,
     verify_point,
     verify_points,
 )
 from coshint.cli import report_line
 from coshint.params import _THETA_PI_TOL
-from coshint.partial_fractions import _BLOCK_ROOTS
+from coshint.partial_fractions import _BLOCK_ROOTS, _pf_columns
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -34,12 +34,23 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-def _block(specs):
+def _core(n, p, theta, zeta, upper) -> list:
+    """_pf_columns on lists of the rows' fields, without a warning: per
+    row, the value of a row it serves, else None."""
+    p = np.array(p, dtype=complex)
+    n, theta, zeta, upper = (np.array(x, dtype=float) for x in (n, theta, zeta, upper))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return pf_value_many([s.n for s in specs], [s.p for s in specs],
-                             [s.theta for s in specs], [s.zeta for s in specs],
-                             [s.upper for s in specs])
+        served, values = _pf_columns(n, p.real, theta, zeta, upper, p.imag)
+    rows: list = [None] * len(n)
+    for i, value in zip(served.tolist(), values.tolist()):
+        rows[i] = value
+    return rows
+
+
+def _block(specs):
+    return _core([s.n for s in specs], [s.p for s in specs], [s.theta for s in specs],
+                 [s.zeta for s in specs], [s.upper for s in specs])
 
 
 def _scalar(spec):
@@ -174,17 +185,17 @@ def test_verify_points_equals_verify_point_on_the_edge_grid():
 
 
 def test_empty_block():
-    assert pf_value_many([], [], [], [], []) == []
+    assert _core([], [], [], [], []) == []
 
 
 def test_block_leaves_non_finite_exponents_without_a_warning():
-    # IntegrandSpec refuses them, but pf_value_many takes plain lists: an
+    # IntegrandSpec refuses them, but _pf_columns takes plain columns: an
     # infinite or NaN n or p is no integer exponent, and _integer_n's
     # remainder of an infinite one must stay quiet
     rows = [(math.inf, 1.0), (2.0, math.inf), (2.0, -math.inf), (math.nan, 1.0), (3.0, math.nan)]
     for upper in (1.0, math.inf, 0.5):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = pf_value_many([n for n, _ in rows], [p for _, p in rows], [1.0] * len(rows),
-                                [1.0] * len(rows), [upper] * len(rows))
+            got = _core([n for n, _ in rows], [p for _, p in rows], [1.0] * len(rows),
+                        [1.0] * len(rows), [upper] * len(rows))
         assert got == [None] * len(rows)

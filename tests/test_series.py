@@ -10,7 +10,6 @@ from coshint import (
     eval_cosh_ratio,
     eval_sech_transform,
     series_contracted,
-    series_contracted_many,
     series_imaginary,
     series_one_sided,
     sine_series_partial,
@@ -346,13 +345,27 @@ def test_frozen_unreachable_message():
 
 
 # ---------------------------------------------------------------------------
-# series_contracted_many: the block form of series_contracted
+# _contracted_rows: the block form of series_contracted
 
 BLOCK_TOL = 0.25e-9  # verify.series_value's tol at the default AGREE_TOL
 
 
 def _bits(res):
-    return (res.value.hex(), res.terms_used, res.tail_estimate.hex(), res.accelerated)
+    """A SeriesResult's fields, or a block row's (value, terms_used,
+    tail_estimate), as bits."""
+    if isinstance(res, tuple):
+        return (res[0].hex(), res[1], res[2].hex())
+    return (res.value.hex(), res.terms_used, res.tail_estimate.hex())
+
+
+def _block(n, p, theta, tol) -> list:
+    """_contracted_rows on the rows' columns: per row, the columns
+    (value, terms_used, tail_estimate) of a row it serves, else None."""
+    rows: list = [None] * len(n)
+    served, *columns = series._contracted_rows(n, p, theta, tol)
+    for i, *row in zip(served.tolist(), *(x.tolist() for x in columns)):
+        rows[i] = tuple(row)
+    return rows
 
 
 def _block_against_scalar(rows, tol=BLOCK_TOL):
@@ -365,7 +378,7 @@ def _block_against_scalar(rows, tol=BLOCK_TOL):
     calls.
     """
     n, p, theta = zip(*rows)
-    block = series_contracted_many(n, p, theta, tol)
+    block = _block(n, p, theta, tol)
     assert len(block) == len(rows)
     seen = {}
     for row, got in zip(rows, block):
@@ -534,9 +547,9 @@ def test_block_refuses_what_the_scalar_refuses():
     rows = [(1.0, 1.0, 1.0), (1.0, -1.5, 2.0), (0.0, 0.0, 1.0), (-1.0, 0.5, 1.0),
             (math.nan, 0.5, 1.0), (1.0, math.nan, 1.0), (1.0, 0.5, math.nan),
             (1.0, 0.5, 1.0)]
-    assert series_contracted_many(*zip(*rows), 0.5 * series.TOL_FLOOR) == [None] * 8
-    assert series_contracted_many([], [], [], BLOCK_TOL) == []
-    block = series_contracted_many(*zip(*rows), BLOCK_TOL)
+    assert _block(*zip(*rows), 0.5 * series.TOL_FLOOR) == [None] * 8
+    assert _block([], [], [], BLOCK_TOL) == []
+    block = _block(*zip(*rows), BLOCK_TOL)
     assert block[:7] == [None] * 7
     assert _bits(block[7]) == _bits(series_contracted(1.0, 0.5, 1.0, BLOCK_TOL))
 
@@ -549,7 +562,7 @@ def test_numpy_sin_is_libm_sin_on_the_loop_arguments():
 
 
 def test_numpy_sin_and_cos_are_libm_on_the_pf_block_arguments():
-    # pf_value_many takes np.sin and np.cos where integral_at and
+    # _pf_columns takes np.sin and np.cos where integral_at and
     # integral_closed take math's: of the root angles omega_k and p*omega_k
     # (n <= _BLOCK_ROOTS), theta, zeta and the sinc arguments.  Its
     # arctangents stay math.atan2: numpy's arctan2 is a SIMD routine that
